@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except propagators.QuadratureError as exc:
         sys.stderr.write(f"numeric non-convergence: {exc}\n")
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _write_output(doc, args.out)

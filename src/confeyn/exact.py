@@ -22,12 +22,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-import mpmath
-
 RationalLike = Union[int, Fraction]
 
 _SQRT2 = math.sqrt(2.0)
-_EULER_GAMMA = float(mpmath.euler)
+_EULER_GAMMA = 0.5772156649015329
 _LOG2 = math.log(2.0)
 
 

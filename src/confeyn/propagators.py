@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .specfun import BesselEvalConfig, bessel_k
+from .specfun import bessel_k, bessel_k_ladder
 
 
 class DiagonalError(ValueError):
@@ -57,6 +57,8 @@ class Kinematics:
         if not isinstance(self.D, int) or self.D < 3:
             raise ValueError(f"D must be an integer >= 3, got {self.D}")
         object.__setattr__(self, "x", tuple(float(c) for c in self.x))
+        if not all(math.isfinite(c) for c in (*self.x, self.m)):
+            raise ValueError(f"coordinates and mass must be finite, got x={self.x}, m={self.m}")
         if self.m < 0:
             raise ValueError("mass must be >= 0")
 
@@ -87,14 +89,14 @@ def g0_real(k: Kinematics) -> float:
     return r ** (2 - k.D)
 
 
-def gm_real(k: Kinematics, cfg: BesselEvalConfig | None = None) -> float:
+def gm_real(k: Kinematics) -> float:
     """Massive propagator via the Macdonald function."""
     r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("gm_real requires m > 0")
     nu = (k.D - 2) / 2.0
     return ((2 * math.pi) ** (-k.D / 2.0) * k.m ** (k.D - 2)
-            * (k.m * r) ** (-nu) * bessel_k(nu, k.m * r, cfg))
+            * (k.m * r) ** (-nu) * bessel_k(nu, k.m * r))
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,13 @@ def g0_complex(k: Kinematics) -> ComplexPhase:
     return ComplexPhase(magnitude, (2 - k.D) % 4)
 
 
-def gm_complex(k: Kinematics, cfg: BesselEvalConfig | None = None) -> float:
+def gm_complex(k: Kinematics) -> float:
     """Massive complex propagator (2 pi)^(-D) m^(D-1) ||x||^(-(D-1)) K_{D-1}(m||x||)."""
     r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("gm_complex requires m > 0")
     nu = k.D - 1
-    return (2 * math.pi) ** (-k.D) * k.m ** nu * r ** (-nu) * bessel_k(nu, k.m * r, cfg)
+    return (2 * math.pi) ** (-k.D) * k.m ** nu * r ** (-nu) * bessel_k(nu, k.m * r)
 
 
 def diag_continuation(D: int, m: float) -> float:
@@ -192,8 +194,7 @@ def _fd_laplacian(f, x: Sequence[float], h: float) -> float:
     return total / (h * h)
 
 
-def helmholtz_residual(k: Kinematics, h: float,
-                       cfg: BesselEvalConfig | None = None) -> float:
+def helmholtz_residual(k: Kinematics, h: float) -> float:
     """Relative residual of the defining PDE, by central finite differences.
 
     Away from the diagonal the massive propagator satisfies
@@ -206,7 +207,7 @@ def helmholtz_residual(k: Kinematics, h: float,
         raise ValueError("step must satisfy 0 < h <= 0.05 ||x||")
     if k.m > 0:
         def f(pt):
-            return gm_real(Kinematics(k.D, tuple(pt), k.m), cfg)
+            return gm_real(Kinematics(k.D, tuple(pt), k.m))
     else:
         def f(pt):
             return g0_real(Kinematics(k.D, tuple(pt)))
@@ -222,7 +223,7 @@ class DiracCoeffs:
     b: float
 
 
-def dirac_propagator(k: Kinematics, cfg: BesselEvalConfig | None = None) -> DiracCoeffs:
+def dirac_propagator(k: Kinematics) -> DiracCoeffs:
     """Euclidean Dirac propagator coefficients, from S = (-i dslash + m) G_{sqrt(m)}.
 
     Requires integer lam >= 1 (even dimension D = 2 lam + 2).
@@ -237,24 +238,26 @@ def dirac_propagator(k: Kinematics, cfg: BesselEvalConfig | None = None) -> Dira
     sm = math.sqrt(k.m)
     z = sm * r
     pref = (2 * math.pi) ** (-(lam + 1)) * k.m ** (lam / 2.0)
-    k_lam = bessel_k(lam, z, cfg)
-    k_lm1 = bessel_k(abs(lam - 1), z, cfg)
-    k_lp1 = bessel_k(lam + 1, z, cfg)
+    k_lm1, k_lam, k_lp1 = bessel_k_ladder(lam - 1, z, 2)
     a = pref * r ** (-(lam + 1)) * ((lam / r) * k_lam + (sm / 2.0) * (k_lm1 + k_lp1))
     b = pref * k.m * r ** (-lam) * k_lam
     return DiracCoeffs(a, b)
 
 
-def _scalar_radial_derivs(D: int, mass: float, r: float,
-                          cfg: BesselEvalConfig | None = None) -> tuple[float, float, float]:
+def _scalar_radial_derivs(D: int, mass: float, r: float) -> tuple[float, float, float]:
     """(G, G', G'') for G(r) = (2 pi)^(-(lam+1)) mass^lam r^(-lam) K_lam(mass r),
-    using K_nu'(z) = -(K_{nu+1} + K_{nu-1})/2."""
+    using K_nu'(z) = -(K_{nu+1} + K_{nu-1})/2 with K_{-nu} = K_nu; the five
+    orders lam-2 .. lam+2 come from one ladder."""
     lam = (D - 2) / 2.0
     pref = (2 * math.pi) ** (-(lam + 1)) * mass ** lam
-    z = mass * r
-    k0 = bessel_k(lam, z, cfg)
-    kp = -(bessel_k(lam + 1, z, cfg) + bessel_k(abs(lam - 1), z, cfg)) / 2.0
-    kpp = (bessel_k(lam + 2, z, cfg) + 2.0 * k0 + bessel_k(abs(lam - 2), z, cfg)) / 4.0
+    low = min(abs(lam - 2), abs(lam - 1))
+    ks = bessel_k_ladder(low, mass * r, round(lam + 2 - low))
+
+    def k(order):
+        return ks[round(abs(order) - low)]
+    k0 = k(lam)
+    kp = -(k(lam + 1) + k(lam - 1)) / 2.0
+    kpp = (k(lam + 2) + 2.0 * k0 + k(lam - 2)) / 4.0
     g = pref * r ** (-lam) * k0
     gp = pref * (-lam * r ** (-lam - 1) * k0 + r ** (-lam) * mass * kp)
     gpp = pref * (lam * (lam + 1) * r ** (-lam - 2) * k0
@@ -263,22 +266,19 @@ def _scalar_radial_derivs(D: int, mass: float, r: float,
     return g, gp, gpp
 
 
-def _second_partial(D: int, mass: float, x: Sequence[float], mu: int, nu: int,
-                    cfg: BesselEvalConfig | None = None) -> float:
-    """Analytic d_mu d_nu of the radial scalar kernel at x."""
-    r = math.sqrt(sum(c * c for c in x))
-    _, gp, gpp = _scalar_radial_derivs(D, mass, r, cfg)
+def _second_partial(x: Sequence[float], r: float, gp: float, gpp: float,
+                    mu: int, nu: int) -> float:
+    """d_mu d_nu of a radial kernel at x from its radial derivatives G', G''."""
     delta = 1.0 if mu == nu else 0.0
     return delta * gp / r + x[mu] * x[nu] * (gpp - gp / r) / (r * r)
 
 
-def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int,
-                     cfg: BesselEvalConfig | None = None) -> float:
+def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
     """Massive vector-boson propagator component in the Stueckelberg gauge:
 
         g_{mu nu} G_{sqrt(m)} + (1/m^2)(d_mu d_nu G_{sqrt(m/alpha)} - d_mu d_nu G_{sqrt(m)})
     """
-    _require_off_diagonal(k)
+    r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("boson_propagator requires m > 0")
     if alpha <= 0:
@@ -286,11 +286,10 @@ def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int,
     if not (0 <= mu < k.D and 0 <= nu < k.D):
         raise ValueError("index out of range")
     m1 = math.sqrt(k.m)
-    g_scalar = gm_real(Kinematics(k.D, k.x, m1), cfg)
-    value = (1.0 if mu == nu else 0.0) * g_scalar
-    if alpha != 1.0:  # at alpha = 1 the derivative terms cancel identically
-        m2 = math.sqrt(k.m / alpha)
-        dd2 = _second_partial(k.D, m2, k.x, mu, nu, cfg)
-        dd1 = _second_partial(k.D, m1, k.x, mu, nu, cfg)
-        value += (dd2 - dd1) / (k.m ** 2)
-    return value
+    if alpha == 1.0:  # the derivative terms cancel identically
+        return (1.0 if mu == nu else 0.0) * gm_real(Kinematics(k.D, k.x, m1))
+    g1, gp1, gpp1 = _scalar_radial_derivs(k.D, m1, r)
+    _, gp2, gpp2 = _scalar_radial_derivs(k.D, math.sqrt(k.m / alpha), r)
+    dd = (_second_partial(k.x, r, gp2, gpp2, mu, nu)
+          - _second_partial(k.x, r, gp1, gpp1, mu, nu))
+    return (1.0 if mu == nu else 0.0) * g1 + dd / (k.m ** 2)

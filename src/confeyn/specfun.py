@@ -7,17 +7,29 @@ digamma identities
     psi(n)       = H_{n-1} - gamma
     psi(n + 1/2) = -gamma - 2*log(2) + sum_{k=1}^{n} 2/(2k-1).
 
-The modified Bessel function of the second kind ``K_nu(z)`` is evaluated from
-its small-argument convergent expansion and its large-argument asymptotic
-series
+The modified Bessel function of the second kind ``K_nu(z)`` is computed in
+double precision for integer and half-integer orders, the only ones the
+propagators use.  The two lowest orders come from
+
+* Temme's series at order 0 for ``z < 2`` (Temme, J. Comput. Phys. 19 (1975)
+  324), or Steed's continued fraction CF2 for ``z >= 2`` (Thompson & Barnett,
+  J. Comput. Phys. 64 (1986) 490; Numerical Recipes section 6.7), giving
+  ``K_0`` and ``K_1``;
+* the closed forms ``K_{1/2}(z) = sqrt(pi/(2z)) exp(-z)`` and
+  ``K_{3/2} = K_{1/2} (1 + 1/z)``;
+
+and the upward recurrence ``K_{n+1} = K_{n-1} + (2n/z) K_n``, which adds
+positive terms only, gives the higher orders.  Any other real order is a slow
+path through mpmath's ``besselk``.
+
+The small-argument convergent expansion and the large-argument asymptotic series
 
     K_nu(z) ~ sqrt(pi/(2z)) * exp(-z) * sum_l (nu,l) / (2z)**l,
     (nu,l) = Gamma(nu+l+1/2) / (l! * Gamma(nu-l+1/2)),
 
-switching branches at a configurable crossover.  Half-integer orders use the
-terminating (exact) form of the asymptotic series.  Summation runs in
-extended precision (mpmath) because the small-argument series cancels
-catastrophically for moderate ``z``; results are correctly rounded doubles.
+summed in extended precision (mpmath) and selected by :class:`BesselEvalConfig`,
+remain as the reference :func:`bessel_k_branch` that tests compare against.
+mpmath is imported only by the slow path and the reference.
 """
 
 from __future__ import annotations
@@ -27,9 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-
-from .exact import ExactScalar, SymbolicCoeff
+from .exact import _EULER_GAMMA, ExactScalar, SymbolicCoeff
 
 HalfInteger = Union[int, Fraction]
 
@@ -100,16 +110,14 @@ def asym_coeff(nu, ell: int) -> ExactScalar:
 
 @dataclass(frozen=True)
 class BesselEvalConfig:
-    """Evaluation strategy knobs for :func:`bessel_k`.
+    """Branch knobs of the mpmath reference :func:`bessel_k_branch`.
 
-    ``crossover_z=None`` selects the default ``max(10, 2*nu**2)``.
-    ``quadrature`` is (node count, integration half-width) for the integral
-    oracle used by the propagator module.
+    ``crossover_z=None`` selects the default ``max(10, 2*nu**2)``, the
+    argument above which the reference series gives way to the asymptotic one.
     """
     series_terms: int = 80
     asymptotic_terms: int = 24
     crossover_z: float | None = None
-    quadrature: tuple[int, float] = (800, 12.0)
 
     def __post_init__(self):
         if self.series_terms < 1:
@@ -125,9 +133,139 @@ class BesselEvalConfig:
 
 DEFAULT_BESSEL_CONFIG = BesselEvalConfig()
 
+MAX_ORDER = 1000  # bounds the recurrence; K_nu(z) at e^z scale stays finite for z > 700
+_EPS = 1e-16
+_MAX_ITER = 10_000
+_EXP_NORMAL_Z = 700.0  # exp(-z) is a normal double up to here
 
-def _k_half_integer(n: int, z, terms_cap: int | None = None) -> mpmath.mpf:
+
+def _checked_order(nu: float, z: float) -> float | None:
+    """Validate (nu, z); return the lowest order of nu's ladder (0.0 or 0.5),
+    or None when nu is neither an integer nor a half-integer."""
+    if not (math.isfinite(nu) and math.isfinite(z)):
+        raise ValueError(f"bessel_k needs finite nu and z, got nu={nu}, z={z}")
+    if z <= 0:
+        raise ValueError(f"bessel_k requires z > 0 (singular at the origin), got {z}")
+    if nu < 0:
+        raise ValueError("bessel_k requires nu >= 0 (K_{-nu} = K_nu)")
+    if nu > MAX_ORDER:
+        raise ValueError(f"bessel_k supports orders up to {MAX_ORDER}, got {nu}")
+    two_nu = round(2 * nu)
+    if abs(2 * nu - two_nu) >= 1e-12:
+        return None
+    return 0.5 if two_nu % 2 else 0.0
+
+
+def _temme_k01(z: float) -> tuple[float, float]:
+    """K_0(z) and K_1(z) for 0 < z < 2 from Temme's series at order 0, where
+    Gamma_1 = -gamma and Gamma_2 = 1."""
+    x2 = 0.5 * z
+    d = x2 * x2
+    ff = -math.log(x2) - _EULER_GAMMA
+    p = 0.5  # p = q at order 0
+    c = 1.0
+    s0 = ff
+    s1 = p
+    for i in range(1, _MAX_ITER):
+        ff = (i * ff + 2.0 * p) / (i * i)
+        c *= d / i
+        p /= i
+        term = c * ff
+        s0 += term
+        s1 += c * (p - i * ff)
+        if abs(term) < abs(s0) * _EPS:
+            return s0, s1 / x2
+    raise ArithmeticError(f"Temme series for K_0({z}) did not converge")
+
+
+def _steed_k01(z: float) -> tuple[float, float]:
+    """e^z K_0(z) and e^z K_1(z) for z >= 2 from Steed's continued fraction
+    CF2 at order 0."""
+    b = 2.0 * (1.0 + z)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = 0.0, 1.0
+    q = c = 0.25
+    a = -0.25
+    s = 1.0 + q * delh
+    for i in range(2, _MAX_ITER):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1, q2 = q2, qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < abs(s) * _EPS:
+            k0 = math.sqrt(math.pi / (2.0 * z)) / s
+            return k0, k0 * (z + 0.5 - 0.25 * h) / z
+    raise ArithmeticError(f"Steed's CF2 for K_0({z}) did not converge")
+
+
+def bessel_k_ladder(nu: float, z: float, steps: int) -> list[float]:
+    """[K_nu(z), K_(nu+1)(z), ..., K_(nu+steps)(z)] for integer or
+    half-integer nu >= 0, from one evaluation of the two lowest orders.
+
+    The upward recurrence K_(n+1) = K_(n-1) + (2n/z) K_n adds positive terms
+    only; the downward direction cancels, so every ladder starts at order 0
+    or 1/2.
+    """
+    mu = _checked_order(nu, z)
+    if mu is None:
+        raise ValueError(f"bessel_k_ladder needs an integer or half-integer order, got {nu}")
+    if steps < 0 or nu + steps > MAX_ORDER:
+        raise ValueError(f"ladder steps must lie in [0, {MAX_ORDER} - nu], got {steps}")
+    if mu:
+        a = math.sqrt(math.pi / (2.0 * z))
+        b = a * (1.0 + 1.0 / z)
+    elif z < 2.0:
+        a, b = _temme_k01(z)
+    else:
+        a, b = _steed_k01(z)
+    tail = 1.0
+    if mu or z >= 2.0:
+        # a, b carry e^z: fold e^-z in now while it is a normal double, so that
+        # high orders at moderate z cannot overflow; past that, apply it at the
+        # end in two halves, neither of which underflows early
+        if z <= _EXP_NORMAL_Z:
+            f = math.exp(-z)
+            a *= f
+            b *= f
+        else:
+            tail = math.exp(-0.5 * z)
+    first = round(nu - mu)
+    out = []
+    for i in range(first + steps + 1):
+        if i >= first:
+            out.append(a * tail * tail)
+        a, b = b, a + (2.0 * (mu + i + 1) / z) * b
+    return out
+
+
+def _k_slow(nu: float, z: float) -> float:
+    """Orders that are neither integer nor half-integer: mpmath's besselk."""
+    import mpmath
+    return float(mpmath.besselk(nu, z))
+
+
+def bessel_k(nu: float, z: float) -> float:
+    """Modified Bessel function (Macdonald function) K_nu(z) for z > 0,
+    0 <= nu <= MAX_ORDER, in double precision.
+
+    Raises ValueError for non-finite or out-of-range arguments.
+    """
+    if _checked_order(nu, z) is None:
+        return _k_slow(nu, z)
+    return bessel_k_ladder(nu, z, 0)[0]
+
+
+def _k_half_integer(n: int, z, terms_cap: int | None = None):
     """Exact terminating form of K_{n+1/2}(z)."""
+    import mpmath
     z = mpmath.mpf(z)
     total = mpmath.mpf(0)
     upper = n if terms_cap is None else min(n, terms_cap - 1)
@@ -137,8 +275,9 @@ def _k_half_integer(n: int, z, terms_cap: int | None = None) -> mpmath.mpf:
     return mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.exp(-z) * total
 
 
-def _k_asymptotic(nu: float, z, terms: int) -> mpmath.mpf:
+def _k_asymptotic(nu: float, z, terms: int):
     """Partial sum of the large-argument asymptotic series."""
+    import mpmath
     z = mpmath.mpf(z)
     term = mpmath.mpf(1)
     total = mpmath.mpf(1)
@@ -154,8 +293,9 @@ def _k_asymptotic(nu: float, z, terms: int) -> mpmath.mpf:
     return mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.exp(-z) * total
 
 
-def _k_series_integer(n: int, z, terms: int) -> mpmath.mpf:
+def _k_series_integer(n: int, z, terms: int):
     """Convergent small-argument expansion at integer order n >= 0."""
+    import mpmath
     z = mpmath.mpf(z)
     half = z / 2
     total = mpmath.mpf(0)
@@ -183,12 +323,13 @@ def _k_series_integer(n: int, z, terms: int) -> mpmath.mpf:
     return total
 
 
-def _k_series_real(nu: float, z, terms: int) -> mpmath.mpf:
+def _k_series_real(nu: float, z, terms: int):
     """K_nu via pi/2 (I_{-nu} - I_nu)/sin(pi nu) for non-integer real order."""
+    import mpmath
     z = mpmath.mpf(z)
     half = z / 2
 
-    def i_series(order: float) -> mpmath.mpf:
+    def i_series(order: float):
         total = mpmath.mpf(0)
         for k in range(terms):
             total += half ** (2 * k + order) / (mpmath.factorial(k)
@@ -198,54 +339,26 @@ def _k_series_real(nu: float, z, terms: int) -> mpmath.mpf:
     return (mpmath.pi / 2) * (i_series(-nu) - i_series(nu)) / mpmath.sin(mpmath.pi * nu)
 
 
-def bessel_k(nu: float, z: float, cfg: BesselEvalConfig | None = None) -> float:
-    """Modified Bessel function (Macdonald function) K_nu(z) for z > 0, nu >= 0."""
-    if cfg is None:
-        cfg = DEFAULT_BESSEL_CONFIG
-    if z <= 0:
-        raise ValueError(f"bessel_k requires z > 0 (singular at the origin), got {z}")
-    if nu < 0:
-        raise ValueError("bessel_k requires nu >= 0 (K_{-nu} = K_nu)")
-
-    two_nu = 2 * nu
-    is_half = abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 == 1
-    is_int = abs(nu - round(nu)) < 1e-12
-
-    # working precision covers the cancellation (~z/ln10 digits) in the series
-    dps = 25 + int(1.0 * z) + 10
-    with mpmath.workdps(dps):
-        if is_half:
-            val = _k_half_integer((round(two_nu) - 1) // 2, z)
-        elif z > cfg.crossover(nu):
-            val = _k_asymptotic(nu, z, cfg.asymptotic_terms)
-        elif is_int:
-            val = _k_series_integer(round(nu), z, cfg.series_terms)
-        else:
-            val = _k_series_real(nu, z, cfg.series_terms)
-        return float(val)
-
-
 def bessel_k_branch(nu: float, z: float, branch: str,
                     cfg: BesselEvalConfig | None = None) -> float:
-    """Force one evaluation branch ('series' or 'asymptotic'); used for the
-    crossover continuity checks."""
+    """Reference K_nu(z) from one forced mpmath branch, 'series' or
+    'asymptotic', summed at 35 + z digits to cover the series' cancellation.
+
+    Half-integer orders use the terminating form, capped at
+    ``cfg.asymptotic_terms`` terms on the asymptotic branch.
+    """
+    import mpmath
     if cfg is None:
         cfg = DEFAULT_BESSEL_CONFIG
-    if z <= 0:
-        raise ValueError("z must be positive")
-    two_nu = 2 * nu
-    is_half = abs(two_nu - round(two_nu)) < 1e-12 and round(two_nu) % 2 == 1
-    dps = 25 + int(1.0 * z) + 10
-    with mpmath.workdps(dps):
+    mu = _checked_order(nu, z)
+    if branch not in ("series", "asymptotic"):
+        raise ValueError(f"unknown branch {branch!r}")
+    with mpmath.workdps(35 + int(z)):
+        if mu == 0.5:
+            cap = cfg.asymptotic_terms if branch == "asymptotic" else None
+            return float(_k_half_integer(int(nu), z, terms_cap=cap))
         if branch == "asymptotic":
-            if is_half:
-                return float(_k_half_integer((round(two_nu) - 1) // 2, z,
-                                             terms_cap=cfg.asymptotic_terms))
             return float(_k_asymptotic(nu, z, cfg.asymptotic_terms))
-        if branch == "series":
-            if is_half:
-                return float(_k_half_integer((round(two_nu) - 1) // 2, z))
-            if abs(nu - round(nu)) < 1e-12:
-                return float(_k_series_integer(round(nu), z, cfg.series_terms))
-            return float(_k_series_real(nu, z, cfg.series_terms))
-    raise ValueError(f"unknown branch {branch!r}")
+        if mu == 0.0:
+            return float(_k_series_integer(round(nu), z, cfg.series_terms))
+        return float(_k_series_real(nu, z, cfg.series_terms))

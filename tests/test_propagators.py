@@ -233,6 +233,10 @@ class TestKinematics:
             Kinematics(2, (1.0, 0.0))
         with pytest.raises(ValueError):
             Kinematics(3, (1.0, 0.0, 0.0), -1.0)
+        for x, m in (((math.inf, 0.0, 0.0), 1.0), ((1.0, math.nan, 0.0), 1.0),
+                     ((1.0, 0.0, 0.0), math.nan), ((1.0, 0.0, 0.0), math.inf)):
+            with pytest.raises(ValueError):
+                Kinematics(3, x, m)
 
     def test_lambda(self):
         assert Kinematics.radial(4, 1.0).lam == Fraction(1)

@@ -3,12 +3,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.special import kv
 
 from confeyn.exact import ExactScalar, SymbolicCoeff
-from confeyn.specfun import (BesselEvalConfig, asym_coeff, bessel_k,
-                             bessel_k_branch, digamma_exact, gamma_exact)
+from confeyn import propagators
+from confeyn.specfun import (MAX_ORDER, BesselEvalConfig, asym_coeff, bessel_k,
+                             bessel_k_branch, bessel_k_ladder, digamma_exact,
+                             gamma_exact)
 from confeyn.propagators import Kinematics, gm_integral
+from confeyn.cli import main
 
 F = Fraction
 
@@ -124,7 +130,7 @@ class TestBesselK:
                 term *= (nu + ell + 0.5) * (nu - ell - 0.5) / (ell + 1)
                 partial += term / (2 * z) ** (ell + 1)
             want = math.sqrt(math.pi / (2 * z)) * math.exp(-z) * partial
-            assert bessel_k(nu, z, cfg) == pytest.approx(want, rel=1e-12)
+            assert bessel_k_branch(nu, z, "asymptotic", cfg) == pytest.approx(want, rel=1e-12)
 
     def test_quadrature_oracle_identity(self):
         # K_1(2) from the heat-kernel representation of the D=4 kernel:
@@ -143,3 +149,94 @@ class TestBesselK:
             BesselEvalConfig(series_terms=0)
         with pytest.raises(ValueError):
             BesselEvalConfig(crossover_z=-1.0)
+
+
+HALF_ORDERS = [k / 2 for k in range(41)]  # 0, 1/2, ..., 20
+
+
+class TestBesselKDouble:
+    """The double-precision K_nu against scipy and mpmath oracles."""
+
+    def test_grid_against_scipy(self):
+        worst = 0.0
+        for nu in HALF_ORDERS:
+            for z in np.logspace(-3, math.log10(700.0), 400):
+                want = kv(nu, z)
+                if not (np.isfinite(want) and want >= np.finfo(float).tiny):
+                    continue
+                worst = max(worst, abs(bessel_k(nu, float(z)) - want) / want)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("nu", [0, 1, 2, 0.5, 2.5, 5, 7, 12, 19.5, 20])
+    def test_spot_checks_against_mpmath(self, nu):
+        # includes orders 0-2 just above z = 10, where the asymptotic partial
+        # sum is off by 2e-11, and the 46 < z < 2 nu^2 window of integer nu >= 5,
+        # where the 80-term series has not converged
+        with mpmath.workdps(40):
+            for z in (1e-3, 0.7, 1.999, 2.0, 2.001, 10.2, 11.0, 11.9, 47.0, 60.0,
+                      80.0, 300.0, 699.0, 705.0):
+                want = float(mpmath.besselk(nu, z))
+                assert bessel_k(nu, z) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_underflow_is_zero(self):
+        assert bessel_k(1, 5e4) == 0.0
+        assert bessel_k(20, 1e300) == 0.0
+
+    def test_overflow_is_inf(self):
+        assert bessel_k(MAX_ORDER, 1e-3) == math.inf
+
+    def test_rejects_non_finite_and_large_orders(self):
+        for nu, z in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                      (1.0, math.inf), (MAX_ORDER + 1, 1.0)):
+            with pytest.raises(ValueError):
+                bessel_k(nu, z)
+
+    @pytest.mark.parametrize("nu", [0, 0.5, 3, 4.5])
+    def test_ladder_matches_single_orders(self, nu):
+        for z in (0.3, 2.0, 9.0, 720.0):
+            ladder = bessel_k_ladder(nu, z, 4)
+            assert ladder == [bessel_k(nu + i, z) for i in range(5)]
+
+    def test_ladder_rejects_general_order(self):
+        with pytest.raises(ValueError):
+            bessel_k_ladder(0.25, 1.0, 2)
+        with pytest.raises(ValueError):
+            bessel_k_ladder(1, 1.0, -1)
+
+
+def _gm_closed_form(D, m, r):
+    nu = (D - 2) / 2
+    return (2 * math.pi) ** (-D / 2) * m ** (D - 2) * (m * r) ** (-nu) * kv(nu, m * r)
+
+
+class TestPropagatorRegressions:
+    @pytest.mark.parametrize("D, r", [(16, 80.0), (12, 48.0)])
+    def test_prop_eval_in_former_defect_window(self, D, r, capsys):
+        assert main(["prop-eval", "--D", str(D), "--m", "1", "--r", str(r)]) == 0
+        got = float(capsys.readouterr().out.split(":")[-1].rstrip("}\n"))
+        assert got == pytest.approx(_gm_closed_form(D, 1.0, r), rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [["--r", "inf"], ["--r", "nan"],
+                                       ["--r", "1", "--m", "nan"],
+                                       ["--D", "40", "--r", "1e-100"]])
+    def test_prop_eval_bad_floats_exit_2(self, flags, capsys):
+        argv = ["prop-eval", "--D", "4", "--m", "1", "--r", "1"] + flags
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("D", [3, 4, 5, 6, 7, 8])
+    def test_boson_one_ladder_per_argument(self, D, monkeypatch):
+        args = []
+
+        def counting(nu, z, steps):
+            args.append(z)
+            return bessel_k_ladder(nu, z, steps)
+
+        def no_single_order(nu, z):
+            raise AssertionError("boson kernel called bessel_k")
+
+        monkeypatch.setattr(propagators, "bessel_k_ladder", counting)
+        monkeypatch.setattr(propagators, "bessel_k", no_single_order)
+        x = (0.8, -0.3) + (0.2,) * (D - 2)
+        propagators.boson_propagator(Kinematics(D, x, 1.3), 1.7, 0, 1)
+        assert len(args) == len(set(args)) == 2
