@@ -26,8 +26,14 @@ re-project onto weight lam, while the log splits as
 log rho + (1/2) log(1 - 2 u c + u^2), the series part running through
 Chebyshev polynomials converted to weight lam and linearized products.
 
-Coefficient tensors are exact (SymbolicCoeff entries); numeric evaluation
-binds gamma, log 2, pi, and the mass at the very end.
+Coefficient tensors are exact (SymbolicCoeff entries) and read-only; they
+are the source of truth and what the JSON output shows.  Numeric evaluation
+reads a float form compiled from them once per expansion: the entries are
+grouped by symbol monomial (m^(m2/2) log(m)^lm gamma^g log(2)^l2), each group
+holding (n, d, float) rows.  A call binds each monomial once and sums its rows
+against the tables u^0..u^R and C_0^(lam)..C_cap^(lam)(cos), the latter by the
+three-term recurrence; :func:`edge_gegenbauer_value` computes the two tables
+once per edge and shares them across all the edge's terms.
 
 The complex-case kernel in dimension D coincides with the real kernel at
 weight D - 1 (its prefactor is (2 pi)^-D and the Macdonald order is D - 1),
@@ -40,12 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from operator import mul
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact import ExactScalar, SymbolicCoeff
+from .exact import ExactScalar, SymbolicCoeff, bind_monomial
 from .feyngraph import FeynmanGraph
-from .gegenbauer import (chebyshev_to_gegenbauer, gegenbauer_value,
+from .gegenbauer import (chebyshev_to_gegenbauer, gegenbauer_table,
                          monomial_to_gegenbauer, product_linearize,
                          reproject_gegenbauer)
 from .specfun import as_half_integer, asym_coeff, digamma_exact
@@ -155,8 +163,10 @@ def complex_case_weight(D: int) -> Fraction:
     return Fraction(D - 1)
 
 
+@lru_cache(maxsize=None)
 def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
-    """Exact coefficient of the l_e term of the massive edge factor."""
+    """Exact coefficient of the l_e term of the massive edge factor (cached:
+    the result is immutable)."""
     lam = _check_lambda(lam)
     ell = term.ell
     if ell < -lam:
@@ -232,10 +242,35 @@ def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
 # Gegenbauer tensors
 # ---------------------------------------------------------------------------
 
-Tensor = dict[tuple[int, int], SymbolicCoeff]
+Tensor = Mapping[tuple[int, int], SymbolicCoeff]
 
 
-@dataclass
+class _FloatForm(NamedTuple):
+    """Float rows of one expansion, compiled once from its exact tensors.
+
+    ``groups`` holds one entry (symbol key, on log rho, n's, d's, values) per
+    symbol monomial (m2, logm, gamma, log2) of each tensor; ``prefactor`` the
+    (symbol key, value) terms of the prefactor."""
+    groups: tuple[tuple[tuple[int, int, int, int], bool, tuple[int, ...],
+                        tuple[int, ...], tuple[float, ...]], ...]
+    prefactor: tuple[tuple[tuple[int, int, int, int], float], ...]
+    rho_exponent: float
+    n_max: int
+    d_max: int
+
+
+def gegen_tables(lam, geom: EdgeGeometry, n_max: int, d_max: int
+                 ) -> tuple[list[float], list[float]]:
+    """[u^0..u^n_max] and [C_0^(lam)..C_d_max^(lam)](cos) of one edge, shared
+    by every expansion evaluated at that edge."""
+    u = geom.u if geom.rho else 0.0
+    u_pows = [1.0]
+    for _ in range(n_max):
+        u_pows.append(u_pows[-1] * u)
+    return u_pows, gegenbauer_table(lam, d_max, geom.cos)
+
+
+@dataclass(frozen=True)
 class GegenExpansion:
     """Truncated double series of one edge term in the weight-lam basis:
 
@@ -244,7 +279,8 @@ class GegenExpansion:
 
     The tensors expand the *bare* radial/log factor; the term coefficient is
     kept in ``prefactor`` (this is what makes the worked massless values come
-    out with unit entries)."""
+    out with unit entries).  The exact tensors are read-only; their float
+    form is compiled from them on the first evaluation."""
     lam: Fraction
     rho_exponent: Fraction
     prefactor: SymbolicCoeff
@@ -252,22 +288,50 @@ class GegenExpansion:
     log_rho: Tensor = field(default_factory=dict)
     radial_order: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "plain", MappingProxyType(dict(self.plain)))
+        object.__setattr__(self, "log_rho", MappingProxyType(dict(self.log_rho)))
+
+    @cached_property
+    def float_form(self) -> _FloatForm:
+        """The float rows of this instance's own tensors, compiled once."""
+        rows: dict[tuple, tuple[list, list, list]] = {}
+        for on_log, tensor in ((False, self.plain), (True, self.log_rho)):
+            for (n, d), c in tensor.items():
+                for key, scalar in c.coefficients():
+                    ns, ds, values = rows.setdefault((key, on_log), ([], [], []))
+                    ns.append(n)
+                    ds.append(d)
+                    values.append(float(scalar))
+        keys = list(self.plain) + list(self.log_rho)
+        return _FloatForm(
+            tuple((key, on_log, tuple(ns), tuple(ds), tuple(values))
+                  for (key, on_log), (ns, ds, values) in rows.items()),
+            tuple((key, float(c)) for key, c in self.prefactor.coefficients()),
+            float(self.rho_exponent),
+            max((n for n, _ in keys), default=0), max((d for _, d in keys), default=0))
+
     def evaluate(self, geom: EdgeGeometry, m: float | None = None,
-                 include_prefactor: bool = True) -> float:
+                 include_prefactor: bool = True,
+                 tables: tuple[list[float], list[float]] | None = None) -> float:
+        """Value at one edge; ``tables`` are the :func:`gegen_tables` of the
+        edge, at least as long as this expansion needs."""
         if geom.r > 0 and geom.u >= 1.0:
             raise DivergentRatioError("expansion needs r/rho < 1")
-        u = geom.u if geom.rho else 0.0
+        form = self.float_form
+        if tables is None:
+            tables = gegen_tables(self.lam, geom, form.n_max, form.d_max)
+        u_pows, c_vals = tables
         total = 0.0
-        for (n, d), c in self.plain.items():
-            total += c.bind(m) * u ** n * gegenbauer_value(self.lam, d, geom.cos)
-        if self.log_rho:
-            logrho = math.log(geom.rho)
-            for (n, d), c in self.log_rho.items():
-                total += (c.bind(m) * logrho * u ** n
-                          * gegenbauer_value(self.lam, d, geom.cos))
+        for key, on_log, ns, ds, values in form.groups:
+            # sum_i values[i] u^ns[i] C_ds[i](cos), the loop run by map
+            rows = sum(map(mul, values, map(mul, map(u_pows.__getitem__, ns),
+                                            map(c_vals.__getitem__, ds))), 0.0)
+            part = bind_monomial(key, m) * rows
+            total += part * math.log(geom.rho) if on_log else part
         if include_prefactor:
-            total *= self.prefactor.bind(m)
-        return total * geom.rho ** float(self.rho_exponent)
+            total *= sum((c * bind_monomial(key, m) for key, c in form.prefactor), 0.0)
+        return total * geom.rho ** form.rho_exponent
 
     def full_entries(self) -> Iterable[SymbolicCoeff]:
         """Complete coefficients (prefactor folded in) of every tensor entry,
@@ -291,7 +355,7 @@ class GegenExpansion:
         }
 
 
-def _tensor_add(t: Tensor, key: tuple[int, int], c: SymbolicCoeff):
+def _tensor_add(t: dict, key: tuple[int, int], c: SymbolicCoeff):
     prev = t.get(key)
     acc = c if prev is None else prev + c
     if acc.is_zero():
@@ -337,19 +401,18 @@ def edge_gegenbauer_expansion(term: TaylorTermSpec, lam,
     orders = orders or TruncationOrders()
     radial = orders.radial
     coeff = taylor_term_coefficient(term, lam)
-    expansion = GegenExpansion(lam, coeff.r_exponent,
-                               prefactor=SymbolicCoeff.zero(), radial_order=radial)
+    plain: dict[tuple[int, int], SymbolicCoeff] = {}
+    log_rho: dict[tuple[int, int], SymbolicCoeff] = {}
 
     if lam.denominator == 1 and term.branch == "log":
-        expansion.prefactor = coeff.coeff_log
         ell = int(term.ell)
         poly = _poly_power_tensor(ell, lam, radial)
         k0 = (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
               - Fraction(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
         for n, d, q in poly:
             qc = SymbolicCoeff.from_rational(q)
-            _tensor_add(expansion.log_rho, (n, d), qc)
-            _tensor_add(expansion.plain, (n, d), qc * k0)
+            _tensor_add(log_rho, (n, d), qc)
+            _tensor_add(plain, (n, d), qc * k0)
         # (1/2) log(1 - 2 u c + u^2) = - sum_p T_p(c) u^p / p, via weight-lam
         # Chebyshev coefficients and product linearization
         for n, d, q in poly:
@@ -359,24 +422,24 @@ def edge_gegenbauer_expansion(term: TaylorTermSpec, lam,
                     lin = product_linearize(d, s, lam)
                     factor = -q * sc.as_rational() / p
                     for dd, w in lin.coeffs.items():
-                        _tensor_add(expansion.plain, (n + p, dd),
+                        _tensor_add(plain, (n + p, dd),
                                     SymbolicCoeff.from_rational(factor * w.as_rational()))
-        return _apply_degree_cap(expansion, orders)
+        return _capped_expansion(lam, coeff.r_exponent, coeff.coeff_log, plain, log_rho,
+                                 orders)
 
     # pure power r^(2 ell): bare tensor of (1 - 2 u c + u^2)^(ell)
-    expansion.prefactor = coeff.coeff_const
     p2 = 2 * term.ell
     assert p2.denominator == 1
     p2 = int(p2)
     if p2 == 0:
-        expansion.plain[(0, 0)] = SymbolicCoeff.one()
+        plain[(0, 0)] = SymbolicCoeff.one()
     elif p2 < 0:
         weight = Fraction(-p2, 2)
         for n, d, c in _series_tensor(weight, lam, radial):
-            _tensor_add(expansion.plain, (n, d), SymbolicCoeff.from_rational(c))
+            _tensor_add(plain, (n, d), SymbolicCoeff.from_rational(c))
     elif p2 % 2 == 0:
         for n, d, c in _poly_power_tensor(p2 // 2, lam, radial):
-            _tensor_add(expansion.plain, (n, d), SymbolicCoeff.from_rational(c))
+            _tensor_add(plain, (n, d), SymbolicCoeff.from_rational(c))
     else:
         # odd positive power: polynomial of exponent (p+1)/2 times the
         # weight-1/2 generating series
@@ -387,17 +450,18 @@ def edge_gegenbauer_expansion(term: TaylorTermSpec, lam,
                 if n1 + n2 > radial:
                     continue
                 for dd, w in product_linearize(d1, d2, lam).coeffs.items():
-                    _tensor_add(expansion.plain, (n1 + n2, dd),
+                    _tensor_add(plain, (n1 + n2, dd),
                                 SymbolicCoeff.from_rational(c1 * c2 * w.as_rational()))
-    return _apply_degree_cap(expansion, orders)
+    return _capped_expansion(lam, coeff.r_exponent, coeff.coeff_const, plain, log_rho, orders)
 
 
-def _apply_degree_cap(expansion: GegenExpansion, orders: "TruncationOrders"
+def _capped_expansion(lam: Fraction, rho_exponent: Fraction, prefactor: SymbolicCoeff,
+                      plain: Tensor, log_rho: Tensor, orders: "TruncationOrders"
                       ) -> GegenExpansion:
     cap = orders.gegen if orders.gegen is not None else orders.radial
-    expansion.plain = {k: v for k, v in expansion.plain.items() if k[1] <= cap}
-    expansion.log_rho = {k: v for k, v in expansion.log_rho.items() if k[1] <= cap}
-    return expansion
+    return GegenExpansion(lam, rho_exponent, prefactor,
+                          {k: v for k, v in plain.items() if k[1] <= cap},
+                          {k: v for k, v in log_rho.items() if k[1] <= cap}, orders.radial)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +511,25 @@ def _cached_expansion(ell: Fraction, lam: Fraction, radial: int, gegen: int | No
     return edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam, orders)
 
 
+@lru_cache(maxsize=None)
+def _edge_expansions(lam: Fraction, orders: TruncationOrders
+                     ) -> tuple[tuple[GegenExpansion, ...], int, int]:
+    """The expansions of every term of one edge factor, and the table lengths
+    they need."""
+    expansions = tuple(_cached_expansion(ell, lam, orders.radial, orders.gegen)
+                       for ell in _taylor_indices(lam, orders))
+    return (expansions, max(e.float_form.n_max for e in expansions),
+            max(e.float_form.d_max for e in expansions))
+
+
 def edge_gegenbauer_value(lam, geom: EdgeGeometry, m: float,
                           orders: TruncationOrders) -> float:
+    """Truncated value of one edge factor: the sum of the Gegenbauer
+    expansions of its terms, all reading one pair of :func:`gegen_tables`."""
     lam = _check_lambda(lam)
-    total = 0.0
-    for ell in _taylor_indices(lam, orders):
-        exp = _cached_expansion(ell, lam, orders.radial, orders.gegen)
-        total += exp.evaluate(geom, m)
-    return total
+    expansions, n_max, d_max = _edge_expansions(lam, orders)
+    tables = gegen_tables(lam, geom, n_max, d_max)
+    return sum((e.evaluate(geom, m, tables=tables) for e in expansions), 0.0)
 
 
 def amplitude_truncated_eval(graph: FeynmanGraph,

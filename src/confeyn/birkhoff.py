@@ -286,6 +286,9 @@ class FrameCharacter:
         degree = monomial_degree(mono)
         if degree == 0:
             return t.one()
+        # the terms of Delta^(n-1)(mono), grouped by their degree profile,
+        # computed once for each of the `degree` distinct n
+        by_profile: dict[int, dict[tuple[int, ...], list]] = {}
         total = t.zero()
         for comp in _compositions(degree):
             n = len(comp)
@@ -294,10 +297,13 @@ class FrameCharacter:
             for k in comp:
                 acc += k
                 denom *= acc
-            spread = self.hopf.iterated_coproduct(HopfElement.from_monomial(mono), n)
-            for key, c in spread.terms.items():
-                if tuple(monomial_degree(m) for m in key) != comp:
-                    continue
+            if n not in by_profile:
+                groups: dict[tuple[int, ...], list] = {}
+                spread = self.hopf.iterated_coproduct(HopfElement.from_monomial(mono), n)
+                for key, c in spread.terms.items():
+                    groups.setdefault(tuple(monomial_degree(m) for m in key), []).append((key, c))
+                by_profile[n] = groups
+            for key, c in by_profile[n].get(comp, ()):
                 value = t.one()
                 for m in key:
                     value = t.mul(value, self.beta.on_monomial(m))

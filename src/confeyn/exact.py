@@ -227,6 +227,25 @@ class ExactScalar:
 _ZERO_KEY = (0, 0, 0, 0)
 
 
+def bind_monomial(key: tuple[int, int, int, int], m: float | None) -> float:
+    """Value of the symbol monomial ``key = (m2, lm, g, l2)``, that is
+    m^(m2/2) log(m)^lm gamma^g log(2)^l2; ``m`` is needed only when m2 or lm
+    is non-zero."""
+    m2, lm, g, l2 = key
+    value = 1.0
+    if m2 or lm:
+        if m is None:
+            raise ValueError("mass value required to bind this coefficient")
+        value = m ** (m2 / 2.0)
+        if lm:
+            value *= math.log(m) ** lm
+    if g:
+        value *= _EULER_GAMMA ** g
+    if l2:
+        value *= _LOG2 ** l2
+    return value
+
+
 class SymbolicCoeff:
     """Polynomial in ``m, log(m), gamma, log(2)`` over :class:`ExactScalar`.
 
@@ -350,21 +369,7 @@ class SymbolicCoeff:
 
     def bind(self, m: float | None = None) -> float:
         """Numeric value with gamma, log(2), log(m), and powers of m bound."""
-        total = 0.0
-        for (m2, lm, g, l2), c in self._poly.items():
-            factor = float(c)
-            if m2 or lm:
-                if m is None:
-                    raise ValueError("mass value required to bind this coefficient")
-                factor *= m ** (m2 / 2.0)
-                if lm:
-                    factor *= math.log(m) ** lm
-            if g:
-                factor *= _EULER_GAMMA ** g
-            if l2:
-                factor *= _LOG2 ** l2
-            total += factor
-        return total
+        return sum((float(c) * bind_monomial(key, m) for key, c in self._poly.items()), 0.0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

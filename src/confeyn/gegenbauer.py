@@ -18,6 +18,8 @@ Gegenbauer family onto a weight-lam one, the linearization of products of two
 Gegenbauer polynomials, and the zonal spherical-harmonic constants.  All
 conversion coefficients are exact (rational, or rational times a power of
 sqrt(pi) at intermediate stages that always cancels in the final combination).
+Float values of C_n^{(lam)} come from the three-term recurrence
+(:func:`gegenbauer_table`), never from the monomial form.
 """
 
 from __future__ import annotations
@@ -133,9 +135,26 @@ def gegenbauer_coeffs(spec: PolySpec) -> dict[int, ExactScalar]:
     return {p: ExactScalar.from_rational(c) for p, c in mono}
 
 
+def gegenbauer_table(lam, n_max: int, x: float) -> list[float]:
+    """[C_0^{(lam)}(x), ..., C_{n_max}^{(lam)}(x)] in floats by the three-term
+    recurrence (DLMF 18.9.1)
+
+        (n+1) C_{n+1} = 2 (n+lam) x C_n - (n+2lam-1) C_{n-1},
+
+    which is stable for |x| <= 1, unlike summing the monomial form, whose
+    terms cancel at high degree near |x| = 1."""
+    if n_max < 0:
+        raise ValueError("degree must be >= 0")
+    lam = float(lam)
+    out = [1.0, 2.0 * lam * x]
+    for n in range(1, n_max):
+        out.append((2.0 * (n + lam) * x * out[n] - (n + 2.0 * lam - 1.0) * out[n - 1])
+                   / (n + 1))
+    return out[:n_max + 1]
+
+
 def gegenbauer_value(lam, n: int, x: float) -> float:
-    mono = _gegen_monomials(Fraction(lam), n)
-    return sum(float(c) * x ** p for p, c in mono)
+    return gegenbauer_table(lam, n, x)[n]
 
 
 def generating_series_coeff(lam, n: int, x: float) -> float:

@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from confeyn.specfun import gamma_exact
 from conftest import laurent_rule
 
 F = Fraction
+GOLDENS = Path(__file__).parent / "goldens" / "cli"
 
 
 def _report(num: int, text: str):
@@ -341,7 +343,7 @@ def test_criterion_9_zonal_reproducing():
                f"({elapsed:.1f}s)")
 
 
-def test_criterion_10_cli_goldens(tmp_path):
+def test_criterion_10_cli_goldens(tmp_path, capsysbinary):
     banana = FeynmanGraph.build(2, [(0, 1), (0, 1)])
     dt = FeynmanGraph.build(3, [(0, 1), (0, 1), (0, 2), (2, 1)])
     graphs = tmp_path / "graphs.json"
@@ -370,11 +372,11 @@ def test_criterion_10_cli_goldens(tmp_path):
         ["beta", "--target", "logform", "--graphs", str(graphs), "--seed", "7"],
         ["divisors", "--n", "3", "--k", "2"],
     ]
+    # stored stdout of each command; an intended output change rewrites the
+    # file (the command with ``--out tests/goldens/cli/<name>``) and says why
     for i, cmd in enumerate(suite):
-        a = tmp_path / f"golden_a{i}.json"
-        b = tmp_path / f"golden_b{i}.json"
-        assert cli_main(cmd + ["--out", str(a)]) == 0, cmd
-        assert cli_main(cmd + ["--out", str(b)]) == 0, cmd
-        assert a.read_bytes() == b.read_bytes(), cmd
-    _report(10, f"byte-identical outputs across two runs for {len(suite)} "
+        golden = GOLDENS / f"{i:02d}_{cmd[0]}.json"
+        assert cli_main(cmd) == 0, cmd
+        assert capsysbinary.readouterr().out == golden.read_bytes(), cmd
+    _report(10, f"stdout byte-identical to the stored goldens for {len(suite)} "
                 "CLI invocations")

@@ -150,6 +150,14 @@ class TestTaylorCoefficients:
         got = edge_taylor_value(lam, r, m, TruncationOrders(ell_max=20))
         assert abs(got - direct) / direct < 1e-12
 
+    def test_coefficients_are_cached(self):
+        spec = TaylorTermSpec.make(1, 2)
+        assert taylor_term_coefficient(spec, 2) is taylor_term_coefficient(spec, F(2))
+        before = taylor_term_coefficient.cache_info().hits
+        edge_taylor_value(2, 0.3, 0.8, TruncationOrders(ell_max=4))
+        edge_taylor_value(2, 0.4, 0.8, TruncationOrders(ell_max=4))
+        assert taylor_term_coefficient.cache_info().hits - before >= 7
+
     def test_half_integer_has_no_log_branch(self):
         with pytest.raises(ValueError):
             taylor_term_coefficient(TaylorTermSpec(F(1), "log"), F(1, 2))
@@ -313,6 +321,101 @@ class TestGegenExpansion:
         assert set(doc) == {"lambda", "rho_exponent", "radial_order",
                             "prefactor", "plain", "log_rho"}
         assert all(set(e) == {"radial", "degree", "coeff"} for e in doc["plain"])
+
+
+def reference_value(exp: GegenExpansion, geom: EdgeGeometry, m: float,
+                    include_prefactor: bool = True) -> tuple[float, float]:
+    """The series of ``exp`` summed entry by entry from the exact tensors,
+    with scipy's Gegenbauer values (independent of the float rows), and the
+    same sum over absolute values: the scale of the rounding of any order of
+    summation.  Where the terms cancel, both sums are off by about 1e-16
+    times the scale, which may be far above 1e-16 times the value."""
+    from scipy.special import eval_gegenbauer
+    u = geom.u if geom.rho else 0.0
+    total = scale = 0.0
+    for tensor, factor in ((exp.plain, 1.0), (exp.log_rho, math.log(geom.rho))):
+        for (n, d), c in tensor.items():
+            term = (c.bind(m) * factor * u ** n
+                    * eval_gegenbauer(d, float(exp.lam), geom.cos))
+            total += term
+            scale += abs(term)
+    outer = geom.rho ** float(exp.rho_exponent)
+    if include_prefactor:
+        outer *= exp.prefactor.bind(m)
+    return total * outer, scale * abs(outer)
+
+
+def assert_matches_reference(got: float, exp: GegenExpansion, geom: EdgeGeometry,
+                             m: float, include_prefactor: bool = True):
+    want, scale = reference_value(exp, geom, m, include_prefactor)
+    assert abs(got - want) <= 1e-13 * scale, (geom, include_prefactor, got, want)
+
+
+# (ell, lam) per branch: log, negative power, zero, even and odd positive powers
+EVAL_CASES = [
+    (0, 1), (2, 1), (-1, 1), (1, 2), (-2, 2), (1, 3), (-3, 3),
+    (F(-1, 2), F(1, 2)), (0, F(1, 2)), (1, F(1, 2)), (F(1, 2), F(1, 2)),
+    (F(-3, 2), F(3, 2)), (F(3, 2), F(3, 2)), (2, F(3, 2)),
+]
+
+
+class TestFloatEvaluation:
+    @pytest.mark.parametrize("ell,lam", EVAL_CASES)
+    @pytest.mark.parametrize("gegen", [6, None])
+    def test_matches_reference_sum(self, ell, lam, gegen):
+        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
+                                        TruncationOrders(radial=10, gegen=gegen))
+        for u in (0.0, 0.3, 0.9):
+            for cos in (-0.99, 0.3, 0.95):
+                geom = EdgeGeometry(rho=1.3, r=1.3 * u, cos=cos)
+                for pref in (True, False):
+                    got = exp.evaluate(geom, 0.7, include_prefactor=pref)
+                    assert_matches_reference(got, exp, geom, 0.7, pref)
+
+    def test_hand_built_capped_expansion(self):
+        # a hand-built expansion evaluates its own tensors, not those of the
+        # expansion it was cut from
+        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(1, 1), 1,
+                                        TruncationOrders(radial=10))
+        geom = EdgeGeometry(rho=2.0, r=0.8, cos=0.95)
+        full = exp.evaluate(geom, 0.7)
+        for cap in (0, 3, 7):
+            capped = GegenExpansion(
+                exp.lam, exp.rho_exponent, exp.prefactor,
+                {k: v for k, v in exp.plain.items() if k[0] <= cap},
+                {k: v for k, v in exp.log_rho.items() if k[0] <= cap}, cap)
+            assert_matches_reference(capped.evaluate(geom, 0.7), capped, geom, 0.7)
+            assert capped.evaluate(geom, 0.7) != full
+        assert exp.evaluate(geom, 0.7) == full
+
+    def test_tensors_are_read_only(self):
+        import dataclasses
+        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
+                                        TruncationOrders(radial=4))
+        with pytest.raises(TypeError):
+            exp.plain[(0, 0)] = SymbolicCoeff.zero()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exp.plain = {}
+
+    def test_edge_value_is_sum_of_term_references(self):
+        lam, orders = F(3, 2), TruncationOrders(radial=8, ell_max=3)
+        geom = EdgeGeometry(rho=1.1, r=0.4, cos=-0.95)
+        refs = [reference_value(
+            edge_gegenbauer_expansion(TaylorTermSpec.make(F(t, 2), lam), lam, orders),
+            geom, 0.9) for t in range(-3, 7)]
+        want, scale = sum(v for v, _ in refs), sum(s for _, s in refs)
+        got = edge_gegenbauer_value(lam, geom, 0.9, orders)
+        assert abs(got - want) <= 1e-13 * scale
+
+    def test_divergent_ratio_still_raised(self):
+        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
+                                        TruncationOrders(radial=4))
+        for r in (1.0, 2.5):
+            geom = EdgeGeometry(rho=r, r=r, cos=0.3)
+            with pytest.raises(DivergentRatioError):
+                exp.evaluate(geom, 1.0)
+            with pytest.raises(DivergentRatioError):
+                edge_gegenbauer_value(1, geom, 1.0, TruncationOrders(radial=4, ell_max=1))
 
 
 class TestAmplitudeEval:

@@ -174,3 +174,59 @@ class TestBetaAndFrame:
         pair = birkhoff_factorize(laurent_character)
         frame = universal_frame(beta_function(pair, 3), 3)
         assert frame.on_monomial(()) == laurent_character.target.one()
+
+    def test_frame_matches_per_composition_reference(self, hopf, monomials_deg4,
+                                                     laurent_character, monkeypatch):
+        # the frame takes each Delta^(n-1) once; the reference recomputes it
+        # for every composition of the degree, as the defining sum reads
+        pair = birkhoff_factorize(laurent_character)
+        beta = beta_function(pair, 4)
+        frame = universal_frame(beta, 4)
+        t = frame.target
+
+        def compositions(total):
+            if total == 0:
+                yield ()
+            for first in range(1, total + 1):
+                for rest in compositions(total - first):
+                    yield (first,) + rest
+
+        def reference(mono):
+            total = t.zero()
+            for comp in compositions(monomial_degree(mono)):
+                denom = F(1)
+                for i in range(1, len(comp) + 1):
+                    denom *= sum(comp[:i])
+                spread = hopf.iterated_coproduct(HopfElement.from_monomial(mono), len(comp))
+                for key, c in spread.terms.items():
+                    if tuple(monomial_degree(m) for m in key) == comp:
+                        value = t.one()
+                        for m in key:
+                            value = t.mul(value, beta.on_monomial(m))
+                        total = t.add(total, t.scale(value, c / denom))
+            return total
+
+        calls = []
+        depth = [0]
+        raw = hopf.iterated_coproduct
+
+        def counting(x, k):
+            if depth[0] == 0:
+                calls.append(k)
+            depth[0] += 1
+            try:
+                return raw(x, k)
+            finally:
+                depth[0] -= 1
+
+        for mono in monomials_deg4:
+            degree = monomial_degree(mono)
+            if degree == 0:
+                continue
+            want = reference(mono)
+            calls.clear()
+            monkeypatch.setattr(hopf, "iterated_coproduct", counting)
+            got = frame.on_monomial(mono)
+            monkeypatch.undo()
+            assert got == want
+            assert sorted(calls) == list(range(1, degree + 1))

@@ -10,7 +10,8 @@ import pytest
 from confeyn.exact import ExactScalar
 from confeyn.gegenbauer import (GegenCombo, PolySpec, chebyshev_limit_check,
                                 chebyshev_to_gegenbauer, gegenbauer_coeffs,
-                                gegenbauer_value, generating_series_coeff,
+                                gegenbauer_table, gegenbauer_value,
+                                generating_series_coeff,
                                 monomial_to_gegenbauer, product_linearize,
                                 reproject_gegenbauer, sphere_volume,
                                 zonal_coefficient)
@@ -53,6 +54,30 @@ class TestExplicitCoefficients:
                     oracle = generating_series_coeff(lam, n, x)
                     scale = max(abs(oracle), 1e-9)
                     assert abs(direct - oracle) / scale < 1e-12
+
+    @pytest.mark.parametrize("lam", [F(1, 2), 1, F(3, 2), 2, F(5, 2)])
+    def test_scipy_grid_to_degree_60(self, lam):
+        # |C_d^(lam)(x)| <= C(d + 2 lam - 1, d) on [-1, 1]; the monomial form
+        # summed in floats missed this by 1e+5 at d = 60, x = 0.95
+        from scipy.special import eval_gegenbauer
+        for d in range(61):
+            bound = math.comb(d + int(2 * lam) - 1, d)
+            for x in (0.3, -0.3, 0.95, -0.95, 0.99, -0.99):
+                got = gegenbauer_value(lam, d, x)
+                assert abs(got - eval_gegenbauer(d, float(lam), x)) <= 1e-12 * bound
+
+    def test_table_lengths(self):
+        assert len(gegenbauer_table(F(3, 2), 30, 0.95)) == 31
+        assert gegenbauer_table(1, 0, 0.5) == [1.0]
+        assert gegenbauer_table(1, 1, 0.5) == [1.0, 1.0]
+        with pytest.raises(ValueError):
+            gegenbauer_table(1, -1, 0.5)
+
+    def test_combo_eval_float_at_high_degree(self):
+        from scipy.special import eval_gegenbauer
+        combo = GegenCombo(F(1), {40: ExactScalar.one(), 2: ExactScalar.from_rational(F(1, 3))})
+        want = eval_gegenbauer(40, 1.0, 0.95) + eval_gegenbauer(2, 1.0, 0.95) / 3
+        assert abs(combo.eval_float(0.95) - want) <= 1e-12 * math.comb(41, 40)
 
     def test_legendre_special_case(self):
         assert generating_series_coeff(F(1, 2), 1, 0.37) == pytest.approx(0.37, abs=1e-15)
