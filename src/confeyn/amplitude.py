@@ -21,19 +21,22 @@ is decomposed as a sum of terms indexed by l_e:
 Each term is further expanded in Gegenbauer polynomials of the fixed weight
 lam: writing rho = max(|x_s|, |x_t|), r = min(...), u = r/rho and
 c = omega_s . omega_t, the squared separation is rho^2 (1 - 2 u c + u^2), so
-negative powers expand through the generating function at shifted weight and
-re-project onto weight lam, while the log splits as
-log rho + (1/2) log(1 - 2 u c + u^2), the series part running through
-Chebyshev polynomials converted to weight lam and linearized products.
+each term is rho^(2 l_e) times a product of at most two exact series in
+(u, c): (1 - 2 u c + u^2)^l, the log series
+(1/2) log(1 - 2 u c + u^2) = -sum_p T_p(c) u^p / p, and the generating series
+sum_n u^n C_n^(w)(c) for negative and odd powers.  The product is truncated
+at the radial order and each power c^k converted to the weight-lam basis
+once.
 
-Coefficient tensors are exact (SymbolicCoeff entries) and read-only; they
-are the source of truth and what the JSON output shows.  Numeric evaluation
-reads a float form compiled from them once per expansion: the entries are
-grouped by symbol monomial (m^(m2/2) log(m)^lm gamma^g log(2)^l2), each group
-holding (n, d, float) rows.  A call binds each monomial once and sums its rows
-against the tables u^0..u^R and C_0^(lam)..C_cap^(lam)(cos), the latter by the
-three-term recurrence; :func:`edge_gegenbauer_value` computes the two tables
-once per edge and shares them across all the edge's terms.
+The tensors are rational and read-only; the term coefficient (prefactor) and
+the constant k0 of the log bracket log(m r / 2) - ... = log r + k0 factor
+out, so a log-branch term is prefactor * rho^(2l) * [(k0 + log rho) log_rho +
+series].  The symbolic tensor plain = k0 log_rho + series is a view for the
+JSON output.  Numeric evaluation reads the two tensors as (n, d, float) rows
+compiled once per expansion and sums them against the tables u^0..u^R and
+C_0^(lam)..C_cap^(lam)(cos), the latter by the three-term recurrence;
+:func:`edge_gegenbauer_value` computes the two tables once per edge and
+shares them across all the edge's terms.
 
 The complex-case kernel in dimension D coincides with the real kernel at
 weight D - 1 (its prefactor is (2 pi)^-D and the Macdonald order is D - 1),
@@ -51,11 +54,10 @@ from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .exact import ExactScalar, SymbolicCoeff, bind_monomial
+from .exact import ExactScalar, SymbolicCoeff
 from .feyngraph import FeynmanGraph
-from .gegenbauer import (chebyshev_to_gegenbauer, gegenbauer_table,
-                         monomial_to_gegenbauer, product_linearize,
-                         reproject_gegenbauer)
+from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
+                         generating_series)
 from .specfun import as_half_integer, asym_coeff, digamma_exact
 
 
@@ -163,6 +165,13 @@ def complex_case_weight(D: int) -> Fraction:
     return Fraction(D - 1)
 
 
+def _log_constant(ell: int, lam: Fraction) -> SymbolicCoeff:
+    """k0 = log m - log 2 - (psi(ell+1) + psi(lam+ell+1)) / 2: the log branch
+    bracket log(m r / 2) - (psi(ell+1) + psi(lam+ell+1)) / 2 is log r + k0."""
+    return (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
+            - Fraction(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
+
+
 @lru_cache(maxsize=None)
 def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
     """Exact coefficient of the l_e term of the massive edge factor (cached:
@@ -190,9 +199,7 @@ def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
                   * Fraction((-1) ** (lam_i + 1), 2 ** (lam_i + 2 * l))
                   / Fraction(math.factorial(l) * math.factorial(lam_i + l)))
         b = SymbolicCoeff.monomial(scalar, m_exp=2 * (lam + ell))
-        bracket = (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
-                   - Fraction(1, 2) * (digamma_exact(l + 1) + digamma_exact(lam + l + 1)))
-        return TaylorTerm(2 * ell, b * bracket, b)
+        return TaylorTerm(2 * ell, b * _log_constant(l, lam), b)
     # half-integer lam: terminating Macdonald form, exponential expanded
     if term.branch != "power":
         raise ValueError("half-integer lam has no log branch")
@@ -242,21 +249,30 @@ def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
 # Gegenbauer tensors
 # ---------------------------------------------------------------------------
 
-Tensor = Mapping[tuple[int, int], SymbolicCoeff]
+Tensor = Mapping[tuple[int, int], Fraction]
+Rows = tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]
 
 
 class _FloatForm(NamedTuple):
-    """Float rows of one expansion, compiled once from its exact tensors.
-
-    ``groups`` holds one entry (symbol key, on log rho, n's, d's, values) per
-    symbol monomial (m2, logm, gamma, log2) of each tensor; ``prefactor`` the
-    (symbol key, value) terms of the prefactor."""
-    groups: tuple[tuple[tuple[int, int, int, int], bool, tuple[int, ...],
-                        tuple[int, ...], tuple[float, ...]], ...]
-    prefactor: tuple[tuple[tuple[int, int, int, int], float], ...]
+    """Float rows (n's, d's, values) of the two tensors of one expansion,
+    compiled once from them."""
+    log_rho: Rows
+    series: Rows
     rho_exponent: float
     n_max: int
     d_max: int
+
+
+def _rows(tensor: Tensor) -> Rows:
+    return (tuple(n for n, _ in tensor), tuple(d for _, d in tensor),
+            tuple(float(c) for c in tensor.values()))
+
+
+def _row_sum(rows: Rows, u_pows: list[float], c_vals: list[float]) -> float:
+    """sum_i values[i] u^ns[i] C_ds[i](cos), the loop run by map."""
+    ns, ds, values = rows
+    return sum(map(mul, values, map(mul, map(u_pows.__getitem__, ns),
+                                    map(c_vals.__getitem__, ds))), 0.0)
 
 
 def gegen_tables(lam, geom: EdgeGeometry, n_max: int, d_max: int
@@ -275,41 +291,40 @@ class GegenExpansion:
     """Truncated double series of one edge term in the weight-lam basis:
 
         prefactor * rho^rho_exponent *
-          sum_{n,d} [ plain[n,d] + log_rho[n,d] * log(rho) ] u^n C_d^(lam)(cos)
+          sum_{n,d} [ (k0 + log(rho)) log_rho[n,d] + series[n,d] ] u^n C_d^(lam)(cos)
 
-    The tensors expand the *bare* radial/log factor; the term coefficient is
-    kept in ``prefactor`` (this is what makes the worked massless values come
-    out with unit entries).  The exact tensors are read-only; their float
-    form is compiled from them on the first evaluation."""
+    The rational tensors expand the *bare* radial/log factor; the term
+    coefficient is kept in ``prefactor`` (this is what makes the worked
+    massless values come out with unit entries) and the constant of the log
+    bracket in ``k0`` (zero on the power branch).  The tensors are read-only;
+    their float form is compiled from them on the first evaluation."""
     lam: Fraction
     rho_exponent: Fraction
     prefactor: SymbolicCoeff
-    plain: Tensor = field(default_factory=dict)
+    k0: SymbolicCoeff
     log_rho: Tensor = field(default_factory=dict)
+    series: Tensor = field(default_factory=dict)
     radial_order: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "plain", MappingProxyType(dict(self.plain)))
         object.__setattr__(self, "log_rho", MappingProxyType(dict(self.log_rho)))
+        object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
+
+    @property
+    def plain(self) -> Mapping[tuple[int, int], SymbolicCoeff]:
+        """The symbolic tensor k0 * log_rho + series, built on each access."""
+        plain = {key: SymbolicCoeff.from_rational(c) for key, c in self.series.items()}
+        for key, q in self.log_rho.items():
+            plain[key] = self.k0 * q + plain[key] if key in plain else self.k0 * q
+        return MappingProxyType(plain)
 
     @cached_property
     def float_form(self) -> _FloatForm:
         """The float rows of this instance's own tensors, compiled once."""
-        rows: dict[tuple, tuple[list, list, list]] = {}
-        for on_log, tensor in ((False, self.plain), (True, self.log_rho)):
-            for (n, d), c in tensor.items():
-                for key, scalar in c.coefficients():
-                    ns, ds, values = rows.setdefault((key, on_log), ([], [], []))
-                    ns.append(n)
-                    ds.append(d)
-                    values.append(float(scalar))
-        keys = list(self.plain) + list(self.log_rho)
-        return _FloatForm(
-            tuple((key, on_log, tuple(ns), tuple(ds), tuple(values))
-                  for (key, on_log), (ns, ds, values) in rows.items()),
-            tuple((key, float(c)) for key, c in self.prefactor.coefficients()),
-            float(self.rho_exponent),
-            max((n for n, _ in keys), default=0), max((d for _, d in keys), default=0))
+        keys = list(self.log_rho) + list(self.series)
+        return _FloatForm(_rows(self.log_rho), _rows(self.series), float(self.rho_exponent),
+                          max((n for n, _ in keys), default=0),
+                          max((d for _, d in keys), default=0))
 
     def evaluate(self, geom: EdgeGeometry, m: float | None = None,
                  include_prefactor: bool = True,
@@ -321,147 +336,94 @@ class GegenExpansion:
         form = self.float_form
         if tables is None:
             tables = gegen_tables(self.lam, geom, form.n_max, form.d_max)
-        u_pows, c_vals = tables
-        total = 0.0
-        for key, on_log, ns, ds, values in form.groups:
-            # sum_i values[i] u^ns[i] C_ds[i](cos), the loop run by map
-            rows = sum(map(mul, values, map(mul, map(u_pows.__getitem__, ns),
-                                            map(c_vals.__getitem__, ds))), 0.0)
-            part = bind_monomial(key, m) * rows
-            total += part * math.log(geom.rho) if on_log else part
+        total = _row_sum(form.series, *tables)
+        if self.log_rho:
+            total += (self.k0.bind(m) + math.log(geom.rho)) * _row_sum(form.log_rho, *tables)
         if include_prefactor:
-            total *= sum((c * bind_monomial(key, m) for key, c in form.prefactor), 0.0)
+            total *= self.prefactor.bind(m)
         return total * geom.rho ** form.rho_exponent
 
     def full_entries(self) -> Iterable[SymbolicCoeff]:
-        """Complete coefficients (prefactor folded in) of every tensor entry,
-        for the coefficient-field structure checks."""
+        """Complete coefficients (prefactor folded in) of every entry of the
+        plain and log(rho) tensors, for the coefficient-field structure checks."""
         for c in self.plain.values():
             yield self.prefactor * c
         for c in self.log_rho.values():
             yield self.prefactor * c
 
     def to_json(self) -> dict:
-        def tensor_json(t: Tensor) -> list:
+        def tensor_json(t: Mapping[tuple[int, int], SymbolicCoeff]) -> list:
             return [{"radial": n, "degree": d, "coeff": t[(n, d)].to_json()}
                     for (n, d) in sorted(t)]
+        log_rho = {key: SymbolicCoeff.from_rational(q) for key, q in self.log_rho.items()}
         return {
             "lambda": str(self.lam),
             "rho_exponent": str(self.rho_exponent),
             "radial_order": self.radial_order,
             "prefactor": self.prefactor.to_json(),
             "plain": tensor_json(self.plain),
-            "log_rho": tensor_json(self.log_rho),
+            "log_rho": tensor_json(log_rho),
         }
 
 
-def _tensor_add(t: dict, key: tuple[int, int], c: SymbolicCoeff):
-    prev = t.get(key)
-    acc = c if prev is None else prev + c
-    if acc.is_zero():
-        t.pop(key, None)
-    else:
-        t[key] = acc
+def _radial_power(ell: int, radial: int) -> list[dict[int, int]]:
+    """(1 - 2ux + u^2)^ell up to u^radial: item n holds {k: coeff of x^k} of
+    u^n, from the binomial expansion of (1 + u^2 - 2ux)^ell."""
+    out: list[dict[int, int]] = [{} for _ in range(radial + 1)]
+    for k in range(ell + 1):
+        for q in range(ell - k + 1):
+            if k + 2 * q <= radial:
+                out[k + 2 * q][k] = math.comb(ell, k) * math.comb(ell - k, q) * (-2) ** k
+    return out
 
 
-@lru_cache(maxsize=None)
-def _poly_power_tensor(exponent: int, lam: Fraction, radial_order: int
-                       ) -> tuple[tuple[int, int, Fraction], ...]:
-    """(1 - 2 u c + u^2)^exponent as entries (u-power, C^(lam)-degree, coeff)."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for n in range(exponent + 1):
-        b1 = math.comb(exponent, n)
-        mono = monomial_to_gegenbauer(n, lam)
-        for q in range(exponent - n + 1):
-            radial = n + 2 * q
-            if radial > radial_order:
-                continue
-            base = Fraction(b1 * math.comb(exponent - n, q) * (-2) ** n)
-            for d, c in mono.coeffs.items():
-                key = (radial, d)
-                out[key] = out.get(key, Fraction(0)) + base * c.as_rational()
-    return tuple((n, d, c) for (n, d), c in sorted(out.items()) if c)
-
-
-@lru_cache(maxsize=None)
-def _series_tensor(weight: Fraction, lam: Fraction, radial_order: int
-                   ) -> tuple[tuple[int, int, Fraction], ...]:
-    """sum_n u^n C_n^(weight) re-projected onto weight lam."""
-    out = []
-    for n in range(radial_order + 1):
-        for d, c in reproject_gegenbauer(weight, n, lam).coeffs.items():
-            out.append((n, d, c.as_rational()))
-    return tuple(out)
+def _series_product(a: list[dict], b: list[dict], radial: int) -> list[dict]:
+    """The product of two series in the layout of :func:`_radial_power`,
+    truncated at u^radial."""
+    out: list[dict] = [{} for _ in range(radial + 1)]
+    for n1, poly1 in enumerate(a):
+        for n2, poly2 in enumerate(b[:radial + 1 - n1]):
+            acc = out[n1 + n2]
+            for k1, c1 in poly1.items():
+                for k2, c2 in poly2.items():
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+    return out
 
 
 def edge_gegenbauer_expansion(term: TaylorTermSpec, lam,
                               orders: "TruncationOrders | None" = None) -> GegenExpansion:
-    """Gegenbauer-basis expansion of one edge term at fixed weight lam."""
+    """Gegenbauer-basis expansion of one edge term at fixed weight lam.
+
+    With rho^2 (1 - 2ux + u^2) the squared separation, the bare factor of the
+    term is a product of at most two exact series in (u, x), truncated at
+    u^radial and converted to the C^(lam) basis once: (1 - 2ux + u^2)^ell
+    times log(rho) + k0 + (1/2) log(1 - 2ux + u^2) on the log branch; on the
+    power branch r^p with p = 2 ell, the generating series of C^(-p/2) for
+    p < 0, (1 - 2ux + u^2)^(p/2) for even p >= 0, and for odd p > 0
+    (1 - 2ux + u^2)^((p+1)/2) times the generating series of C^(1/2)."""
     lam = _check_lambda(lam)
     orders = orders or TruncationOrders()
     radial = orders.radial
     coeff = taylor_term_coefficient(term, lam)
-    plain: dict[tuple[int, int], SymbolicCoeff] = {}
-    log_rho: dict[tuple[int, int], SymbolicCoeff] = {}
-
-    if lam.denominator == 1 and term.branch == "log":
+    if term.branch == "log":
         ell = int(term.ell)
-        poly = _poly_power_tensor(ell, lam, radial)
-        k0 = (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
-              - Fraction(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
-        for n, d, q in poly:
-            qc = SymbolicCoeff.from_rational(q)
-            _tensor_add(log_rho, (n, d), qc)
-            _tensor_add(plain, (n, d), qc * k0)
-        # (1/2) log(1 - 2 u c + u^2) = - sum_p T_p(c) u^p / p, via weight-lam
-        # Chebyshev coefficients and product linearization
-        for n, d, q in poly:
-            for p in range(1, radial - n + 1):
-                cheb = chebyshev_to_gegenbauer(p, lam)
-                for s, sc in cheb.coeffs.items():
-                    lin = product_linearize(d, s, lam)
-                    factor = -q * sc.as_rational() / p
-                    for dd, w in lin.coeffs.items():
-                        _tensor_add(plain, (n + p, dd),
-                                    SymbolicCoeff.from_rational(factor * w.as_rational()))
-        return _capped_expansion(lam, coeff.r_exponent, coeff.coeff_log, plain, log_rho,
-                                 orders)
-
-    # pure power r^(2 ell): bare tensor of (1 - 2 u c + u^2)^(ell)
-    p2 = 2 * term.ell
-    assert p2.denominator == 1
-    p2 = int(p2)
-    if p2 == 0:
-        plain[(0, 0)] = SymbolicCoeff.one()
-    elif p2 < 0:
-        weight = Fraction(-p2, 2)
-        for n, d, c in _series_tensor(weight, lam, radial):
-            _tensor_add(plain, (n, d), SymbolicCoeff.from_rational(c))
-    elif p2 % 2 == 0:
-        for n, d, c in _poly_power_tensor(p2 // 2, lam, radial):
-            _tensor_add(plain, (n, d), SymbolicCoeff.from_rational(c))
+        log_rho = _radial_power(ell, radial)
+        series = _series_product(log_rho, chebyshev_log_series(radial), radial)
+        prefactor, k0 = coeff.coeff_log, _log_constant(ell, lam)
     else:
-        # odd positive power: polynomial of exponent (p+1)/2 times the
-        # weight-1/2 generating series
-        poly = _poly_power_tensor((p2 + 1) // 2, lam, radial)
-        series = _series_tensor(Fraction(1, 2), lam, radial)
-        for n1, d1, c1 in poly:
-            for n2, d2, c2 in series:
-                if n1 + n2 > radial:
-                    continue
-                for dd, w in product_linearize(d1, d2, lam).coeffs.items():
-                    _tensor_add(plain, (n1 + n2, dd),
-                                SymbolicCoeff.from_rational(c1 * c2 * w.as_rational()))
-    return _capped_expansion(lam, coeff.r_exponent, coeff.coeff_const, plain, log_rho, orders)
-
-
-def _capped_expansion(lam: Fraction, rho_exponent: Fraction, prefactor: SymbolicCoeff,
-                      plain: Tensor, log_rho: Tensor, orders: "TruncationOrders"
-                      ) -> GegenExpansion:
-    cap = orders.gegen if orders.gegen is not None else orders.radial
-    return GegenExpansion(lam, rho_exponent, prefactor,
-                          {k: v for k, v in plain.items() if k[1] <= cap},
-                          {k: v for k, v in log_rho.items() if k[1] <= cap}, orders.radial)
+        p = int(2 * term.ell)
+        if p < 0:
+            series = generating_series(Fraction(-p, 2), radial)
+        elif p % 2 == 0:
+            series = _radial_power(p // 2, radial)
+        else:
+            series = _series_product(_radial_power((p + 1) // 2, radial),
+                                     generating_series(Fraction(1, 2), radial), radial)
+        log_rho, prefactor, k0 = [], coeff.coeff_const, SymbolicCoeff.zero()
+    cap = orders.gegen if orders.gegen is not None else radial
+    tensors = ({k: c for k, c in gegenbauer_tensor(s, lam).items() if k[1] <= cap}
+               for s in (log_rho, series))
+    return GegenExpansion(lam, coeff.r_exponent, prefactor, k0, *tensors, radial)
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +442,24 @@ class TruncationOrders:
     asym_terms: int = 6
 
 
-def _taylor_indices(lam: Fraction, orders: TruncationOrders) -> list[Fraction]:
+def _taylor_indices(lam: Fraction, ell_max: int) -> list[Fraction]:
     if lam.denominator == 1:
-        return [Fraction(e) for e in range(-int(lam), orders.ell_max + 1)]
+        return [Fraction(e) for e in range(-int(lam), ell_max + 1)]
     # half-integer lam: 2*ell runs over the integers from -2 lam upward
-    return [Fraction(t, 2) for t in range(-int(2 * lam), 2 * orders.ell_max + 1)]
+    return [Fraction(t, 2) for t in range(-int(2 * lam), 2 * ell_max + 1)]
+
+
+@lru_cache(maxsize=None)
+def _taylor_terms(lam: Fraction, ell_max: int) -> tuple[TaylorTerm, ...]:
+    """The terms of one edge factor up to ell_max."""
+    return tuple(taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
+                 for ell in _taylor_indices(lam, ell_max))
 
 
 def edge_taylor_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
     """Truncated small-separation value of one edge factor."""
     lam = _check_lambda(lam)
-    total = 0.0
-    for ell in _taylor_indices(lam, orders):
-        term = taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
-        total += term.eval(r, m)
-    return total
+    return sum((term.eval(r, m) for term in _taylor_terms(lam, orders.ell_max)), 0.0)
 
 
 def edge_asymptotic_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
@@ -517,7 +482,7 @@ def _edge_expansions(lam: Fraction, orders: TruncationOrders
     """The expansions of every term of one edge factor, and the table lengths
     they need."""
     expansions = tuple(_cached_expansion(ell, lam, orders.radial, orders.gegen)
-                       for ell in _taylor_indices(lam, orders))
+                       for ell in _taylor_indices(lam, orders.ell_max))
     return (expansions, max(e.float_form.n_max for e in expansions),
             max(e.float_form.d_max for e in expansions))
 

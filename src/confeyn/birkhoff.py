@@ -34,6 +34,19 @@ from .rotabaxter import (MultiLogAlgebra, MultiLogForm, LogForm, diagonal_label,
                          divisor_labels, separation_label)
 
 
+def extend_linearly(x, target, on_monomial):
+    """sum c * on_monomial(mono) over the terms of x, a graph, a monomial or a
+    HopfElement: the linear extension of a map given on monomials."""
+    if isinstance(x, FeynmanGraph):
+        x = HopfElement.generator(x)
+    elif isinstance(x, tuple):
+        x = HopfElement.from_monomial(x)
+    total = target.zero()
+    for mono, c in x.terms.items():
+        total = target.add(total, target.scale(on_monomial(mono), c))
+    return total
+
+
 class Character:
     """Multiplicative unital map from the Hopf algebra into a target algebra,
     defined by its values on generators and memoized on monomials."""
@@ -57,14 +70,7 @@ class Character:
         return cached
 
     def __call__(self, x):
-        if isinstance(x, FeynmanGraph):
-            x = HopfElement.generator(x)
-        elif isinstance(x, tuple):
-            x = HopfElement.from_monomial(x)
-        total = self.target.zero()
-        for mono, c in x.terms.items():
-            total = self.target.add(total, self.target.scale(self.on_monomial(mono), c))
-        return total
+        return extend_linearly(x, self.target, self.on_monomial)
 
 
 class CounitCharacter(Character):
@@ -113,22 +119,11 @@ class BirkhoffPair:
         t = self.target
         return t.add(prepared, t.scale(t.T(prepared), Fraction(-1)))
 
-    def _linear(self, x, on_mono):
-        if isinstance(x, FeynmanGraph):
-            x = HopfElement.generator(x)
-        elif isinstance(x, tuple):
-            x = HopfElement.from_monomial(x)
-        t = self.target
-        total = t.zero()
-        for mono, c in x.terms.items():
-            total = t.add(total, t.scale(on_mono(mono), c))
-        return total
-
     def phi_minus(self, x):
-        return self._linear(x, self.minus_on_monomial)
+        return extend_linearly(x, self.target, self.minus_on_monomial)
 
     def phi_plus(self, x):
-        return self._linear(x, self.plus_on_monomial)
+        return extend_linearly(x, self.target, self.plus_on_monomial)
 
     def factorization_lhs(self, x):
         """(phi_- o S) * phi_+ evaluated at x; recovers phi(x)."""
@@ -137,12 +132,9 @@ class BirkhoffPair:
             self.plus_on_monomial, x, self.target)
 
 
-def birkhoff_factorize(phi: Character, up_to_degree: int | None = None) -> BirkhoffPair:
-    """Construct the factorization; with ``up_to_degree`` the recursion is
-    exercised eagerly on all memoized generator degrees (it remains lazy and
-    total on graded elements either way)."""
-    pair = BirkhoffPair(phi)
-    return pair
+def birkhoff_factorize(phi: Character) -> BirkhoffPair:
+    """Construct the factorization (lazy and total on graded elements)."""
+    return BirkhoffPair(phi)
 
 
 def renormalized_value(pair: BirkhoffPair, graph: FeynmanGraph):
@@ -241,11 +233,10 @@ def _one_pi_subgraph_vertex_sets(graph: FeynmanGraph) -> list[frozenset[int]]:
 class BetaFunction:
     """beta = phi_- o D with D the Dynkin operator S * Y."""
 
-    def __init__(self, pair: BirkhoffPair, up_to_degree: int):
+    def __init__(self, pair: BirkhoffPair):
         self.pair = pair
         self.hopf = pair.hopf
         self.target = pair.target
-        self.up_to_degree = up_to_degree
 
     def __call__(self, x):
         return self.pair.phi_minus(self.hopf.dynkin(x))
@@ -260,8 +251,8 @@ class BetaFunction:
         return self.on_monomial(mono)
 
 
-def beta_function(pair: BirkhoffPair, up_to_degree: int = 3) -> BetaFunction:
-    return BetaFunction(pair, up_to_degree)
+def beta_function(pair: BirkhoffPair) -> BetaFunction:
+    return BetaFunction(pair)
 
 
 def _compositions(total: int):
@@ -311,17 +302,9 @@ class FrameCharacter:
         return total
 
     def __call__(self, x):
-        if isinstance(x, FeynmanGraph):
-            x = HopfElement.generator(x)
-        elif isinstance(x, tuple):
-            x = HopfElement.from_monomial(x)
-        t = self.target
-        total = t.zero()
-        for mono, c in x.terms.items():
-            total = t.add(total, t.scale(self.on_monomial(mono), c))
-        return total
+        return extend_linearly(x, self.target, self.on_monomial)
 
 
-def universal_frame(beta: BetaFunction, up_to_degree: int = 3) -> FrameCharacter:
+def universal_frame(beta: BetaFunction) -> FrameCharacter:
     """Inverse of the Dynkin bijection: reconstructs phi_- from beta."""
     return FrameCharacter(beta)

@@ -303,8 +303,8 @@ def _cmd_renorm(args) -> dict:
 def _cmd_beta(args) -> dict:
     graphs = _load_graphs(args.graphs)
     hopf, pair, target = _make_pair(args, graphs)
-    beta = beta_function(pair, args.degree)
-    frame = universal_frame(beta, args.degree)
+    beta = beta_function(pair)
+    frame = universal_frame(beta)
     out = []
     for name, graph in graphs:
         value = beta(HopfElement.generator(graph))

@@ -254,7 +254,7 @@ class SymbolicCoeff:
     are non-negative integers.
     """
 
-    __slots__ = ("_poly", "_hash")
+    __slots__ = ("_poly", "_hash", "_floats")
 
     def __init__(self, poly: Mapping[tuple[int, int, int, int], ExactScalar] | None = None):
         clean: dict[tuple[int, int, int, int], ExactScalar] = {}
@@ -271,6 +271,7 @@ class SymbolicCoeff:
                 clean[key] = clean.get(key, ExactScalar.zero()) + c
         self._poly = {k: v for k, v in clean.items() if not v.is_zero()}
         self._hash: int | None = None
+        self._floats: tuple[tuple[tuple[int, int, int, int], float], ...] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -368,8 +369,11 @@ class SymbolicCoeff:
         return exps
 
     def bind(self, m: float | None = None) -> float:
-        """Numeric value with gamma, log(2), log(m), and powers of m bound."""
-        return sum((float(c) * bind_monomial(key, m) for key, c in self._poly.items()), 0.0)
+        """Numeric value with gamma, log(2), log(m), and powers of m bound,
+        from (monomial, float) terms compiled on the first call."""
+        if self._floats is None:
+            self._floats = tuple((key, float(c)) for key, c in self._poly.items())
+        return sum((c * bind_monomial(key, m) for key, c in self._floats), 0.0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -15,7 +15,11 @@ expansion
 
 the Chebyshev-to-Gegenbauer conversion, the re-projection of a weight-ell
 Gegenbauer family onto a weight-lam one, the linearization of products of two
-Gegenbauer polynomials, and the zonal spherical-harmonic constants.  All
+Gegenbauer polynomials, and the zonal spherical-harmonic constants.  Power
+series in t with polynomial coefficients in x (the generating series of
+C^{(w)} and the log series (1/2) log(1 - 2tx + t^2), or products of them)
+convert to (t-power, C^{(lam)}-degree) tensors by one monomial row per x^k
+(:func:`gegenbauer_tensor`).  All
 conversion coefficients are exact (rational, or rational times a power of
 sqrt(pi) at intermediate stages that always cancels in the final combination).
 Float values of C_n^{(lam)} come from the three-term recurrence
@@ -42,8 +46,10 @@ def _check_weight(lam, minimum: Fraction, name: str = "lambda") -> Fraction:
     return lam
 
 
+@lru_cache(maxsize=None)
 def rising(x: Fraction, k: int) -> Fraction:
-    """Pochhammer symbol x (x+1) ... (x+k-1)."""
+    """Pochhammer symbol x (x+1) ... (x+k-1), cached: every table of degree
+    n asks for it at each k <= n."""
     out = Fraction(1)
     for i in range(k):
         out *= x + i
@@ -110,18 +116,18 @@ def _gegen_monomials(lam: Fraction, n: int) -> tuple[tuple[int, Fraction], ...]:
 
 
 @lru_cache(maxsize=None)
-def _chebyshev_monomials(n: int) -> tuple[tuple[int, Fraction], ...]:
-    # T_0 = 1, T_1 = x, T_{n+1} = 2x T_n - T_{n-1}
-    prev = {0: Fraction(1)}
+def _chebyshev_monomials(n: int) -> tuple[tuple[int, int], ...]:
+    # T_0 = 1, T_1 = x, T_{n+1} = 2x T_n - T_{n-1}, in integers
+    prev = {0: 1}
     if n == 0:
         return tuple(prev.items())
-    cur = {1: Fraction(1)}
+    cur = {1: 1}
     for _ in range(n - 1):
-        nxt: dict[int, Fraction] = {}
+        nxt: dict[int, int] = {}
         for p, c in cur.items():
-            nxt[p + 1] = nxt.get(p + 1, Fraction(0)) + 2 * c
+            nxt[p + 1] = nxt.get(p + 1, 0) + 2 * c
         for p, c in prev.items():
-            nxt[p] = nxt.get(p, Fraction(0)) - c
+            nxt[p] = nxt.get(p, 0) - c
         prev, cur = cur, {p: c for p, c in nxt.items() if c}
     return tuple(sorted(cur.items()))
 
@@ -159,20 +165,19 @@ def gegenbauer_value(lam, n: int, x: float) -> float:
 
 def generating_series_coeff(lam, n: int, x: float) -> float:
     """n-th Taylor coefficient in t of (1-2tx+t^2)^(-lam), by the binomial
-    series in y = t(2x-t); an oracle independent of the explicit formula."""
-    lam = Fraction(lam) if not isinstance(lam, float) else lam
-    total = 0.0
+    series in y = t(2x-t); an oracle independent of the explicit formula and
+    of the recurrence.  The terms cancel near |x| = 1, so the series is summed
+    exactly from Fraction(x) and Fraction(lam) and rounded once."""
+    lam, two_x = Fraction(lam), 2 * Fraction(x)
+    total = Fraction(0)
+    binom_rising = Fraction(1)  # rising(lam, j) / j!
     # y^j contributes to t^{j+i} via (2x-t)^j = sum_i C(j,i) (2x)^{j-i} (-t)^i
     for j in range(n + 1):
         i = n - j
-        if i > j:
-            continue
-        binom_rising = 1.0
-        for a in range(j):
-            binom_rising *= (float(lam) + a) / (a + 1)
-        comb = _fact(j) // (_fact(i) * _fact(j - i))
-        total += binom_rising * comb * (2.0 * x) ** (j - i) * (-1.0) ** i
-    return total
+        if i <= j:
+            total += binom_rising * math.comb(j, i) * two_x ** (j - i) * (-1) ** i
+        binom_rising *= (lam + j) / (j + 1)
+    return float(total)
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +198,35 @@ def monomial_to_gegenbauer(m: int, lam) -> GegenCombo:
         raise ValueError("monomial degree must be >= 0")
     combo = _monomial_combo(m, lam)
     return GegenCombo(lam, {d: ExactScalar.from_rational(c) for d, c in combo})
+
+
+def generating_series(weight, radial: int) -> list[dict[int, Fraction]]:
+    """sum_n t^n C_n^{(weight)}(x) up to t^radial: item n holds the monomial
+    coefficients {k: coeff of x^k} of t^n."""
+    weight = _check_weight(weight, Fraction(1, 2), "weight")
+    return [dict(_gegen_monomials(weight, n)) for n in range(radial + 1)]
+
+
+def chebyshev_log_series(radial: int) -> list[dict[int, Fraction]]:
+    """(1/2) log(1 - 2tx + t^2) = -sum_{p >= 1} T_p(x) t^p / p up to t^radial,
+    in the layout of :func:`generating_series`."""
+    return [{}] + [{k: Fraction(-c, p) for k, c in _chebyshev_monomials(p)}
+                   for p in range(1, radial + 1)]
+
+
+def gegenbauer_tensor(series, lam) -> dict[tuple[int, int], Fraction]:
+    """The tensor {(n, d): coeff} of sum_n t^n sum_k series[n][k] x^k in the
+    C^{(lam)} basis, each x^k converted once by its monomial row; zero entries
+    are dropped."""
+    lam = _check_weight(lam, Fraction(1, 2))
+    out: dict[tuple[int, int], Fraction] = {}
+    for n, poly in enumerate(series):
+        row: dict[int, Fraction] = {}
+        for k, c in poly.items():
+            for d, w in _monomial_combo(k, lam):
+                row[d] = row.get(d, 0) + c * w
+        out.update(((n, d), c) for d, c in row.items() if c)
+    return out
 
 
 def chebyshev_to_gegenbauer(n: int, lam) -> GegenCombo:
@@ -286,6 +320,8 @@ def chebyshev_limit_check(n: int, x: float, eps_lambda: float) -> tuple[float, f
         raise ValueError("the limit formula needs n >= 1")
     if eps_lambda <= 0:
         raise ValueError("eps_lambda must be positive")
-    t_n = sum(float(c) * x ** p for p, c in _chebyshev_monomials(n))
+    t_prev, t_n = 1.0, x  # T_{k+1} = 2x T_k - T_{k-1}
+    for _ in range(n - 1):
+        t_prev, t_n = t_n, 2.0 * x * t_n - t_prev
     approx = (n / 2.0) * generating_series_coeff(eps_lambda, n, x) / eps_lambda
     return t_n, approx

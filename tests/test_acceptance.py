@@ -167,7 +167,7 @@ def test_criterion_5_beta_frame_round_trip(hopf, monomials_deg4):
     count = 0
     for phi in characters:
         pair = birkhoff_factorize(phi)
-        frame = universal_frame(beta_function(pair, 3), 3)
+        frame = universal_frame(beta_function(pair))
         for m in monomials_deg4:
             if monomial_degree(m) > 3:
                 continue

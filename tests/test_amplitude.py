@@ -153,10 +153,11 @@ class TestTaylorCoefficients:
     def test_coefficients_are_cached(self):
         spec = TaylorTermSpec.make(1, 2)
         assert taylor_term_coefficient(spec, 2) is taylor_term_coefficient(spec, F(2))
-        before = taylor_term_coefficient.cache_info().hits
         edge_taylor_value(2, 0.3, 0.8, TruncationOrders(ell_max=4))
+        before = taylor_term_coefficient.cache_info()
         edge_taylor_value(2, 0.4, 0.8, TruncationOrders(ell_max=4))
-        assert taylor_term_coefficient.cache_info().hits - before >= 7
+        # a warm edge reads its cached tuple of terms: no coefficient lookups
+        assert taylor_term_coefficient.cache_info() == before
 
     def test_half_integer_has_no_log_branch(self):
         with pytest.raises(ValueError):
@@ -247,7 +248,7 @@ class TestGegenExpansion:
                                         TruncationOrders(radial=radial))
         poly = binomial_series(F(ell), radial)
         # log(rho) tensor carries the bare polynomial
-        assert tensor_to_cos_powers(exp.log_rho, lam) == as_symbolic(poly)
+        assert tensor_to_cos_powers(as_symbolic(exp.log_rho), lam) == as_symbolic(poly)
         # plain tensor: poly * (log m - log 2 - psi-sum/2) + poly * (1/2) log(1+Y)
         k0 = (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
               - F(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
@@ -293,9 +294,8 @@ class TestGegenExpansion:
             errors = []
             for cap in range(4, 31):
                 capped = GegenExpansion(
-                    exp.lam, exp.rho_exponent, exp.prefactor,
-                    {k: v for k, v in exp.plain.items() if k[0] <= cap},
-                    {}, cap)
+                    exp.lam, exp.rho_exponent, exp.prefactor, exp.k0, {},
+                    {k: v for k, v in exp.series.items() if k[0] <= cap}, cap)
                 errors.append(abs(capped.evaluate(geom, 1.0, include_prefactor=False)
                                   - exact))
             steps = len(errors) - 1
@@ -333,7 +333,7 @@ def reference_value(exp: GegenExpansion, geom: EdgeGeometry, m: float,
     from scipy.special import eval_gegenbauer
     u = geom.u if geom.rho else 0.0
     total = scale = 0.0
-    for tensor, factor in ((exp.plain, 1.0), (exp.log_rho, math.log(geom.rho))):
+    for tensor, factor in ((exp.plain, 1.0), (as_symbolic(exp.log_rho), math.log(geom.rho))):
         for (n, d), c in tensor.items():
             term = (c.bind(m) * factor * u ** n
                     * eval_gegenbauer(d, float(exp.lam), geom.cos))
@@ -381,9 +381,9 @@ class TestFloatEvaluation:
         full = exp.evaluate(geom, 0.7)
         for cap in (0, 3, 7):
             capped = GegenExpansion(
-                exp.lam, exp.rho_exponent, exp.prefactor,
-                {k: v for k, v in exp.plain.items() if k[0] <= cap},
-                {k: v for k, v in exp.log_rho.items() if k[0] <= cap}, cap)
+                exp.lam, exp.rho_exponent, exp.prefactor, exp.k0,
+                {k: v for k, v in exp.log_rho.items() if k[0] <= cap},
+                {k: v for k, v in exp.series.items() if k[0] <= cap}, cap)
             assert_matches_reference(capped.evaluate(geom, 0.7), capped, geom, 0.7)
             assert capped.evaluate(geom, 0.7) != full
         assert exp.evaluate(geom, 0.7) == full

@@ -133,7 +133,7 @@ class TestLogFormPipeline:
 class TestBetaAndFrame:
     def test_beta_on_primitives(self, hopf, laurent_character):
         pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair, 3)
+        beta = beta_function(pair)
         for g in (banana(2), banana(3)):
             got = beta(HopfElement.generator(g))
             want = laurent_character.target.scale(pair.phi_minus(g), g.degree())
@@ -141,20 +141,20 @@ class TestBetaAndFrame:
 
     def test_beta_on_unit(self, hopf, laurent_character):
         pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair, 3)
+        beta = beta_function(pair)
         assert beta(HopfElement.unit()).is_zero()
 
     def test_beta_vanishes_on_products(self, hopf, family, laurent_character):
         pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair, 4)
+        beta = beta_function(pair)
         deg2 = [g for g in family if g.degree() == 2]
         for a, b in itertools.combinations_with_replacement(deg2, 2):
             assert beta(HopfElement.from_monomial(monomial(a, b))).is_zero()
 
     def test_frame_round_trip_laurent(self, hopf, monomials_deg4, laurent_character):
         pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair, 3)
-        frame = universal_frame(beta, 3)
+        beta = beta_function(pair)
+        frame = universal_frame(beta)
         for m in monomials_deg4:
             if monomial_degree(m) > 3:
                 continue
@@ -163,8 +163,8 @@ class TestBetaAndFrame:
     def test_frame_round_trip_logform(self, hopf, monomials_deg4):
         toy = toy_feynman_character(hopf, 6, 1, rule_seed=13)
         pair = birkhoff_factorize(toy)
-        beta = beta_function(pair, 3)
-        frame = universal_frame(beta, 3)
+        beta = beta_function(pair)
+        frame = universal_frame(beta)
         for m in monomials_deg4:
             if monomial_degree(m) > 3:
                 continue
@@ -172,7 +172,7 @@ class TestBetaAndFrame:
 
     def test_frame_unit(self, hopf, laurent_character):
         pair = birkhoff_factorize(laurent_character)
-        frame = universal_frame(beta_function(pair, 3), 3)
+        frame = universal_frame(beta_function(pair))
         assert frame.on_monomial(()) == laurent_character.target.one()
 
     def test_frame_matches_per_composition_reference(self, hopf, monomials_deg4,
@@ -180,8 +180,8 @@ class TestBetaAndFrame:
         # the frame takes each Delta^(n-1) once; the reference recomputes it
         # for every composition of the degree, as the defining sum reads
         pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair, 4)
-        frame = universal_frame(beta, 4)
+        beta = beta_function(pair)
+        frame = universal_frame(beta)
         t = frame.target
 
         def compositions(total):

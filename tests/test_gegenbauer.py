@@ -207,6 +207,20 @@ class TestZonal:
 
 
 class TestChebyshevLimit:
+    @pytest.mark.parametrize("n", [24, 40, 60])
+    @pytest.mark.parametrize("x", [0.99, -0.99, 0.3])
+    def test_oracles_at_high_degree(self, n, x):
+        # both sums cancel near |x| = 1; summed in floats, at n = 60 and
+        # x = 0.99 they gave 869376 for C_60^(1) (scipy: 5.04) and 114176 for T_60
+        from scipy.special import eval_gegenbauer
+        for lam in (F(1, 2), 1, F(5, 2)):
+            want = eval_gegenbauer(n, float(lam), x)
+            bound = math.comb(n + int(2 * lam) - 1, n)
+            assert abs(generating_series_coeff(lam, n, x) - want) <= 1e-13 * bound
+        t_n, approx = chebyshev_limit_check(n, x, 1e-7)
+        assert abs(t_n - math.cos(n * math.acos(x))) <= 1e-12
+        assert abs(approx - t_n) <= 1e-5
+
     @pytest.mark.parametrize("n,x", [(1, 0.3), (2, 1.0), (3, 0.5), (5, -0.7)])
     def test_limit_matches(self, n, x):
         t_n, approx = chebyshev_limit_check(n, x, 1e-7)
