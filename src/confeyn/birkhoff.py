@@ -189,7 +189,7 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
         renumber = {v: i + 1 for i, v in enumerate(internal)}
         key = canon.canonical_key()
         polar: dict[frozenset, ExactScalar] = {}
-        for subset in _one_pi_subgraph_vertex_sets(canon):
+        for subset, _ in canon.one_pi_blocks():
             I = frozenset(renumber[v] for v in subset)
             block = frozenset({diagonal_label(I), separation_label("inf", I)})
             coeff = _stable_rational(rule_seed, key, sorted(I), "polar")
@@ -204,25 +204,6 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
         return MultiLogForm.from_logform(LogForm(space, polar, regular, ambient))
 
     return Character(hopf, target, eta, name=f"toy[{rule_seed}]")
-
-
-def _one_pi_subgraph_vertex_sets(graph: FeynmanGraph) -> list[frozenset[int]]:
-    """Vertex sets of the connected 1PI internal edge subsets (the graph
-    itself included); these index the toy character's polar blocks."""
-    from itertools import combinations
-    internal = graph.internal_edge_indices()
-    seen: set[frozenset[int]] = set()
-    for size in range(2, len(internal) + 1):
-        for subset in combinations(internal, size):
-            comps = graph.edge_components(frozenset(subset))
-            if len(comps) != 1:
-                continue
-            comp = comps[0]
-            if graph.component_graph(comp).is_1pi():
-                verts = frozenset(v for i in comp
-                                  for v in (graph.edges[i].src, graph.edges[i].tgt))
-                seen.add(verts)
-    return sorted(seen, key=sorted)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from .specfun import as_half_integer
 SUBCOMMANDS = ("prop-eval", "prop-expand", "gegen", "graph-coproduct",
                "graph-antipode", "renorm", "beta", "divisors")
 
+GEGEN_MAX_N = 256     # each gegen op takes under 0.5 s at this degree
+DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
+
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 
 
@@ -188,6 +191,8 @@ def _combo_json(combo: gegenbauer.GegenCombo) -> dict:
 
 
 def _cmd_gegen(args) -> dict:
+    if args.n > GEGEN_MAX_N:
+        raise ValueError(f"--n {args.n} exceeds the maximum {GEGEN_MAX_N}")
     lam = _fraction_arg(args.lam) if args.lam else None
     if args.op == "coeffs":
         spec = gegenbauer.PolySpec(lam, args.n)
@@ -322,6 +327,8 @@ def _cmd_beta(args) -> dict:
 
 
 def _cmd_divisors(args) -> dict:
+    if args.n > DIVISORS_MAX_N:
+        raise ValueError(f"--n {args.n} exceeds the maximum {DIVISORS_MAX_N}")
     labels = divisor_labels(args.n, args.k)
     return {"n": args.n, "k": args.k, "count": len(labels),
             "labels": [label_str(l) for l in sorted(labels, key=label_sort_key)]}
@@ -360,7 +367,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
                    choices=["coeffs", "monomial", "chebyshev", "reproject",
                             "product", "zonal", "generating"])
     p.add_argument("--lambda", dest="lam", type=str, default=None)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, default=0, help=f"at most {GEGEN_MAX_N}")
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--ell", type=str, default=None)
     p.add_argument("--D", type=int, default=3)
@@ -395,7 +402,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_beta)
 
     p = sub.add_parser("divisors", help="boundary divisor labels")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"at most {DIVISORS_MAX_N}")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_divisors)
 

@@ -1,5 +1,5 @@
-"""Feynman graph combinatorics: validation, 1PI tests, subgraph enumeration,
-contraction, and canonical forms.
+"""Feynman graph combinatorics: validation, 1PI tests, subgraph enumeration
+from 1PI vertex sets (never from edge subsets), contraction, canonical forms.
 
 Graphs are finite multigraphs without looping edges.  External vertices have
 valence 1; an edge is external exactly when it touches an external vertex.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 
@@ -143,60 +142,37 @@ class FeynmanGraph:
     def is_1pi(self) -> bool:
         """True iff the internal structure is connected, has at least one
         internal edge, and no internal edge is a bridge."""
-        internal = self.internal_edge_indices()
-        if not internal:
-            return False
-        adj = self._internal_adjacency()
-        verts = list(adj)
-        # connectivity over internal vertices via internal edges
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w, _ in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(verts):
-            return False
-        return not self._internal_bridges(adj)
+        return (bool(self.internal_edge_indices())
+                and self._connected_bridgeless(self._internal_adjacency()))
 
     @staticmethod
-    def _internal_bridges(adj: dict[int, list[tuple[int, int]]]) -> list[int]:
-        """Bridge edges of the internal multigraph (parallel edges never bridge)."""
-        index = {}
-        low = {}
-        bridges: list[int] = []
-        counter = [0]
-
-        def dfs(root):
-            stack = [(root, -1, iter(adj[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            while stack:
-                v, in_edge, it = stack[-1]
-                advanced = False
-                for w, ei in it:
-                    if ei == in_edge:
-                        continue
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append((w, ei, iter(adj[w])))
-                        advanced = True
-                        break
-                    low[v] = min(low[v], index[w])
-                if not advanced:
-                    stack.pop()
-                    if stack:
-                        parent = stack[-1][0]
-                        low[parent] = min(low[parent], low[v])
-                        if low[v] > index[parent]:
-                            bridges.append(in_edge)
-
-        for v in adj:
-            if v not in index:
-                dfs(v)
-        return bridges
+    def _connected_bridgeless(adj: dict[int, list[tuple[int, int]]]) -> bool:
+        """True iff the multigraph is nonempty, connected and has no bridge
+        (parallel edges never bridge): one depth-first search with low links."""
+        if not adj:
+            return False
+        root = next(iter(adj))
+        index = {root: 0}
+        low = {root: 0}
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for w, ei in it:
+                if ei == in_edge:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, ei, iter(adj[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    if low[v] > index[parent]:
+                        return False
+                    low[parent] = min(low[parent], low[v])
+        return len(index) == len(adj)
 
     # -- subgraphs and contraction --------------------------------------------
 
@@ -234,32 +210,54 @@ class FeynmanGraph:
                  for i in sorted(component)]
         return FeynmanGraph({j: False for j in relabel.values()}, edges)
 
+    def one_pi_blocks(self) -> list[tuple[frozenset[int], frozenset[int]]]:
+        """(V, edges of G[V]) for each internal vertex set V, |V| >= 2, whose
+        induced subgraph G[V] is connected and bridgeless, by sorted(V).  As
+        edges added to a bridgeless graph make no bridge, these V are the
+        vertex sets of the connected 1PI internal edge subsets."""
+        adj = self._internal_adjacency()
+        seen: set[frozenset[int]] = set()
+        frontier = {frozenset((v,)) for v in adj}
+        while frontier:  # grow connected sets one neighbour at a time
+            frontier = {verts | {w} for verts in frontier for v in verts
+                        for w, _ in adj[v] if w not in verts} - seen
+            seen |= frontier
+        blocks = []
+        for verts in sorted(seen, key=sorted):
+            induced = {v: [(w, i) for w, i in adj[v] if w in verts] for v in verts}
+            if self._connected_bridgeless(induced):
+                blocks.append((verts, frozenset(i for v in verts for _, i in induced[v])))
+        return blocks
+
     def admissible_subgraphs(self, theory: TheoryProfile | None = None
                              ) -> list["SubgraphSelection"]:
         """All proper nonempty disjoint unions of 1PI internal subgraphs whose
-        contraction is again a valid 1PI graph of the theory."""
+        contraction is again a valid 1PI graph of the theory, ordered by size,
+        then by sorted edge indices.  An unselected edge inside a component
+        would contract to a looping edge, so the candidates are the families
+        of vertex-disjoint :meth:`one_pi_blocks`.  Raises ValueError on an
+        invalid graph."""
+        self.require_valid()
         theory = theory or TheoryProfile()
-        internal = self.internal_edge_indices()
+        blocks = self.one_pi_blocks()
         out = []
-        for size in range(1, len(internal)):
-            for subset in combinations(internal, size):
-                sel = frozenset(subset)
-                components = self.edge_components(sel)
-                if not all(self.component_graph(c).is_1pi() for c in components):
+
+        def extend(start: int, used: frozenset[int], family: list[frozenset[int]]):
+            for j in range(start, len(blocks)):
+                verts, edges = blocks[j]
+                if verts & used:
                     continue
-                selection = SubgraphSelection(sel, tuple(sorted(components, key=sorted)))
-                try:
-                    quotient = self.contract(selection, _check_admissible=False)
-                except ValueError:
-                    continue
-                if quotient.validate():
-                    continue
-                if not quotient.is_1pi():
-                    continue
-                if not theory.allows(quotient):
-                    continue
-                out.append(selection)
-        return out
+                chosen = family + [edges]
+                selection = SubgraphSelection(frozenset().union(*chosen),
+                                              tuple(sorted(chosen, key=sorted)))
+                # all internal edges contract to a graph without any: not 1PI
+                quotient = self.contract(selection, _check_admissible=False)
+                if not quotient.validate() and quotient.is_1pi() and theory.allows(quotient):
+                    out.append(selection)
+                extend(j + 1, used | verts, chosen)
+
+        extend(0, frozenset(), [])
+        return sorted(out, key=lambda s: (len(s.edge_indices), sorted(s.edge_indices)))
 
     def contract(self, selection: "SubgraphSelection",
                  _check_admissible: bool = True) -> "FeynmanGraph":

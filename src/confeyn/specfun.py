@@ -342,7 +342,8 @@ def _k_series_real(nu: float, z, terms: int):
 def bessel_k_branch(nu: float, z: float, branch: str,
                     cfg: BesselEvalConfig | None = None) -> float:
     """Reference K_nu(z) from one forced mpmath branch, 'series' or
-    'asymptotic', summed at 35 + z digits to cover the series' cancellation.
+    'asymptotic', summed at 35 digits.  The convergent series gets z digits
+    more: its terms of size e^z cancel to a sum of size e^-z.
 
     Half-integer orders use the terminating form, capped at
     ``cfg.asymptotic_terms`` terms on the asymptotic branch.
@@ -353,7 +354,8 @@ def bessel_k_branch(nu: float, z: float, branch: str,
     mu = _checked_order(nu, z)
     if branch not in ("series", "asymptotic"):
         raise ValueError(f"unknown branch {branch!r}")
-    with mpmath.workdps(35 + int(z)):
+    series = branch == "series" and mu != 0.5
+    with mpmath.workdps(35 + int(z) if series else 35):
         if mu == 0.5:
             cap = cfg.asymptotic_terms if branch == "asymptotic" else None
             return float(_k_half_integer(int(nu), z, terms_cap=cap))

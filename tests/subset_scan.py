@@ -1,0 +1,58 @@
+"""The original 2^E edge-subset scans, kept as oracles for the enumeration
+built on ``FeynmanGraph.one_pi_blocks``.
+
+Both functions examine every internal edge subset, so they only run on graphs
+with at most about 14 internal edges.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from confeyn.feyngraph import FeynmanGraph, SubgraphSelection, TheoryProfile
+
+
+def scan_admissible_subgraphs(graph: FeynmanGraph, theory: TheoryProfile | None = None
+                              ) -> list[SubgraphSelection]:
+    """All proper nonempty disjoint unions of 1PI internal subgraphs whose
+    contraction is again a valid 1PI graph of the theory."""
+    theory = theory or TheoryProfile()
+    internal = graph.internal_edge_indices()
+    out = []
+    for size in range(1, len(internal)):
+        for subset in combinations(internal, size):
+            sel = frozenset(subset)
+            components = graph.edge_components(sel)
+            if not all(graph.component_graph(c).is_1pi() for c in components):
+                continue
+            selection = SubgraphSelection(sel, tuple(sorted(components, key=sorted)))
+            try:
+                quotient = graph.contract(selection, _check_admissible=False)
+            except ValueError:
+                continue
+            if quotient.validate():
+                continue
+            if not quotient.is_1pi():
+                continue
+            if not theory.allows(quotient):
+                continue
+            out.append(selection)
+    return out
+
+
+def scan_one_pi_vertex_sets(graph: FeynmanGraph) -> list[frozenset[int]]:
+    """Vertex sets of the connected 1PI internal edge subsets (the graph
+    itself included)."""
+    internal = graph.internal_edge_indices()
+    seen: set[frozenset[int]] = set()
+    for size in range(2, len(internal) + 1):
+        for subset in combinations(internal, size):
+            comps = graph.edge_components(frozenset(subset))
+            if len(comps) != 1:
+                continue
+            comp = comps[0]
+            if graph.component_graph(comp).is_1pi():
+                verts = frozenset(v for i in comp
+                                  for v in (graph.edges[i].src, graph.edges[i].tgt))
+                seen.add(verts)
+    return sorted(seen, key=sorted)

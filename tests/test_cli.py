@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from confeyn.cli import main
+from confeyn.cli import DIVISORS_MAX_N, GEGEN_MAX_N, main
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 
@@ -201,6 +201,21 @@ class TestDivisors:
         code, doc = run_cli(["divisors", "--n", "4", "--k", "2"], tmp_path)
         assert code == 0
         assert doc["count"] == 3 * (2 ** 4 - 1) + (2 ** 4 - 4 - 1)
+
+    def test_n_is_capped(self, tmp_path):
+        code, _ = run_cli(["divisors", "--n", str(DIVISORS_MAX_N), "--k", "0"], tmp_path)
+        assert code == 0
+        code, _ = run_cli(["divisors", "--n", str(DIVISORS_MAX_N + 1), "--k", "0"], tmp_path)
+        assert code == 2
+
+
+class TestGegenCap:
+    def test_n_is_capped(self, tmp_path):
+        args = ["gegen", "--op", "generating", "--lambda", "1", "--x", "0.7"]
+        code, _ = run_cli(args + ["--n", str(GEGEN_MAX_N)], tmp_path)
+        assert code == 0
+        code, _ = run_cli(args + ["--n", str(GEGEN_MAX_N + 1)], tmp_path)
+        assert code == 2
 
 
 class TestExitCodesAndGoldens:

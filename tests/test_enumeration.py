@@ -1,0 +1,102 @@
+"""Subdivergence enumeration from 1PI vertex sets against the 2^E subset
+scans it replaced (kept in ``subset_scan``), on a fixed graph set and on
+hypothesis-generated multigraphs."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from confeyn.feyngraph import Edge, FeynmanGraph, TheoryProfile
+from confeyn.hopf import generate_graph_family
+from subset_scan import scan_admissible_subgraphs, scan_one_pi_vertex_sets
+
+THEORIES = (TheoryProfile(), TheoryProfile(max_valence=4))
+
+DENSE = {
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "prism": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "K33": (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
+    "wheel5": (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+}
+
+
+def necklace(k: int) -> FeynmanGraph:
+    """A ring of k bananas (bead i is edges 2i, 2i+1) with legs on 0 and 1."""
+    return FeynmanGraph.build(k, [(i, (i + 1) % k) for i in range(k) for _ in range(2)],
+                              legs=[0, 1])
+
+
+def fixed_graphs() -> list[tuple[str, FeynmanGraph]]:
+    out = [(f"family{i}", g) for i, g in enumerate(generate_graph_family(4))]
+    out += [(f"family_nolegs{i}", g)
+            for i, g in enumerate(generate_graph_family(4, with_legs=False))]
+    out += [(f"necklace{k}", necklace(k)) for k in range(3, 8)]
+    for name, (nv, edges) in DENSE.items():
+        out.append((name, FeynmanGraph.build(nv, edges)))
+        out.append((f"{name}_legs", FeynmanGraph.build(nv, edges, legs=list(edges[0]))))
+    return out
+
+
+def assert_matches_scan(graph: FeynmanGraph):
+    # the theory test is the scan's last filter, so the bounded theory's
+    # list is the unbounded one restricted to quotients the theory allows
+    loose = scan_admissible_subgraphs(graph)
+    for theory in THEORIES:
+        expected = [s for s in loose if theory.allows(graph.contract(s))]
+        assert graph.admissible_subgraphs(theory) == expected
+    assert [verts for verts, _ in graph.one_pi_blocks()] == scan_one_pi_vertex_sets(graph)
+
+
+@pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in fixed_graphs()])
+def test_fixed_set_matches_scan(graph):
+    assert_matches_scan(graph)
+
+
+def test_scan_theory_filter_is_last():
+    # the shortcut in assert_matches_scan agrees with a direct scan
+    g = necklace(4)
+    for theory in THEORIES:
+        assert scan_admissible_subgraphs(g, theory) == \
+            [s for s in scan_admissible_subgraphs(g) if theory.allows(g.contract(s))]
+
+
+@st.composite
+def multigraphs(draw):
+    """Valid multigraphs: 2-6 internal vertices, at most 11 internal edges
+    (parallel edges allowed, no looping edges), 0-3 legs."""
+    nv = draw(st.integers(2, 6))
+    ends = st.tuples(st.integers(0, nv - 1), st.integers(1, nv - 1))
+    size = draw(st.integers(nv, 11))
+    edges = [(a, (a + shift) % nv)
+             for a, shift in draw(st.lists(ends, min_size=size, max_size=size))]
+    legs = draw(st.lists(st.integers(0, nv - 1), max_size=3))
+    return FeynmanGraph.build(nv, edges, legs=legs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(multigraphs())
+def test_generated_graphs_match_scan(graph):
+    assert not graph.validate()
+    assert_matches_scan(graph)
+
+
+def test_necklace_ten():
+    # E = 20 is out of the scan's reach.  The admissible selections of a
+    # necklace are the unions of 1..k-2 whole beads: one edge of a bead is a
+    # bridge, and k-1 beads close the ring into a looping edge.
+    k = 10
+    g = necklace(k)
+    expected = [frozenset(i for b in beads for i in (2 * b, 2 * b + 1))
+                for size in range(1, k - 1)
+                for beads in itertools.combinations(range(k), size)]
+    expected.sort(key=lambda s: (len(s), sorted(s)))
+    got = g.admissible_subgraphs()
+    assert len(got) == 2 ** k - k - 2 == 1012
+    assert [s.edge_indices for s in got] == expected
+
+
+def test_invalid_graph_rejected():
+    g = FeynmanGraph({0: False, 1: False}, [Edge(0, 1), Edge(0, 1), Edge(1, 1)])
+    with pytest.raises(ValueError, match="looping"):
+        g.admissible_subgraphs()
