@@ -27,11 +27,10 @@ import json
 from fractions import Fraction
 from typing import Callable
 
-from .exact import ExactScalar
 from .feyngraph import Edge, FeynmanGraph
 from .hopf import HopfAlgebra, HopfElement, Monomial, monomial_degree
-from .rotabaxter import (MultiLogAlgebra, MultiLogForm, LogForm, diagonal_label,
-                         divisor_labels, separation_label)
+from .rotabaxter import (MultiLogAlgebra, MultiLogForm, diagonal_label,
+                         label_sort_key, separation_label)
 
 
 def extend_linearly(x, target, on_monomial):
@@ -169,13 +168,17 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
                           rule_seed: int) -> Character:
     """Deterministic stand-in for the regularized-form assignment Gamma -> eta.
 
-    eta_Gamma lives on the space labeled by the internal-edge count; its polar
-    blocks pair the diagonal label of the vertex set of each 1PI subgraph
-    gamma of Gamma with the matching separation-at-infinity label (so blocks
-    have even cardinality), with hash-seeded rational residues, plus a seeded
-    regular part.  Raises if a graph needs more vertices than the configured
-    divisor budget.
+    eta_Gamma is a one-factor log form on the space labeled by the
+    internal-edge count; its polar blocks pair the diagonal label of the
+    vertex set of each 1PI subgraph gamma of Gamma with the matching
+    separation-at-infinity label (so blocks have even cardinality), with
+    hash-seeded rational residues, plus a seeded regular part.  The labels
+    only use points 1..|V| and the component at infinity, so ``k_external``
+    (the number of marked components, at least 0) does not change the values.
+    Raises if a graph needs more vertices than the configured budget.
     """
+    if k_external < 0:
+        raise ValueError(f"k_external must be >= 0, got {k_external}")
     target = MultiLogAlgebra()
 
     def eta(graph: FeynmanGraph) -> MultiLogForm:
@@ -188,20 +191,16 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
         space = canon.degree()
         renumber = {v: i + 1 for i, v in enumerate(internal)}
         key = canon.canonical_key()
-        polar: dict[frozenset, ExactScalar] = {}
+        terms: dict[tuple, Fraction] = {}
         for subset, _ in canon.one_pi_blocks():
             I = frozenset(renumber[v] for v in subset)
-            block = frozenset({diagonal_label(I), separation_label("inf", I)})
-            coeff = _stable_rational(rule_seed, key, sorted(I), "polar")
-            polar[block] = (polar.get(block, ExactScalar.zero())
-                            + ExactScalar.from_rational(coeff))
-        regular = {
-            (): ExactScalar.from_rational(_stable_rational(rule_seed, key, "const")),
-            ((separation_label("inf", frozenset({1})), 1),):
-                ExactScalar.from_rational(_stable_rational(rule_seed, key, "lin")),
-        }
-        ambient = divisor_labels(max(space, len(internal)), k_external)
-        return MultiLogForm.from_logform(LogForm(space, polar, regular, ambient))
+            block = sorted((diagonal_label(I), separation_label("inf", I)), key=label_sort_key)
+            terms[((space, ("polar", tuple(block))),)] = \
+                _stable_rational(rule_seed, key, sorted(I), "polar")
+        terms[()] = _stable_rational(rule_seed, key, "const")
+        linear = ((separation_label("inf", frozenset({1})), 1),)
+        terms[((space, ("reg", linear)),)] = _stable_rational(rule_seed, key, "lin")
+        return MultiLogForm(terms)
 
     return Character(hopf, target, eta, name=f"toy[{rule_seed}]")
 

@@ -35,6 +35,7 @@ SUBCOMMANDS = ("prop-eval", "prop-expand", "gegen", "graph-coproduct",
 
 GEGEN_MAX_N = 256     # each gegen op takes under 0.5 s at this degree
 DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
+DIVISORS_MAX_K = 8    # 40,938 labels at n = 12
 
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 
@@ -329,6 +330,8 @@ def _cmd_beta(args) -> dict:
 def _cmd_divisors(args) -> dict:
     if args.n > DIVISORS_MAX_N:
         raise ValueError(f"--n {args.n} exceeds the maximum {DIVISORS_MAX_N}")
+    if args.k > DIVISORS_MAX_K:
+        raise ValueError(f"--k {args.k} exceeds the maximum {DIVISORS_MAX_K}")
     labels = divisor_labels(args.n, args.k)
     return {"n": args.n, "k": args.k, "count": len(labels),
             "labels": [label_str(l) for l in sorted(labels, key=label_sort_key)]}
@@ -403,7 +406,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("divisors", help="boundary divisor labels")
     p.add_argument("--n", type=int, required=True, help=f"at most {DIVISORS_MAX_N}")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help=f"at most {DIVISORS_MAX_K}")
     p.set_defaults(func=_cmd_divisors)
 
     for name in SUBCOMMANDS:

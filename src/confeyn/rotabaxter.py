@@ -1,4 +1,4 @@
-"""Weight -1 Rota-Baxter algebras: Laurent series and even log-form models.
+"""Weight -1 Rota-Baxter algebras: Laurent series and even log forms.
 
 A Rota-Baxter algebra of weight -1 is a commutative unital algebra with a
 linear operator T satisfying
@@ -8,22 +8,22 @@ linear operator T satisfying
 Model 1: Laurent series over Q with T the projection onto the polar part
 (strictly negative exponents).
 
-Model 2: the even log-form algebra over a labeled boundary-divisor set.  An
-element is a sum of *polar monomials* -- an even-cardinality set J of divisor
-labels standing for dlog f_{j1} ^ ... ^ dlog f_{j2r} with a constant scalar
-coefficient (the iterated residue, already restricted to the stratum) -- plus
-a *regular part*, a polynomial in divisor-restriction variables.  The pole
-projection T keeps exactly the polar monomials; with constant polar
-coefficients every identity asserted for the geometric operator (idempotence,
-residue preservation, the weight -1 relation) holds literally and exactly:
-the polar span is an ideal, the regular span a unital subalgebra, and T is
-the projection onto the ideal along the subalgebra.
-
-Model 3: wedges of log forms over several spaces, with
+Model 2: wedges of even log forms over several spaces.  On one space an even
+log form is a sum of *polar monomials* -- an even-cardinality set J of
+divisor labels standing for dlog f_{j1} ^ ... ^ dlog f_{j2r} with a constant
+scalar coefficient (the iterated residue, already restricted to the stratum)
+-- plus a *regular part*, a polynomial in divisor-restriction variables.  A
+polar block times a regular monomial keeps the block scaled by the monomial's
+value on the stratum (its constant term).  The pole projection keeps exactly
+the polar monomials; the polar span is an ideal, the regular span a unital
+subalgebra, and T is the projection onto the ideal along the subalgebra.  A
+monomial of the model wedges one such component per space, and
 
     T(eta_1 ^ eta_2) = T eta_1 ^ eta_2 + eta_1 ^ T eta_2 - T eta_1 ^ T eta_2
 
-extended recursively, i.e. T = id - prod_i (id - T_i) monomial-wise.
+extended recursively, i.e. T = id - prod_i (id - T_i) monomial-wise: T keeps
+every monomial with at least one polar component.  The single-space algebra
+is the case of one factor.
 
 Divisor labels for the compactification of n points avoiding k marked
 components: separation divisors D_{c,S} with c in {1..k, inf} and nonempty
@@ -54,63 +54,50 @@ def _as_exact(c: ScalarLike) -> ExactScalar:
 
 
 class LaurentSeries:
-    """Laurent polynomial/series over Q with finitely many terms, optionally
-    truncated above ``order`` on multiplication."""
+    """Laurent polynomial over Q with finitely many terms."""
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None,
-                 order: int | None = None):
-        self.order = order
+    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
         self.coeffs: dict[int, Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
                 c = Fraction(c)
-                if c and (order is None or e <= order):
+                if c:
                     self.coeffs[int(e)] = self.coeffs.get(int(e), Fraction(0)) + c
             self.coeffs = {e: c for e, c in self.coeffs.items() if c}
 
     @classmethod
-    def zero(cls, order: int | None = None) -> "LaurentSeries":
-        return cls({}, order)
+    def zero(cls) -> "LaurentSeries":
+        return cls({})
 
     @classmethod
-    def one(cls, order: int | None = None) -> "LaurentSeries":
-        return cls({0: Fraction(1)}, order)
+    def one(cls) -> "LaurentSeries":
+        return cls({0: Fraction(1)})
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return LaurentSeries(out, self._merge_order(other))
+        return LaurentSeries(out)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries({e: c * other for e, c in self.coeffs.items()}, self.order)
+            return LaurentSeries({e: c * other for e, c in self.coeffs.items()})
         out: dict[int, Fraction] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return LaurentSeries(out, self._merge_order(other))
+        return LaurentSeries(out)
 
     __rmul__ = __mul__
 
-    def _merge_order(self, other: "LaurentSeries") -> int | None:
-        if self.order is None:
-            return other.order
-        if other.order is None:
-            return self.order
-        return min(self.order, other.order)
-
     def polar_part(self) -> "LaurentSeries":
-        return LaurentSeries({e: c for e, c in self.coeffs.items() if e < 0}, self.order)
+        return LaurentSeries({e: c for e, c in self.coeffs.items() if e < 0})
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def min_exponent(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -138,8 +125,8 @@ class LaurentSeries:
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
 
     @classmethod
-    def from_json(cls, data: Mapping[str, str], order: int | None = None) -> "LaurentSeries":
-        return cls({int(e): Fraction(c) for e, c in data.items()}, order)
+    def from_json(cls, data: Mapping[str, str]) -> "LaurentSeries":
+        return cls({int(e): Fraction(c) for e, c in data.items()})
 
 
 def laurent_T(s: LaurentSeries) -> LaurentSeries:
@@ -204,16 +191,14 @@ def divisor_labels(n: int, k: int) -> frozenset[Label]:
     return frozenset(labels)
 
 
-def divisor_label_count(n: int, k: int) -> int:
-    """(k+1)(2^n - 1) + (2^n - n - 1)."""
-    return (k + 1) * (2 ** n - 1) + (2 ** n - n - 1)
-
-
 # ---------------------------------------------------------------------------
-# Log forms on one space
+# Log forms: wedges of one log-form monomial per space
 # ---------------------------------------------------------------------------
 
 RegKey = tuple  # sorted tuple of (label, positive exponent)
+# component monomial: ("polar", sorted tuple of labels) or ("reg", RegKey)
+CompMono = tuple
+MultiKey = tuple  # sorted tuple of (space, CompMono)
 
 
 def _merge_polar(J1: frozenset, J2: frozenset) -> tuple[int, frozenset] | None:
@@ -239,233 +224,6 @@ def _mul_reg_keys(k1: RegKey, k2: RegKey) -> RegKey:
     return tuple(sorted(exps.items(), key=lambda kv: label_sort_key(kv[0])))
 
 
-class LogForm:
-    """Even log form on one space: constant-coefficient polar blocks plus a
-    polynomial regular part in divisor-restriction variables.
-
-    ``labels``, when given, is the ambient divisor index set; every polar
-    block and regular variable is validated against it.  It is bookkeeping
-    metadata and does not take part in equality.
-    """
-
-    def __init__(self, space: int,
-                 polar: Mapping[frozenset, ScalarLike] | None = None,
-                 regular: Mapping[RegKey, ScalarLike] | ScalarLike | None = None,
-                 labels: Iterable[Label] | None = None):
-        self.space = int(space)
-        self.labels = frozenset(labels) if labels is not None else None
-        self.polar: dict[frozenset, ExactScalar] = {}
-        if polar:
-            for J, c in polar.items():
-                J = frozenset(J)
-                if not J or len(J) % 2 != 0:
-                    raise ValueError("polar blocks must be nonempty with even cardinality")
-                c = _as_exact(c)
-                if not c.is_zero():
-                    prev = self.polar.get(J)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        self.polar.pop(J, None)
-                    else:
-                        self.polar[J] = acc
-        self.regular: dict[RegKey, ExactScalar] = {}
-        if regular is not None:
-            if isinstance(regular, (int, Fraction, ExactScalar)):
-                regular = {(): regular}
-            for key, c in regular.items():
-                c = _as_exact(c)
-                if not c.is_zero():
-                    key = tuple(key)
-                    prev = self.regular.get(key)
-                    acc = c if prev is None else prev + c
-                    if acc.is_zero():
-                        self.regular.pop(key, None)
-                    else:
-                        self.regular[key] = acc
-        if self.labels is not None:
-            for J in self.polar:
-                if not J <= self.labels:
-                    raise ValueError("polar block outside the divisor index set")
-            for key in self.regular:
-                if any(l not in self.labels for l, _ in key):
-                    raise ValueError("regular variable outside the divisor index set")
-
-    @classmethod
-    def zero(cls, space: int) -> "LogForm":
-        return cls(space)
-
-    @classmethod
-    def one(cls, space: int) -> "LogForm":
-        return cls(space, regular={(): ExactScalar.one()})
-
-    @classmethod
-    def variable(cls, space: int, label: Label, coeff: ScalarLike = 1) -> "LogForm":
-        return cls(space, regular={((label, 1),): coeff})
-
-    def _merge_labels(self, other: "LogForm | None") -> frozenset | None:
-        if other is None or other.labels is None:
-            return self.labels
-        if self.labels is None:
-            return other.labels
-        return self.labels | other.labels
-
-    def __add__(self, other: "LogForm") -> "LogForm":
-        self._check_space(other)
-        polar = dict(self.polar)
-        for J, c in other.polar.items():
-            polar[J] = polar.get(J, ExactScalar.zero()) + c
-        regular = dict(self.regular)
-        for k, c in other.regular.items():
-            regular[k] = regular.get(k, ExactScalar.zero()) + c
-        return LogForm(self.space, polar, regular, self._merge_labels(other))
-
-    def __sub__(self, other: "LogForm") -> "LogForm":
-        return self + other.scale(-1)
-
-    def scale(self, c: ScalarLike) -> "LogForm":
-        c = _as_exact(c)
-        return LogForm(self.space,
-                       {J: v * c for J, v in self.polar.items()},
-                       {k: v * c for k, v in self.regular.items()}, self.labels)
-
-    def _check_space(self, other: "LogForm"):
-        if self.space != other.space:
-            raise ValueError(f"space mismatch: {self.space} vs {other.space}")
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
-            return self.scale(other)
-        return logform_wedge(self, other)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.polar and not self.regular
-
-    def constant_regular(self) -> ExactScalar:
-        return self.regular.get((), ExactScalar.zero())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LogForm):
-            return NotImplemented
-        return (self.space == other.space and self.polar == other.polar
-                and self.regular == other.regular)
-
-    def __repr__(self) -> str:
-        bits = []
-        for J in sorted(self.polar, key=lambda J: tuple(label_sort_key(x) for x in
-                                                        sorted(J, key=label_sort_key))):
-            names = "^".join("dlog(" + label_str(x) + ")" for x in sorted(J, key=label_sort_key))
-            bits.append(f"({self.polar[J]!r})*{names}")
-        for key in sorted(self.regular, key=lambda k: tuple((label_sort_key(l), e) for l, e in k)):
-            mono = "*".join(f"{label_str(l)}^{e}" for l, e in key) if key else "1"
-            bits.append(f"({self.regular[key]!r})*{mono}")
-        return f"LogForm[{self.space}](" + (" + ".join(bits) or "0") + ")"
-
-    def to_json(self) -> dict:
-        polar = []
-        for J in sorted(self.polar, key=lambda J: tuple(label_sort_key(x) for x in
-                                                        sorted(J, key=label_sort_key))):
-            polar.append({"J": [label_str(x) for x in sorted(J, key=label_sort_key)],
-                          "value": self.polar[J].to_json()})
-        regular = []
-        for key in sorted(self.regular, key=lambda k: tuple((label_sort_key(l), e) for l, e in k)):
-            regular.append({"monomial": [[label_str(l), e] for l, e in key],
-                            "value": self.regular[key].to_json()})
-        return {"space": self.space, "polar": polar, "regular": regular}
-
-
-def logform_wedge(a: LogForm, b: LogForm) -> LogForm:
-    """Commutative product of even log forms on the same space.
-
-    polar*polar merges dlog blocks (zero on a repeated factor); polar*regular
-    keeps the polar block scaled by the regular part evaluated at the divisor
-    stratum (its constant term); regular*regular is the polynomial product.
-    """
-    a._check_space(b)
-    out = LogForm(a.space, labels=a._merge_labels(b))
-    polar: dict[frozenset, ExactScalar] = {}
-    regular: dict[RegKey, ExactScalar] = {}
-
-    def add_polar(J, c):
-        prev = polar.get(J)
-        acc = c if prev is None else prev + c
-        if acc.is_zero():
-            polar.pop(J, None)
-        else:
-            polar[J] = acc
-
-    for J1, c1 in a.polar.items():
-        for J2, c2 in b.polar.items():
-            merged = _merge_polar(J1, J2)
-            if merged is None:
-                continue
-            sign, J = merged
-            add_polar(J, c1 * c2 * sign)
-    const_b = b.constant_regular()
-    if not const_b.is_zero():
-        for J1, c1 in a.polar.items():
-            add_polar(J1, c1 * const_b)
-    const_a = a.constant_regular()
-    if not const_a.is_zero():
-        for J2, c2 in b.polar.items():
-            add_polar(J2, c2 * const_a)
-    for k1, c1 in a.regular.items():
-        for k2, c2 in b.regular.items():
-            k = _mul_reg_keys(k1, k2)
-            prev = regular.get(k)
-            acc = c1 * c2 if prev is None else prev + c1 * c2
-            if acc.is_zero():
-                regular.pop(k, None)
-            else:
-                regular[k] = acc
-    out.polar = polar
-    out.regular = regular
-    return out
-
-
-def logform_T(a: LogForm) -> LogForm:
-    """Pole projection: sum_j dlog f_j ^ Res_j, which in the constant-residue
-    model is exactly the polar part."""
-    return LogForm(a.space, dict(a.polar), None, a.labels)
-
-
-def polar_subtract(a):
-    """a - T(a); all iterated residues of the result vanish."""
-    if isinstance(a, LogForm):
-        return LogForm(a.space, None, dict(a.regular), a.labels)
-    if isinstance(a, MultiLogForm):
-        return a - multi_T(a)
-    if isinstance(a, LaurentSeries):
-        return a - laurent_T(a)
-    raise TypeError(f"no polar subtraction for {type(a).__name__}")
-
-
-def residues(a: LogForm) -> dict[frozenset, ExactScalar]:
-    """Iterated Poincare residues Res_{D_J}: block J -> its constant coefficient."""
-    return dict(a.polar)
-
-
-def residue_single(a: LogForm, label: Label) -> dict[frozenset, ExactScalar]:
-    """Single-divisor residue data: for each polar block J containing the
-    label, the leftover block J - {label} with the extraction sign."""
-    out: dict[frozenset, ExactScalar] = {}
-    for J, c in a.polar.items():
-        if label in J:
-            pos = sorted(J, key=label_sort_key).index(label)
-            out[J - {label}] = c * ((-1) ** pos)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Multi-space wedges
-# ---------------------------------------------------------------------------
-
-# component monomial: ("polar", sorted tuple of labels) or ("reg", RegKey)
-CompMono = tuple
-MultiKey = tuple  # sorted tuple of (space, CompMono)
-
-
 def _comp_mul(c1: CompMono, c2: CompMono) -> tuple[int, CompMono] | None:
     kind1, data1 = c1
     kind2, data2 = c2
@@ -483,19 +241,27 @@ def _comp_mul(c1: CompMono, c2: CompMono) -> tuple[int, CompMono] | None:
 
 
 class MultiLogForm:
-    """Linear combination of wedge monomials, one log-form monomial per space."""
+    """Linear combination of wedge monomials, one log-form monomial per space.
+
+    A key is a sorted tuple of (space, component) with distinct spaces; the
+    empty key is the unit.  Every polar component is a nonempty block of even
+    cardinality.
+    """
 
     def __init__(self, terms: Mapping[MultiKey, ScalarLike] | None = None):
         self.terms: dict[MultiKey, ExactScalar] = {}
         if terms:
             for key, c in terms.items():
-                c = _as_exact(c)
-                if c.is_zero():
-                    continue
                 key = tuple(sorted(key))
                 spaces = [s for s, _ in key]
                 if len(spaces) != len(set(spaces)):
                     raise ValueError("component spaces must be distinct in a monomial")
+                for _, (kind, data) in key:
+                    if kind == "polar" and (not data or len(data) % 2):
+                        raise ValueError("polar blocks must be nonempty with even cardinality")
+                c = _as_exact(c)
+                if c.is_zero():
+                    continue
                 prev = self.terms.get(key)
                 acc = c if prev is None else prev + c
                 if acc.is_zero():
@@ -510,20 +276,6 @@ class MultiLogForm:
     @classmethod
     def one(cls) -> "MultiLogForm":
         return cls({(): ExactScalar.one()})
-
-    @classmethod
-    def from_logform(cls, form: LogForm) -> "MultiLogForm":
-        terms: dict[MultiKey, ExactScalar] = {}
-        for J, c in form.polar.items():
-            key = ((form.space, ("polar", tuple(sorted(J, key=label_sort_key)))),)
-            terms[key] = terms.get(key, ExactScalar.zero()) + c
-        for rk, c in form.regular.items():
-            if rk == ():
-                key = ()
-            else:
-                key = ((form.space, ("reg", rk)),)
-            terms[key] = terms.get(key, ExactScalar.zero()) + c
-        return cls(terms)
 
     def __add__(self, other: "MultiLogForm") -> "MultiLogForm":
         out = dict(self.terms)
@@ -561,10 +313,6 @@ class MultiLogForm:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def polar_free(self) -> bool:
-        return all(kind != "polar"
-                   for key in self.terms for _, (kind, _) in key)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiLogForm):
@@ -615,6 +363,15 @@ def multi_T(a: MultiLogForm) -> MultiLogForm:
     return MultiLogForm(kept)
 
 
+def polar_subtract(a):
+    """a - T(a); all iterated residues of the result vanish."""
+    if isinstance(a, MultiLogForm):
+        return a - multi_T(a)
+    if isinstance(a, LaurentSeries):
+        return a - laurent_T(a)
+    raise TypeError(f"no polar subtraction for {type(a).__name__}")
+
+
 def multi_residues_vanish(a: MultiLogForm) -> bool:
     """True when no monomial carries a polar block (all iterated residues zero)."""
     return multi_T(a).is_zero()
@@ -628,13 +385,12 @@ def multi_residues_vanish(a: MultiLogForm) -> bool:
 @dataclass(frozen=True)
 class LaurentAlgebra:
     """Rota-Baxter model: Laurent series with pole-part projection."""
-    order: int | None = None
 
     def zero(self):
-        return LaurentSeries.zero(self.order)
+        return LaurentSeries.zero()
 
     def one(self):
-        return LaurentSeries.one(self.order)
+        return LaurentSeries.one()
 
     @staticmethod
     def add(a, b):
@@ -651,14 +407,6 @@ class LaurentAlgebra:
     @staticmethod
     def T(a):
         return laurent_T(a)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a.is_zero()
-
-    @staticmethod
-    def polar_free(a) -> bool:
-        return a.polar_part().is_zero()
 
 
 @dataclass(frozen=True)
@@ -686,11 +434,3 @@ class MultiLogAlgebra:
     @staticmethod
     def T(a):
         return multi_T(a)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a.is_zero()
-
-    @staticmethod
-    def polar_free(a) -> bool:
-        return multi_residues_vanish(a)

@@ -11,7 +11,8 @@ import pytest
 
 from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import HopfAlgebra, generate_graph_family, monomial, monomial_degree
-from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries
+from confeyn.rotabaxter import (LaurentAlgebra, LaurentSeries, MultiLogForm,
+                                label_sort_key)
 from confeyn.birkhoff import Character
 
 
@@ -38,6 +39,16 @@ def laurent_rule(seed: int):
             coeffs[-1] = Fraction(1)
         return LaurentSeries(coeffs)
     return rule
+
+
+def one_factor_form(space: int, polar=None, regular=None) -> MultiLogForm:
+    """The one-factor log form on ``space`` with the given polar blocks
+    {J: c} and regular monomials {((label, exponent), ...): c}."""
+    terms = {((space, ("polar", tuple(sorted(J, key=label_sort_key)))),): c
+             for J, c in (polar or {}).items()}
+    terms.update({((space, ("reg", tuple(mono))),) if mono else (): c
+                  for mono, c in (regular or {}).items()})
+    return MultiLogForm(terms)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Birkhoff factorization, counterterms, beta function, universal frame."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,27 @@ class TestLogFormPipeline:
         toy = toy_feynman_character(hopf, n_vertices=2, k_external=0, rule_seed=1)
         with pytest.raises(ValueError, match="divisor set too small"):
             toy(FeynmanGraph.build(3, [(0, 1), (1, 2), (0, 2)]))
+
+    def test_negative_k_external_rejected(self, hopf):
+        with pytest.raises(ValueError, match="k_external"):
+            toy_feynman_character(hopf, 6, -1, 1)
+
+    def test_large_graph_has_no_ambient_label_set(self, hopf):
+        # necklace of ten bananas with two legs, E = 20: an ambient set of all
+        # divisor labels would hold about 3.1 million labels; eta holds only
+        # one polar block per 1PI vertex set plus the two regular terms
+        g = FeynmanGraph.build(10, [(i, (i + 1) % 10) for i in range(10) for _ in range(2)],
+                               legs=[0, 1])
+        assert g.degree() == 20
+        t0 = time.monotonic()
+        value = toy_feynman_character(hopf, 10, 1, rule_seed=3)(g)
+        assert time.monotonic() - t0 < 10.0
+        blocks = g.one_pi_blocks()
+        polar = [key for key in value.terms
+                 if any(kind == "polar" for _, (kind, _) in key)]
+        assert len(blocks) == 81  # 10 arcs of each size 2..9, and the ring
+        assert len(polar) == len(blocks)
+        assert len(value.terms) == len(blocks) + 2
 
     def test_multiplicative_over_monomials(self, hopf):
         toy = toy_feynman_character(hopf, 6, 1, rule_seed=2)

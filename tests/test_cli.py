@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from confeyn.cli import DIVISORS_MAX_N, GEGEN_MAX_N, main
+from confeyn.cli import DIVISORS_MAX_K, DIVISORS_MAX_N, GEGEN_MAX_N, main
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 
@@ -168,6 +168,21 @@ class TestRenormAndBeta:
         assert code == 0
         assert all(g["residue_free"] for g in doc["graphs"])
 
+    def test_negative_k_external_is_error(self, tmp_path, graphs_file):
+        code, _ = run_cli(["renorm", "--target", "logform", "--graphs", graphs_file,
+                           "--k-external", "-1"], tmp_path)
+        assert code == 2
+
+    def test_k_external_does_not_change_values(self, graphs_file, capsysbinary):
+        # the toy rule's labels use only the component at infinity, and no
+        # ambient label set is built, so a huge k costs nothing
+        outputs = []
+        for k in ("1", "1000000"):
+            assert main(["renorm", "--target", "logform", "--graphs", graphs_file,
+                         "--seed", "5", "--k-external", k]) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+
     def test_missing_phi_is_error(self, tmp_path, graphs_file):
         code, _ = run_cli(["renorm", "--target", "laurent", "--graphs",
                            graphs_file], tmp_path)
@@ -206,6 +221,13 @@ class TestDivisors:
         code, _ = run_cli(["divisors", "--n", str(DIVISORS_MAX_N), "--k", "0"], tmp_path)
         assert code == 0
         code, _ = run_cli(["divisors", "--n", str(DIVISORS_MAX_N + 1), "--k", "0"], tmp_path)
+        assert code == 2
+
+    def test_k_is_capped(self, tmp_path):
+        code, doc = run_cli(["divisors", "--n", "3", "--k", str(DIVISORS_MAX_K)], tmp_path)
+        assert code == 0
+        assert doc["count"] == (DIVISORS_MAX_K + 1) * (2 ** 3 - 1) + (2 ** 3 - 3 - 1)
+        code, _ = run_cli(["divisors", "--n", "3", "--k", str(DIVISORS_MAX_K + 1)], tmp_path)
         assert code == 2
 
 

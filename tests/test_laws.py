@@ -1,5 +1,7 @@
-"""Hopf and Birkhoff laws as hypothesis properties on generated 1PI graphs:
-coassociativity, S * id = eps and phi = (phi_- o S) * phi_+."""
+"""Hopf, Birkhoff and Rota-Baxter laws as hypothesis properties:
+coassociativity, S * id = eps and phi = (phi_- o S) * phi_+ on generated 1PI
+graphs, and the weight -1 Rota-Baxter identity with T o T = T on both
+targets."""
 
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from confeyn.birkhoff import Character, birkhoff_factorize
 from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import HopfAlgebra, HopfElement, TensorElement
-from confeyn.rotabaxter import LaurentAlgebra
-from conftest import laurent_rule
+from confeyn.rotabaxter import (LaurentAlgebra, LaurentSeries, MultiLogForm,
+                                divisor_labels, label_sort_key, laurent_T, multi_T)
+from conftest import laurent_rule, one_factor_form
 
 HOPF = HopfAlgebra()
 PAIR = birkhoff_factorize(Character(HOPF, LaurentAlgebra(), laurent_rule(7)))
@@ -74,3 +77,56 @@ def test_antipode_convolution_is_counit(graph):
 @given(one_pi_graphs())
 def test_birkhoff_factorization(graph):
     assert PAIR.factorization_lhs(graph) == PAIR.phi(graph)
+
+
+LABELS = sorted(divisor_labels(2, 1), key=label_sort_key)
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@st.composite
+def laurent_series(draw):
+    return LaurentSeries(draw(st.dictionaries(st.integers(-3, 3), RATIONALS, max_size=5)))
+
+
+@st.composite
+def one_factor_forms(draw, space: int):
+    """Up to two polar blocks (two or four labels) and two regular monomials."""
+    polar = {}
+    for labels in draw(st.lists(st.lists(st.sampled_from(LABELS), min_size=2,
+                                         max_size=4, unique=True), max_size=2)):
+        polar[frozenset(labels[:len(labels) // 2 * 2])] = draw(RATIONALS)
+    regular = {}
+    for mono in draw(st.lists(st.lists(st.tuples(st.sampled_from(LABELS), st.integers(1, 2)),
+                                       max_size=2, unique_by=lambda v: v[0]), max_size=2)):
+        regular[tuple(sorted(mono, key=lambda v: label_sort_key(v[0])))] = draw(RATIONALS)
+    return one_factor_form(space, polar, regular)
+
+
+@st.composite
+def multi_log_forms(draw):
+    """A sum of one or two wedges of one-factor forms over 1-3 spaces."""
+    spaces = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    out = MultiLogForm.zero()
+    for _ in range(draw(st.integers(1, 2))):
+        wedge = MultiLogForm.one()
+        for space in spaces:
+            wedge = wedge * draw(one_factor_forms(space))
+        out = out + wedge
+    return out
+
+
+def assert_rota_baxter(T, x, y):
+    assert T(x) * T(y) == T(x * T(y)) + T(T(x) * y) - T(x * y)
+    assert T(T(x)) == T(x)
+
+
+@LAWS
+@given(laurent_series(), laurent_series())
+def test_rota_baxter_laurent(x, y):
+    assert_rota_baxter(laurent_T, x, y)
+
+
+@LAWS
+@given(multi_log_forms(), multi_log_forms())
+def test_rota_baxter_log_forms(x, y):
+    assert_rota_baxter(multi_T, x, y)

@@ -1,4 +1,5 @@
-"""Rota-Baxter weight -1 identities in all three models, exact arithmetic."""
+"""Rota-Baxter weight -1 identities in both models, exact arithmetic; the
+single-space log forms are the one-factor case of the multi-space model."""
 
 import random
 from fractions import Fraction
@@ -6,14 +7,18 @@ from fractions import Fraction
 import pytest
 
 from confeyn.exact import ExactScalar
-from confeyn.rotabaxter import (LaurentSeries, LogForm, MultiLogForm,
-                                diagonal_label, divisor_label_count,
+from confeyn.rotabaxter import (LaurentSeries, MultiLogForm, diagonal_label,
                                 divisor_labels, label_sort_key, label_str,
-                                laurent_T, logform_T, logform_wedge, multi_T,
-                                multi_residues_vanish, polar_subtract,
-                                residue_single, residues, separation_label)
+                                laurent_T, multi_T, multi_residues_vanish,
+                                polar_subtract, separation_label)
+from conftest import one_factor_form
 
 F = Fraction
+
+
+def divisor_label_count(n: int, k: int) -> int:
+    """Closed form: (k+1)(2^n - 1) separation plus 2^n - n - 1 diagonal labels."""
+    return (k + 1) * (2 ** n - 1) + (2 ** n - n - 1)
 
 
 def rand_laurent(rng) -> LaurentSeries:
@@ -24,25 +29,47 @@ def rand_laurent(rng) -> LaurentSeries:
 LABELS = sorted(divisor_labels(3, 1), key=label_sort_key)
 
 
-def rand_logform(rng, space=3) -> LogForm:
+def rand_logform(rng, space=3, labels=LABELS) -> MultiLogForm:
+    """A random one-factor log form on ``space``."""
     polar = {}
     for _ in range(rng.randint(0, 3)):
         size = rng.choice([2, 2, 4])
-        J = frozenset(rng.sample(LABELS, size))
+        J = frozenset(rng.sample(labels, size))
         polar[J] = ExactScalar.from_rational(F(rng.randint(-4, 4), rng.randint(1, 5)))
     regular = {}
     for _ in range(rng.randint(0, 3)):
-        vars_ = rng.sample(LABELS, rng.randint(0, 2))
+        vars_ = rng.sample(labels, rng.randint(0, 2))
         key = tuple(sorted(((v, rng.randint(1, 2)) for v in vars_),
                            key=lambda kv: label_sort_key(kv[0])))
         regular[key] = ExactScalar.from_rational(F(rng.randint(-4, 4), rng.randint(1, 5)))
-    return LogForm(space, polar, regular)
+    return one_factor_form(space, polar, regular)
 
 
 def rand_multi(rng) -> MultiLogForm:
     out = MultiLogForm.zero()
     for _ in range(rng.randint(1, 3)):
-        out = out + MultiLogForm.from_logform(rand_logform(rng, rng.choice([2, 3])))
+        out = out + rand_logform(rng, rng.choice([2, 3]))
+    return out
+
+
+def is_polar(key) -> bool:
+    return any(kind == "polar" for _, (kind, _) in key)
+
+
+def residues(a: MultiLogForm) -> dict:
+    """Iterated residues of a one-factor form: block J -> its coefficient."""
+    return {frozenset(key[0][1][1]): c for key, c in a.terms.items() if is_polar(key)}
+
+
+def residue_single(a: MultiLogForm, label) -> dict:
+    """Single-divisor residue of a one-factor form: for each polar block J
+    containing the label, the leftover block J - {label} with the sign of
+    moving dlog f_label to the front."""
+    out = {}
+    for key, c in a.terms.items():
+        if is_polar(key) and label in key[0][1][1]:
+            J = key[0][1][1]
+            out[frozenset(J) - {label}] = c * ((-1) ** J.index(label))
     return out
 
 
@@ -72,10 +99,6 @@ class TestLaurent:
             rhs = (laurent_T(x * laurent_T(y)) + laurent_T(laurent_T(x) * y)
                    - laurent_T(x * y))
             assert lhs == rhs
-
-    def test_truncation_order(self):
-        s = LaurentSeries({0: 1, 5: 1}, order=3)
-        assert 5 not in s.coeffs
 
     def test_json_round_trip(self):
         s = LaurentSeries({-2: F(1, 3), 1: 2})
@@ -107,24 +130,37 @@ class TestDivisorLabels:
 
 
 class TestLogForm:
+    """Single-space log forms: one-factor multi-space forms."""
+
     def test_shared_factor_kills_product(self):
-        a = LogForm(3, {frozenset(LABELS[:2]): 1})
-        b = LogForm(3, {frozenset([LABELS[0], LABELS[2]]): 1})
-        assert logform_wedge(a, b).is_zero()
+        a = one_factor_form(3, {frozenset(LABELS[:2]): 1})
+        b = one_factor_form(3, {frozenset([LABELS[0], LABELS[2]]): 1})
+        assert (a * b).is_zero()
 
     def test_disjoint_blocks_merge(self):
-        a = LogForm(3, {frozenset(LABELS[:2]): ExactScalar.from_rational(2)})
-        b = LogForm(3, {frozenset(LABELS[2:4]): ExactScalar.from_rational(3)})
-        prod = logform_wedge(a, b)
-        assert prod.polar == {frozenset(LABELS[:4]): ExactScalar.from_rational(6)}
+        a = one_factor_form(3, {frozenset(LABELS[:2]): 2})
+        b = one_factor_form(3, {frozenset(LABELS[2:4]): 3})
+        assert a * b == one_factor_form(3, {frozenset(LABELS[:4]): 6})
+        # interleaved blocks: moving dlog of LABELS[1] past LABELS[2] flips the sign
+        a = one_factor_form(3, {frozenset([LABELS[0], LABELS[2]]): 2})
+        b = one_factor_form(3, {frozenset([LABELS[1], LABELS[3]]): 3})
+        assert a * b == one_factor_form(3, {frozenset(LABELS[:4]): -6})
+
+    def test_polar_times_regular_keeps_the_constant(self):
+        J = frozenset(LABELS[:2])
+        a = one_factor_form(3, {J: 2})
+        b = one_factor_form(3, None, {(): 5, ((LABELS[3], 1),): 7})
+        assert a * b == one_factor_form(3, {J: 10})
 
     def test_even_cardinality_enforced(self):
-        with pytest.raises(ValueError):
-            LogForm(3, {frozenset([LABELS[0]]): 1})
-
-    def test_space_mismatch(self):
-        with pytest.raises(ValueError):
-            logform_wedge(LogForm.one(2), LogForm.one(3))
+        with pytest.raises(ValueError, match="even cardinality"):
+            one_factor_form(3, {frozenset([LABELS[0]]): 1})
+        with pytest.raises(ValueError, match="even cardinality"):
+            one_factor_form(3, {frozenset(LABELS[:3]): 1})
+        with pytest.raises(ValueError, match="even cardinality"):
+            MultiLogForm({((3, ("polar", ())),): 1})
+        with pytest.raises(ValueError, match="even cardinality"):
+            one_factor_form(3, {frozenset([LABELS[0]]): 0})
 
     def test_commutativity_fuzz(self):
         rng = random.Random(3)
@@ -142,79 +178,56 @@ class TestLogForm:
         rng = random.Random(5)
         for _ in range(200):
             a = rand_logform(rng)
-            Ta = logform_T(a)
-            assert logform_T(Ta) == Ta
+            Ta = multi_T(a)
+            assert multi_T(Ta) == Ta
             sub = polar_subtract(a)
-            assert not sub.polar and sub.regular == a.regular
+            assert sub.terms == {k: c for k, c in a.terms.items() if not is_polar(k)}
             assert polar_subtract(sub) == sub
 
     def test_rb_identity_fuzz(self):
         rng = random.Random(6)
         for _ in range(500):
             x, y = rand_logform(rng), rand_logform(rng)
-            Tx, Ty = logform_T(x), logform_T(y)
-            assert Tx * Ty == (logform_T(x * Ty) + logform_T(Tx * y)
-                               - logform_T(x * y))
+            Tx, Ty = multi_T(x), multi_T(y)
+            assert Tx * Ty == multi_T(x * Ty) + multi_T(Tx * y) - multi_T(x * y)
 
     def test_image_is_ideal_kernel_is_subalgebra(self):
         rng = random.Random(7)
         for _ in range(150):
             x, y = rand_logform(rng), rand_logform(rng)
             # image of T times anything stays in the image
-            prod = logform_T(x) * y
-            assert logform_T(prod) == prod
+            prod = multi_T(x) * y
+            assert multi_T(prod) == prod
             # kernel of T (regular forms) is multiplicatively closed, with unit
             k1, k2 = polar_subtract(x), polar_subtract(y)
-            assert logform_T(k1 * k2).is_zero()
-        assert logform_T(LogForm.one(3)).is_zero()
+            assert multi_T(k1 * k2).is_zero()
+        assert multi_T(MultiLogForm.one()).is_zero()
 
     def test_projection_preserves_residues(self):
         rng = random.Random(8)
         for _ in range(150):
             a = rand_logform(rng)
-            Ta = logform_T(a)
+            Ta = multi_T(a)
             assert residues(Ta) == residues(a)
             for lab in LABELS:
                 assert residue_single(Ta, lab) == residue_single(a, lab)
                 assert residue_single(a - Ta, lab) == {}
 
     def test_json_deterministic(self):
+        # labels of the toy character's kind: separation only at infinity
         rng = random.Random(9)
-        a = rand_logform(rng)
+        a = rand_logform(rng, labels=sorted(divisor_labels(3, 0), key=label_sort_key))
         assert a.to_json() == a.to_json()
-        assert "space" in a.to_json()
-
-    def test_divisor_index_set_validated(self):
-        labels = divisor_labels(2, 0)
-        inside = sorted(labels, key=label_sort_key)[:2]
-        LogForm(2, {frozenset(inside): 1}, None, labels)  # fits
-        outside = separation_label(1, {1})  # needs k >= 1
-        with pytest.raises(ValueError, match="divisor index set"):
-            LogForm(2, {frozenset({inside[0], outside}): 1}, None, labels)
-        with pytest.raises(ValueError, match="divisor index set"):
-            LogForm(2, None, {((outside, 1),): 1}, labels)
-        # labels propagate through the operations but stay out of equality
-        a = LogForm(2, {frozenset(inside): 1}, {(): 1}, labels)
-        b = LogForm(2, {frozenset(inside): 1}, {(): 1})
-        assert a == b
-        assert (a * b).labels == labels
-        assert logform_T(a).labels == labels
-        assert polar_subtract(a).labels == labels
+        assert a.to_json() and all(comp["space"] == 3 for mono in a.to_json()
+                                   for comp in mono["components"])
 
 
 class TestMultiLogForm:
-    def test_single_factor_reduces_to_logform(self):
-        rng = random.Random(10)
-        for _ in range(100):
-            f = rand_logform(rng)
-            assert multi_T(MultiLogForm.from_logform(f)) == \
-                MultiLogForm.from_logform(logform_T(f))
-
     def test_t_product_rule(self):
         rng = random.Random(11)
         for _ in range(200):
-            f2 = MultiLogForm.from_logform(rand_logform(rng, 2))
-            f3 = MultiLogForm.from_logform(rand_logform(rng, 3))
+            f2 = rand_logform(rng, 2)
+            f3 = rand_logform(rng, 3)
             lhs = multi_T(f2 * f3)
             rhs = (multi_T(f2) * f3 + f2 * multi_T(f3)
                    - multi_T(f2) * multi_T(f3))
