@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .feyngraph import Edge, FeynmanGraph
-from .hopf import HopfAlgebra, HopfElement, Monomial, monomial_degree
+from .hopf import HopfAlgebra, HopfElement, Monomial, as_element, monomial_degree
 from .rotabaxter import (MultiLogAlgebra, MultiLogForm, diagonal_label,
                          label_sort_key, separation_label)
 
@@ -36,12 +36,8 @@ from .rotabaxter import (MultiLogAlgebra, MultiLogForm, diagonal_label,
 def extend_linearly(x, target, on_monomial):
     """sum c * on_monomial(mono) over the terms of x, a graph, a monomial or a
     HopfElement: the linear extension of a map given on monomials."""
-    if isinstance(x, FeynmanGraph):
-        x = HopfElement.generator(x)
-    elif isinstance(x, tuple):
-        x = HopfElement.from_monomial(x)
     total = target.zero()
-    for mono, c in x.terms.items():
+    for mono, c in as_element(x).terms.items():
         total = target.add(total, target.scale(on_monomial(mono), c))
     return total
 

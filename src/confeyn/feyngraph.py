@@ -237,6 +237,11 @@ class FeynmanGraph:
         would contract to a looping edge, so the candidates are the families
         of vertex-disjoint :meth:`one_pi_blocks`.  Raises ValueError on an
         invalid graph."""
+        return [selection for selection, _ in self._admissible_pairs(theory)]
+
+    def _admissible_pairs(self, theory: TheoryProfile | None = None
+                          ) -> list[tuple["SubgraphSelection", "FeynmanGraph"]]:
+        """Each admissible selection with the quotient it was checked on."""
         self.require_valid()
         theory = theory or TheoryProfile()
         blocks = self.one_pi_blocks()
@@ -253,11 +258,11 @@ class FeynmanGraph:
                 # all internal edges contract to a graph without any: not 1PI
                 quotient = self.contract(selection, _check_admissible=False)
                 if not quotient.validate() and quotient.is_1pi() and theory.allows(quotient):
-                    out.append(selection)
+                    out.append((selection, quotient))
                 extend(j + 1, used | verts, chosen)
 
         extend(0, frozenset(), [])
-        return sorted(out, key=lambda s: (len(s.edge_indices), sorted(s.edge_indices)))
+        return sorted(out, key=lambda p: (len(p[0].edge_indices), sorted(p[0].edge_indices)))
 
     def contract(self, selection: "SubgraphSelection",
                  _check_admissible: bool = True) -> "FeynmanGraph":

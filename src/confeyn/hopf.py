@@ -10,6 +10,15 @@ quotient), extended multiplicatively; the antipode is the usual inductive
 formula S(X) = -X - sum S(X') X'' on the reduced coproduct.  The grading
 derivation Y and the Dynkin operator D = S * Y (convolution) provide the
 renormalization-group machinery used by the Birkhoff module.
+
+Elements of H and of its tensor powers share one sparse core: a dict from
+keys to nonzero coefficients, kept as given and never re-wrapped.  Every
+coefficient the algebra produces is a Python int; scaling by a Fraction
+gives exact rationals.  A ``HopfAlgebra`` memoises Delta of each monomial by
+its generators' canonical keys (a generator is the monomial of one graph),
+and S per monomial; the reduced and iterated coproducts, the antipode, the
+Dynkin operator and convolution read those memos.  Elements the algebra
+returns may be memo entries shared with later calls: treat them as read-only.
 """
 
 from __future__ import annotations
@@ -27,28 +36,73 @@ def monomial(*graphs: FeynmanGraph) -> Monomial:
     for g in graphs:
         if not g.is_1pi():
             raise ValueError("Hopf generators must be 1PI graphs")
-    return tuple(sorted(graphs, key=lambda g: g.canonical_key()))
+    return tuple(sorted(graphs, key=FeynmanGraph.canonical_key))
 
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(g.degree() for g in mono)
 
 
-class HopfElement:
+def _merge(m1: Monomial, m2: Monomial) -> Monomial:
+    """The product of two monomials."""
+    if not m1 or not m2:
+        return m1 or m2
+    return tuple(sorted(m1 + m2, key=FeynmanGraph.canonical_key))
+
+
+def _accumulate(out: dict, items) -> dict:
+    """Add (key, coefficient) pairs into out in place, dropping terms that cancel."""
+    for key, c in items:
+        out[key] = c = out.get(key, 0) + c
+        if not c:
+            del out[key]
+    return out
+
+
+class _Sparse:
+    """Sparse Q-linear combination: key -> nonzero coefficient.  Subclasses
+    name the product of two keys (``_combine``) and rebuild like elements
+    (``_like``)."""
+
+    def __init__(self, terms: dict | None = None):
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
+
+    def _like(self, terms: dict):
+        return type(self)(terms)
+
+    def __add__(self, other):
+        return self._like(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-1) * other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._like({key: c * other for key, c in self.terms.items()})
+        combine = self._combine
+        out: dict = {}
+        for key1, c1 in self.terms.items():
+            for key2, c2 in other.terms.items():
+                key = combine(key1, key2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+
+class HopfElement(_Sparse):
     """Finite Q-linear combination of graph monomials."""
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = self.terms.get(mono, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+    _combine = staticmethod(_merge)
 
     @classmethod
     def unit(cls) -> "HopfElement":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def zero(cls) -> "HopfElement":
@@ -56,46 +110,18 @@ class HopfElement:
 
     @classmethod
     def generator(cls, graph: FeynmanGraph) -> "HopfElement":
-        return cls({monomial(graph): Fraction(1)})
+        return cls({monomial(graph): 1})
 
     @classmethod
-    def from_monomial(cls, mono: Monomial, coeff: Fraction = Fraction(1)) -> "HopfElement":
+    def from_monomial(cls, mono: Monomial, coeff: int | Fraction = 1) -> "HopfElement":
         return cls({mono: coeff})
 
-    def __add__(self, other: "HopfElement") -> "HopfElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return HopfElement(out)
-
-    def __sub__(self, other: "HopfElement") -> "HopfElement":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return HopfElement({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2, key=lambda g: g.canonical_key()))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return HopfElement(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HopfElement):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         bits = []
         for m, c in sorted(self.terms.items(), key=lambda kv: (monomial_degree(kv[0]), str(kv[1]))):
             name = "*".join(g.label() for g in m) if m else "1"
             bits.append(f"{c}*{name}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
     def homogeneous_part(self, degree: int) -> "HopfElement":
         return HopfElement({m: c for m, c in self.terms.items()
@@ -105,46 +131,21 @@ class HopfElement:
         return max((monomial_degree(m) for m in self.terms), default=0)
 
 
-class TensorElement:
+class TensorElement(_Sparse):
     """Element of H (x) H (or, with k factors, H^(x)k)."""
 
-    def __init__(self, terms: dict[tuple[Monomial, ...], Fraction] | None = None, k: int = 2):
+    def __init__(self, terms: dict | None = None, k: int = 2):
+        super().__init__(terms)
         self.k = k
-        self.terms: dict[tuple[Monomial, ...], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = self.terms.get(key, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+
+    _combine = staticmethod(lambda key1, key2: tuple(map(_merge, key1, key2)))
+
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement(terms, self.k)
 
     @classmethod
-    def single(cls, key: tuple[Monomial, ...], coeff: Fraction = Fraction(1)) -> "TensorElement":
+    def single(cls, key: tuple[Monomial, ...], coeff: int | Fraction = 1) -> "TensorElement":
         return cls({key: coeff}, k=len(key))
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return TensorElement(out, self.k)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TensorElement({m: c * other for m, c in self.terms.items()}, self.k)
-        out: dict[tuple[Monomial, ...], Fraction] = {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                key = tuple(tuple(sorted(a + b, key=lambda g: g.canonical_key()))
-                            for a, b in zip(key1, key2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return TensorElement(out, self.k)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self) -> str:
         bits = []
@@ -154,82 +155,95 @@ class TensorElement:
         return " + ".join(bits) or "0"
 
 
-class HopfAlgebra:
-    """Coproduct / antipode engine with per-generator memoization.
+def as_element(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
+    """A graph, a monomial or a HopfElement, as a HopfElement."""
+    if isinstance(x, HopfElement):
+        return x
+    if isinstance(x, FeynmanGraph):
+        return HopfElement.generator(x)
+    if isinstance(x, tuple):
+        return HopfElement.from_monomial(x)
+    raise TypeError(f"cannot interpret {type(x).__name__} as a Hopf element")
 
-    The theory profile feeds the admissible-subgraph enumeration; graphs are
-    memoized by canonical form.
-    """
+
+class HopfAlgebra:
+    """Coproduct / antipode engine memoised per monomial.  The theory profile
+    feeds the admissible-subgraph enumeration; parts and quotients are interned
+    by raw structure, so identical ones pay for one canonical form."""
 
     def __init__(self, theory: TheoryProfile | None = None):
         self.theory = theory or TheoryProfile()
-        self._coproduct_gen: dict[tuple, TensorElement] = {}
+        self._coproduct_gen: dict[tuple, TensorElement] = {}  # Delta per monomial
         self._antipode: dict[tuple[tuple, ...], HopfElement] = {}
+        self._graphs: dict[tuple, FeynmanGraph] = {}
+
+    def _intern(self, graph: FeynmanGraph) -> FeynmanGraph:
+        raw = (tuple(graph.external), tuple(graph.external.values()), graph.edges)
+        return self._graphs.setdefault(raw, graph)
 
     # -- coproduct -----------------------------------------------------------
 
     def coproduct_generator(self, graph: FeynmanGraph) -> TensorElement:
-        key = graph.canonical_key()
+        key = (graph.canonical_key(),)
         cached = self._coproduct_gen.get(key)
         if cached is not None:
             return cached
         g_mono = monomial(graph)
-        terms: dict[tuple[Monomial, ...], Fraction] = {
-            (g_mono, ()): Fraction(1),
-            ((), g_mono): Fraction(1),
-        }
-        for sel in graph.admissible_subgraphs(self.theory):
-            parts = monomial(*(graph.component_graph(c) for c in sel.components))
-            quotient = graph.contract(sel)
-            key2 = (parts, monomial(quotient))
-            terms[key2] = terms.get(key2, Fraction(0)) + 1
-        out = TensorElement(terms)
-        self._coproduct_gen[key] = out
+        terms = {(g_mono, ()): 1, ((), g_mono): 1}
+        for sel, quotient in graph._admissible_pairs(self.theory):
+            parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
+            key2 = (parts, monomial(self._intern(quotient)))
+            terms[key2] = terms.get(key2, 0) + 1
+        out = self._coproduct_gen[key] = TensorElement(terms)
         return out
 
+    def _coproduct_monomial(self, mono: Monomial) -> TensorElement:
+        if len(mono) == 1:
+            return self.coproduct_generator(mono[0])
+        key = tuple(g.canonical_key() for g in mono)
+        cached = self._coproduct_gen.get(key)
+        if cached is None:
+            cached = TensorElement.single(((), ()))
+            for g in mono:
+                cached = cached * self.coproduct_generator(g)
+            self._coproduct_gen[key] = cached
+        return cached
+
     def coproduct(self, x: HopfElement | Monomial | FeynmanGraph) -> TensorElement:
-        x = self._as_element(x)
+        x = as_element(x)
+        if list(x.terms.values()) == [1]:  # one monomial: its shared memo entry
+            return self._coproduct_monomial(next(iter(x.terms)))
         total = TensorElement(k=2)
         for mono, c in x.terms.items():
-            term = TensorElement.single(((), ()))
-            for g in mono:
-                term = term * self.coproduct_generator(g)
-            total = total + c * term
+            total = total + c * self._coproduct_monomial(mono)
         return total
 
     def reduced_coproduct(self, mono: Monomial) -> TensorElement:
         """Delta(x) - x (x) 1 - 1 (x) x on a monomial."""
-        full = self.coproduct(HopfElement.from_monomial(mono))
-        trim = dict(full.terms)
-        for key in [(mono, ()), ((), mono)]:
-            trim[key] = trim.get(key, Fraction(0)) - 1
-        return TensorElement(trim)
+        return TensorElement(_accumulate(dict(self._coproduct_monomial(mono).terms),
+                                         [((mono, ()), -1), (((), mono), -1)]))
 
     def iterated_coproduct(self, x: HopfElement | Monomial, k: int) -> TensorElement:
         """Delta^(k-1): H -> H^(x)k (k >= 1), applied on the last slot."""
-        x = self._as_element(x)
+        x = as_element(x)
         if k == 1:
             return TensorElement({(m,): c for m, c in x.terms.items()}, k=1)
-        prev = self.iterated_coproduct(x, k - 1)
-        out: dict[tuple[Monomial, ...], Fraction] = {}
-        for key, c in prev.terms.items():
-            last = self.coproduct(HopfElement.from_monomial(key[-1]))
-            for (a, b), c2 in last.terms.items():
+        out: dict[tuple[Monomial, ...], int | Fraction] = {}
+        for key, c in self.iterated_coproduct(x, k - 1).terms.items():
+            for (a, b), c2 in self._coproduct_monomial(key[-1]).terms.items():
                 nk = key[:-1] + (a, b)
-                out[nk] = out.get(nk, Fraction(0)) + c * c2
+                out[nk] = out.get(nk, 0) + c * c2
         return TensorElement(out, k)
 
     # -- counit, antipode, grading --------------------------------------------
 
     @staticmethod
-    def counit(x: HopfElement | Monomial | FeynmanGraph) -> Fraction:
-        x = HopfAlgebra._as_element(x)
-        return x.terms.get((), Fraction(0))
+    def counit(x: HopfElement | Monomial | FeynmanGraph) -> int | Fraction:
+        return as_element(x).terms.get((), 0)
 
     def antipode(self, x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
-        x = self._as_element(x)
         total = HopfElement.zero()
-        for mono, c in x.terms.items():
+        for mono, c in as_element(x).terms.items():
             total = total + c * self._antipode_monomial(mono)
         return total
 
@@ -240,31 +254,29 @@ class HopfAlgebra:
         cached = self._antipode.get(key)
         if cached is not None:
             return cached
-        out = HopfElement.from_monomial(mono, Fraction(-1))
+        out = {mono: -1}
         for (left, right), c in self.reduced_coproduct(mono).terms.items():
-            out = out - c * (self._antipode_monomial(left)
-                             * HopfElement.from_monomial(right))
-        self._antipode[key] = out
-        return out
+            _accumulate(out, ((_merge(m, right), -c * c2)
+                              for m, c2 in self._antipode_monomial(left).terms.items()))
+        cached = self._antipode[key] = HopfElement(out)
+        return cached
 
     @staticmethod
     def grading_op(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
         """Y: scales each monomial by its degree."""
-        x = HopfAlgebra._as_element(x)
+        x = as_element(x)
         return HopfElement({m: c * monomial_degree(m) for m, c in x.terms.items()})
 
     def dynkin(self, x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
         """D = S * Y (convolution of antipode and grading): the graded-Hopf
         realization of the Dynkin idempotent."""
-        x = self._as_element(x)
-        total = HopfElement.zero()
+        out: dict[Monomial, int | Fraction] = {}
         for (left, right), c in self.coproduct(x).terms.items():
-            deg = monomial_degree(right)
-            if deg == 0:
-                continue
-            total = total + (c * deg) * (self._antipode_monomial(left)
-                                         * HopfElement.from_monomial(right))
-        return total
+            c *= monomial_degree(right)
+            if c:
+                _accumulate(out, ((_merge(m, right), c * c2)
+                                  for m, c2 in self._antipode_monomial(left).terms.items()))
+        return HopfElement(out)
 
     # -- convolution ------------------------------------------------------------
 
@@ -275,31 +287,18 @@ class HopfAlgebra:
         ``phi1``/``phi2`` map monomials to target values; ``target`` supplies
         zero()/add/mul via the algebra-model protocol.
         """
-        x = self._as_element(x)
         total = target.zero()
         for (left, right), c in self.coproduct(x).terms.items():
             total = target.add(total, target.scale(
                 target.mul(phi1(left), phi2(right)), c))
         return total
 
-    @staticmethod
-    def _as_element(x) -> HopfElement:
-        if isinstance(x, HopfElement):
-            return x
-        if isinstance(x, FeynmanGraph):
-            return HopfElement.generator(x)
-        if isinstance(x, tuple):
-            return HopfElement.from_monomial(x)
-        raise TypeError(f"cannot interpret {type(x).__name__} as a Hopf element")
-
 
 def generate_graph_family(max_degree: int = 4, with_legs: bool = True
                           ) -> list[FeynmanGraph]:
     """Deterministic family of small 1PI graphs (optionally with external
     legs), deduplicated by isomorphism; used by tests and the CLI examples."""
-    bases: list[FeynmanGraph] = []
-    bananas = {n: FeynmanGraph.build(2, [(0, 1)] * n) for n in (2, 3, 4)}
-    bases.extend(bananas[n] for n in sorted(bananas) if n <= max_degree)
+    bases = [FeynmanGraph.build(2, [(0, 1)] * n) for n in (2, 3, 4) if n <= max_degree]
     if max_degree >= 3:
         bases.append(FeynmanGraph.build(3, [(0, 1), (1, 2), (0, 2)]))  # triangle
     if max_degree >= 4:
@@ -312,15 +311,9 @@ def generate_graph_family(max_degree: int = 4, with_legs: bool = True
         variants = [base]
         if with_legs:
             nv = len(base.internal_vertices())
-            variants.append(FeynmanGraph.build(
-                nv, [(e.src, e.tgt) for e in base.edges], legs=[0]))
-            variants.append(FeynmanGraph.build(
-                nv, [(e.src, e.tgt) for e in base.edges], legs=[0, 1]))
-            variants.append(FeynmanGraph.build(
-                nv, [(e.src, e.tgt) for e in base.edges], legs=[0, 0]))
-            if nv >= 3:
-                variants.append(FeynmanGraph.build(
-                    nv, [(e.src, e.tgt) for e in base.edges], legs=[0, 1, 2]))
+            pairs = [(e.src, e.tgt) for e in base.edges]
+            variants += [FeynmanGraph.build(nv, pairs, legs=legs)
+                         for legs in ([0], [0, 1], [0, 0], [0, 1, 2]) if max(legs) < nv]
         # dedupe by isomorphism class, keep the degree bound
         for g in variants:
             if g.degree() <= max_degree and not g.validate() and g.is_1pi():

@@ -324,7 +324,7 @@ class MultiLogForm:
 
     def to_json(self) -> list:
         out = []
-        for key in sorted(self.terms):
+        for key in sorted(self.terms, key=_multikey_sort_key):
             comps = []
             for space, (kind, data) in key:
                 if kind == "polar":
@@ -334,6 +334,12 @@ class MultiLogForm:
                                   "monomial": [[label_str(l), e] for l, e in data]})
             out.append({"components": comps, "value": self.terms[key].to_json()})
         return out
+
+
+def _multikey_sort_key(key: MultiKey) -> list:
+    """Orders monomials by space, kind and then labels through label_sort_key."""
+    return [(space, kind, [label_sort_key(x) if kind == "polar" else (label_sort_key(x[0]), x[1])
+                           for x in data]) for space, (kind, data) in key]
 
 
 def _merge_multikeys(k1: MultiKey, k2: MultiKey) -> tuple[int, MultiKey] | None:

@@ -87,3 +87,9 @@ def triangle() -> FeynmanGraph:
 
 def doubled_triangle() -> FeynmanGraph:
     return FeynmanGraph.build(3, [(0, 1), (0, 1), (0, 2), (2, 1)])
+
+
+def necklace(k: int) -> FeynmanGraph:
+    """A ring of k bananas (bead i is edges 2i, 2i+1) with legs on 0 and 1."""
+    return FeynmanGraph.build(k, [(i, (i + 1) % k) for i in range(k) for _ in range(2)],
+                              legs=[0, 1])

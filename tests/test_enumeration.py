@@ -1,14 +1,17 @@
 """Subdivergence enumeration from 1PI vertex sets against the 2^E subset
 scans it replaced (kept in ``subset_scan``), on a fixed graph set and on
-hypothesis-generated multigraphs."""
+hypothesis-generated multigraphs; and the quotients the Hopf layer is handed
+against contractions made again with the admissibility check."""
 
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confeyn.feyngraph import Edge, FeynmanGraph, TheoryProfile
-from confeyn.hopf import generate_graph_family
+from confeyn.feyngraph import Edge, FeynmanGraph, SubgraphSelection, TheoryProfile
+from confeyn.hopf import HopfAlgebra, generate_graph_family, monomial
+from conftest import necklace
 from subset_scan import scan_admissible_subgraphs, scan_one_pi_vertex_sets
 
 THEORIES = (TheoryProfile(), TheoryProfile(max_valence=4))
@@ -19,12 +22,6 @@ DENSE = {
     "K33": (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
     "wheel5": (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
 }
-
-
-def necklace(k: int) -> FeynmanGraph:
-    """A ring of k bananas (bead i is edges 2i, 2i+1) with legs on 0 and 1."""
-    return FeynmanGraph.build(k, [(i, (i + 1) % k) for i in range(k) for _ in range(2)],
-                              legs=[0, 1])
 
 
 def fixed_graphs() -> list[tuple[str, FeynmanGraph]]:
@@ -48,9 +45,41 @@ def assert_matches_scan(graph: FeynmanGraph):
     assert [verts for verts, _ in graph.one_pi_blocks()] == scan_one_pi_vertex_sets(graph)
 
 
+def assert_quotients_carried(graph: FeynmanGraph):
+    for theory in THEORIES:
+        pairs = graph._admissible_pairs(theory)
+        selections = graph.admissible_subgraphs(theory)
+        assert selections == [sel for sel, _ in pairs]
+        assert all(type(sel) is SubgraphSelection for sel in selections)
+        for sel, quotient in pairs:
+            checked = graph.contract(sel)
+            assert (quotient.external, quotient.edges) == (checked.external, checked.edges)
+            assert quotient.canonical_key() == checked.canonical_key()
+        if not graph.is_1pi():
+            continue
+        # the Hopf layer counts each carried quotient and contracts nothing again
+        want = {(monomial(graph), ()): 1, ((), monomial(graph)): 1}
+        for sel in selections:
+            key = (monomial(*map(graph.component_graph, sel.components)),
+                   monomial(graph.contract(sel)))
+            want[key] = want.get(key, 0) + 1
+        with mock.patch.object(FeynmanGraph, "contract", autospec=True,
+                               side_effect=FeynmanGraph.contract) as contract:
+            got = HopfAlgebra(theory).coproduct_generator(graph)
+        assert got.terms == want
+        assert contract.call_count >= len(pairs)
+        assert all(call.kwargs == {"_check_admissible": False}
+                   for call in contract.call_args_list)
+
+
 @pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in fixed_graphs()])
 def test_fixed_set_matches_scan(graph):
     assert_matches_scan(graph)
+
+
+@pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in fixed_graphs()])
+def test_fixed_set_quotients_carried(graph):
+    assert_quotients_carried(graph)
 
 
 def test_scan_theory_filter_is_last():
@@ -79,6 +108,12 @@ def multigraphs(draw):
 def test_generated_graphs_match_scan(graph):
     assert not graph.validate()
     assert_matches_scan(graph)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(multigraphs())
+def test_generated_graphs_quotients_carried(graph):
+    assert_quotients_carried(graph)
 
 
 def test_necklace_ten():

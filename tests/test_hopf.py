@@ -1,14 +1,16 @@
-"""Hopf algebra: coproduct examples, axioms, grading, Dynkin, convolution."""
+"""Hopf algebra: coproduct examples, axioms, grading, Dynkin, convolution,
+and the per-monomial memos."""
 from fractions import Fraction
 
 import pytest
 
-from confeyn.feyngraph import FeynmanGraph
-from confeyn.hopf import (HopfElement, TensorElement, monomial,
+from confeyn.feyngraph import Edge, FeynmanGraph
+from confeyn.hopf import (HopfAlgebra, HopfElement, TensorElement, monomial,
                           monomial_degree)
 from confeyn.rotabaxter import LaurentAlgebra
-from confeyn.birkhoff import Character, CounitCharacter
-from conftest import banana, doubled_triangle, laurent_rule, triangle
+from confeyn.birkhoff import (Character, CounitCharacter, beta_function,
+                              birkhoff_factorize, universal_frame)
+from conftest import banana, doubled_triangle, laurent_rule, necklace, triangle
 
 F = Fraction
 
@@ -162,3 +164,41 @@ class TestFamily:
     def test_monomial_requires_1pi(self):
         with pytest.raises(ValueError):
             monomial(FeynmanGraph.build(2, [(0, 1)]))
+
+
+K4 = FeynmanGraph.build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+def from_canonical(key: tuple) -> FeynmanGraph:
+    flags, edges = key
+    return FeynmanGraph(dict(enumerate(flags)), [Edge(*edge) for edge in edges])
+
+
+class TestMemo:
+    def test_entries_survive_the_pipeline(self):
+        # Birkhoff, beta and the frame all read the shared memo entries; none
+        # of them may change one
+        hopf = HopfAlgebra()
+        pair = birkhoff_factorize(Character(hopf, LaurentAlgebra(), laurent_rule(3)))
+        beta = beta_function(pair)
+        frame = universal_frame(beta)
+        graphs = [necklace(3), necklace(4), necklace(5), K4]
+        for g in graphs:
+            assert frame.on_monomial(monomial(g)) == pair.phi_minus(g)
+            assert pair.factorization_lhs(g) == pair.phi(g)
+            assert not pair.phi_plus(g).polar_part().coeffs
+            beta(g)
+        assert len(hopf._coproduct_gen) > len(graphs) and hopf._antipode
+        for key, delta in hopf._coproduct_gen.items():
+            mono = monomial(*map(from_canonical, key))
+            assert delta == HopfAlgebra().coproduct(mono) and delta.k == 2
+        for key, s in hopf._antipode.items():
+            assert s == HopfAlgebra().antipode(monomial(*map(from_canonical, key)))
+
+    def test_coefficients_are_int(self, hopf, family):
+        for g in family + [necklace(4), K4]:
+            for element in (hopf.coproduct(g), hopf.antipode(g), hopf.dynkin(g),
+                            hopf.reduced_coproduct(monomial(g)),
+                            hopf.iterated_coproduct(monomial(g), 3)):
+                assert all(type(c) is int for c in element.terms.values())
+

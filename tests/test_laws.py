@@ -1,10 +1,13 @@
 """Hopf, Birkhoff and Rota-Baxter laws as hypothesis properties:
-coassociativity, S * id = eps and phi = (phi_- o S) * phi_+ on generated 1PI
-graphs, and the weight -1 Rota-Baxter identity with T o T = T on both
-targets."""
+coassociativity, S * id = eps, S o S = id, Delta(xy) = Delta(x) Delta(y) and
+phi = (phi_- o S) * phi_+ on generated 1PI graphs, and the weight -1
+Rota-Baxter identity with T o T = T on both targets.  The laws that read the
+coproduct and antipode memos run on a warm shared algebra and on a fresh one,
+so that a stale or aliased memo entry cannot pass."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from confeyn.birkhoff import Character, birkhoff_factorize
@@ -71,6 +74,29 @@ def test_coassociativity(graph):
 def test_antipode_convolution_is_counit(graph):
     got = HOPF.convolve(HOPF.antipode, HopfElement.from_monomial, graph, HopfTarget)
     assert got == HOPF.counit(graph) * HopfElement.unit() == HopfElement.zero()
+
+
+ALGEBRAS = {"warm": lambda: HOPF, "fresh": HopfAlgebra}
+each_algebra = pytest.mark.parametrize("algebra", ALGEBRAS.values(), ids=ALGEBRAS)
+
+
+@each_algebra
+@LAWS
+@given(one_pi_graphs())
+def test_antipode_is_an_involution(algebra, graph):
+    # H is commutative, so S is an involution
+    hopf = algebra()
+    x = HopfElement.generator(graph)
+    assert hopf.antipode(hopf.antipode(x)) == x
+
+
+@each_algebra
+@LAWS
+@given(one_pi_graphs(max_edges=6), one_pi_graphs(max_edges=6))
+def test_coproduct_is_multiplicative(algebra, g1, g2):
+    hopf = algebra()
+    x, y = HopfElement.generator(g1), HopfElement.generator(g2)
+    assert hopf.coproduct(x * y) == hopf.coproduct(x) * hopf.coproduct(y)
 
 
 @LAWS

@@ -221,6 +221,31 @@ class TestLogForm:
         assert a.to_json() and all(comp["space"] == 3 for mono in a.to_json()
                                    for comp in mono["components"])
 
+    def test_json_mixed_separation_components(self):
+        # a finite and the infinite component at the same label position used
+        # to be compared as 1 < "inf" and raise TypeError
+        sep1, sep_inf = separation_label(1, {1}), separation_label("inf", {1})
+        a = one_factor_form(2, {frozenset({sep1, sep_inf}): F(1),
+                                frozenset({sep_inf, diagonal_label({1, 2})}): F(2)})
+        blocks = [mono["components"][0]["polar"] for mono in a.to_json()]
+        assert blocks == [["sep:1:1", "sep:inf:1"], ["sep:inf:1", "diag:1,2"]]
+
+    def test_json_independent_of_insertion_order(self):
+        rng = random.Random(10)
+        for _ in range(100):
+            a = rand_logform(rng, labels=LABELS) * rand_logform(rng, 2, labels=LABELS)
+            items = list(a.terms.items())
+            rng.shuffle(items)
+            assert MultiLogForm(dict(items)).to_json() == a.to_json()
+        # blocks that are not nested: {1,3} and {1,2,3} used to keep insertion order
+        blocks = [frozenset({separation_label("inf", I), diagonal_label(I)})
+                  for I in ({1, 3}, {1, 2, 3})]
+        forward = one_factor_form(3, dict.fromkeys(blocks, F(1)))
+        backward = one_factor_form(3, dict.fromkeys(reversed(blocks), F(1)))
+        assert forward.to_json() == backward.to_json()
+        assert [mono["components"][0]["polar"][0] for mono in forward.to_json()] == \
+            ["sep:inf:1,2,3", "sep:inf:1,3"]
+
 
 class TestMultiLogForm:
     def test_t_product_rule(self):
