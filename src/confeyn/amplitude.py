@@ -52,13 +52,15 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .exact import ExactScalar, SymbolicCoeff
-from .feyngraph import FeynmanGraph
 from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
                          generating_series)
 from .specfun import as_half_integer, asym_coeff, digamma_exact
+
+if TYPE_CHECKING:  # the graph argument of amplitude_truncated_eval only
+    from .feyngraph import FeynmanGraph
 
 
 class DivergentRatioError(ValueError):

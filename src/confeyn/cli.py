@@ -7,10 +7,27 @@ significant digits, so identical inputs give byte-identical output.
 
 Numeric defaults (quadrature points, truncation orders, toy-character seeds)
 may be overridden by a JSON file named by the CONFEYN_CONFIG environment
-variable; explicit flags always win.
+variable; explicit flags always win.  Every size argument has a documented
+maximum (the ``*_MAX_*`` constants below), checked in its handler so that
+configured values are capped too.
 
 Exit codes: 0 success, 2 validation error, 3 numeric non-convergence,
 64 unknown subcommand.
+
+Each process runs one subcommand, and its start-up time is part of every
+command's wall time.  So this module imports no other confeyn module at load
+time; each handler imports only what it runs:
+
+    prop-eval                     propagators (with specfun and exact)
+    prop-expand                   amplitude and specfun (with gegenbauer, exact)
+    gegen                         gegenbauer (with specfun and exact)
+    graph-coproduct, -antipode    hopf (with feyngraph)
+    renorm, beta                  birkhoff, hopf and rotabaxter
+    divisors                      rotabaxter (with exact)
+
+The usage path and exit 64 load nothing beyond this module.  Handlers call
+library functions as module attributes (``propagators.gm_real``), so a
+wrapper installed on a module attribute sees the call.
 """
 
 from __future__ import annotations
@@ -20,22 +37,33 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import amplitude, gegenbauer, propagators
-from .birkhoff import (BirkhoffPair, Character, beta_function,
-                       birkhoff_factorize, toy_feynman_character, universal_frame)
-from .feyngraph import FeynmanGraph
-from .hopf import HopfAlgebra, HopfElement, monomial
-from .rotabaxter import (LaurentAlgebra, LaurentSeries, divisor_labels,
-                         label_sort_key, label_str, multi_residues_vanish)
-from .specfun import as_half_integer
+if TYPE_CHECKING:  # annotations only: handlers import what they run
+    from .birkhoff import BirkhoffPair, Character
+    from .feyngraph import FeynmanGraph
+    from .gegenbauer import GegenCombo
+    from .hopf import HopfAlgebra
+    from .rotabaxter import LaurentSeries
 
 SUBCOMMANDS = ("prop-eval", "prop-expand", "gegen", "graph-coproduct",
                "graph-antipode", "renorm", "beta", "divisors")
 
-GEGEN_MAX_N = 256     # each gegen op takes under 0.5 s at this degree
+# Maxima of the size arguments; larger values exit 2.  The times are wall
+# times of one CLI process at the maximum, start-up included, on a 2-core
+# x86-64 host.  --lambda and gegen --ell have no maximum yet, and the product
+# slows as lambda grows.
+GEGEN_MAX_N = 256     # chebyshev, reproject, product at lambda 1: 0.6 s
+GEGEN_MAX_M = 32      # product at n = 256: 0.9 s at lambda 1, 4.4 s at lambda 51/2
 DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
 DIVISORS_MAX_K = 8    # 40,938 labels at n = 12
+QUAD_MAX_POINTS = 1_000_000  # gm-integral: 0.8-1.1 s
+EXPAND_MAX_RADIAL = 64  # gegenbauer method at |ell| = 16: 1.0 s for D = 3, 4, 12, 34
+EXPAND_MAX_ELL = 16     # |ell|; gegenbauer method at radial 64: 1.0 s (1.3 s at 24)
+EXPAND_MAX_GEGEN_CAP = EXPAND_MAX_RADIAL  # filters the tensor, costs nothing itself
+RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
+                          # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
+BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 1.5 s (8.6 s at 14)
 
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 
@@ -98,10 +126,17 @@ def _fraction_arg(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _check_max(flag: str, value, maximum) -> None:
+    if value is not None and value > maximum:
+        raise ValueError(f"{flag} {value} exceeds the maximum {maximum}")
+
+
 # -- graph files --------------------------------------------------------------
 
 
 def _load_graphs(path: str) -> list[tuple[str, FeynmanGraph]]:
+    from .feyngraph import FeynmanGraph
+
     data = _load_json(path)
     entries = data["graphs"] if isinstance(data, dict) else data
     out = []
@@ -128,6 +163,11 @@ def _monomial_names(mono, registry: dict[str, dict]) -> list[str]:
 
 
 def _cmd_prop_eval(args) -> dict:
+    from . import propagators
+
+    if args.quad_points < 2:
+        raise ValueError(f"--quad-points must be at least 2, got {args.quad_points}")
+    _check_max("--quad-points", args.quad_points, QUAD_MAX_POINTS)
     if args.x:
         x = tuple(float(c) for c in args.x.split(","))
         k = propagators.Kinematics(args.D, x, args.m)
@@ -157,25 +197,33 @@ def _cmd_prop_eval(args) -> dict:
 
 
 def _cmd_prop_expand(args) -> dict:
+    from . import amplitude, specfun
+
+    _check_max("--radial", args.radial, EXPAND_MAX_RADIAL)
+    _check_max("--gegen-cap", args.gegen_cap, EXPAND_MAX_GEGEN_CAP)
+    ell = _fraction_arg(args.ell)
+    if abs(ell) > EXPAND_MAX_ELL:
+        raise ValueError(f"--ell {args.ell} exceeds the maximum {EXPAND_MAX_ELL} "
+                         "in absolute value")
     if args.case == "complex":
         lam = amplitude.complex_case_weight(args.D)
     else:
-        lam = as_half_integer(Fraction(args.D - 2, 2), "lambda")
+        lam = specfun.as_half_integer(Fraction(args.D - 2, 2), "lambda")
     if args.method == "taylor":
-        spec = amplitude.TaylorTermSpec.make(_fraction_arg(args.ell), lam)
+        spec = amplitude.TaylorTermSpec.make(ell, lam)
         term = amplitude.taylor_term_coefficient(spec, lam)
         return {"method": "taylor", "ell": str(spec.ell), "branch": spec.branch,
                 "r_exponent": str(term.r_exponent),
                 "coeff_const": term.coeff_const.to_json(),
                 "coeff_log": term.coeff_log.to_json()}
     if args.method == "asymptotic":
-        term = amplitude.asymptotic_term_coefficient(int(Fraction(args.ell)), lam)
+        term = amplitude.asymptotic_term_coefficient(int(ell), lam)
         return {"method": "asymptotic", "ell": args.ell,
                 "r_exponent": str(term.r_exponent),
                 "coeff": term.coeff.to_json(),
                 "exponential_factor": "exp(-m*r)"}
     if args.method == "gegenbauer":
-        spec = amplitude.TaylorTermSpec.make(_fraction_arg(args.ell), lam)
+        spec = amplitude.TaylorTermSpec.make(ell, lam)
         orders = amplitude.TruncationOrders(radial=args.radial, gegen=args.gegen_cap)
         expansion = amplitude.edge_gegenbauer_expansion(spec, lam, orders)
         return {"method": "gegenbauer", "ell": str(spec.ell),
@@ -183,7 +231,7 @@ def _cmd_prop_expand(args) -> dict:
     raise ValueError(f"unknown method {args.method!r}")
 
 
-def _combo_json(combo: gegenbauer.GegenCombo) -> dict:
+def _combo_json(combo: GegenCombo) -> dict:
     out = {}
     for d in sorted(combo.coeffs):
         c = combo.coeffs[d]
@@ -192,8 +240,10 @@ def _combo_json(combo: gegenbauer.GegenCombo) -> dict:
 
 
 def _cmd_gegen(args) -> dict:
-    if args.n > GEGEN_MAX_N:
-        raise ValueError(f"--n {args.n} exceeds the maximum {GEGEN_MAX_N}")
+    from . import gegenbauer
+
+    _check_max("--n", args.n, GEGEN_MAX_N)
+    _check_max("--m", args.m, GEGEN_MAX_M)
     lam = _fraction_arg(args.lam) if args.lam else None
     if args.op == "coeffs":
         spec = gegenbauer.PolySpec(lam, args.n)
@@ -216,12 +266,14 @@ def _cmd_gegen(args) -> dict:
 
 
 def _cmd_graph_coproduct(args) -> dict:
-    hopf = HopfAlgebra()
+    from . import hopf
+
+    algebra = hopf.HopfAlgebra()
     registry: dict[str, dict] = {}
     graphs_out = []
     for name, graph in _load_graphs(args.graphs):
         terms = []
-        for (left, right), c in sorted(hopf.coproduct(graph).terms.items(),
+        for (left, right), c in sorted(algebra.coproduct(graph).terms.items(),
                                        key=lambda kv: str(kv[0])):
             terms.append({"coeff": str(c),
                           "left": _monomial_names(left, registry),
@@ -232,12 +284,14 @@ def _cmd_graph_coproduct(args) -> dict:
 
 
 def _cmd_graph_antipode(args) -> dict:
-    hopf = HopfAlgebra()
+    from . import hopf
+
+    algebra = hopf.HopfAlgebra()
     registry: dict[str, dict] = {}
     graphs_out = []
     for name, graph in _load_graphs(args.graphs):
         terms = []
-        antipode = hopf.antipode(graph)
+        antipode = algebra.antipode(graph)
         for mono, c in sorted(antipode.terms.items(), key=lambda kv: str(kv[0])):
             terms.append({"coeff": str(c),
                           "monomial": _monomial_names(mono, registry)})
@@ -245,13 +299,15 @@ def _cmd_graph_antipode(args) -> dict:
     return {"graphs": graphs_out, "labels": registry}
 
 
-def _laurent_character(hopf: HopfAlgebra, graphs, phi_path: str) -> Character:
+def _laurent_character(algebra: HopfAlgebra, graphs, phi_path: str) -> Character:
+    from . import birkhoff, rotabaxter
+
     table = _load_json(phi_path)
     by_key = {}
     for name, graph in graphs:
         if name not in table:
             raise ValueError(f"phi file missing entry for graph {name!r}")
-        by_key[graph.canonical_key()] = LaurentSeries.from_json(table[name])
+        by_key[graph.canonical_key()] = rotabaxter.LaurentSeries.from_json(table[name])
 
     def rule(g: FeynmanGraph) -> LaurentSeries:
         try:
@@ -259,22 +315,25 @@ def _laurent_character(hopf: HopfAlgebra, graphs, phi_path: str) -> Character:
         except KeyError:
             raise ValueError("phi file does not cover a subgraph/quotient "
                              "generated during factorization; add it") from None
-    return Character(hopf, LaurentAlgebra(), rule)
+    return birkhoff.Character(algebra, rotabaxter.LaurentAlgebra(), rule)
 
 
-def _make_pair(args, graphs) -> tuple[HopfAlgebra, BirkhoffPair, str]:
-    hopf = HopfAlgebra()
+def _make_pair(args, graphs) -> BirkhoffPair:
+    from . import birkhoff, hopf
+
+    _check_max("--n-vertices", args.n_vertices, RENORM_MAX_VERTICES)
+    algebra = hopf.HopfAlgebra()
     if args.target == "laurent":
         if not args.phi:
             raise ValueError("--phi FILE is required for the laurent target")
-        phi = _laurent_character(hopf, graphs, args.phi)
+        phi = _laurent_character(algebra, graphs, args.phi)
     elif args.target == "logform":
-        phi = toy_feynman_character(hopf, n_vertices=args.n_vertices,
-                                    k_external=args.k_external,
-                                    rule_seed=args.seed)
+        phi = birkhoff.toy_feynman_character(algebra, n_vertices=args.n_vertices,
+                                             k_external=args.k_external,
+                                             rule_seed=args.seed)
     else:
         raise ValueError(f"unknown target {args.target!r}")
-    return hopf, birkhoff_factorize(phi), args.target
+    return birkhoff.birkhoff_factorize(phi)
 
 
 def _series_report(value: LaurentSeries) -> dict:
@@ -282,14 +341,17 @@ def _series_report(value: LaurentSeries) -> dict:
 
 
 def _cmd_renorm(args) -> dict:
+    from . import hopf, rotabaxter
+
     graphs = _load_graphs(args.graphs)
-    hopf, pair, target = _make_pair(args, graphs)
+    pair = _make_pair(args, graphs)
+    target = args.target
     out = []
     for name, graph in graphs:
         if target == "laurent":
             out.append({
                 "name": name,
-                "phi": _series_report(pair.phi.on_monomial(monomial(graph))),
+                "phi": _series_report(pair.phi.on_monomial(hopf.monomial(graph))),
                 "phi_minus": _series_report(pair.phi_minus(graph)),
                 "phi_plus": _series_report(pair.phi_plus(graph)),
                 "polar_free": pair.phi_plus(graph).polar_part().is_zero(),
@@ -298,29 +360,33 @@ def _cmd_renorm(args) -> dict:
             plus = pair.phi_plus(graph)
             out.append({
                 "name": name,
-                "phi": pair.phi.on_monomial(monomial(graph)).to_json(),
+                "phi": pair.phi.on_monomial(hopf.monomial(graph)).to_json(),
                 "phi_minus": pair.phi_minus(graph).to_json(),
                 "phi_plus": plus.to_json(),
-                "residue_free": multi_residues_vanish(plus),
+                "residue_free": rotabaxter.multi_residues_vanish(plus),
             })
     return {"target": target, "graphs": out}
 
 
 def _cmd_beta(args) -> dict:
+    from . import birkhoff, hopf
+
+    _check_max("--degree", args.degree, BETA_MAX_DEGREE)
     graphs = _load_graphs(args.graphs)
-    hopf, pair, target = _make_pair(args, graphs)
-    beta = beta_function(pair)
-    frame = universal_frame(beta)
+    pair = _make_pair(args, graphs)
+    target = args.target
+    beta = birkhoff.beta_function(pair)
+    frame = birkhoff.universal_frame(beta)
     out = []
     for name, graph in graphs:
-        value = beta(HopfElement.generator(graph))
+        value = beta(hopf.HopfElement.generator(graph))
         entry = {"name": name, "degree": graph.degree()}
         if target == "laurent":
             entry["beta"] = _series_report(value)
         else:
             entry["beta"] = value.to_json()
         if graph.degree() <= args.degree:
-            recon = frame.on_monomial(monomial(graph))
+            recon = frame.on_monomial(hopf.monomial(graph))
             entry["frame_matches_phi_minus"] = bool(
                 recon == pair.phi_minus(graph))
         out.append(entry)
@@ -328,13 +394,14 @@ def _cmd_beta(args) -> dict:
 
 
 def _cmd_divisors(args) -> dict:
-    if args.n > DIVISORS_MAX_N:
-        raise ValueError(f"--n {args.n} exceeds the maximum {DIVISORS_MAX_N}")
-    if args.k > DIVISORS_MAX_K:
-        raise ValueError(f"--k {args.k} exceeds the maximum {DIVISORS_MAX_K}")
-    labels = divisor_labels(args.n, args.k)
+    from . import rotabaxter
+
+    _check_max("--n", args.n, DIVISORS_MAX_N)
+    _check_max("--k", args.k, DIVISORS_MAX_K)
+    labels = rotabaxter.divisor_labels(args.n, args.k)
     return {"n": args.n, "k": args.k, "count": len(labels),
-            "labels": [label_str(l) for l in sorted(labels, key=label_sort_key)]}
+            "labels": [rotabaxter.label_str(l)
+                       for l in sorted(labels, key=rotabaxter.label_sort_key)]}
 
 
 def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
@@ -352,7 +419,8 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--mu", type=int, default=0)
     p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--quad-points", type=int, default=1600)
+    p.add_argument("--quad-points", type=int, default=1600,
+                   help=f"2 to {QUAD_MAX_POINTS}")
     p.set_defaults(func=_cmd_prop_eval)
 
     p = sub.add_parser("prop-expand", help="expansion coefficients of an edge factor")
@@ -360,9 +428,11 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--case", default="real", choices=["real", "complex"])
     p.add_argument("--method", default="taylor",
                    choices=["taylor", "asymptotic", "gegenbauer"])
-    p.add_argument("--ell", type=str, required=True)
-    p.add_argument("--radial", type=int, default=24)
-    p.add_argument("--gegen-cap", type=int, default=None)
+    p.add_argument("--ell", type=str, required=True,
+                   help=f"at most {EXPAND_MAX_ELL} in absolute value")
+    p.add_argument("--radial", type=int, default=24, help=f"at most {EXPAND_MAX_RADIAL}")
+    p.add_argument("--gegen-cap", type=int, default=None,
+                   help=f"at most {EXPAND_MAX_GEGEN_CAP}")
     p.set_defaults(func=_cmd_prop_expand)
 
     p = sub.add_parser("gegen", help="Gegenbauer engine operations")
@@ -371,7 +441,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
                             "product", "zonal", "generating"])
     p.add_argument("--lambda", dest="lam", type=str, default=None)
     p.add_argument("--n", type=int, default=0, help=f"at most {GEGEN_MAX_N}")
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=int, default=0, help=f"at most {GEGEN_MAX_M}")
     p.add_argument("--ell", type=str, default=None)
     p.add_argument("--D", type=int, default=3)
     p.add_argument("--x", type=float, default=0.0)
@@ -390,7 +460,8 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.add_argument("--phi", default=None, help="per-graph Laurent values (JSON)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-vertices", type=int, default=6)
+    p.add_argument("--n-vertices", type=int, default=6,
+                   help=f"at most {RENORM_MAX_VERTICES}")
     p.add_argument("--k-external", type=int, default=1)
     p.set_defaults(func=_cmd_renorm)
 
@@ -399,9 +470,10 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.add_argument("--phi", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-vertices", type=int, default=6)
+    p.add_argument("--n-vertices", type=int, default=6,
+                   help=f"at most {RENORM_MAX_VERTICES}")
     p.add_argument("--k-external", type=int, default=1)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=int, default=3, help=f"at most {BETA_MAX_DEGREE}")
     p.set_defaults(func=_cmd_beta)
 
     p = sub.add_parser("divisors", help="boundary divisor labels")
@@ -421,6 +493,13 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
 CONFIG_ENV = "CONFEYN_CONFIG"
 _CONFIG_KEYS = ("quad_points", "radial", "gegen_cap", "seed",
                 "n_vertices", "k_external", "degree")
+
+
+def _nonconvergence_errors() -> tuple[type, ...]:
+    """The exceptions that mean numeric non-convergence (exit 3): the
+    QuadratureError of propagators, which only a loaded propagators raises."""
+    propagators = sys.modules.get(f"{__package__}.propagators")
+    return (propagators.QuadratureError,) if propagators else ()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -446,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
     try:
         doc = args.func(args)
-    except propagators.QuadratureError as exc:
+    except _nonconvergence_errors() as exc:
         sys.stderr.write(f"numeric non-convergence: {exc}\n")
         return 3
     except (ValueError, OverflowError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -168,8 +168,9 @@ def as_element(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
 
 class HopfAlgebra:
     """Coproduct / antipode engine memoised per monomial.  The theory profile
-    feeds the admissible-subgraph enumeration; parts and quotients are interned
-    by raw structure, so identical ones pay for one canonical form."""
+    feeds the admissible-subgraph enumeration; parts are interned by raw
+    structure, so identical ones pay for one canonical form.  Quotients are
+    not: few of them repeat, and the table would keep each one alive."""
 
     def __init__(self, theory: TheoryProfile | None = None):
         self.theory = theory or TheoryProfile()
@@ -192,7 +193,7 @@ class HopfAlgebra:
         terms = {(g_mono, ()): 1, ((), g_mono): 1}
         for sel, quotient in graph._admissible_pairs(self.theory):
             parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
-            key2 = (parts, monomial(self._intern(quotient)))
+            key2 = (parts, monomial(quotient))
             terms[key2] = terms.get(key2, 0) + 1
         out = self._coproduct_gen[key] = TensorElement(terms)
         return out

@@ -2,12 +2,19 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from confeyn.cli import DIVISORS_MAX_K, DIVISORS_MAX_N, GEGEN_MAX_N, main
+import confeyn
+from confeyn import cli
+from confeyn.cli import (BETA_MAX_DEGREE, DIVISORS_MAX_K, DIVISORS_MAX_N,
+                         EXPAND_MAX_ELL, EXPAND_MAX_GEGEN_CAP, EXPAND_MAX_RADIAL,
+                         GEGEN_MAX_M, GEGEN_MAX_N, QUAD_MAX_POINTS, RENORM_MAX_VERTICES,
+                         main)
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 
@@ -238,6 +245,124 @@ class TestGegenCap:
         assert code == 0
         code, _ = run_cli(args + ["--n", str(GEGEN_MAX_N + 1)], tmp_path)
         assert code == 2
+
+
+class TestArgumentCaps:
+    """Each size argument admits its maximum and exits 2 one above it."""
+
+    CASES = {
+        "quad-points": (["prop-eval", "--D", "4", "--m", "1", "--r", "1",
+                         "--quad-points"], QUAD_MAX_POINTS),
+        "radial": (["prop-expand", "--D", "4", "--method", "gegenbauer", "--ell", "-1",
+                    "--radial"], EXPAND_MAX_RADIAL),
+        "ell": (["prop-expand", "--D", "4", "--method", "taylor", "--ell"],
+                EXPAND_MAX_ELL),
+        "gegen-cap": (["prop-expand", "--D", "4", "--method", "gegenbauer", "--ell", "0",
+                       "--radial", "4", "--gegen-cap"], EXPAND_MAX_GEGEN_CAP),
+        "gegen-m": (["gegen", "--op", "monomial", "--lambda", "1", "--m"], GEGEN_MAX_M),
+        "n-vertices": (["renorm", "--target", "logform", "--graphs", "{graphs}",
+                        "--n-vertices"], RENORM_MAX_VERTICES),
+        "degree": (["beta", "--target", "logform", "--graphs", "{graphs}",
+                    "--degree"], BETA_MAX_DEGREE),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_capped(self, name, tmp_path, graphs_file):
+        prefix, cap = self.CASES[name]
+        args = [a.format(graphs=graphs_file) for a in prefix]
+        code, _ = run_cli(args + [str(cap)], tmp_path)
+        assert code == 0
+        code, _ = run_cli(args + [str(cap + 1)], tmp_path)
+        assert code == 2
+
+    def test_negative_ell_is_capped(self, tmp_path):
+        args = ["prop-expand", "--D", str(2 * EXPAND_MAX_ELL + 4), "--method", "taylor"]
+        code, _ = run_cli(args + ["--ell", str(-EXPAND_MAX_ELL)], tmp_path)
+        assert code == 0
+        code, _ = run_cli(args + ["--ell", str(-EXPAND_MAX_ELL - 1)], tmp_path)
+        assert code == 2
+
+    def test_too_few_quad_points(self, tmp_path):
+        code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
+                           "--kind", "gm-integral", "--quad-points", "1"], tmp_path)
+        assert code == 2
+
+    def test_configured_values_are_capped(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"radial": EXPAND_MAX_RADIAL + 1}))
+        monkeypatch.setenv("CONFEYN_CONFIG", str(cfg))
+        code, _ = run_cli(["prop-expand", "--D", "4", "--method", "gegenbauer",
+                           "--ell", "0"], tmp_path)
+        assert code == 2
+
+
+SRC = str(Path(confeyn.__file__).resolve().parent.parent)
+HYGIENE_PROBE = ("import sys, confeyn.cli as c; rc = c.main(sys.argv[1:]); "
+                 "print(rc, *sorted(m for m in sys.modules if m.startswith('confeyn')))")
+
+
+def fresh_main(args, tmp_path) -> tuple[int, set[str]]:
+    """main(args) in a new interpreter: its exit code and the confeyn modules
+    loaded by then."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = ["--out", str(tmp_path / "out.json")] if args else []
+    proc = subprocess.run([sys.executable, "-c", HYGIENE_PROBE, *args, *out],
+                          capture_output=True, text=True, env=env)
+    rc, *modules = proc.stdout.split()
+    return int(rc), {m.removeprefix("confeyn.") for m in modules}
+
+
+class TestImportHygiene:
+    """Each subcommand loads only the modules it runs."""
+
+    BASE = {"confeyn", "cli"}
+    LOADED = {
+        "prop-eval": {"propagators", "specfun", "exact"},
+        "prop-expand": {"amplitude", "specfun", "gegenbauer", "exact"},
+        "gegen": {"gegenbauer", "specfun", "exact"},
+        "graph-coproduct": {"hopf", "feyngraph"},
+        "graph-antipode": {"hopf", "feyngraph"},
+        "renorm": {"birkhoff", "hopf", "rotabaxter", "feyngraph", "exact"},
+        "beta": {"birkhoff", "hopf", "rotabaxter", "feyngraph", "exact"},
+        "divisors": {"rotabaxter", "exact"},
+    }
+
+    def test_subcommands(self, tmp_path, graphs_file):
+        commands = [
+            ["prop-eval", "--D", "3", "--m", "1", "--r", "1"],
+            ["prop-expand", "--D", "4", "--method", "gegenbauer", "--ell", "1",
+             "--radial", "2"],
+            ["gegen", "--op", "monomial", "--m", "2", "--lambda", "1"],
+            ["graph-coproduct", "--graphs", graphs_file],
+            ["graph-antipode", "--graphs", graphs_file],
+            ["renorm", "--target", "logform", "--graphs", graphs_file],
+            ["beta", "--target", "logform", "--graphs", graphs_file],
+            ["divisors", "--n", "2", "--k", "0"],
+        ]
+        assert {cmd[0] for cmd in commands} == set(cli.SUBCOMMANDS)
+        for cmd in commands:
+            assert fresh_main(cmd, tmp_path) == (0, self.BASE | self.LOADED[cmd[0]]), cmd
+
+    def test_usage_and_unknown_subcommand_load_nothing(self, tmp_path):
+        assert fresh_main([], tmp_path) == (64, self.BASE)
+        assert fresh_main(["frobnicate"], tmp_path) == (64, self.BASE)
+
+
+class TestExceptionScope:
+    def test_quadrature_failure_exits_3_in_a_fresh_interpreter(self, tmp_path):
+        # propagators is first imported by the handler, inside main
+        code, modules = fresh_main(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
+                                    "--kind", "gm-integral", "--quad-points", "8"],
+                                   tmp_path)
+        assert code == 3 and "propagators" in modules
+
+    @pytest.mark.parametrize("error", [RuntimeError, RecursionError])
+    def test_other_runtime_errors_propagate(self, error, monkeypatch):
+        def fail(args):
+            raise error("not a quadrature failure")
+        monkeypatch.setattr(cli, "_cmd_divisors", fail)
+        with pytest.raises(error):
+            main(["divisors", "--n", "2", "--k", "0"])
 
 
 class TestExitCodesAndGoldens:
