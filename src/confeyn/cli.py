@@ -22,8 +22,8 @@ time; each handler imports only what it runs:
     prop-expand                   amplitude and specfun (with gegenbauer, exact)
     gegen                         gegenbauer (with specfun and exact)
     graph-coproduct, -antipode    hopf (with feyngraph)
-    renorm, beta                  birkhoff, hopf and rotabaxter
-    divisors                      rotabaxter (with exact)
+    renorm, beta                  birkhoff, hopf and rotabaxter (with feyngraph)
+    divisors                      rotabaxter
 
 The usage path and exit 64 load nothing beyond this module.  Handlers call
 library functions as module attributes (``propagators.gm_real``), so a
@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # annotations only: handlers import what they run
     from .birkhoff import BirkhoffPair, Character
     from .feyngraph import FeynmanGraph
-    from .gegenbauer import GegenCombo
     from .hopf import HopfAlgebra
     from .rotabaxter import LaurentSeries
 
@@ -51,10 +50,12 @@ SUBCOMMANDS = ("prop-eval", "prop-expand", "gegen", "graph-coproduct",
 
 # Maxima of the size arguments; larger values exit 2.  The times are wall
 # times of one CLI process at the maximum, start-up included, on a 2-core
-# x86-64 host.  --lambda and gegen --ell have no maximum yet, and the product
-# slows as lambda grows.
-GEGEN_MAX_N = 256     # chebyshev, reproject, product at lambda 1: 0.6 s
-GEGEN_MAX_M = 32      # product at n = 256: 0.9 s at lambda 1, 4.4 s at lambda 51/2
+# x86-64 host.  --lambda and gegen --ell have no maximum yet; every gegen
+# conversion is rational, and lambda only lengthens its numbers.
+GEGEN_MAX_N = 256     # chebyshev 0.3 s; reproject (ell 3/2) 0.5 s at lambda 1,
+                      # 0.6 s at 51/2, 0.7 s at 100001/2
+GEGEN_MAX_M = 32      # product at n = 256: 0.6 s at lambda 1, 0.5 s at 51/2,
+                      # 1.0 s at 100001/2
 DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
 DIVISORS_MAX_K = 8    # 40,938 labels at n = 12
 QUAD_MAX_POINTS = 1_000_000  # gm-integral: 0.8-1.1 s
@@ -231,14 +232,6 @@ def _cmd_prop_expand(args) -> dict:
     raise ValueError(f"unknown method {args.method!r}")
 
 
-def _combo_json(combo: GegenCombo) -> dict:
-    out = {}
-    for d in sorted(combo.coeffs):
-        c = combo.coeffs[d]
-        out[str(d)] = str(c.as_rational()) if c.is_rational() else c.to_json()
-    return out
-
-
 def _cmd_gegen(args) -> dict:
     from . import gegenbauer
 
@@ -248,16 +241,16 @@ def _cmd_gegen(args) -> dict:
     if args.op == "coeffs":
         spec = gegenbauer.PolySpec(lam, args.n)
         coeffs = gegenbauer.gegenbauer_coeffs(spec)
-        return {str(p): str(c.as_rational()) for p, c in sorted(coeffs.items())}
+        return {str(p): str(c) for p, c in sorted(coeffs.items())}
     if args.op == "monomial":
-        return _combo_json(gegenbauer.monomial_to_gegenbauer(args.m, lam))
+        return gegenbauer.monomial_to_gegenbauer(args.m, lam).to_json()
     if args.op == "chebyshev":
-        return _combo_json(gegenbauer.chebyshev_to_gegenbauer(args.n, lam))
+        return gegenbauer.chebyshev_to_gegenbauer(args.n, lam).to_json()
     if args.op == "reproject":
-        return _combo_json(gegenbauer.reproject_gegenbauer(
-            _fraction_arg(args.ell), args.n, lam))
+        return gegenbauer.reproject_gegenbauer(_fraction_arg(args.ell), args.n,
+                                               lam).to_json()
     if args.op == "product":
-        return _combo_json(gegenbauer.product_linearize(args.n, args.m, lam))
+        return gegenbauer.product_linearize(args.n, args.m, lam).to_json()
     if args.op == "zonal":
         return {"value": gegenbauer.zonal_coefficient(args.D, args.n).to_json()}
     if args.op == "generating":
@@ -328,9 +321,9 @@ def _make_pair(args, graphs) -> BirkhoffPair:
             raise ValueError("--phi FILE is required for the laurent target")
         phi = _laurent_character(algebra, graphs, args.phi)
     elif args.target == "logform":
+        # the toy labels use no marked component, so k_external is 0
         phi = birkhoff.toy_feynman_character(algebra, n_vertices=args.n_vertices,
-                                             k_external=args.k_external,
-                                             rule_seed=args.seed)
+                                             k_external=0, rule_seed=args.seed)
     else:
         raise ValueError(f"unknown target {args.target!r}")
     return birkhoff.birkhoff_factorize(phi)
@@ -462,7 +455,6 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-vertices", type=int, default=6,
                    help=f"at most {RENORM_MAX_VERTICES}")
-    p.add_argument("--k-external", type=int, default=1)
     p.set_defaults(func=_cmd_renorm)
 
     p = sub.add_parser("beta", help="beta function and universal-frame check")
@@ -472,7 +464,6 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-vertices", type=int, default=6,
                    help=f"at most {RENORM_MAX_VERTICES}")
-    p.add_argument("--k-external", type=int, default=1)
     p.add_argument("--degree", type=int, default=3, help=f"at most {BETA_MAX_DEGREE}")
     p.set_defaults(func=_cmd_beta)
 
@@ -491,8 +482,8 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
 
 
 CONFIG_ENV = "CONFEYN_CONFIG"
-_CONFIG_KEYS = ("quad_points", "radial", "gegen_cap", "seed",
-                "n_vertices", "k_external", "degree")
+_CONFIG_KEYS = ("quad_points", "radial", "gegen_cap", "seed", "n_vertices",
+                "degree")
 
 
 def _nonconvergence_errors() -> tuple[type, ...]:

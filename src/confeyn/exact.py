@@ -138,28 +138,15 @@ class ExactScalar:
         # 1/(q*sqrt2*pi^{p/2}) = sqrt2/(2q) * pi^{-p/2}
         return ExactScalar({(1, -p): 1 / (2 * q)})
 
-    def __pow__(self, n: int) -> "ExactScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ExactScalar.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- predicates and views ------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        return all(k == (0, 0) for k in self._terms)
-
     def as_rational(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_rational():
+        if any(k != (0, 0) for k in self._terms):
             raise ValueError(f"{self!r} is not rational")
-        return self._terms[(0, 0)]
+        return self._terms.get((0, 0), Fraction(0))
 
     def pi_half_exponents(self) -> set[int]:
         """Exponents of sqrt(pi) appearing with nonzero coefficient."""
@@ -358,9 +345,6 @@ class SymbolicCoeff:
 
     def coefficients(self) -> Iterable[tuple[tuple[int, int, int, int], ExactScalar]]:
         yield from sorted(self._poly.items())
-
-    def constant_part(self) -> ExactScalar:
-        return self._poly.get(_ZERO_KEY, ExactScalar.zero())
 
     def pi_half_exponents(self) -> set[int]:
         exps: set[int] = set()

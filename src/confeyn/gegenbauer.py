@@ -8,22 +8,20 @@ with the explicit monomial form
 
     C_n^{(lam)}(x) = sum_{k=0}^{[n/2]} (-1)^k Gamma(lam+n-k) / (k! (n-2k)! Gamma(lam)) (2x)^{n-2k}.
 
-This module provides exact basis conversions built from the monomial
-expansion
+Every basis change into C^{(lam)} takes one route: the polynomial is
+written in monomials and each x^k is converted by its row of the expansion
 
-    x^m = 2^{-m} Gamma(lam) m! sum_k (lam+m-2k) / (k! Gamma(lam+m+1-k)) C_{m-2k}^{(lam)}(x),
+    x^m = 2^{-m} Gamma(lam) m! sum_k (lam+m-2k) / (k! Gamma(lam+m+1-k)) C_{m-2k}^{(lam)}(x)
 
-the Chebyshev-to-Gegenbauer conversion, the re-projection of a weight-ell
-Gegenbauer family onto a weight-lam one, the linearization of products of two
-Gegenbauer polynomials, and the zonal spherical-harmonic constants.  Power
-series in t with polynomial coefficients in x (the generating series of
-C^{(w)} and the log series (1/2) log(1 - 2tx + t^2), or products of them)
-convert to (t-power, C^{(lam)}-degree) tensors by one monomial row per x^k
-(:func:`gegenbauer_tensor`).  All
-conversion coefficients are exact (rational, or rational times a power of
-sqrt(pi) at intermediate stages that always cancels in the final combination).
-Float values of C_n^{(lam)} come from the three-term recurrence
-(:func:`gegenbauer_table`), never from the monomial form.
+(:func:`_to_gegenbauer`).  The Chebyshev-to-Gegenbauer conversion, the
+re-projection of C_n^{(ell)} onto weight lam, the linearization of a product
+C_n^{(lam)} C_m^{(lam)} and the (t-power, C^{(lam)}-degree) tensors of power
+series in t with polynomial coefficients in x (:func:`gegenbauer_tensor`) are
+all built on it.  Since Gamma(lam+j)/Gamma(lam) is a Pochhammer symbol, every
+conversion coefficient is a Fraction; only the zonal spherical-harmonic
+constants carry powers of pi (as ExactScalar).  Float values of C_n^{(lam)}
+come from the three-term recurrence (:func:`gegenbauer_table`), never from
+the monomial form.
 """
 
 from __future__ import annotations
@@ -76,32 +74,27 @@ class PolySpec:
 
 @dataclass
 class GegenCombo:
-    """Finite combination sum_k coeffs[k] * C_k^{(lam)}(x)."""
+    """Finite combination sum_k coeffs[k] * C_k^{(lam)}(x), rational coefficients."""
     lam: Fraction
-    coeffs: dict[int, ExactScalar] = field(default_factory=dict)
+    coeffs: dict[int, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {k: c for k, c in self.coeffs.items() if not c.is_zero()}
+        self.coeffs = {k: c for k, c in self.coeffs.items() if c}
 
-    def expand(self) -> dict[int, ExactScalar]:
+    def expand(self) -> dict[int, Fraction]:
         """Monomial coefficients of the combination (exact)."""
-        out: dict[int, ExactScalar] = {}
+        out: dict[int, Fraction] = {}
         for deg, c in self.coeffs.items():
-            for power, a in gegenbauer_coeffs(PolySpec(self.lam, deg)).items():
-                prev = out.get(power, ExactScalar.zero())
-                acc = prev + c * a
-                if acc.is_zero():
-                    out.pop(power, None)
-                else:
-                    out[power] = acc
-        return out
+            for power, a in _gegen_monomials(self.lam, deg):
+                out[power] = out.get(power, 0) + c * a
+        return {p: c for p, c in out.items() if c}
 
     def eval_float(self, x: float) -> float:
         return sum(float(c) * gegenbauer_value(self.lam, deg, x)
                    for deg, c in self.coeffs.items())
 
-    def to_json(self) -> dict[str, list]:
-        return {str(k): self.coeffs[k].to_json() for k in sorted(self.coeffs)}
+    def to_json(self) -> dict[str, str]:
+        return {str(k): str(self.coeffs[k]) for k in sorted(self.coeffs)}
 
 
 @lru_cache(maxsize=None)
@@ -132,13 +125,13 @@ def _chebyshev_monomials(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(cur.items()))
 
 
-def gegenbauer_coeffs(spec: PolySpec) -> dict[int, ExactScalar]:
+def gegenbauer_coeffs(spec: PolySpec) -> dict[int, Fraction]:
     """Exact monomial coefficients of C_n^{(lam)}(x) (or T_n for the Chebyshev limit)."""
     if spec.chebyshev:
         mono = _chebyshev_monomials(spec.n)
     else:
         mono = _gegen_monomials(Fraction(spec.lam), spec.n)
-    return {p: ExactScalar.from_rational(c) for p, c in mono}
+    return {p: Fraction(c) for p, c in mono}
 
 
 def gegenbauer_table(lam, n_max: int, x: float) -> list[float]:
@@ -182,13 +175,27 @@ def generating_series_coeff(lam, n: int, x: float) -> float:
 
 @lru_cache(maxsize=None)
 def _monomial_combo(m: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    # 2^{-m} m! (lam+m-2k) / (k! rising(lam, m+1-k)), in integers: with
+    # lam = a/b, rising(lam, j) = R_j / b^j and R_j = prod_{i<j} (a + i b)
+    a, b = lam.numerator, lam.denominator
+    rise = math.prod(a + i * b for i in range(m + 1))  # R_{m+1-k}, from k = 0
     out = []
     for k in range(m // 2 + 1):
-        # 2^{-m} m! (lam+m-2k) / (k! rising(lam, m+1-k))
-        coeff = (Fraction(_fact(m), 2 ** m) * (lam + m - 2 * k)
-                 / (_fact(k) * rising(lam, m + 1 - k)))
-        out.append((m - 2 * k, coeff))
+        out.append((m - 2 * k, Fraction(_fact(m) * (a + (m - 2 * k) * b) * b ** (m - k),
+                                        2 ** m * _fact(k) * rise)))
+        rise //= a + (m - k) * b
     return tuple(out)
+
+
+def _to_gegenbauer(poly: dict[int, Fraction], lam: Fraction) -> dict[int, Fraction]:
+    """The polynomial {k: coeff of x^k} in the C^{(lam)} basis as {d: coeff},
+    each x^k converted by its monomial row; zero entries are dropped.  Every
+    conversion of this module goes through here."""
+    out: dict[int, Fraction] = {}
+    for k, c in poly.items():
+        for d, w in _monomial_combo(k, lam):
+            out[d] = out.get(d, 0) + c * w
+    return {d: c for d, c in out.items() if c}
 
 
 def monomial_to_gegenbauer(m: int, lam) -> GegenCombo:
@@ -196,8 +203,7 @@ def monomial_to_gegenbauer(m: int, lam) -> GegenCombo:
     lam = _check_weight(lam, Fraction(1, 2))
     if m < 0:
         raise ValueError("monomial degree must be >= 0")
-    combo = _monomial_combo(m, lam)
-    return GegenCombo(lam, {d: ExactScalar.from_rational(c) for d, c in combo})
+    return GegenCombo(lam, _to_gegenbauer({m: 1}, lam))
 
 
 def generating_series(weight, radial: int) -> list[dict[int, Fraction]]:
@@ -216,78 +222,41 @@ def chebyshev_log_series(radial: int) -> list[dict[int, Fraction]]:
 
 def gegenbauer_tensor(series, lam) -> dict[tuple[int, int], Fraction]:
     """The tensor {(n, d): coeff} of sum_n t^n sum_k series[n][k] x^k in the
-    C^{(lam)} basis, each x^k converted once by its monomial row; zero entries
-    are dropped."""
+    C^{(lam)} basis; zero entries are dropped."""
     lam = _check_weight(lam, Fraction(1, 2))
     out: dict[tuple[int, int], Fraction] = {}
     for n, poly in enumerate(series):
-        row: dict[int, Fraction] = {}
-        for k, c in poly.items():
-            for d, w in _monomial_combo(k, lam):
-                row[d] = row.get(d, 0) + c * w
-        out.update(((n, d), c) for d, c in row.items() if c)
+        for d, c in _to_gegenbauer(poly, lam).items():
+            out[n, d] = c
     return out
 
 
 def chebyshev_to_gegenbauer(n: int, lam) -> GegenCombo:
     """Coefficients c^lam_{n,m} with T_n = sum_m c^lam_{n,m} C_m^{(lam)}."""
     lam = _check_weight(lam, Fraction(1, 2))
-    out: dict[int, Fraction] = {}
-    for power, c in _chebyshev_monomials(n):
-        for d, w in _monomial_combo(power, lam):
-            out[d] = out.get(d, Fraction(0)) + c * w
-    return GegenCombo(lam, {d: ExactScalar.from_rational(c)
-                            for d, c in out.items() if c})
+    return GegenCombo(lam, _to_gegenbauer(dict(_chebyshev_monomials(n)), lam))
 
 
 @lru_cache(maxsize=None)
 def _reproject(ell: Fraction, n: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    out: dict[int, Fraction] = {}
-    for k in range(n // 2 + 1):
-        outer = Fraction((-1) ** k) * rising(ell, n - k) / _fact(k)
-        for j in range((n - 2 * k) // 2 + 1):
-            inner = (lam + n - 2 * (k + j)) / (_fact(j) * rising(lam, n - 2 * k + 1 - j))
-            d = n - 2 * (k + j)
-            out[d] = out.get(d, Fraction(0)) + outer * inner
-    return tuple(sorted((d, c) for d, c in out.items() if c))
+    return tuple(sorted(_to_gegenbauer(dict(_gegen_monomials(ell, n)), lam).items()))
 
 
 def reproject_gegenbauer(ell, n: int, lam) -> GegenCombo:
     """Expansion of C_n^{(ell)} in the C^{(lam)} basis (both weights >= 1/2)."""
     ell = _check_weight(ell, Fraction(1, 2), "source weight")
     lam = _check_weight(lam, Fraction(1, 2), "target weight")
-    combo = _reproject(ell, n, lam)
-    return GegenCombo(lam, {d: ExactScalar.from_rational(c) for d, c in combo})
+    return GegenCombo(lam, dict(_reproject(ell, n, lam)))
 
 
 @lru_cache(maxsize=None)
-def _product_combo(n: int, m: int, lam: Fraction) -> tuple[tuple[int, ExactScalar], ...]:
-    gam_lam = gamma_exact(lam)
-    out: dict[int, ExactScalar] = {}
-    for r in range((n + m) // 2 + 1):
-        inner = ExactScalar.zero()
-        for k in range(r + 1):
-            j = r - k
-            if n - 2 * k < 0 or m - 2 * j < 0:
-                continue
-            inner = inner + (gamma_exact(lam + n - k) * gamma_exact(lam + m - j)
-                             / Fraction(_fact(k) * _fact(j) * _fact(n - 2 * k) * _fact(m - 2 * j)))
-        if inner.is_zero():
-            continue
-        # alpha carries 1/Gamma(lam) and beta another 1/Gamma(lam) (from
-        # 1/Gamma(lam + ...) = 1/(rising * Gamma(lam))); both folded here so
-        # every intermediate stays a single exact scalar.
-        alpha = (inner / (gam_lam * gam_lam)) * Fraction((-1) ** r * _fact(n + m - 2 * r))
-        for k in range((n + m - 2 * r) // 2 + 1):
-            beta = ((lam + n + m - 2 * (r + k))
-                    / (rising(lam, n + m - 2 * r + 1 - k) * _fact(k)))
-            d = n + m - 2 * (r + k)
-            acc = out.get(d, ExactScalar.zero()) + alpha * beta
-            if acc.is_zero():
-                out.pop(d, None)
-            else:
-                out[d] = acc
-    return tuple(sorted(out.items()))
+def _product_combo(n: int, m: int, lam: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    # the product of the two monomial forms, then one row per x^k
+    poly: dict[int, Fraction] = {}
+    for p, a in _gegen_monomials(lam, n):
+        for q, b in _gegen_monomials(lam, m):
+            poly[p + q] = poly.get(p + q, 0) + a * b
+    return tuple(sorted(_to_gegenbauer(poly, lam).items()))
 
 
 def product_linearize(n: int, m: int, lam) -> GegenCombo:

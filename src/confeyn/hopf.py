@@ -123,10 +123,6 @@ class HopfElement(_Sparse):
             bits.append(f"{c}*{name}")
         return " + ".join(bits) or "0"
 
-    def homogeneous_part(self, degree: int) -> "HopfElement":
-        return HopfElement({m: c for m, c in self.terms.items()
-                            if monomial_degree(m) == degree})
-
     def max_degree(self) -> int:
         return max((monomial_degree(m) for m in self.terms), default=0)
 

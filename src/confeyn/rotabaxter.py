@@ -5,6 +5,9 @@ linear operator T satisfying
 
     T(x) T(y) = T(x T(y)) + T(T(x) y) - T(x y).
 
+Both models have rational coefficients, kept as the int or Fraction they were
+given; any other coefficient type raises TypeError.
+
 Model 1: Laurent series over Q with T the projection onto the polar part
 (strictly negative exponents).
 
@@ -35,17 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .exact import ExactScalar
-
-ScalarLike = Union[int, Fraction, ExactScalar]
+Rational = int | Fraction
 
 
-def _as_exact(c: ScalarLike) -> ExactScalar:
-    if isinstance(c, ExactScalar):
+def _rational(c) -> Rational:
+    if isinstance(c, (int, Fraction)):
         return c
-    return ExactScalar.from_rational(c)
+    raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -56,45 +57,49 @@ def _as_exact(c: ScalarLike) -> ExactScalar:
 class LaurentSeries:
     """Laurent polynomial over Q with finitely many terms."""
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[int(e)] = self.coeffs.get(int(e), Fraction(0)) + c
-            self.coeffs = {e: c for e, c in self.coeffs.items() if c}
+    def __init__(self, coeffs: Mapping[int, Rational] | None = None):
+        self.coeffs: dict[int, Rational] = {
+            int(e): c for e, c in (coeffs or {}).items() if _rational(c)}
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, Rational]) -> "LaurentSeries":
+        """Wraps the checked coefficients that arithmetic produced, dropping zeros."""
+        out = cls.__new__(cls)
+        out.coeffs = {e: c for e, c in coeffs.items() if c}
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentSeries":
-        return cls({})
+        return cls()
 
     @classmethod
     def one(cls) -> "LaurentSeries":
-        return cls({0: Fraction(1)})
+        return cls({0: 1})
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentSeries(out)
+            out[e] = out.get(e, 0) + c
+        return LaurentSeries._of(out)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentSeries({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, Fraction] = {}
+            return LaurentSeries._of({e: c * other for e, c in self.coeffs.items()})
+        if not isinstance(other, LaurentSeries):
+            return NotImplemented
+        out: dict[int, Rational] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
-        return LaurentSeries(out)
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return LaurentSeries._of(out)
 
     __rmul__ = __mul__
 
     def polar_part(self) -> "LaurentSeries":
-        return LaurentSeries({e: c for e, c in self.coeffs.items() if e < 0})
+        return LaurentSeries._of({e: c for e, c in self.coeffs.items() if e < 0})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -248,26 +253,25 @@ class MultiLogForm:
     cardinality.
     """
 
-    def __init__(self, terms: Mapping[MultiKey, ScalarLike] | None = None):
-        self.terms: dict[MultiKey, ExactScalar] = {}
-        if terms:
-            for key, c in terms.items():
-                key = tuple(sorted(key))
-                spaces = [s for s, _ in key]
-                if len(spaces) != len(set(spaces)):
-                    raise ValueError("component spaces must be distinct in a monomial")
-                for _, (kind, data) in key:
-                    if kind == "polar" and (not data or len(data) % 2):
-                        raise ValueError("polar blocks must be nonempty with even cardinality")
-                c = _as_exact(c)
-                if c.is_zero():
-                    continue
-                prev = self.terms.get(key)
-                acc = c if prev is None else prev + c
-                if acc.is_zero():
-                    self.terms.pop(key, None)
-                else:
-                    self.terms[key] = acc
+    def __init__(self, terms: Mapping[MultiKey, Rational] | None = None):
+        self.terms: dict[MultiKey, Rational] = {}
+        for key, c in (terms or {}).items():
+            key = tuple(sorted(key))
+            spaces = [s for s, _ in key]
+            if len(spaces) != len(set(spaces)):
+                raise ValueError("component spaces must be distinct in a monomial")
+            for _, (kind, data) in key:
+                if kind == "polar" and (not data or len(data) % 2):
+                    raise ValueError("polar blocks must be nonempty with even cardinality")
+            self.terms[key] = self.terms.get(key, 0) + _rational(c)
+        self.terms = {k: c for k, c in self.terms.items() if c}
+
+    @classmethod
+    def _of(cls, terms: dict[MultiKey, Rational]) -> "MultiLogForm":
+        """Wraps the checked terms that arithmetic produced, dropping zeros."""
+        out = cls.__new__(cls)
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls) -> "MultiLogForm":
@@ -275,39 +279,34 @@ class MultiLogForm:
 
     @classmethod
     def one(cls) -> "MultiLogForm":
-        return cls({(): ExactScalar.one()})
+        return cls({(): 1})
 
     def __add__(self, other: "MultiLogForm") -> "MultiLogForm":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, ExactScalar.zero()) + c
-        return MultiLogForm(out)
+            out[k] = out.get(k, 0) + c
+        return MultiLogForm._of(out)
 
     def __sub__(self, other: "MultiLogForm") -> "MultiLogForm":
         return self + other.scale(-1)
 
-    def scale(self, c: ScalarLike) -> "MultiLogForm":
-        c = _as_exact(c)
-        return MultiLogForm({k: v * c for k, v in self.terms.items()})
+    def scale(self, c: Rational) -> "MultiLogForm":
+        c = _rational(c)
+        return MultiLogForm._of({k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactScalar)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict[MultiKey, ExactScalar] = {}
+        if not isinstance(other, MultiLogForm):
+            return NotImplemented
+        out: dict[MultiKey, Rational] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 merged = _merge_multikeys(k1, k2)
-                if merged is None:
-                    continue
-                sign, key = merged
-                c = c1 * c2 * sign
-                prev = out.get(key)
-                acc = c if prev is None else prev + c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return MultiLogForm(out)
+                if merged is not None:
+                    sign, key = merged
+                    out[key] = out.get(key, 0) + sign * c1 * c2
+        return MultiLogForm._of(out)
 
     __rmul__ = __mul__
 
@@ -332,7 +331,9 @@ class MultiLogForm:
                 else:
                     comps.append({"space": space,
                                   "monomial": [[label_str(l), e] for l, e in data]})
-            out.append({"components": comps, "value": self.terms[key].to_json()})
+            # the value keeps the layout of an exact scalar with no power of pi
+            out.append({"components": comps,
+                        "value": [{"pi_half_exp": 0, "rational": str(self.terms[key])}]})
         return out
 
 
@@ -366,7 +367,7 @@ def multi_T(a: MultiLogForm) -> MultiLogForm:
     polar component."""
     kept = {key: c for key, c in a.terms.items()
             if any(kind == "polar" for _, (kind, _) in key)}
-    return MultiLogForm(kept)
+    return MultiLogForm._of(kept)
 
 
 def polar_subtract(a):
@@ -408,7 +409,7 @@ class LaurentAlgebra:
 
     @staticmethod
     def scale(a, q):
-        return a * Fraction(q)
+        return a * q
 
     @staticmethod
     def T(a):
@@ -435,7 +436,7 @@ class MultiLogAlgebra:
 
     @staticmethod
     def scale(a, q):
-        return a.scale(Fraction(q))
+        return a.scale(q)
 
     @staticmethod
     def T(a):

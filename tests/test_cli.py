@@ -175,20 +175,13 @@ class TestRenormAndBeta:
         assert code == 0
         assert all(g["residue_free"] for g in doc["graphs"])
 
-    def test_negative_k_external_is_error(self, tmp_path, graphs_file):
-        code, _ = run_cli(["renorm", "--target", "logform", "--graphs", graphs_file,
-                           "--k-external", "-1"], tmp_path)
-        assert code == 2
-
-    def test_k_external_does_not_change_values(self, graphs_file, capsysbinary):
-        # the toy rule's labels use only the component at infinity, and no
-        # ambient label set is built, so a huge k costs nothing
-        outputs = []
-        for k in ("1", "1000000"):
-            assert main(["renorm", "--target", "logform", "--graphs", graphs_file,
-                         "--seed", "5", "--k-external", k]) == 0
-            outputs.append(capsysbinary.readouterr().out)
-        assert outputs[0] and outputs[0] == outputs[1]
+    def test_k_external_flag_is_gone(self, tmp_path, graphs_file):
+        # the toy rule's labels use only the component at infinity, so the
+        # number of marked components changed no output and is not an option
+        for cmd in ("renorm", "beta"):
+            code, _ = run_cli([cmd, "--target", "logform", "--graphs", graphs_file,
+                               "--k-external", "1"], tmp_path)
+            assert code == 2, cmd
 
     def test_missing_phi_is_error(self, tmp_path, graphs_file):
         code, _ = run_cli(["renorm", "--target", "laurent", "--graphs",
@@ -322,9 +315,10 @@ class TestImportHygiene:
         "gegen": {"gegenbauer", "specfun", "exact"},
         "graph-coproduct": {"hopf", "feyngraph"},
         "graph-antipode": {"hopf", "feyngraph"},
-        "renorm": {"birkhoff", "hopf", "rotabaxter", "feyngraph", "exact"},
-        "beta": {"birkhoff", "hopf", "rotabaxter", "feyngraph", "exact"},
-        "divisors": {"rotabaxter", "exact"},
+        # the Rota-Baxter layer is rational: no ExactScalar
+        "renorm": {"birkhoff", "hopf", "rotabaxter", "feyngraph"},
+        "beta": {"birkhoff", "hopf", "rotabaxter", "feyngraph"},
+        "divisors": {"rotabaxter"},
     }
 
     def test_subcommands(self, tmp_path, graphs_file):

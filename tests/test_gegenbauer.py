@@ -16,27 +16,31 @@ from confeyn.gegenbauer import (GegenCombo, PolySpec, chebyshev_limit_check,
                                 reproject_gegenbauer, sphere_volume,
                                 zonal_coefficient)
 from confeyn.specfun import gamma_exact
+from gegen_oracles import product_by_gamma, reproject_by_double_sum
 
 F = Fraction
 WEIGHTS = [F(1, 2), 1, F(3, 2), 2, F(5, 2), 3]
+ORACLE_WEIGHTS = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(7, 2), F(51, 2)]
+SOURCE_WEIGHTS = [F(1, 2), F(1), F(2), F(5, 2), F(9, 2)]
 
 
 def as_rat(combo: GegenCombo) -> dict[int, Fraction]:
-    return {d: c.as_rational() for d, c in combo.coeffs.items()}
+    assert all(type(c) is Fraction for c in combo.coeffs.values())
+    return combo.coeffs
 
 
-def poly_mul(a: dict[int, ExactScalar], b: dict[int, ExactScalar]) -> dict[int, ExactScalar]:
-    out: dict[int, ExactScalar] = {}
+def poly_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
     for p, c in a.items():
         for q, d in b.items():
-            out[p + q] = out.get(p + q, ExactScalar.zero()) + c * d
-    return {k: v for k, v in out.items() if not v.is_zero()}
+            out[p + q] = out.get(p + q, 0) + c * d
+    return {k: v for k, v in out.items() if v}
 
 
 class TestExplicitCoefficients:
     def test_degree_zero(self):
         for lam in WEIGHTS:
-            assert gegenbauer_coeffs(PolySpec(lam, 0)) == {0: ExactScalar.one()}
+            assert gegenbauer_coeffs(PolySpec(lam, 0)) == {0: 1}
 
     def test_known_polynomials(self):
         assert as_rat(GegenCombo(1, gegenbauer_coeffs(PolySpec(1, 2)))) \
@@ -75,7 +79,7 @@ class TestExplicitCoefficients:
 
     def test_combo_eval_float_at_high_degree(self):
         from scipy.special import eval_gegenbauer
-        combo = GegenCombo(F(1), {40: ExactScalar.one(), 2: ExactScalar.from_rational(F(1, 3))})
+        combo = GegenCombo(F(1), {40: F(1), 2: F(1, 3)})
         want = eval_gegenbauer(40, 1.0, 0.95) + eval_gegenbauer(2, 1.0, 0.95) / 3
         assert abs(combo.eval_float(0.95) - want) <= 1e-12 * math.comb(41, 40)
 
@@ -113,7 +117,7 @@ class TestConversions:
         for lam in WEIGHTS:
             for m in range(11):
                 expanded = monomial_to_gegenbauer(m, lam).expand()
-                assert expanded == {m: ExactScalar.one()}
+                assert expanded == {m: 1}
 
     def test_chebyshev_inverts_exactly(self):
         for lam in WEIGHTS:
@@ -137,6 +141,24 @@ class TestConversions:
                     want = poly_mul(gegenbauer_coeffs(PolySpec(lam, n)),
                                     gegenbauer_coeffs(PolySpec(lam, m)))
                     assert got == want
+
+    def test_product_matches_gamma_oracle(self):
+        # the Gamma-function linearization over ExactScalar, whose sqrt(pi)
+        # factors cancel, against the product of the monomial forms
+        for lam in ORACLE_WEIGHTS:
+            for n in range(13):
+                for m in range(13):
+                    assert as_rat(product_linearize(n, m, lam)) == product_by_gamma(n, m, lam)
+
+    def test_reproject_matches_double_sum_oracle(self):
+        for lam in ORACLE_WEIGHTS:
+            for ell in SOURCE_WEIGHTS:
+                for n in range(13):
+                    assert as_rat(reproject_gegenbauer(ell, n, lam)) == \
+                        reproject_by_double_sum(ell, n, lam)
+
+    def test_combo_json_is_rational_strings(self):
+        assert product_linearize(1, 1, F(1, 2)).to_json() == {"0": "1/3", "2": "2/3"}
 
     def test_small_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -35,13 +35,13 @@ def rand_logform(rng, space=3, labels=LABELS) -> MultiLogForm:
     for _ in range(rng.randint(0, 3)):
         size = rng.choice([2, 2, 4])
         J = frozenset(rng.sample(labels, size))
-        polar[J] = ExactScalar.from_rational(F(rng.randint(-4, 4), rng.randint(1, 5)))
+        polar[J] = F(rng.randint(-4, 4), rng.randint(1, 5))
     regular = {}
     for _ in range(rng.randint(0, 3)):
         vars_ = rng.sample(labels, rng.randint(0, 2))
         key = tuple(sorted(((v, rng.randint(1, 2)) for v in vars_),
                            key=lambda kv: label_sort_key(kv[0])))
-        regular[key] = ExactScalar.from_rational(F(rng.randint(-4, 4), rng.randint(1, 5)))
+        regular[key] = F(rng.randint(-4, 4), rng.randint(1, 5))
     return one_factor_form(space, polar, regular)
 
 
@@ -73,7 +73,29 @@ def residue_single(a: MultiLogForm, label) -> dict:
     return out
 
 
+# coefficients that are not exact rationals: a float (LaurentSeries used to
+# store 0.1 as 3602879701896397/36028797018963968), a string, a pi-ring scalar
+NOT_RATIONAL = {"float": 0.1, "str": "1/2", "exact_scalar": ExactScalar.one()}
+
+
+@pytest.mark.parametrize("value", NOT_RATIONAL.values(), ids=NOT_RATIONAL)
+@pytest.mark.parametrize("make", [lambda c: LaurentSeries({0: c}),
+                                  lambda c: MultiLogForm({(): c})],
+                         ids=["laurent", "logform"])
+def test_non_rational_coefficient_rejected(make, value):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        make(value)
+
+
 class TestLaurent:
+    def test_int_and_fraction_kept_as_given(self):
+        s = LaurentSeries({-1: 2, 0: F(1, 3), 1: 0})
+        assert s.coeffs == {-1: 2, 0: F(1, 3)}
+        assert type(s.coeffs[-1]) is int and type(s.coeffs[0]) is F
+        assert LaurentSeries.from_json({"0": "1/2"}) == LaurentSeries({0: F(1, 2)})
+        with pytest.raises(TypeError):
+            s * 0.5
+
     def test_projection_example(self):
         s = LaurentSeries({-2: 2, 0: 3, 1: 1})
         assert laurent_T(s) == LaurentSeries({-2: 2})
@@ -283,4 +305,4 @@ class TestMultiLogForm:
     def test_distinct_spaces_enforced(self):
         key = ((2, ("reg", ((LABELS[0], 1),))), (2, ("reg", ((LABELS[1], 1),))))
         with pytest.raises(ValueError):
-            MultiLogForm({key: ExactScalar.one()})
+            MultiLogForm({key: 1})
