@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .exact import ExactScalar, SymbolicCoeff
 from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
@@ -329,7 +329,6 @@ class GegenExpansion:
                           max((d for _, d in keys), default=0))
 
     def evaluate(self, geom: EdgeGeometry, m: float | None = None,
-                 include_prefactor: bool = True,
                  tables: tuple[list[float], list[float]] | None = None) -> float:
         """Value at one edge; ``tables`` are the :func:`gegen_tables` of the
         edge, at least as long as this expansion needs."""
@@ -341,17 +340,7 @@ class GegenExpansion:
         total = _row_sum(form.series, *tables)
         if self.log_rho:
             total += (self.k0.bind(m) + math.log(geom.rho)) * _row_sum(form.log_rho, *tables)
-        if include_prefactor:
-            total *= self.prefactor.bind(m)
-        return total * geom.rho ** form.rho_exponent
-
-    def full_entries(self) -> Iterable[SymbolicCoeff]:
-        """Complete coefficients (prefactor folded in) of every entry of the
-        plain and log(rho) tensors, for the coefficient-field structure checks."""
-        for c in self.plain.values():
-            yield self.prefactor * c
-        for c in self.log_rho.values():
-            yield self.prefactor * c
+        return total * self.prefactor.bind(m) * geom.rho ** form.rho_exponent
 
     def to_json(self) -> dict:
         def tensor_json(t: Mapping[tuple[int, int], SymbolicCoeff]) -> list:

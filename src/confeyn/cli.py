@@ -50,18 +50,27 @@ SUBCOMMANDS = ("prop-eval", "prop-expand", "gegen", "graph-coproduct",
 
 # Maxima of the size arguments; larger values exit 2.  The times are wall
 # times of one CLI process at the maximum, start-up included, on a 2-core
-# x86-64 host.  --lambda and gegen --ell have no maximum yet; every gegen
-# conversion is rational, and lambda only lengthens its numbers.
+# x86-64 host.  Rational arguments (--lambda, --ell) are capped in absolute
+# value and in denominator: every gegen conversion is rational, and a weight
+# only lengthens its numbers.
 GEGEN_MAX_N = 256     # chebyshev 0.3 s; reproject (ell 3/2) 0.5 s at lambda 1,
                       # 0.6 s at 51/2, 0.7 s at 100001/2
 GEGEN_MAX_M = 32      # product at n = 256: 0.6 s at lambda 1, 0.5 s at 51/2,
                       # 1.0 s at 100001/2
+GEGEN_MAX_LAMBDA = 10 ** 6  # product at n = 256, m = 32: 0.8 s (0.9 s at 1999999/2);
+                            # reproject 0.7 s, chebyshev 0.5 s
+GEGEN_MAX_ELL = 10 ** 6     # reproject at n = 256: 0.5 s at lambda 1, 0.6 s at 10^6
+GEGEN_MAX_D = 2002    # zonal at n = 256: 0.1 s
+PROP_MAX_D = 2002     # the real kernel's order (D-2)/2 stops at specfun.MAX_ORDER = 1000;
+                      # every kind 0.1 s
 DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
 DIVISORS_MAX_K = 8    # 40,938 labels at n = 12
 QUAD_MAX_POINTS = 1_000_000  # gm-integral: 0.8-1.1 s
 EXPAND_MAX_RADIAL = 64  # gegenbauer method at |ell| = 16: 1.0 s for D = 3, 4, 12, 34
 EXPAND_MAX_ELL = 16     # |ell|; gegenbauer method at radial 64: 1.0 s (1.3 s at 24)
 EXPAND_MAX_GEGEN_CAP = EXPAND_MAX_RADIAL  # filters the tensor, costs nothing itself
+EXPAND_MAX_D = 800      # odd D is slowest: at 799, gegenbauer (ell -16, radial 64)
+                        # 1.2 s and taylor (ell 16) 1.0 s
 RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
                           # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
 BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 1.5 s (8.6 s at 14)
@@ -123,13 +132,24 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _fraction_arg(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _check_max(flag: str, value, maximum) -> None:
     if value is not None and value > maximum:
         raise ValueError(f"{flag} {value} exceeds the maximum {maximum}")
+
+
+def _fraction_arg(flag: str, text: str | None, maximum: int) -> Fraction:
+    """A rational such as 3/2 or 1.5, at most ``maximum`` in absolute value and
+    in denominator.  The exponent form is refused: Fraction('1e10000000')
+    alone builds a ten-million-digit integer."""
+    if text is None:
+        raise ValueError(f"{flag} is required")
+    if len(text) > 64 or "e" in text.lower():
+        raise ValueError(f"{flag} must be a rational such as 3/2, got {text[:64]!r}")
+    value = Fraction(text)
+    if abs(value) > maximum or value.denominator > maximum:
+        raise ValueError(f"{flag} {text} exceeds the maximum {maximum} "
+                         "in absolute value or denominator")
+    return value
 
 
 # -- graph files --------------------------------------------------------------
@@ -169,6 +189,7 @@ def _cmd_prop_eval(args) -> dict:
     if args.quad_points < 2:
         raise ValueError(f"--quad-points must be at least 2, got {args.quad_points}")
     _check_max("--quad-points", args.quad_points, QUAD_MAX_POINTS)
+    _check_max("--D", args.D, PROP_MAX_D)
     if args.x:
         x = tuple(float(c) for c in args.x.split(","))
         k = propagators.Kinematics(args.D, x, args.m)
@@ -202,10 +223,8 @@ def _cmd_prop_expand(args) -> dict:
 
     _check_max("--radial", args.radial, EXPAND_MAX_RADIAL)
     _check_max("--gegen-cap", args.gegen_cap, EXPAND_MAX_GEGEN_CAP)
-    ell = _fraction_arg(args.ell)
-    if abs(ell) > EXPAND_MAX_ELL:
-        raise ValueError(f"--ell {args.ell} exceeds the maximum {EXPAND_MAX_ELL} "
-                         "in absolute value")
+    _check_max("--D", args.D, EXPAND_MAX_D)
+    ell = _fraction_arg("--ell", args.ell, EXPAND_MAX_ELL)
     if args.case == "complex":
         lam = amplitude.complex_case_weight(args.D)
     else:
@@ -237,7 +256,10 @@ def _cmd_gegen(args) -> dict:
 
     _check_max("--n", args.n, GEGEN_MAX_N)
     _check_max("--m", args.m, GEGEN_MAX_M)
-    lam = _fraction_arg(args.lam) if args.lam else None
+    _check_max("--D", args.D, GEGEN_MAX_D)
+    if args.op == "zonal":
+        return {"value": gegenbauer.zonal_coefficient(args.D, args.n).to_json()}
+    lam = _fraction_arg("--lambda", args.lam, GEGEN_MAX_LAMBDA)
     if args.op == "coeffs":
         spec = gegenbauer.PolySpec(lam, args.n)
         coeffs = gegenbauer.gegenbauer_coeffs(spec)
@@ -247,12 +269,10 @@ def _cmd_gegen(args) -> dict:
     if args.op == "chebyshev":
         return gegenbauer.chebyshev_to_gegenbauer(args.n, lam).to_json()
     if args.op == "reproject":
-        return gegenbauer.reproject_gegenbauer(_fraction_arg(args.ell), args.n,
-                                               lam).to_json()
+        ell = _fraction_arg("--ell", args.ell, GEGEN_MAX_ELL)
+        return gegenbauer.reproject_gegenbauer(ell, args.n, lam).to_json()
     if args.op == "product":
         return gegenbauer.product_linearize(args.n, args.m, lam).to_json()
-    if args.op == "zonal":
-        return {"value": gegenbauer.zonal_coefficient(args.D, args.n).to_json()}
     if args.op == "generating":
         return {"value": gegenbauer.generating_series_coeff(lam, args.n, args.x)}
     raise ValueError(f"unknown op {args.op!r}")
@@ -402,7 +422,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prop-eval", help="evaluate a propagator")
-    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--D", type=int, required=True, help=f"at most {PROP_MAX_D}")
     p.add_argument("--m", type=float, default=0.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--x", type=str, default=None, help="comma-separated separation vector")
@@ -417,7 +437,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_prop_eval)
 
     p = sub.add_parser("prop-expand", help="expansion coefficients of an edge factor")
-    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--D", type=int, required=True, help=f"at most {EXPAND_MAX_D}")
     p.add_argument("--case", default="real", choices=["real", "complex"])
     p.add_argument("--method", default="taylor",
                    choices=["taylor", "asymptotic", "gegenbauer"])
@@ -432,11 +452,15 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--op", required=True,
                    choices=["coeffs", "monomial", "chebyshev", "reproject",
                             "product", "zonal", "generating"])
-    p.add_argument("--lambda", dest="lam", type=str, default=None)
+    p.add_argument("--lambda", dest="lam", type=str, default=None,
+                   help=f"a rational; at most {GEGEN_MAX_LAMBDA} in absolute value and "
+                        "denominator; every op but zonal needs it")
     p.add_argument("--n", type=int, default=0, help=f"at most {GEGEN_MAX_N}")
     p.add_argument("--m", type=int, default=0, help=f"at most {GEGEN_MAX_M}")
-    p.add_argument("--ell", type=str, default=None)
-    p.add_argument("--D", type=int, default=3)
+    p.add_argument("--ell", type=str, default=None,
+                   help=f"source weight of reproject; at most {GEGEN_MAX_ELL} in absolute "
+                        "value and denominator")
+    p.add_argument("--D", type=int, default=3, help=f"at most {GEGEN_MAX_D}")
     p.add_argument("--x", type=float, default=0.0)
     p.set_defaults(func=_cmd_gegen)
 

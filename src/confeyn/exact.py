@@ -298,10 +298,6 @@ class SymbolicCoeff:
     def logm_symbol(cls) -> "SymbolicCoeff":
         return cls.monomial(ExactScalar.one(), logm=1)
 
-    @classmethod
-    def m_power(cls, exp: RationalLike) -> "SymbolicCoeff":
-        return cls.monomial(ExactScalar.one(), m_exp=exp)
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: "SymbolicCoeff") -> "SymbolicCoeff":

@@ -56,20 +56,17 @@ def rising(x: Fraction, k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PolySpec:
-    """One polynomial: weight lam > 0 (half-integer) and degree n, or the
-    Chebyshev lam -> 0 limit when ``chebyshev`` is set."""
+    """One polynomial: weight lam > 0 (half-integer) and degree n."""
     lam: Fraction | int = Fraction(1, 2)
     n: int = 0
-    chebyshev: bool = False
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("degree must be >= 0")
-        if not self.chebyshev:
-            lam = as_half_integer(self.lam, "lambda")
-            if lam <= 0:
-                raise ValueError("lambda must be positive (or set the Chebyshev flag)")
-            object.__setattr__(self, "lam", lam)
+        lam = as_half_integer(self.lam, "lambda")
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+        object.__setattr__(self, "lam", lam)
 
 
 @dataclass
@@ -88,10 +85,6 @@ class GegenCombo:
             for power, a in _gegen_monomials(self.lam, deg):
                 out[power] = out.get(power, 0) + c * a
         return {p: c for p, c in out.items() if c}
-
-    def eval_float(self, x: float) -> float:
-        return sum(float(c) * gegenbauer_value(self.lam, deg, x)
-                   for deg, c in self.coeffs.items())
 
     def to_json(self) -> dict[str, str]:
         return {str(k): str(self.coeffs[k]) for k in sorted(self.coeffs)}
@@ -126,12 +119,8 @@ def _chebyshev_monomials(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def gegenbauer_coeffs(spec: PolySpec) -> dict[int, Fraction]:
-    """Exact monomial coefficients of C_n^{(lam)}(x) (or T_n for the Chebyshev limit)."""
-    if spec.chebyshev:
-        mono = _chebyshev_monomials(spec.n)
-    else:
-        mono = _gegen_monomials(Fraction(spec.lam), spec.n)
-    return {p: Fraction(c) for p, c in mono}
+    """Exact monomial coefficients of C_n^{(lam)}(x)."""
+    return dict(_gegen_monomials(spec.lam, spec.n))
 
 
 def gegenbauer_table(lam, n_max: int, x: float) -> list[float]:
@@ -282,15 +271,3 @@ def zonal_coefficient(D: int, n: int) -> ExactScalar:
         raise ValueError("degree must be >= 0")
     return sphere_volume(D) * Fraction(D - 2, 2 * n + D - 2)
 
-
-def chebyshev_limit_check(n: int, x: float, eps_lambda: float) -> tuple[float, float]:
-    """(T_n(x), (n/2) C_n^{(eps)}(x)/eps) for the lam -> 0 Chebyshev limit."""
-    if n < 1:
-        raise ValueError("the limit formula needs n >= 1")
-    if eps_lambda <= 0:
-        raise ValueError("eps_lambda must be positive")
-    t_prev, t_n = 1.0, x  # T_{k+1} = 2x T_k - T_{k-1}
-    for _ in range(n - 1):
-        t_prev, t_n = t_n, 2.0 * x * t_n - t_prev
-    approx = (n / 2.0) * generating_series_coeff(eps_lambda, n, x) / eps_lambda
-    return t_n, approx

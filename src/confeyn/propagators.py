@@ -15,13 +15,14 @@ The mass convention difference is deliberate: the scalar/Helmholtz sections
 use momentum denominators ||k||^2 + m^2 while the Dirac/boson ones use
 ||k||^2 + m (hence the sqrt(m) kernels); both are surfaced as written.
 
-Independent oracles provided here: the heat-kernel integral representation
+An independent route to the massive kernel is provided here: the heat-kernel
+integral representation
 
     G_m(x) = (4 pi)^(-D/2) Integral_0^inf t^(-D/2) exp(-t m^2 - ||x||^2/(4t)) dt
 
-evaluated by trapezoid quadrature after t = e^u (double-exponential decay),
-and central finite differences for the Helmholtz / Dirac / boson defining
-relations.
+evaluated by trapezoid quadrature after t = e^u (double-exponential decay).
+The finite-difference checks of the Helmholtz / Dirac / boson defining
+relations live with the tests.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ def gm_real(k: Kinematics) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Trapezoid rule on u in [-L, L] after t = e^u, with refinement check."""
+    """Trapezoid rule on u in [-L, L] after t = e^u, with refinement check;
+    L is chosen from m and r."""
     points: int = 1600
-    half_width: float | None = None  # default chosen from m, r below
     target: float = 1e-10
 
 
@@ -120,9 +121,7 @@ def gm_integral(k: Kinematics, quad: QuadratureConfig | None = None) -> float:
         quad = QuadratureConfig()
     # after t = e^u the integrand is exp((1 - D/2) u - m^2 e^u - (r^2/4) e^-u);
     # choose L so both exponential walls are far below double precision
-    L = quad.half_width
-    if L is None:
-        L = 6.0 + max(abs(math.log(45.0 / k.m ** 2)), abs(math.log(4 * 45.0 / r ** 2)))
+    L = 6.0 + max(abs(math.log(45.0 / k.m ** 2)), abs(math.log(4 * 45.0 / r ** 2)))
 
     def scan(points: int) -> float:
         h = 2 * L / points
@@ -148,9 +147,6 @@ class ComplexPhase:
     """Exact phase i^i_power times a positive magnitude."""
     magnitude: float
     i_power: int  # 0..3
-
-    def as_complex(self) -> complex:
-        return self.magnitude * (1j ** self.i_power)
 
 
 def g0_complex(k: Kinematics) -> ComplexPhase:
@@ -182,38 +178,6 @@ def diag_continuation(D: int, m: float) -> float:
     if m <= 0:
         raise ValueError("diag_continuation requires m > 0")
     return (4 * math.pi) ** (-D / 2.0) * m ** (D - 2) * math.gamma(1 - D / 2.0)
-
-
-def _fd_laplacian(f, x: Sequence[float], h: float) -> float:
-    base = f(x)
-    total = 0.0
-    for mu in range(len(x)):
-        xp = list(x); xp[mu] += h
-        xm = list(x); xm[mu] -= h
-        total += f(xp) - 2.0 * base + f(xm)
-    return total / (h * h)
-
-
-def helmholtz_residual(k: Kinematics, h: float) -> float:
-    """Relative residual of the defining PDE, by central finite differences.
-
-    Away from the diagonal the massive propagator satisfies
-    ``sum_mu d^2 G = m^2 G`` (the geometer's sign convention flips the
-    analyst's Laplacian); at m = 0 the massless kernel is harmonic.  Returns
-    |Delta_h G - m^2 G| / |G|.
-    """
-    r = _require_off_diagonal(k)
-    if h <= 0 or h > 0.05 * r:
-        raise ValueError("step must satisfy 0 < h <= 0.05 ||x||")
-    if k.m > 0:
-        def f(pt):
-            return gm_real(Kinematics(k.D, tuple(pt), k.m))
-    else:
-        def f(pt):
-            return g0_real(Kinematics(k.D, tuple(pt)))
-    lap = _fd_laplacian(f, k.x, h)
-    val = f(k.x)
-    return abs(lap - k.m ** 2 * val) / abs(val)
 
 
 @dataclass(frozen=True)

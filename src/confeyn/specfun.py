@@ -9,7 +9,9 @@ digamma identities
 
 The modified Bessel function of the second kind ``K_nu(z)`` is computed in
 double precision for integer and half-integer orders, the only ones the
-propagators use.  The two lowest orders come from
+propagators use (nu = (D-2)/2 for the real kernels, D-1 for the complex one,
+with integer D); any other order is a ValueError.  The two lowest orders come
+from
 
 * Temme's series at order 0 for ``z < 2`` (Temme, J. Comput. Phys. 19 (1975)
   324), or Steed's continued fraction CF2 for ``z >= 2`` (Thompson & Barnett,
@@ -19,17 +21,16 @@ propagators use.  The two lowest orders come from
   ``K_{3/2} = K_{1/2} (1 + 1/z)``;
 
 and the upward recurrence ``K_{n+1} = K_{n-1} + (2n/z) K_n``, which adds
-positive terms only, gives the higher orders.  Any other real order is a slow
-path through mpmath's ``besselk``.
+positive terms only, gives the higher orders.  The module uses the standard
+library only.
 
-The small-argument convergent expansion and the large-argument asymptotic series
+The coefficients of the large-argument asymptotic series
 
     K_nu(z) ~ sqrt(pi/(2z)) * exp(-z) * sum_l (nu,l) / (2z)**l,
     (nu,l) = Gamma(nu+l+1/2) / (l! * Gamma(nu-l+1/2)),
 
-summed in extended precision (mpmath) and selected by :class:`BesselEvalConfig`,
-remain as the reference :func:`bessel_k_branch` that tests compare against.
-mpmath is imported only by the slow path and the reference.
+are exact rationals (:func:`asym_coeff`); the amplitude expansions build on
+them.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def digamma_exact(z) -> SymbolicCoeff:
             - 2 * SymbolicCoeff.log2_symbol())
 
 
-def asym_coeff(nu, ell: int) -> ExactScalar:
+def asym_coeff(nu, ell: int) -> Fraction:
     """Asymptotic-series coefficient (nu,ell) = Gamma(nu+ell+1/2)/(ell! Gamma(nu-ell+1/2)).
 
     Computed as the Pochhammer product (nu-ell+1/2)_{2 ell} / ell!, which is
@@ -105,12 +106,13 @@ def asym_coeff(nu, ell: int) -> ExactScalar:
     coeff = Fraction(1)
     for i in range(2 * ell):
         coeff *= lower + i
-    return ExactScalar.from_rational(coeff / math.factorial(ell))
+    return coeff / math.factorial(ell)
 
 
+# kept here: the bench tracer labels bessel_k calls by this crossover until it reads z = 2
 @dataclass(frozen=True)
 class BesselEvalConfig:
-    """Branch knobs of the mpmath reference :func:`bessel_k_branch`.
+    """Branch knobs of the extended-precision reference K_nu of the tests.
 
     ``crossover_z=None`` selects the default ``max(10, 2*nu**2)``, the
     argument above which the reference series gives way to the asymptotic one.
@@ -246,121 +248,14 @@ def bessel_k_ladder(nu: float, z: float, steps: int) -> list[float]:
     return out
 
 
-def _k_slow(nu: float, z: float) -> float:
-    """Orders that are neither integer nor half-integer: mpmath's besselk."""
-    import mpmath
-    return float(mpmath.besselk(nu, z))
-
 
 def bessel_k(nu: float, z: float) -> float:
-    """Modified Bessel function (Macdonald function) K_nu(z) for z > 0,
-    0 <= nu <= MAX_ORDER, in double precision.
+    """Modified Bessel function (Macdonald function) K_nu(z) for z > 0 and
+    integer or half-integer 0 <= nu <= MAX_ORDER, in double precision.
 
-    Raises ValueError for non-finite or out-of-range arguments.
+    Raises ValueError for non-finite or out-of-range arguments and for any
+    other order.
     """
     if _checked_order(nu, z) is None:
-        return _k_slow(nu, z)
+        raise ValueError(f"bessel_k needs an integer or half-integer order, got {nu}")
     return bessel_k_ladder(nu, z, 0)[0]
-
-
-def _k_half_integer(n: int, z, terms_cap: int | None = None):
-    """Exact terminating form of K_{n+1/2}(z)."""
-    import mpmath
-    z = mpmath.mpf(z)
-    total = mpmath.mpf(0)
-    upper = n if terms_cap is None else min(n, terms_cap - 1)
-    for ell in range(upper + 1):
-        c = asym_coeff(Fraction(2 * n + 1, 2), ell).as_rational()
-        total += mpmath.mpf(c.numerator) / c.denominator / (2 * z) ** ell
-    return mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.exp(-z) * total
-
-
-def _k_asymptotic(nu: float, z, terms: int):
-    """Partial sum of the large-argument asymptotic series."""
-    import mpmath
-    z = mpmath.mpf(z)
-    term = mpmath.mpf(1)
-    total = mpmath.mpf(1)
-    prev = mpmath.inf
-    for ell in range(terms - 1):
-        # (nu,l+1)/(nu,l) = (nu+l+1/2)(nu-l-1/2)/(l+1)
-        term *= mpmath.mpf(nu + ell + 0.5) * (nu - ell - 0.5) / (ell + 1)
-        contrib = term / (2 * z) ** (ell + 1)
-        if abs(contrib) > prev:
-            break  # divergent tail reached; stop at the smallest term
-        prev = abs(contrib)
-        total += contrib
-    return mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.exp(-z) * total
-
-
-def _k_series_integer(n: int, z, terms: int):
-    """Convergent small-argument expansion at integer order n >= 0."""
-    import mpmath
-    z = mpmath.mpf(z)
-    half = z / 2
-    total = mpmath.mpf(0)
-    # finite sum of negative powers
-    for ell in range(n):
-        total += (mpmath.mpf((-1) ** ell * math.factorial(n - ell - 1))
-                  / math.factorial(ell)) * half ** (2 * ell - n) / 2
-    # log series
-    logh = mpmath.log(half)
-    sign = (-1) ** (n + 1)
-    psi_a = -mpmath.euler  # psi(1)
-    psi_b = -mpmath.euler + sum(mpmath.mpf(1) / k for k in range(1, n + 1))  # psi(n+1)
-    power = half ** n
-    fact_l = mpmath.mpf(1)
-    fact_nl = mpmath.mpf(math.factorial(n))
-    for ell in range(terms):
-        coeff = power / (fact_l * fact_nl)
-        total += sign * coeff * (logh - (psi_a + psi_b) / 2)
-        # advance ell -> ell+1
-        psi_a += mpmath.mpf(1) / (ell + 1)
-        psi_b += mpmath.mpf(1) / (n + ell + 1)
-        fact_l *= (ell + 1)
-        fact_nl *= (n + ell + 1)
-        power *= half * half
-    return total
-
-
-def _k_series_real(nu: float, z, terms: int):
-    """K_nu via pi/2 (I_{-nu} - I_nu)/sin(pi nu) for non-integer real order."""
-    import mpmath
-    z = mpmath.mpf(z)
-    half = z / 2
-
-    def i_series(order: float):
-        total = mpmath.mpf(0)
-        for k in range(terms):
-            total += half ** (2 * k + order) / (mpmath.factorial(k)
-                                                * mpmath.gamma(k + order + 1))
-        return total
-
-    return (mpmath.pi / 2) * (i_series(-nu) - i_series(nu)) / mpmath.sin(mpmath.pi * nu)
-
-
-def bessel_k_branch(nu: float, z: float, branch: str,
-                    cfg: BesselEvalConfig | None = None) -> float:
-    """Reference K_nu(z) from one forced mpmath branch, 'series' or
-    'asymptotic', summed at 35 digits.  The convergent series gets z digits
-    more: its terms of size e^z cancel to a sum of size e^-z.
-
-    Half-integer orders use the terminating form, capped at
-    ``cfg.asymptotic_terms`` terms on the asymptotic branch.
-    """
-    import mpmath
-    if cfg is None:
-        cfg = DEFAULT_BESSEL_CONFIG
-    mu = _checked_order(nu, z)
-    if branch not in ("series", "asymptotic"):
-        raise ValueError(f"unknown branch {branch!r}")
-    series = branch == "series" and mu != 0.5
-    with mpmath.workdps(35 + int(z) if series else 35):
-        if mu == 0.5:
-            cap = cfg.asymptotic_terms if branch == "asymptotic" else None
-            return float(_k_half_integer(int(nu), z, terms_cap=cap))
-        if branch == "asymptotic":
-            return float(_k_asymptotic(nu, z, cfg.asymptotic_terms))
-        if mu == 0.0:
-            return float(_k_series_integer(round(nu), z, cfg.series_terms))
-        return float(_k_series_real(nu, z, cfg.series_terms))

@@ -7,6 +7,9 @@ ExactScalar so that the sqrt(pi) factors of Gamma at half-integers are carried
 until they cancel.  ``reproject_by_double_sum`` expands C_n^(ell) in the
 C^(lam) basis by summing the explicit monomial form of C_n^(ell) against the
 closed-form expansion of each x^(n-2k).  Both return {degree: Fraction}.
+
+``chebyshev_limit_check`` compares T_n with the lam -> 0 limit
+(n/2) C_n^(lam)(x) / lam of the generating-series coefficient.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.exact import ExactScalar
-from confeyn.gegenbauer import rising
+from confeyn.gegenbauer import generating_series_coeff, rising
 from confeyn.specfun import gamma_exact
 
 _fact = math.factorial
@@ -61,3 +64,16 @@ def reproject_by_double_sum(ell: Fraction, n: int, lam: Fraction) -> dict[int, F
             d = n - 2 * (k + j)
             out[d] = out.get(d, Fraction(0)) + outer * inner
     return {d: c for d, c in out.items() if c}
+
+
+def chebyshev_limit_check(n: int, x: float, eps_lambda: float) -> tuple[float, float]:
+    """(T_n(x), (n/2) C_n^{(eps)}(x)/eps) for the lam -> 0 Chebyshev limit."""
+    if n < 1:
+        raise ValueError("the limit formula needs n >= 1")
+    if eps_lambda <= 0:
+        raise ValueError("eps_lambda must be positive")
+    t_prev, t_n = 1.0, x  # T_{k+1} = 2x T_k - T_{k-1}
+    for _ in range(n - 1):
+        t_prev, t_n = t_n, 2.0 * x * t_n - t_prev
+    approx = (n / 2.0) * generating_series_coeff(eps_lambda, n, x) / eps_lambda
+    return t_n, approx

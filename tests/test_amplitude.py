@@ -90,6 +90,17 @@ def as_symbolic(series) -> dict[tuple[int, int], SymbolicCoeff]:
     return {k: SymbolicCoeff.from_rational(v) for k, v in series.items()}
 
 
+def bare_value(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> float:
+    """The value of ``exp`` without its term coefficient (the prefactor)."""
+    return exp.evaluate(geom, m) / exp.prefactor.bind(m)
+
+
+def full_entries(exp: GegenExpansion) -> list[SymbolicCoeff]:
+    """Complete coefficients (prefactor folded in) of every entry of the plain
+    and log(rho) tensors."""
+    return [exp.prefactor * c for c in (*exp.plain.values(), *exp.log_rho.values())]
+
+
 # -- coefficient examples -------------------------------------------------------
 
 
@@ -207,10 +218,10 @@ class TestGegenExpansion:
         exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
                                         TruncationOrders(radial=60))
         geom = EdgeGeometry(rho=1.0, r=0.5, cos=0.0)
-        val = exp.evaluate(geom, m=1.0, include_prefactor=False)
+        val = bare_value(exp, geom, 1.0)
         assert abs(val - 0.8) < 1e-10
         geom2 = EdgeGeometry(rho=3.0, r=1.5, cos=0.0)
-        val2 = exp.evaluate(geom2, m=1.0, include_prefactor=False)
+        val2 = bare_value(exp, geom2, 1.0)
         assert abs(val2 - 0.8 / 9) < 1e-10
 
     def test_log_branch_pure_logrho_term(self):
@@ -270,14 +281,14 @@ class TestGegenExpansion:
         for ell, lam in [(-1, 1), (0, 1), (1, 2), (-2, 3)]:
             exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
                                             TruncationOrders(radial=6))
-            for coeff in exp.full_entries():
+            for coeff in full_entries(exp):
                 assert all(p % 2 == 0 for p in coeff.pi_half_exponents())
                 for _, scalar in coeff.coefficients():
                     assert all(s == 0 for s, _, _ in scalar.terms())
         for ell, lam in [(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2)), (1, F(3, 2))]:
             exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
                                             TruncationOrders(radial=6))
-            for coeff in exp.full_entries():
+            for coeff in full_entries(exp):
                 assert isinstance(coeff, SymbolicCoeff)  # lies in the sqrt(pi) ring
                 for _, scalar in coeff.coefficients():
                     assert all(s == 0 for s, _, _ in scalar.terms())
@@ -296,8 +307,7 @@ class TestGegenExpansion:
                 capped = GegenExpansion(
                     exp.lam, exp.rho_exponent, exp.prefactor, exp.k0, {},
                     {k: v for k, v in exp.series.items() if k[0] <= cap}, cap)
-                errors.append(abs(capped.evaluate(geom, 1.0, include_prefactor=False)
-                                  - exact))
+                errors.append(abs(bare_value(capped, geom, 1.0) - exact))
             steps = len(errors) - 1
             rate = (errors[-1] / errors[0]) ** (1.0 / steps)
             assert rate <= 0.6
@@ -368,9 +378,9 @@ class TestFloatEvaluation:
         for u in (0.0, 0.3, 0.9):
             for cos in (-0.99, 0.3, 0.95):
                 geom = EdgeGeometry(rho=1.3, r=1.3 * u, cos=cos)
-                for pref in (True, False):
-                    got = exp.evaluate(geom, 0.7, include_prefactor=pref)
-                    assert_matches_reference(got, exp, geom, 0.7, pref)
+                got = exp.evaluate(geom, 0.7)
+                assert_matches_reference(got, exp, geom, 0.7)
+                assert_matches_reference(bare_value(exp, geom, 0.7), exp, geom, 0.7, False)
 
     def test_hand_built_capped_expansion(self):
         # a hand-built expansion evaluates its own tensors, not those of the

@@ -11,12 +11,14 @@ import pytest
 
 import confeyn
 from confeyn import cli
-from confeyn.cli import (BETA_MAX_DEGREE, DIVISORS_MAX_K, DIVISORS_MAX_N,
+from confeyn.cli import (BETA_MAX_DEGREE, DIVISORS_MAX_K, DIVISORS_MAX_N, EXPAND_MAX_D,
                          EXPAND_MAX_ELL, EXPAND_MAX_GEGEN_CAP, EXPAND_MAX_RADIAL,
-                         GEGEN_MAX_M, GEGEN_MAX_N, QUAD_MAX_POINTS, RENORM_MAX_VERTICES,
+                         GEGEN_MAX_D, GEGEN_MAX_ELL, GEGEN_MAX_LAMBDA, GEGEN_MAX_M,
+                         GEGEN_MAX_N, PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_VERTICES,
                          main)
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
+from test_acceptance import GOLDENS, golden_suite
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -253,6 +255,14 @@ class TestArgumentCaps:
         "gegen-cap": (["prop-expand", "--D", "4", "--method", "gegenbauer", "--ell", "0",
                        "--radial", "4", "--gegen-cap"], EXPAND_MAX_GEGEN_CAP),
         "gegen-m": (["gegen", "--op", "monomial", "--lambda", "1", "--m"], GEGEN_MAX_M),
+        "gegen-lambda": (["gegen", "--op", "monomial", "--m", "2", "--lambda"],
+                         GEGEN_MAX_LAMBDA),
+        "gegen-ell": (["gegen", "--op", "reproject", "--n", "2", "--lambda", "1", "--ell"],
+                      GEGEN_MAX_ELL),
+        "gegen-D": (["gegen", "--op", "zonal", "--n", "2", "--D"], GEGEN_MAX_D),
+        "expand-D": (["prop-expand", "--method", "taylor", "--ell", "1", "--D"],
+                     EXPAND_MAX_D),
+        "prop-D": (["prop-eval", "--kind", "g0", "--r", "1", "--D"], PROP_MAX_D),
         "n-vertices": (["renorm", "--target", "logform", "--graphs", "{graphs}",
                         "--n-vertices"], RENORM_MAX_VERTICES),
         "degree": (["beta", "--target", "logform", "--graphs", "{graphs}",
@@ -274,6 +284,26 @@ class TestArgumentCaps:
         assert code == 0
         code, _ = run_cli(args + ["--ell", str(-EXPAND_MAX_ELL - 1)], tmp_path)
         assert code == 2
+
+    def test_lambda_denominator_is_capped(self, tmp_path):
+        # the generating series takes any rational weight; a long denominator
+        # (1/10^300) cost 12 s before the cap
+        args = ["gegen", "--op", "generating", "--n", "8", "--x", "0.3", "--lambda"]
+        assert run_cli(args + [f"1/{GEGEN_MAX_LAMBDA}"], tmp_path)[0] == 0
+        assert run_cli(args + [f"1/{GEGEN_MAX_LAMBDA + 1}"], tmp_path)[0] == 2
+
+    def test_exponent_form_is_refused(self, tmp_path, capsys):
+        # Fraction("1e10000000") alone took 12 s
+        for args in (["prop-expand", "--D", "4", "--ell", "1e10000000"],
+                     ["gegen", "--op", "monomial", "--m", "2", "--lambda", "1E9"]):
+            assert run_cli(args, tmp_path)[0] == 2
+            assert "must be a rational such as 3/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--op", "coeffs", "--n", "3"],
+                                      ["--op", "reproject", "--n", "3", "--lambda", "1"]])
+    def test_missing_weight_is_a_validation_error(self, args, tmp_path, capsys):
+        assert run_cli(["gegen", *args], tmp_path)[0] == 2
+        assert "is required" in capsys.readouterr().err
 
     def test_too_few_quad_points(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
@@ -340,6 +370,52 @@ class TestImportHygiene:
     def test_usage_and_unknown_subcommand_load_nothing(self, tmp_path):
         assert fresh_main([], tmp_path) == (64, self.BASE)
         assert fresh_main(["frobnicate"], tmp_path) == (64, self.BASE)
+
+
+NO_MPMATH_PROBE = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+before = set(sys.modules)
+from confeyn.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    results.append([rc, buf.getvalue()])
+import confeyn.amplitude, confeyn.birkhoff  # and whatever the commands left unloaded
+outside = sorted(m for m in set(sys.modules) - before
+                 if m.partition(".")[0] not in {"confeyn", *sys.stdlib_module_names})
+print(json.dumps({"results": results, "outside": outside}))
+"""
+
+
+class TestWithoutMpmath:
+    """The library and every CLI path run on the standard library alone."""
+
+    EXTRA = [["prop-eval", "--D", "4", "--m", "1.3", "--r", "0.7", "--kind", kind]
+             for kind in ("gm", "g0", "gm-integral", "gm-complex", "g0-complex", "dirac")]
+    EXTRA += [["prop-eval", "--D", "5", "--m", "1.3", "--x", "0.4,-0.2,0.1,0.3,0.5",
+               "--kind", "boson", "--alpha", "2", "--mu", "1", "--nu", "3"],
+              ["gegen", "--op", "generating", "--n", "9", "--lambda", "3/2", "--x", "0.4"]]
+
+    def test_every_subcommand_and_kind(self, tmp_path):
+        suite = golden_suite(tmp_path)
+        commands = suite + self.EXTRA
+        kinds = {c[c.index("--kind") + 1] for c in commands if "--kind" in c}
+        assert kinds == {"gm", "g0", "gm-integral", "gm-complex", "g0-complex",
+                         "dirac", "boson"}
+        assert {c[0] for c in commands} == set(cli.SUBCOMMANDS)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-c", NO_MPMATH_PROBE, json.dumps(commands)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["outside"] == []
+        for i, (cmd, (rc, out)) in enumerate(zip(commands, doc["results"])):
+            assert rc == 0, cmd
+            if i < len(suite):
+                assert out.encode() == (GOLDENS / f"{i:02d}_{cmd[0]}.json").read_bytes(), cmd
 
 
 class TestExceptionScope:

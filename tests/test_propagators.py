@@ -9,8 +9,8 @@ from confeyn.propagators import (ComplexPhase, DiagonalError,
                                  Kinematics, QuadratureConfig, QuadratureError,
                                  boson_propagator, diag_continuation,
                                  dirac_propagator, g0_complex, g0_real,
-                                 gm_complex, gm_integral, gm_real,
-                                 helmholtz_residual)
+                                 gm_complex, gm_integral, gm_real)
+from propagator_oracles import helmholtz_residual
 
 GRID = [(D, m, r) for D in (3, 4, 6) for m in (0.5, 1.0, 2.0) for r in (0.25, 1.0, 4.0)]
 
@@ -121,7 +121,8 @@ class TestComplexCase:
         assert isinstance(phase, ComplexPhase)
         assert phase.i_power == (2 - 4) % 4 == 2
         assert phase.magnitude == pytest.approx(2 / (2 * math.pi) ** 4, rel=1e-14)
-        assert phase.as_complex() == pytest.approx(-2 / (2 * math.pi) ** 4)
+        value = phase.magnitude * 1j ** phase.i_power
+        assert value == pytest.approx(-2 / (2 * math.pi) ** 4)
 
     def test_gm_complex_formula(self):
         from confeyn.specfun import bessel_k
