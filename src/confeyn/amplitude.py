@@ -32,11 +32,21 @@ The tensors are rational and read-only; the term coefficient (prefactor) and
 the constant k0 of the log bracket log(m r / 2) - ... = log r + k0 factor
 out, so a log-branch term is prefactor * rho^(2l) * [(k0 + log rho) log_rho +
 series].  The symbolic tensor plain = k0 log_rho + series is a view for the
-JSON output.  Numeric evaluation reads the two tensors as (n, d, float) rows
-compiled once per expansion and sums them against the tables u^0..u^R and
-C_0^(lam)..C_cap^(lam)(cos), the latter by the three-term recurrence;
-:func:`edge_gegenbauer_value` computes the two tables once per edge and
-shares them across all the edge's terms.
+JSON output.
+
+Numeric evaluation rests on the exact identity G_m(r) = m^(2 lam) g(m r):
+the mass exponent of every term is 2 lam plus its radial exponent, and
+log m only enters through log(m r).  The first evaluation of an edge factor
+at a weight lam and :class:`TruncationOrders` checks this in exact
+arithmetic, term by term, and compiles one float kernel, which is cached;
+after that an edge costs one cache lookup and float arithmetic, with no
+symbolic coefficient bound.  With z = m r, the Taylor edge is
+r^(-2 lam) [A(z) + log(z) B(z)] for two polynomials evaluated by Horner's
+rule, and the asymptotic edge is m^(2 lam) z^(-lam-1/2) e^(-z) P(1/z).  The
+Gegenbauer edge is rho^(-2 lam) [P(zeta) + log(zeta) Q(zeta)] at zeta = m rho,
+where each coefficient of P and Q is a float row dotted with one basis
+u^n C_d^(lam)(cos) built per edge, C by the three-term recurrence;
+:meth:`GegenExpansion.evaluate` is the one-expansion case of that kernel.
 
 The complex-case kernel in dimension D coincides with the real kernel at
 weight D - 1 (its prefactor is (2 pi)^-D and the Macdonald order is D - 1),
@@ -50,9 +60,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from itertools import accumulate, repeat
+from operator import mul, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .exact import ExactScalar, SymbolicCoeff
 from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
@@ -96,12 +107,12 @@ class EdgeGeometry:
 
     @classmethod
     def from_points(cls, xs: Sequence[float], xt: Sequence[float]) -> "EdgeGeometry":
-        ns = math.sqrt(sum(c * c for c in xs))
-        nt = math.sqrt(sum(c * c for c in xt))
+        ns = math.sqrt(sum(map(mul, xs, xs)))
+        nt = math.sqrt(sum(map(mul, xt, xt)))
         rho, r = max(ns, nt), min(ns, nt)
         if r == 0.0:
             return cls(rho, 0.0, 0.0)
-        dot = sum(a * b for a, b in zip(xs, xt))
+        dot = sum(map(mul, xs, xt))
         return cls(rho, r, max(-1.0, min(1.0, dot / (ns * nt))))
 
     @property
@@ -143,12 +154,6 @@ class TaylorTerm:
     r_exponent: Fraction
     coeff_const: SymbolicCoeff
     coeff_log: SymbolicCoeff
-
-    def eval(self, r: float, m: float) -> float:
-        value = self.coeff_const.bind(m)
-        if not self.coeff_log.is_zero():
-            value += self.coeff_log.bind(m) * math.log(r)
-        return value * r ** float(self.r_exponent)
 
 
 def _check_lambda(lam) -> Fraction:
@@ -202,25 +207,26 @@ def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
                   / Fraction(math.factorial(l) * math.factorial(lam_i + l)))
         b = SymbolicCoeff.monomial(scalar, m_exp=2 * (lam + ell))
         return TaylorTerm(2 * ell, b * _log_constant(l, lam), b)
-    # half-integer lam: terminating Macdonald form, exponential expanded
+    # half-integer lam: terminating Macdonald form, exponential expanded; the
+    # sum over j <= lam - 1/2 of (lam,j) 2^-j (-1)^k / k!, k = 2 ell + lam + 1/2 + j,
+    # runs by the term ratio, with (lam,j+1)/(lam,j) = (lam+j+1/2)(lam-j-1/2)/(j+1)
     if term.branch != "power":
         raise ValueError("half-integer lam has no log branch")
     p = 2 * ell
     if p.denominator != 1:
         raise ValueError("2*ell must be an integer")
-    p = int(p)
-    jmax = int(lam - Fraction(1, 2))
-    total = ExactScalar.zero()
-    for j in range(jmax + 1):
-        k = p + int(lam + Fraction(1, 2)) + j
-        if k < 0:
-            continue
-        a_j = (asym_coeff(lam, j)
-               * two_pi_power(-(lam + 1))
-               * ExactScalar.term(Fraction(1, 2), sqrt2=1, pi_half=1)  # sqrt(pi/2)
-               * Fraction(1, 2 ** j))
-        total = total + a_j * Fraction((-1) ** k, math.factorial(k))
-    return TaylorTerm(2 * ell, SymbolicCoeff.monomial(total, m_exp=2 * lam + 2 * ell),
+    k0 = int(p + lam + Fraction(1, 2))  # k at j = 0; ell >= -lam makes -k0 <= jmax
+    j0, jmax = max(0, -k0), int(lam - Fraction(1, 2))
+    a_j = asym_coeff(lam, j0) * Fraction((-1) ** (k0 + j0), 2 ** j0 * math.factorial(k0 + j0))
+    total = a_j
+    for j in range(j0, jmax):
+        a_j *= Fraction(-int(lam + j + Fraction(1, 2)) * int(lam - j - Fraction(1, 2)),
+                        2 * (j + 1) * (k0 + j + 1))
+        total += a_j
+    scalar = (two_pi_power(-(lam + 1))
+              * ExactScalar.term(Fraction(1, 2), sqrt2=1, pi_half=1)  # sqrt(pi/2)
+              * total)
+    return TaylorTerm(p, SymbolicCoeff.monomial(scalar, m_exp=2 * lam + p),
                       SymbolicCoeff.zero())
 
 
@@ -229,9 +235,6 @@ class AsymptoticTerm:
     """One term of the large-distance expansion: coeff * r^e * exp(-m r)."""
     r_exponent: Fraction
     coeff: SymbolicCoeff
-
-    def eval(self, r: float, m: float) -> float:
-        return self.coeff.bind(m) * r ** float(self.r_exponent) * math.exp(-m * r)
 
 
 def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
@@ -252,40 +255,6 @@ def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
 # ---------------------------------------------------------------------------
 
 Tensor = Mapping[tuple[int, int], Fraction]
-Rows = tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]
-
-
-class _FloatForm(NamedTuple):
-    """Float rows (n's, d's, values) of the two tensors of one expansion,
-    compiled once from them."""
-    log_rho: Rows
-    series: Rows
-    rho_exponent: float
-    n_max: int
-    d_max: int
-
-
-def _rows(tensor: Tensor) -> Rows:
-    return (tuple(n for n, _ in tensor), tuple(d for _, d in tensor),
-            tuple(float(c) for c in tensor.values()))
-
-
-def _row_sum(rows: Rows, u_pows: list[float], c_vals: list[float]) -> float:
-    """sum_i values[i] u^ns[i] C_ds[i](cos), the loop run by map."""
-    ns, ds, values = rows
-    return sum(map(mul, values, map(mul, map(u_pows.__getitem__, ns),
-                                    map(c_vals.__getitem__, ds))), 0.0)
-
-
-def gegen_tables(lam, geom: EdgeGeometry, n_max: int, d_max: int
-                 ) -> tuple[list[float], list[float]]:
-    """[u^0..u^n_max] and [C_0^(lam)..C_d_max^(lam)](cos) of one edge, shared
-    by every expansion evaluated at that edge."""
-    u = geom.u if geom.rho else 0.0
-    u_pows = [1.0]
-    for _ in range(n_max):
-        u_pows.append(u_pows[-1] * u)
-    return u_pows, gegenbauer_table(lam, d_max, geom.cos)
 
 
 @dataclass(frozen=True)
@@ -298,8 +267,7 @@ class GegenExpansion:
     The rational tensors expand the *bare* radial/log factor; the term
     coefficient is kept in ``prefactor`` (this is what makes the worked
     massless values come out with unit entries) and the constant of the log
-    bracket in ``k0`` (zero on the power branch).  The tensors are read-only;
-    their float form is compiled from them on the first evaluation."""
+    bracket in ``k0`` (zero on the power branch).  The tensors are read-only."""
     lam: Fraction
     rho_exponent: Fraction
     prefactor: SymbolicCoeff
@@ -321,26 +289,13 @@ class GegenExpansion:
         return MappingProxyType(plain)
 
     @cached_property
-    def float_form(self) -> _FloatForm:
-        """The float rows of this instance's own tensors, compiled once."""
-        keys = list(self.log_rho) + list(self.series)
-        return _FloatForm(_rows(self.log_rho), _rows(self.series), float(self.rho_exponent),
-                          max((n for n, _ in keys), default=0),
-                          max((d for _, d in keys), default=0))
+    def _kernel(self) -> "_GegenKernel":
+        return _GegenKernel(self.lam, (self,))
 
-    def evaluate(self, geom: EdgeGeometry, m: float | None = None,
-                 tables: tuple[list[float], list[float]] | None = None) -> float:
-        """Value at one edge; ``tables`` are the :func:`gegen_tables` of the
-        edge, at least as long as this expansion needs."""
-        if geom.r > 0 and geom.u >= 1.0:
-            raise DivergentRatioError("expansion needs r/rho < 1")
-        form = self.float_form
-        if tables is None:
-            tables = gegen_tables(self.lam, geom, form.n_max, form.d_max)
-        total = _row_sum(form.series, *tables)
-        if self.log_rho:
-            total += (self.k0.bind(m) + math.log(geom.rho)) * _row_sum(form.log_rho, *tables)
-        return total * self.prefactor.bind(m) * geom.rho ** form.rho_exponent
+    def evaluate(self, geom: EdgeGeometry, m: float) -> float:
+        """Value at one edge: the one-expansion case of the edge kernel,
+        compiled from this instance's own tensors on the first call."""
+        return self._kernel.evaluate(geom, m)
 
     def to_json(self) -> dict:
         def tensor_json(t: Mapping[tuple[int, int], SymbolicCoeff]) -> list:
@@ -440,24 +395,171 @@ def _taylor_indices(lam: Fraction, ell_max: int) -> list[Fraction]:
     return [Fraction(t, 2) for t in range(-int(2 * lam), 2 * ell_max + 1)]
 
 
+# ---------------------------------------------------------------------------
+# Float kernels
+# ---------------------------------------------------------------------------
+
+
+def _unit_mass(coeff: SymbolicCoeff, k: int | Fraction, log_part: SymbolicCoeff | None = None
+               ) -> float:
+    """a = coeff at m = 1, after checking exactly that coeff = m^k (a + b log m)
+    with b m^k = log_part (b = 0 when it is None): what puts a term into
+    m^(2 lam) g(m s)."""
+    twice = 2 * k
+    keys = dict(coeff.coefficients())
+    if any(m2 != twice or logm > 1 for m2, logm, _, _ in keys):
+        raise ValueError(f"{coeff!r} is not m^{k} (a + b log m)")
+    logs = {(g, l2): c for (_, logm, g, l2), c in keys.items() if logm}
+    if logs != {(g, l2): c for (_, _, g, l2), c in
+                (log_part.coefficients() if log_part is not None else ())}:
+        raise ValueError(f"the log m part of {coeff!r} is not {log_part!r}")
+    return coeff.bind(1.0)
+
+
+def _z_power(r_exponent: Fraction, lam: Fraction) -> int:
+    """k = r_exponent + 2 lam: the term r^r_exponent m^k is r^(-2 lam) z^k,
+    z = m r, which needs an integer k >= 0."""
+    k = r_exponent + 2 * lam
+    if k.denominator != 1 or k < 0:
+        raise ValueError(f"r^{r_exponent} at lam = {lam} is no power z^k with k >= 0")
+    return int(k)
+
+
+def _powers(plain: dict[int, object], log: dict[int, object], empty
+            ) -> tuple[int, tuple, tuple]:
+    """From the coefficients {k: c_k} of z^k in P and in Q, the step s, the
+    greatest common divisor of the k, and the coefficient tuples of P and Q
+    in w = z^s."""
+    step = math.gcd(*plain, *log) or 1
+
+    def table(coeffs):
+        size = max(coeffs, default=-1) // step + 1
+        return tuple(coeffs.get(j * step, empty) for j in range(size))
+    return step, table(plain), table(log)
+
+
+def _horner(coeffs: Sequence[float], w: float) -> float:
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * w + c
+    return total
+
+
+def _bracket(lam2: float, step: int, plain: Sequence[float], log: Sequence[float],
+             s: float, m: float) -> float:
+    """s^(-2 lam) [P(z) + log(z) Q(z)] at z = m s, that is m^(2 lam) g(m s),
+    for P and Q given by their coefficients of 1, z^step, z^(2 step), ..."""
+    if not m >= 0:
+        raise ValueError(f"mass must be >= 0, got {m}")
+    z = m * s
+    w = z ** step
+    value = _horner(plain, w)
+    if log:
+        value += math.log(z) * _horner(log, w)
+    return value * s ** -lam2
+
+
 @lru_cache(maxsize=None)
-def _taylor_terms(lam: Fraction, ell_max: int) -> tuple[TaylorTerm, ...]:
-    """The terms of one edge factor up to ell_max."""
-    return tuple(taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
-                 for ell in _taylor_indices(lam, ell_max))
+def _taylor_kernel(lam, ell_max: int) -> tuple[float, int, tuple, tuple]:
+    """The :func:`_bracket` arguments of the edge factor up to ell_max.  With
+    k = p + 2 lam, the term coeff_const r^p + coeff_log r^p log r is
+    r^(-2 lam) z^k (a + b log z) when coeff_log = b m^k and coeff_const =
+    m^k (a + b log m), which is checked.  The kernels are cached by lam as
+    given: a value equal to a checked lam is that lam."""
+    lam = _check_lambda(lam)
+    plain: dict[int, float] = {}
+    log: dict[int, float] = {}
+    for ell in _taylor_indices(lam, ell_max):
+        term = taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
+        k = _z_power(term.r_exponent, lam)
+        b = _unit_mass(term.coeff_log, k)
+        plain[k] = plain.get(k, 0.0) + _unit_mass(term.coeff_const, k, term.coeff_log)
+        if b:
+            log[k] = log.get(k, 0.0) + b
+    return (float(2 * lam), *_powers(plain, log, 0.0))
 
 
 def edge_taylor_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
     """Truncated small-separation value of one edge factor."""
+    return _bracket(*_taylor_kernel(lam, orders.ell_max), r, m)
+
+
+@lru_cache(maxsize=None)
+def _asymptotic_kernel(lam, terms: int) -> tuple[float, float, tuple[float, ...]]:
+    """2 lam, lam + 1/2 and the coefficients of P in the edge factor
+    m^(2 lam) z^-(lam+1/2) e^-z P(1/z), z = m r: the term of index ell is
+    c m^(lam-ell-1/2) r^-(lam+ell+1/2) e^-z = c m^(2 lam) z^-(lam+ell+1/2) e^-z."""
     lam = _check_lambda(lam)
-    return sum((term.eval(r, m) for term in _taylor_terms(lam, orders.ell_max)), 0.0)
+    coeffs = []
+    for ell in range(terms):
+        term = asymptotic_term_coefficient(ell, lam)
+        coeffs.append(_unit_mass(term.coeff, term.r_exponent + 2 * lam))
+    return float(2 * lam), float(lam + Fraction(1, 2)), tuple(coeffs)
 
 
 def edge_asymptotic_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
     """Truncated large-separation value of one edge factor."""
-    lam = _check_lambda(lam)
-    return sum(asymptotic_term_coefficient(ell, lam).eval(r, m)
-               for ell in range(orders.asym_terms))
+    lam2, power, coeffs = _asymptotic_kernel(lam, orders.asym_terms)
+    if not m > 0:
+        raise ValueError(f"the asymptotic expansion needs m > 0, got {m}")
+    z = m * r
+    return m ** lam2 * z ** -power * math.exp(-z) * _horner(coeffs, 1.0 / z)
+
+
+class _GegenKernel:
+    """A sum of Gegenbauer expansions of one weight as a float kernel.
+
+    The expansion of index l_e contributes m^k rho^(2 l_e) c [(k0 + log rho)
+    log_rho + series] with k = 2 l_e + 2 lam and k0 = log m + kappa, that is
+    rho^(-2 lam) z^k c [(kappa + log z) log_rho + series] at z = m rho.  So
+    the sum is rho^(-2 lam) [P(z) + log(z) Q(z)], where the coefficient of
+    z^k in P is the row c (kappa log_rho + series) and in Q the row
+    c log_rho, each dotted with the basis u^n C_d^(lam)(cos) over the union
+    of the tensors' keys.  The keys are sorted by n, so a row stops at its
+    last non-zero entry."""
+
+    def __init__(self, lam: Fraction, expansions: Sequence[GegenExpansion]):
+        keys = sorted({key for e in expansions for key in (*e.log_rho, *e.series)})
+        index = {key: i for i, key in enumerate(keys)}
+        plain: dict[int, list[float]] = {}
+        log: dict[int, list[float]] = {}
+        for e in expansions:
+            k = _z_power(e.rho_exponent, lam)
+            c = _unit_mass(e.prefactor, k)
+            row = plain.setdefault(k, [0.0] * len(keys))
+            for key, q in e.series.items():
+                row[index[key]] += c * float(q)
+            if e.log_rho:
+                kappa = _unit_mass(e.k0, 0, SymbolicCoeff.one())
+                log_row = log.setdefault(k, [0.0] * len(keys))
+                for key, q in e.log_rho.items():
+                    row[index[key]] += c * kappa * float(q)
+                    log_row[index[key]] += c * float(q)
+        self.lam = float(lam)
+        self.ns = tuple(n for n, _ in keys)
+        self.ds = tuple(d for _, d in keys)
+        self.n_max, self.d_max = max(self.ns, default=0), max(self.ds, default=0)
+        self.lam2, self.step, self.plain, self.log = float(2 * lam), *_powers(
+            {k: _trimmed(r) for k, r in plain.items()},
+            {k: _trimmed(r) for k, r in log.items()}, ())
+
+    def evaluate(self, geom: EdgeGeometry, m: float) -> float:
+        if geom.r > 0 and geom.u >= 1.0:
+            raise DivergentRatioError("expansion needs r/rho < 1")
+        u = geom.u if geom.rho else 0.0
+        u_pows = list(accumulate(repeat(u, self.n_max), mul, initial=1.0))
+        c_vals = gegenbauer_table(self.lam, self.d_max, geom.cos)
+        basis = list(map(mul, map(u_pows.__getitem__, self.ns), map(c_vals.__getitem__, self.ds)))
+        return _bracket(self.lam2, self.step,
+                        [sum(map(mul, row, basis), 0.0) for row in self.plain],
+                        [sum(map(mul, row, basis), 0.0) for row in self.log], geom.rho, m)
+
+
+def _trimmed(row: list[float]) -> tuple[float, ...]:
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return tuple(row[:end])
 
 
 @lru_cache(maxsize=None)
@@ -468,24 +570,18 @@ def _cached_expansion(ell: Fraction, lam: Fraction, radial: int, gegen: int | No
 
 
 @lru_cache(maxsize=None)
-def _edge_expansions(lam: Fraction, orders: TruncationOrders
-                     ) -> tuple[tuple[GegenExpansion, ...], int, int]:
-    """The expansions of every term of one edge factor, and the table lengths
-    they need."""
-    expansions = tuple(_cached_expansion(ell, lam, orders.radial, orders.gegen)
-                       for ell in _taylor_indices(lam, orders.ell_max))
-    return (expansions, max(e.float_form.n_max for e in expansions),
-            max(e.float_form.d_max for e in expansions))
+def _gegen_kernel(lam, orders: TruncationOrders) -> _GegenKernel:
+    """The kernel of the expansions of every term of one edge factor."""
+    lam = _check_lambda(lam)
+    return _GegenKernel(lam, [_cached_expansion(ell, lam, orders.radial, orders.gegen)
+                              for ell in _taylor_indices(lam, orders.ell_max)])
 
 
 def edge_gegenbauer_value(lam, geom: EdgeGeometry, m: float,
                           orders: TruncationOrders) -> float:
     """Truncated value of one edge factor: the sum of the Gegenbauer
-    expansions of its terms, all reading one pair of :func:`gegen_tables`."""
-    lam = _check_lambda(lam)
-    expansions, n_max, d_max = _edge_expansions(lam, orders)
-    tables = gegen_tables(lam, geom, n_max, d_max)
-    return sum((e.evaluate(geom, m, tables=tables) for e in expansions), 0.0)
+    expansions of its terms, evaluated by one compiled kernel."""
+    return _gegen_kernel(lam, orders).evaluate(geom, m)
 
 
 def amplitude_truncated_eval(graph: FeynmanGraph,
@@ -501,16 +597,16 @@ def amplitude_truncated_eval(graph: FeynmanGraph,
     """
     from .propagators import Kinematics, gm_real
 
-    lam = _check_lambda(lam)
+    # the edge functions take lam as given: their kernel caches check it once
+    D = int(2 * _check_lambda(lam) + 2)
     orders = orders or TruncationOrders()
-    D = int(2 * lam + 2)
     total = 1.0
     for idx, e in enumerate(graph.edges):
-        xs = tuple(float(c) for c in positions[e.src])
-        xt = tuple(float(c) for c in positions[e.tgt])
+        xs = tuple(map(float, positions[e.src]))
+        xt = tuple(map(float, positions[e.tgt]))
         m = masses if isinstance(masses, (int, float)) else masses[idx]
-        diff = tuple(a - b for a, b in zip(xs, xt))
-        r = math.sqrt(sum(c * c for c in diff))
+        diff = tuple(map(sub, xs, xt))
+        r = math.sqrt(sum(map(mul, diff, diff)))
         if r == 0.0:
             raise ValueError(f"edge {idx} has coincident endpoints")
         if method == "direct":

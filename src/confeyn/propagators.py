@@ -28,6 +28,7 @@ relations live with the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -153,12 +154,32 @@ def g0_complex(k: Kinematics) -> ComplexPhase:
     """Massless complex propagator -(D-2)!/(2 pi i)^D ||x||^(2-2D).
 
     The magnitude is a float; the overall sign and power of i are exact
-    metadata so period bookkeeping stays exact.
+    metadata so period bookkeeping stays exact.  It is the product of the
+    three factors when each is a normal double, and exp of the summed logs
+    otherwise; a magnitude outside the normal doubles raises ValueError.
     """
     r = _require_off_diagonal(k)
-    magnitude = math.factorial(k.D - 2) * (2 * math.pi) ** (-k.D) * r ** (2 - 2 * k.D)
+    D = k.D
+    try:
+        factors = [float(math.factorial(D - 2)), (2 * math.pi) ** (-D), r ** (2 - 2 * D)]
+    except OverflowError:  # a factor beyond the doubles
+        factors = [math.inf]
+    magnitude = math.prod(factors)
+    if not all(map(_is_normal, (*factors, magnitude))):
+        log_magnitude = math.lgamma(D - 1) - D * math.log(2 * math.pi) + (2 - 2 * D) * math.log(r)
+        try:
+            magnitude = math.exp(log_magnitude)
+        except OverflowError:
+            magnitude = math.inf
+        if not _is_normal(magnitude):
+            raise ValueError(f"|g0_complex| = exp({log_magnitude:.6g}) at D = {D}, r = {r} "
+                             "is outside the normal doubles")
     # -1/i^D = i^(2-D mod 4)
-    return ComplexPhase(magnitude, (2 - k.D) % 4)
+    return ComplexPhase(magnitude, (2 - D) % 4)
+
+
+def _is_normal(x: float) -> bool:
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
 
 
 def gm_complex(k: Kinematics) -> float:

@@ -11,9 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from amplitude_oracles import (edge_asymptotic_terms, edge_gegenbauer_terms,
+                               edge_taylor_terms, half_integer_taylor_scalar,
+                               taylor_term_value)
 from confeyn.amplitude import (DivergentRatioError, EdgeGeometry,
                                GegenExpansion, TaylorTermSpec, TruncationOrders,
                                amplitude_truncated_eval, asymptotic_term_coefficient,
+                               complex_case_weight,
                                edge_asymptotic_value, edge_gegenbauer_expansion,
                                edge_gegenbauer_value, edge_taylor_value,
                                taylor_term_coefficient, two_pi_power)
@@ -130,10 +134,10 @@ class TestTaylorCoefficients:
         # at m = 0 only the ell = -lam term survives numerically
         lam, r = 2, 0.7
         lead = taylor_term_coefficient(TaylorTermSpec.make(-2, lam), lam)
-        assert lead.eval(r, 0.0) == pytest.approx(
+        assert taylor_term_value(lead, r, 0.0) == pytest.approx(
             float(two_pi_power(-3)) * 2 ** 1 * 1 * r ** -4, rel=1e-14)
         higher = taylor_term_coefficient(TaylorTermSpec.make(-1, lam), lam)
-        assert higher.eval(r, 0.0) == 0.0
+        assert taylor_term_value(higher, r, 0.0) == 0.0
 
     def test_taylor_sum_converges_to_kernel(self):
         for lam in (1, 2, 3):
@@ -167,8 +171,19 @@ class TestTaylorCoefficients:
         edge_taylor_value(2, 0.3, 0.8, TruncationOrders(ell_max=4))
         before = taylor_term_coefficient.cache_info()
         edge_taylor_value(2, 0.4, 0.8, TruncationOrders(ell_max=4))
-        # a warm edge reads its cached tuple of terms: no coefficient lookups
+        # a warm edge reads its cached kernel: no coefficient lookups
         assert taylor_term_coefficient.cache_info() == before
+
+    @pytest.mark.parametrize("lam", [F(t, 2) for t in (1, 3, 5, 7, 9, 21, 51, 201, 799)], ids=str)
+    def test_half_integer_running_ratio_equals_direct_sum(self, lam):
+        ells = {-lam, -lam + F(1, 2), F(16)}
+        if lam < 100:
+            ells |= {-lam + 1, F(-1, 2), F(0), F(1, 2), F(7)}
+        for ell in sorted(ells):
+            term = taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
+            want = half_integer_taylor_scalar(lam, ell)
+            assert term.coeff_const == SymbolicCoeff.monomial(want, m_exp=2 * lam + 2 * ell)
+            assert term.r_exponent == 2 * ell and term.coeff_log.is_zero()
 
     def test_half_integer_has_no_log_branch(self):
         with pytest.raises(ValueError):
@@ -428,6 +443,100 @@ class TestFloatEvaluation:
                 edge_gegenbauer_value(1, geom, 1.0, TruncationOrders(radial=4, ell_max=1))
 
 
+# weights of the kernel grid: both parities and the complex case of D = 5
+KERNEL_WEIGHTS = [F(1, 2), F(1), F(3, 2), F(2), F(3), F(7, 2), complex_case_weight(5)]
+# the probe and full sizes of the amplitude benchmark, and a capped set
+KERNEL_ORDERS = [TruncationOrders(radial=10, ell_max=4), TruncationOrders(radial=12, ell_max=6),
+                 TruncationOrders(radial=12, gegen=5, ell_max=3, asym_terms=10)]
+
+
+def assert_near(got: float, want_scale: tuple[float, float]):
+    want, scale = want_scale
+    assert abs(got - want) <= 1e-13 * scale, (got, want, scale)
+
+
+class TestEdgeKernels:
+    """The compiled kernels against the term-by-term sums of
+    ``amplitude_oracles``, within 1e-13 of the sum of absolute terms (the
+    truncated series cancel at large m r, so a plain relative bound would
+    measure the cancellation, not the kernel)."""
+
+    @pytest.mark.parametrize("lam", KERNEL_WEIGHTS, ids=str)
+    @pytest.mark.parametrize("orders", KERNEL_ORDERS, ids=("probe", "full", "capped"))
+    def test_matches_term_sums(self, lam, orders):
+        for m, r in ((0.7, 0.01), (1.3, 0.4), (0.8, 1.5), (2.0, 2.5), (1.0, 5.0)):
+            assert_near(edge_taylor_value(lam, r, m, orders),
+                        edge_taylor_terms(lam, r, m, orders))
+            assert_near(edge_asymptotic_value(lam, r + 10, m, orders),
+                        edge_asymptotic_terms(lam, r + 10, m, orders))
+            for u in (0.0, 0.3, 0.9):
+                for cos in (-0.99, 0.2, 0.95):
+                    geom = EdgeGeometry(rho=r, r=u * r, cos=cos)
+                    assert_near(edge_gegenbauer_value(lam, geom, m, orders),
+                                edge_gegenbauer_terms(lam, geom, m, orders))
+
+    def test_massless_edges(self):
+        # half-integer lam at m = 0 keeps the leading, massless term; integer
+        # lam has log m in its terms and refuses m = 0, as the term sums do
+        orders = TruncationOrders(radial=8, ell_max=3)
+        geom = EdgeGeometry(rho=1.2, r=0.5, cos=0.4)
+        for lam in (F(1, 2), F(3, 2)):
+            lead = taylor_term_coefficient(TaylorTermSpec.make(-lam, lam), lam)
+            massless = lead.coeff_const.bind(0.0) * 0.7 ** float(-2 * lam)
+            assert edge_taylor_value(lam, 0.7, 0.0, orders) == pytest.approx(massless, rel=1e-15)
+            assert_near(edge_taylor_value(lam, 0.7, 0.0, orders),
+                        edge_taylor_terms(lam, 0.7, 0.0, orders))
+            assert_near(edge_gegenbauer_value(lam, geom, 0.0, orders),
+                        edge_gegenbauer_terms(lam, geom, 0.0, orders))
+        for lam in (1, 2):
+            with pytest.raises(ValueError):
+                edge_taylor_value(lam, 0.7, 0.0, orders)
+            with pytest.raises(ValueError):
+                edge_gegenbauer_value(lam, geom, 0.0, orders)
+        with pytest.raises(ValueError):
+            edge_asymptotic_value(1, 20.0, 0.0, orders)
+        for value in (lambda: edge_taylor_value(F(1, 2), 0.7, -1.0, orders),
+                      lambda: edge_gegenbauer_value(F(1, 2), geom, -1.0, orders)):
+            with pytest.raises(ValueError, match="mass must be >= 0"):
+                value()
+
+    def test_invalid_lambda_is_never_cached(self):
+        for _ in range(2):
+            for lam in (0, F(1, 3), -1):
+                with pytest.raises(ValueError):
+                    edge_taylor_value(lam, 0.5, 1.0, TruncationOrders(ell_max=2))
+                with pytest.raises(ValueError):
+                    edge_gegenbauer_value(lam, EdgeGeometry(1.0, 0.5, 0.0), 1.0,
+                                          TruncationOrders(radial=4, ell_max=1))
+
+    def test_compile_checks_the_mass_scaling(self):
+        # a term whose coefficient is not m^(2 lam + rho_exponent) times a
+        # constant has no place in m^(2 lam) g(m rho)
+        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1, TruncationOrders(radial=4))
+        wrong = GegenExpansion(exp.lam, exp.rho_exponent, exp.prefactor * SymbolicCoeff.monomial(
+            ExactScalar.one(), m_exp=1), exp.k0, exp.log_rho, exp.series, 4)
+        with pytest.raises(ValueError, match="is not m"):
+            wrong.evaluate(EdgeGeometry(1.0, 0.5, 0.0), 1.0)
+
+    def test_warm_edges_bind_nothing(self, monkeypatch):
+        calls = []
+        bind = SymbolicCoeff.bind
+        monkeypatch.setattr(SymbolicCoeff, "bind",
+                            lambda self, m=None: calls.append(m) or bind(self, m))
+        orders = TruncationOrders(radial=6, ell_max=2, asym_terms=4)
+        geom = EdgeGeometry(rho=1.0, r=0.3, cos=0.1)
+        for lam in (F(5, 2), F(5)):
+            edges = (lambda: edge_taylor_value(lam, 0.4, 0.9, orders),
+                     lambda: edge_asymptotic_value(lam, 15.0, 0.9, orders),
+                     lambda: edge_gegenbauer_value(lam, geom, 0.9, orders))
+            for edge in edges:
+                edge()
+                assert calls  # the first call compiles the kernel
+                calls.clear()
+                edge()
+                assert calls == []
+
+
 class TestAmplitudeEval:
     def geometry(self, D):
         pos = {0: (1.0,) + (0.0,) * (D - 1), 1: (0.0, 0.1) + (0.0,) * (D - 2)}
@@ -478,8 +587,9 @@ class TestAmplitudeEval:
     def test_coincident_points_rejected(self):
         g = FeynmanGraph.build(2, [(0, 1)])
         pos = {0: (1.0, 0.0, 0.0, 0.0), 1: (1.0, 0.0, 0.0, 0.0)}
-        with pytest.raises(ValueError):
-            amplitude_truncated_eval(g, pos, 0.1, 1, "direct")
+        for method in ("direct", "taylor", "asymptotic", "gegenbauer"):
+            with pytest.raises(ValueError, match="coincident"):
+                amplitude_truncated_eval(g, pos, 0.1, 1, method)
 
 
 class TestEdgeGeometry:

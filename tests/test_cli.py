@@ -71,6 +71,17 @@ class TestPropEval:
                              "--alpha", "2", "--mu", "1", "--nu", "1"], tmp_path)
         assert code == 0
 
+    def test_g0_complex_beyond_the_double_factorial(self, tmp_path):
+        # (D-2)! overflows a double from D = 173 and 10^(2-2D) underflows at
+        # D = 172; the magnitude is about 3.7e-173 and 1.0e-173
+        for D, want in (("172", 3.7483888489714e-173), ("173", 1.0201425898447e-173)):
+            code, doc = run_cli(["prop-eval", "--D", D, "--r", "10", "--kind", "g0-complex"],
+                                tmp_path)
+            assert code == 0 and doc["magnitude"] == pytest.approx(want, rel=1e-12)
+        code, _ = run_cli(["prop-eval", "--D", "400", "--r", "0.1", "--kind", "g0-complex"],
+                          tmp_path)
+        assert code == 2
+
     def test_diagonal_is_validation_error(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "0"], tmp_path)
         assert code == 2

@@ -1,6 +1,7 @@
 """Propagator evaluations against their independent oracles."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,6 +124,34 @@ class TestComplexCase:
         assert phase.magnitude == pytest.approx(2 / (2 * math.pi) ** 4, rel=1e-14)
         value = phase.magnitude * 1j ** phase.i_power
         assert value == pytest.approx(-2 / (2 * math.pi) ** 4)
+
+    @pytest.mark.parametrize("D", [100, 160, 172, 173, 200, 400])
+    def test_g0_complex_magnitude_against_mpmath(self, D):
+        # past D = 172 the factorial alone is beyond the doubles, and at
+        # r = 10 the power r^(2-2D) underflows from D = 160 on
+        import mpmath
+        with mpmath.workdps(40):
+            for r in (0.1, 0.5, 1.0, 3.0, 10.0, 100.0):
+                want = (mpmath.factorial(D - 2) * (2 * mpmath.pi) ** -D
+                        * mpmath.mpf(r) ** (2 - 2 * D))
+                k = Kinematics.radial(D, r)
+                if not sys.float_info.min <= want <= sys.float_info.max:
+                    with pytest.raises(ValueError, match="outside the normal doubles"):
+                        g0_complex(k)
+                    continue
+                phase = g0_complex(k)
+                assert phase.i_power == (2 - D) % 4
+                assert abs(phase.magnitude - want) <= 1e-12 * want, (D, r)
+
+    def test_g0_complex_keeps_the_product_where_it_is_normal(self):
+        # every magnitude the three-factor product gives as a normal double
+        # comes out bit for bit as that product
+        for D in range(3, 172):
+            for r in (0.3, 1.0, 2.5, 10.0):
+                product = math.factorial(D - 2) * (2 * math.pi) ** (-D) * r ** (2 - 2 * D)
+                power = r ** (2 - 2 * D)
+                if min(product, power) >= sys.float_info.min and product <= sys.float_info.max:
+                    assert g0_complex(Kinematics.radial(D, r)).magnitude == product
 
     def test_gm_complex_formula(self):
         from confeyn.specfun import bessel_k
