@@ -45,8 +45,7 @@ r^(-2 lam) [A(z) + log(z) B(z)] for two polynomials evaluated by Horner's
 rule, and the asymptotic edge is m^(2 lam) z^(-lam-1/2) e^(-z) P(1/z).  The
 Gegenbauer edge is rho^(-2 lam) [P(zeta) + log(zeta) Q(zeta)] at zeta = m rho,
 where each coefficient of P and Q is a float row dotted with one basis
-u^n C_d^(lam)(cos) built per edge, C by the three-term recurrence;
-:meth:`GegenExpansion.evaluate` is the one-expansion case of that kernel.
+u^n C_d^(lam)(cos) built per edge, C by the three-term recurrence.
 
 The complex-case kernel in dimension D coincides with the real kernel at
 weight D - 1 (its prefactor is (2 pi)^-D and the Macdonald order is D - 1),
@@ -59,13 +58,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import mul, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .exact import ExactScalar, SymbolicCoeff
+from .exact import SymbolicCoeff
 from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
                          generating_series)
 from .specfun import as_half_integer, asym_coeff, digamma_exact
@@ -78,17 +77,17 @@ class DivergentRatioError(ValueError):
     """Gegenbauer evaluation requested at r/rho >= 1, outside convergence."""
 
 
-def two_pi_power(exp) -> ExactScalar:
+def two_pi_power(exp) -> SymbolicCoeff:
     """(2 pi)**exp for integer or half-integer exp, as an exact scalar."""
     exp = Fraction(exp)
     if (2 * exp).denominator != 1:
         raise ValueError("exponent must be a half-integer")
-    if exp.denominator == 1:
-        two = ExactScalar.from_rational(Fraction(2) ** exp)
-    else:
-        whole = exp - Fraction(1, 2)
-        two = ExactScalar.term(Fraction(2) ** whole, sqrt2=1)
-    return two * ExactScalar.pi_power(int(2 * exp))
+    # 2^exp = 2^floor(exp) sqrt(2)^(2 exp mod 2)
+    return SymbolicCoeff.monomial(Fraction(2) ** math.floor(exp), sqrt2=exp.denominator - 1,
+                                  pi_half=int(2 * exp))
+
+
+_SQRT_PI_OVER_2 = SymbolicCoeff.monomial(Fraction(1, 2), sqrt2=1, pi_half=1)
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def complex_case_weight(D: int) -> Fraction:
 def _log_constant(ell: int, lam: Fraction) -> SymbolicCoeff:
     """k0 = log m - log 2 - (psi(ell+1) + psi(lam+ell+1)) / 2: the log branch
     bracket log(m r / 2) - (psi(ell+1) + psi(lam+ell+1)) / 2 is log r + k0."""
-    return (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
+    return (SymbolicCoeff.monomial(logm=1) - SymbolicCoeff.monomial(log2=1)
             - Fraction(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
 
 
@@ -198,14 +197,12 @@ def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
             l = int(lam + ell)  # 0 .. lam-1
             coeff = (Fraction((-1) ** l) * Fraction(2) ** (lam_i - 2 * l - 1)
                      * math.factorial(lam_i - l - 1) / math.factorial(l))
-            scalar = two_pi_power(-(lam + 1)) * coeff
-            return TaylorTerm(2 * ell, SymbolicCoeff.monomial(scalar, m_exp=2 * l),
-                              SymbolicCoeff.zero())
+            return TaylorTerm(2 * ell, two_pi_power(-(lam + 1))
+                              * SymbolicCoeff.monomial(coeff, m_exp=2 * l), SymbolicCoeff.zero())
         l = int(ell)
-        scalar = (two_pi_power(-(lam + 1))
-                  * Fraction((-1) ** (lam_i + 1), 2 ** (lam_i + 2 * l))
-                  / Fraction(math.factorial(l) * math.factorial(lam_i + l)))
-        b = SymbolicCoeff.monomial(scalar, m_exp=2 * (lam + ell))
+        b = two_pi_power(-(lam + 1)) * SymbolicCoeff.monomial(
+            Fraction((-1) ** (lam_i + 1), 2 ** (lam_i + 2 * l))
+            / Fraction(math.factorial(l) * math.factorial(lam_i + l)), m_exp=2 * (lam + ell))
         return TaylorTerm(2 * ell, b * _log_constant(l, lam), b)
     # half-integer lam: terminating Macdonald form, exponential expanded; the
     # sum over j <= lam - 1/2 of (lam,j) 2^-j (-1)^k / k!, k = 2 ell + lam + 1/2 + j,
@@ -223,11 +220,8 @@ def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
         a_j *= Fraction(-int(lam + j + Fraction(1, 2)) * int(lam - j - Fraction(1, 2)),
                         2 * (j + 1) * (k0 + j + 1))
         total += a_j
-    scalar = (two_pi_power(-(lam + 1))
-              * ExactScalar.term(Fraction(1, 2), sqrt2=1, pi_half=1)  # sqrt(pi/2)
-              * total)
-    return TaylorTerm(p, SymbolicCoeff.monomial(scalar, m_exp=2 * lam + p),
-                      SymbolicCoeff.zero())
+    return TaylorTerm(p, two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2
+                      * SymbolicCoeff.monomial(total, m_exp=2 * lam + p), SymbolicCoeff.zero())
 
 
 @dataclass(frozen=True)
@@ -243,10 +237,8 @@ def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
     lam = _check_lambda(lam)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    scalar = (asym_coeff(lam, ell)
-              * ExactScalar.term(Fraction(1, 2), sqrt2=1, pi_half=1)
-              * two_pi_power(-(lam + 1)) * Fraction(1, 2 ** ell))
-    coeff = SymbolicCoeff.monomial(scalar, m_exp=lam - ell - Fraction(1, 2))
+    coeff = (two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2 * SymbolicCoeff.monomial(
+        asym_coeff(lam, ell) / 2 ** ell, m_exp=lam - ell - Fraction(1, 2)))
     return AsymptoticTerm(-(ell + lam + Fraction(1, 2)), coeff)
 
 
@@ -287,15 +279,6 @@ class GegenExpansion:
         for key, q in self.log_rho.items():
             plain[key] = self.k0 * q + plain[key] if key in plain else self.k0 * q
         return MappingProxyType(plain)
-
-    @cached_property
-    def _kernel(self) -> "_GegenKernel":
-        return _GegenKernel(self.lam, (self,))
-
-    def evaluate(self, geom: EdgeGeometry, m: float) -> float:
-        """Value at one edge: the one-expansion case of the edge kernel,
-        compiled from this instance's own tensors on the first call."""
-        return self._kernel.evaluate(geom, m)
 
     def to_json(self) -> dict:
         def tensor_json(t: Mapping[tuple[int, int], SymbolicCoeff]) -> list:
@@ -406,12 +389,12 @@ def _unit_mass(coeff: SymbolicCoeff, k: int | Fraction, log_part: SymbolicCoeff 
     with b m^k = log_part (b = 0 when it is None): what puts a term into
     m^(2 lam) g(m s)."""
     twice = 2 * k
-    keys = dict(coeff.coefficients())
-    if any(m2 != twice or logm > 1 for m2, logm, _, _ in keys):
+    terms = dict(coeff.terms())
+    if any(m2 != twice or logm > 1 for m2, logm, *_ in terms):
         raise ValueError(f"{coeff!r} is not m^{k} (a + b log m)")
-    logs = {(g, l2): c for (_, logm, g, l2), c in keys.items() if logm}
-    if logs != {(g, l2): c for (_, _, g, l2), c in
-                (log_part.coefficients() if log_part is not None else ())}:
+    # (gamma, log2, sqrt2, pi_half) -> rational of the log m terms
+    logs = {key[2:]: q for key, q in terms.items() if key[1]}
+    if logs != {key[2:]: q for key, q in (log_part.terms() if log_part is not None else ())}:
         raise ValueError(f"the log m part of {coeff!r} is not {log_part!r}")
     return coeff.bind(1.0)
 

@@ -258,7 +258,7 @@ def _cmd_gegen(args) -> dict:
     _check_max("--m", args.m, GEGEN_MAX_M)
     _check_max("--D", args.D, GEGEN_MAX_D)
     if args.op == "zonal":
-        return {"value": gegenbauer.zonal_coefficient(args.D, args.n).to_json()}
+        return {"value": gegenbauer.zonal_coefficient(args.D, args.n).scalar_json()}
     lam = _fraction_arg("--lambda", args.lam, GEGEN_MAX_LAMBDA)
     if args.op == "coeffs":
         spec = gegenbauer.PolySpec(lam, args.n)

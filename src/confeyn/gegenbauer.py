@@ -19,9 +19,9 @@ C_n^{(lam)} C_m^{(lam)} and the (t-power, C^{(lam)}-degree) tensors of power
 series in t with polynomial coefficients in x (:func:`gegenbauer_tensor`) are
 all built on it.  Since Gamma(lam+j)/Gamma(lam) is a Pochhammer symbol, every
 conversion coefficient is a Fraction; only the zonal spherical-harmonic
-constants carry powers of pi (as ExactScalar).  Float values of C_n^{(lam)}
-come from the three-term recurrence (:func:`gegenbauer_table`), never from
-the monomial form.
+constants carry powers of pi (as exact SymbolicCoeff scalars).  Float values
+of C_n^{(lam)} come from the three-term recurrence (:func:`gegenbauer_table`),
+never from the monomial form.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactScalar
+from .exact import SymbolicCoeff
 from .specfun import as_half_integer, gamma_exact
 
 _fact = math.factorial
@@ -256,14 +256,14 @@ def product_linearize(n: int, m: int, lam) -> GegenCombo:
     return GegenCombo(lam, dict(_product_combo(n, m, lam)))
 
 
-def sphere_volume(D: int) -> ExactScalar:
+def sphere_volume(D: int) -> SymbolicCoeff:
     """Surface volume of S^{D-1}: 2 pi^{D/2} / Gamma(D/2)."""
     if D < 1:
         raise ValueError("D must be >= 1")
-    return ExactScalar.pi_power(D, 2) / gamma_exact(Fraction(D, 2))
+    return SymbolicCoeff.monomial(2, pi_half=D) / gamma_exact(Fraction(D, 2))
 
 
-def zonal_coefficient(D: int, n: int) -> ExactScalar:
+def zonal_coefficient(D: int, n: int) -> SymbolicCoeff:
     """c_{D,n} = Vol(S^{D-1}) (D-2) / (2n + D - 2), the zonal-harmonic constant."""
     if D < 3:
         raise ValueError("zonal coefficient needs dimension D >= 3")

@@ -15,6 +15,12 @@ The mass convention difference is deliberate: the scalar/Helmholtz sections
 use momentum denominators ||k||^2 + m^2 while the Dirac/boson ones use
 ||k||^2 + m (hence the sqrt(m) kernels); both are surfaced as written.
 
+No kernel returns a silent 0, inf or nan: the four scalar kernels raise
+ValueError when their value, or the K_nu inside it, is outside the normal
+doubles, and take summed logarithms where only the plain product of their
+factors leaves that range (:func:`_normal_product`); the Dirac and boson
+kernels raise ValueError on a non-finite value.
+
 An independent route to the massive kernel is provided here: the heat-kernel
 integral representation
 
@@ -85,10 +91,46 @@ def _require_off_diagonal(k: Kinematics) -> float:
     return r
 
 
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles
+
+
+def _normal_product(name: str, k: Kinematics, factors: Sequence[tuple[float, float]],
+                    bessel: float = 1.0) -> float:
+    """The product of base ** exponent over ``factors`` (positive bases),
+    times the value ``bessel`` of K_nu: computed as that product, in order,
+    when every factor and every partial product are normal doubles, and as
+    exp of the summed logs otherwise.  Raises ValueError when K_nu or the
+    value of ``name`` at ``k`` is outside the normal doubles."""
+    value = 1.0
+    try:
+        for base, e in factors:
+            x = base ** e
+            value *= x
+            if not (_TINY <= x <= _HUGE and _TINY <= value <= _HUGE):
+                break
+        else:
+            value *= bessel
+            if _TINY <= value <= _HUGE and _TINY <= bessel <= _HUGE:
+                return value
+    except OverflowError:  # a factor beyond the doubles
+        pass
+    what = f"|{name}| at D = {k.D}, m = {k.m}, r = {k.r}"
+    if not _TINY <= bessel <= _HUGE:
+        raise ValueError(f"{what}: K_nu = {bessel} is outside the normal doubles")
+    log_value = sum(e * math.log(base) for base, e in factors) + math.log(bessel)
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    if not _TINY <= value <= _HUGE:
+        raise ValueError(f"{what} = exp({log_value:.6g}) is outside the normal doubles")
+    return value
+
+
 def g0_real(k: Kinematics) -> float:
     """Massless propagator ||x||^(2-D)."""
     r = _require_off_diagonal(k)
-    return r ** (2 - k.D)
+    return _normal_product("g0_real", k, ((r, 2 - k.D),))
 
 
 def gm_real(k: Kinematics) -> float:
@@ -97,8 +139,10 @@ def gm_real(k: Kinematics) -> float:
     if k.m <= 0:
         raise ValueError("gm_real requires m > 0")
     nu = (k.D - 2) / 2.0
-    return ((2 * math.pi) ** (-k.D / 2.0) * k.m ** (k.D - 2)
-            * (k.m * r) ** (-nu) * bessel_k(nu, k.m * r))
+    z = k.m * r
+    return _normal_product("gm_real", k,
+                           ((2 * math.pi, -k.D / 2.0), (k.m, k.D - 2), (z, -nu)),
+                           bessel_k(nu, z))
 
 
 @dataclass(frozen=True)
@@ -154,32 +198,14 @@ def g0_complex(k: Kinematics) -> ComplexPhase:
     """Massless complex propagator -(D-2)!/(2 pi i)^D ||x||^(2-2D).
 
     The magnitude is a float; the overall sign and power of i are exact
-    metadata so period bookkeeping stays exact.  It is the product of the
-    three factors when each is a normal double, and exp of the summed logs
-    otherwise; a magnitude outside the normal doubles raises ValueError.
+    metadata so period bookkeeping stays exact.
     """
     r = _require_off_diagonal(k)
     D = k.D
-    try:
-        factors = [float(math.factorial(D - 2)), (2 * math.pi) ** (-D), r ** (2 - 2 * D)]
-    except OverflowError:  # a factor beyond the doubles
-        factors = [math.inf]
-    magnitude = math.prod(factors)
-    if not all(map(_is_normal, (*factors, magnitude))):
-        log_magnitude = math.lgamma(D - 1) - D * math.log(2 * math.pi) + (2 - 2 * D) * math.log(r)
-        try:
-            magnitude = math.exp(log_magnitude)
-        except OverflowError:
-            magnitude = math.inf
-        if not _is_normal(magnitude):
-            raise ValueError(f"|g0_complex| = exp({log_magnitude:.6g}) at D = {D}, r = {r} "
-                             "is outside the normal doubles")
+    magnitude = _normal_product("g0_complex", k, (
+        (math.factorial(D - 2), 1), (2 * math.pi, -D), (r, 2 - 2 * D)))
     # -1/i^D = i^(2-D mod 4)
     return ComplexPhase(magnitude, (2 - D) % 4)
-
-
-def _is_normal(x: float) -> bool:
-    return sys.float_info.min <= abs(x) <= sys.float_info.max
 
 
 def gm_complex(k: Kinematics) -> float:
@@ -188,7 +214,8 @@ def gm_complex(k: Kinematics) -> float:
     if k.m <= 0:
         raise ValueError("gm_complex requires m > 0")
     nu = k.D - 1
-    return (2 * math.pi) ** (-k.D) * k.m ** nu * r ** (-nu) * bessel_k(nu, k.m * r)
+    return _normal_product("gm_complex", k,
+                           ((2 * math.pi, -k.D), (k.m, nu), (r, -nu)), bessel_k(nu, k.m * r))
 
 
 def diag_continuation(D: int, m: float) -> float:
@@ -226,6 +253,8 @@ def dirac_propagator(k: Kinematics) -> DiracCoeffs:
     k_lm1, k_lam, k_lp1 = bessel_k_ladder(lam - 1, z, 2)
     a = pref * r ** (-(lam + 1)) * ((lam / r) * k_lam + (sm / 2.0) * (k_lm1 + k_lp1))
     b = pref * k.m * r ** (-lam) * k_lam
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"Dirac coefficients at D = {k.D}, m = {k.m}, r = {r} are not finite")
     return DiracCoeffs(a, b)
 
 
@@ -277,4 +306,7 @@ def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
     _, gp2, gpp2 = _scalar_radial_derivs(k.D, math.sqrt(k.m / alpha), r)
     dd = (_second_partial(k.x, r, gp2, gpp2, mu, nu)
           - _second_partial(k.x, r, gp1, gpp1, mu, nu))
-    return (1.0 if mu == nu else 0.0) * g1 + dd / (k.m ** 2)
+    value = (1.0 if mu == nu else 0.0) * g1 + dd / (k.m ** 2)
+    if not math.isfinite(value):
+        raise ValueError(f"boson propagator at D = {k.D}, m = {k.m}, r = {r} is not finite")
+    return value

@@ -40,22 +40,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exact import _EULER_GAMMA, ExactScalar, SymbolicCoeff
+from .exact import _EULER_GAMMA, SymbolicCoeff
 
 HalfInteger = Union[int, Fraction]
 
 
 def as_half_integer(z, name: str = "argument") -> Fraction:
-    """Coerce to a Fraction with denominator 1 or 2."""
-    if isinstance(z, float):
-        z = Fraction(z).limit_denominator(2)
+    """Coerce to a Fraction with denominator 1 or 2; a float converts exactly,
+    so one that is no half-integer is refused, not rounded."""
+    if isinstance(z, float) and not math.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {z}")
     z = Fraction(z)
     if z.denominator not in (1, 2):
         raise ValueError(f"{name} must be an integer or half-integer, got {z}")
     return z
 
 
-def gamma_exact(z) -> ExactScalar:
+def gamma_exact(z) -> SymbolicCoeff:
     """Gamma(z) for positive integer or half-integer z, as an exact scalar.
 
     Integer z gives (z-1)!; half-integer z gives a rational multiple of
@@ -65,14 +66,14 @@ def gamma_exact(z) -> ExactScalar:
     if z <= 0:
         raise ValueError(f"gamma_exact requires z > 0, got {z}")
     if z.denominator == 1:
-        return ExactScalar.from_rational(math.factorial(int(z) - 1))
+        return SymbolicCoeff.from_rational(math.factorial(int(z) - 1))
     # z = n + 1/2: Gamma(z) = (z-1)(z-2)...(1/2) * sqrt(pi)
     coeff = Fraction(1)
     w = z - 1
     while w > 0:
         coeff *= w
         w -= 1
-    return ExactScalar.pi_power(1, coeff)
+    return SymbolicCoeff.monomial(coeff, pi_half=1)
 
 
 def digamma_exact(z) -> SymbolicCoeff:
@@ -83,12 +84,11 @@ def digamma_exact(z) -> SymbolicCoeff:
     if z.denominator == 1:
         n = int(z)
         harmonic = sum((Fraction(1, k) for k in range(1, n)), Fraction(0))
-        return SymbolicCoeff.from_rational(harmonic) - SymbolicCoeff.gamma_symbol()
+        return SymbolicCoeff.from_rational(harmonic) - SymbolicCoeff.monomial(gamma=1)
     n = int(z - Fraction(1, 2))
     odd_sum = sum((Fraction(2, 2 * k - 1) for k in range(1, n + 1)), Fraction(0))
-    return (SymbolicCoeff.from_rational(odd_sum)
-            - SymbolicCoeff.gamma_symbol()
-            - 2 * SymbolicCoeff.log2_symbol())
+    return (SymbolicCoeff.from_rational(odd_sum) - SymbolicCoeff.monomial(gamma=1)
+            - SymbolicCoeff.monomial(2, log2=1))
 
 
 def asym_coeff(nu, ell: int) -> Fraction:

@@ -6,6 +6,8 @@ power of r, and every Gegenbauer expansion sums its two tensors as
 (n, d, float) rows against the tables u^0..u^R and C_0^(lam)..C_cap^(lam)(cos).
 The kernels fold all of this into one polynomial in z = m r (or m rho) per
 edge, so the two routes share only the exact coefficients.
+``expansion_value`` evaluates one expansion by the library's own kernel, as
+a one-expansion edge.
 
 Each ``*_terms`` function returns (value, scale): the sum of the terms and
 the sum of their absolute values, the size of the rounding of any order of
@@ -21,10 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.amplitude import (AsymptoticTerm, EdgeGeometry, GegenExpansion, TaylorTerm,
-                               TaylorTermSpec, TruncationOrders, _taylor_indices,
-                               asymptotic_term_coefficient, edge_gegenbauer_expansion,
-                               taylor_term_coefficient, two_pi_power)
-from confeyn.exact import ExactScalar
+                               TaylorTermSpec, TruncationOrders, _GegenKernel,
+                               _taylor_indices, asymptotic_term_coefficient,
+                               edge_gegenbauer_expansion, taylor_term_coefficient,
+                               two_pi_power)
+from confeyn.exact import SymbolicCoeff
 from confeyn.gegenbauer import gegenbauer_table
 from confeyn.specfun import asym_coeff
 
@@ -38,6 +41,11 @@ def taylor_term_value(term: TaylorTerm, r: float, m: float) -> float:
 
 def asymptotic_term_value(term: AsymptoticTerm, r: float, m: float) -> float:
     return term.coeff.bind(m) * r ** float(term.r_exponent) * math.exp(-m * r)
+
+
+def expansion_value(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> float:
+    """Value of one expansion, compiled as the kernel of a one-term edge."""
+    return _GegenKernel(exp.lam, (exp,)).evaluate(geom, m)
 
 
 def gegen_tables(lam, geom: EdgeGeometry, n_max: int, d_max: int
@@ -99,18 +107,18 @@ def edge_gegenbauer_terms(lam, geom: EdgeGeometry, m: float, orders: TruncationO
     return sum(v for v, _ in pairs), sum(s for _, s in pairs)
 
 
-def half_integer_taylor_scalar(lam: Fraction, ell: Fraction) -> ExactScalar:
+def half_integer_taylor_scalar(lam: Fraction, ell: Fraction) -> SymbolicCoeff:
     """The coefficient of r^(2 ell) at half-integer lam, m = 1, summed one
     asym_coeff(lam, j) at a time."""
     p = int(2 * ell)
-    total = ExactScalar.zero()
+    total = SymbolicCoeff.zero()
     for j in range(int(lam - Fraction(1, 2)) + 1):
         k = p + int(lam + Fraction(1, 2)) + j
         if k < 0:
             continue
         a_j = (asym_coeff(lam, j)
                * two_pi_power(-(lam + 1))
-               * ExactScalar.term(Fraction(1, 2), sqrt2=1, pi_half=1)  # sqrt(pi/2)
+               * SymbolicCoeff.monomial(Fraction(1, 2), sqrt2=1, pi_half=1)  # sqrt(pi/2)
                * Fraction(1, 2 ** j))
         total = total + a_j * Fraction((-1) ** k, math.factorial(k))
     return total

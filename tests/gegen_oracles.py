@@ -2,9 +2,9 @@
 single route (monomial forms converted one x^k row at a time).
 
 ``product_by_gamma`` is the linearization of C_n^(lam) C_m^(lam) by the
-Gamma-function double sum (DLMF 18.18(vi) in monomial form), evaluated over
-ExactScalar so that the sqrt(pi) factors of Gamma at half-integers are carried
-until they cancel.  ``reproject_by_double_sum`` expands C_n^(ell) in the
+Gamma-function double sum (DLMF 18.18(vi) in monomial form), evaluated in
+the exact ring so that the sqrt(pi) factors of Gamma at half-integers are
+carried until they cancel.  ``reproject_by_double_sum`` expands C_n^(ell) in the
 C^(lam) basis by summing the explicit monomial form of C_n^(ell) against the
 closed-form expansion of each x^(n-2k).  Both return {degree: Fraction}.
 
@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from confeyn.exact import ExactScalar
+from confeyn.exact import SymbolicCoeff
 from confeyn.gegenbauer import generating_series_coeff, rising
 from confeyn.specfun import gamma_exact
 
@@ -26,7 +26,7 @@ _fact = math.factorial
 
 
 @lru_cache(maxsize=None)
-def _gamma(z: Fraction) -> ExactScalar:
+def _gamma(z: Fraction) -> SymbolicCoeff:
     return gamma_exact(z)
 
 
@@ -34,7 +34,7 @@ def product_by_gamma(n: int, m: int, lam: Fraction) -> dict[int, Fraction]:
     gam_lam = _gamma(lam)
     out: dict[int, Fraction] = {}
     for r in range((n + m) // 2 + 1):
-        inner = ExactScalar.zero()
+        inner = SymbolicCoeff.zero()
         for k in range(r + 1):
             j = r - k
             if n - 2 * k < 0 or m - 2 * j < 0:
@@ -44,9 +44,10 @@ def product_by_gamma(n: int, m: int, lam: Fraction) -> dict[int, Fraction]:
         if inner.is_zero():
             continue
         # alpha carries 1/Gamma(lam) twice, from the two monomial forms; the
-        # powers of sqrt(pi) cancel there, or as_rational raises
-        alpha = ((inner / (gam_lam * gam_lam)).as_rational()
-                 * ((-1) ** r * _fact(n + m - 2 * r)))
+        # powers of sqrt(pi) cancel there, or the unpacking or the check fails
+        ((key, ratio),) = (inner / (gam_lam * gam_lam)).terms()
+        assert key == (0,) * 6, key
+        alpha = ratio * ((-1) ** r * _fact(n + m - 2 * r))
         for k in range((n + m - 2 * r) // 2 + 1):
             beta = ((lam + n + m - 2 * (r + k))
                     / (rising(lam, n + m - 2 * r + 1 - k) * _fact(k)))

@@ -12,8 +12,8 @@ from fractions import Fraction
 import pytest
 
 from amplitude_oracles import (edge_asymptotic_terms, edge_gegenbauer_terms,
-                               edge_taylor_terms, half_integer_taylor_scalar,
-                               taylor_term_value)
+                               edge_taylor_terms, expansion_value,
+                               half_integer_taylor_scalar, taylor_term_value)
 from confeyn.amplitude import (DivergentRatioError, EdgeGeometry,
                                GegenExpansion, TaylorTermSpec, TruncationOrders,
                                amplitude_truncated_eval, asymptotic_term_coefficient,
@@ -21,7 +21,7 @@ from confeyn.amplitude import (DivergentRatioError, EdgeGeometry,
                                edge_asymptotic_value, edge_gegenbauer_expansion,
                                edge_gegenbauer_value, edge_taylor_value,
                                taylor_term_coefficient, two_pi_power)
-from confeyn.exact import ExactScalar, SymbolicCoeff
+from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 from confeyn.gegenbauer import PolySpec, gegenbauer_coeffs
 from confeyn.propagators import Kinematics, gm_real
@@ -96,7 +96,7 @@ def as_symbolic(series) -> dict[tuple[int, int], SymbolicCoeff]:
 
 def bare_value(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> float:
     """The value of ``exp`` without its term coefficient (the prefactor)."""
-    return exp.evaluate(geom, m) / exp.prefactor.bind(m)
+    return expansion_value(exp, geom, m) / exp.prefactor.bind(m)
 
 
 def full_entries(exp: GegenExpansion) -> list[SymbolicCoeff]:
@@ -113,7 +113,7 @@ class TestTaylorCoefficients:
         # lam=1, ell=-1 (Laurent index 0): coefficient (2 pi)^-2 of r^-2
         t = taylor_term_coefficient(TaylorTermSpec.make(-1, 1), 1)
         assert t.r_exponent == -2
-        assert t.coeff_const == SymbolicCoeff.from_exact(two_pi_power(-2))
+        assert t.coeff_const == two_pi_power(-2)
         assert t.coeff_log.is_zero()
 
     def test_log_branch_leading(self):
@@ -121,13 +121,13 @@ class TestTaylorCoefficients:
         # (-1/(2 pi))^(lam+1) is positive at lam = 1)
         t = taylor_term_coefficient(TaylorTermSpec.make(0, 1), 1)
         assert t.r_exponent == 0
-        want_log = SymbolicCoeff.monomial(two_pi_power(-2) * F(1, 2), m_exp=2)
+        want_log = two_pi_power(-2) * SymbolicCoeff.monomial(F(1, 2), m_exp=2)
         assert t.coeff_log == want_log
         # constant part: B * (log m - log 2 - (psi(1)+psi(2))/2), psi sum = 1 - 2 gamma
-        want_const = want_log * (SymbolicCoeff.logm_symbol()
-                                 - SymbolicCoeff.log2_symbol()
+        want_const = want_log * (SymbolicCoeff.monomial(logm=1)
+                                 - SymbolicCoeff.monomial(log2=1)
                                  - SymbolicCoeff.from_rational(F(1, 2))
-                                 + SymbolicCoeff.gamma_symbol())
+                                 + SymbolicCoeff.monomial(gamma=1))
         assert t.coeff_const == want_const
 
     def test_massless_reduction(self):
@@ -182,7 +182,7 @@ class TestTaylorCoefficients:
         for ell in sorted(ells):
             term = taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
             want = half_integer_taylor_scalar(lam, ell)
-            assert term.coeff_const == SymbolicCoeff.monomial(want, m_exp=2 * lam + 2 * ell)
+            assert term.coeff_const == want * SymbolicCoeff.monomial(m_exp=2 * lam + 2 * ell)
             assert term.r_exponent == 2 * ell and term.coeff_log.is_zero()
 
     def test_half_integer_has_no_log_branch(self):
@@ -197,9 +197,8 @@ class TestTaylorCoefficients:
 class TestAsymptoticCoefficients:
     def test_leading_coefficient_uses_unit(self):
         t = asymptotic_term_coefficient(0, 1)
-        want = SymbolicCoeff.monomial(
-            ExactScalar.term(F(1, 2), sqrt2=1, pi_half=1) * two_pi_power(-2),
-            m_exp=F(1, 2))
+        want = SymbolicCoeff.monomial(F(1, 2), m_exp=F(1, 2), sqrt2=1,
+                                      pi_half=1) * two_pi_power(-2)
         assert t.coeff == want
         assert t.r_exponent == -F(3, 2)
 
@@ -276,7 +275,7 @@ class TestGegenExpansion:
         # log(rho) tensor carries the bare polynomial
         assert tensor_to_cos_powers(as_symbolic(exp.log_rho), lam) == as_symbolic(poly)
         # plain tensor: poly * (log m - log 2 - psi-sum/2) + poly * (1/2) log(1+Y)
-        k0 = (SymbolicCoeff.logm_symbol() - SymbolicCoeff.log2_symbol()
+        k0 = (SymbolicCoeff.monomial(logm=1) - SymbolicCoeff.monomial(log2=1)
               - F(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
         want: dict[tuple[int, int], SymbolicCoeff] = {}
         for key, v in poly.items():
@@ -297,16 +296,14 @@ class TestGegenExpansion:
             exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
                                             TruncationOrders(radial=6))
             for coeff in full_entries(exp):
-                assert all(p % 2 == 0 for p in coeff.pi_half_exponents())
-                for _, scalar in coeff.coefficients():
-                    assert all(s == 0 for s, _, _ in scalar.terms())
+                assert all(p % 2 == 0 for (*_, p), _ in coeff.terms())
+                assert all(s == 0 for (*_, s, _), _ in coeff.terms())
         for ell, lam in [(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2)), (1, F(3, 2))]:
             exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
                                             TruncationOrders(radial=6))
             for coeff in full_entries(exp):
                 assert isinstance(coeff, SymbolicCoeff)  # lies in the sqrt(pi) ring
-                for _, scalar in coeff.coefficients():
-                    assert all(s == 0 for s, _, _ in scalar.terms())
+                assert all(s == 0 for (*_, s, _), _ in coeff.terms())
 
     def test_geometric_truncation_decay(self):
         # at u <= 1/2 the partial sums converge geometrically with per-order
@@ -393,7 +390,7 @@ class TestFloatEvaluation:
         for u in (0.0, 0.3, 0.9):
             for cos in (-0.99, 0.3, 0.95):
                 geom = EdgeGeometry(rho=1.3, r=1.3 * u, cos=cos)
-                got = exp.evaluate(geom, 0.7)
+                got = expansion_value(exp, geom, 0.7)
                 assert_matches_reference(got, exp, geom, 0.7)
                 assert_matches_reference(bare_value(exp, geom, 0.7), exp, geom, 0.7, False)
 
@@ -403,15 +400,15 @@ class TestFloatEvaluation:
         exp = edge_gegenbauer_expansion(TaylorTermSpec.make(1, 1), 1,
                                         TruncationOrders(radial=10))
         geom = EdgeGeometry(rho=2.0, r=0.8, cos=0.95)
-        full = exp.evaluate(geom, 0.7)
+        full = expansion_value(exp, geom, 0.7)
         for cap in (0, 3, 7):
             capped = GegenExpansion(
                 exp.lam, exp.rho_exponent, exp.prefactor, exp.k0,
                 {k: v for k, v in exp.log_rho.items() if k[0] <= cap},
                 {k: v for k, v in exp.series.items() if k[0] <= cap}, cap)
-            assert_matches_reference(capped.evaluate(geom, 0.7), capped, geom, 0.7)
-            assert capped.evaluate(geom, 0.7) != full
-        assert exp.evaluate(geom, 0.7) == full
+            assert_matches_reference(expansion_value(capped, geom, 0.7), capped, geom, 0.7)
+            assert expansion_value(capped, geom, 0.7) != full
+        assert expansion_value(exp, geom, 0.7) == full
 
     def test_tensors_are_read_only(self):
         import dataclasses
@@ -438,7 +435,7 @@ class TestFloatEvaluation:
         for r in (1.0, 2.5):
             geom = EdgeGeometry(rho=r, r=r, cos=0.3)
             with pytest.raises(DivergentRatioError):
-                exp.evaluate(geom, 1.0)
+                expansion_value(exp, geom, 1.0)
             with pytest.raises(DivergentRatioError):
                 edge_gegenbauer_value(1, geom, 1.0, TruncationOrders(radial=4, ell_max=1))
 
@@ -509,14 +506,30 @@ class TestEdgeKernels:
                     edge_gegenbauer_value(lam, EdgeGeometry(1.0, 0.5, 0.0), 1.0,
                                           TruncationOrders(radial=4, ell_max=1))
 
+    def test_float_weights_convert_exactly(self):
+        # 0.7 and 1.3 are no half-integers: refused, not rounded to 1/2 and 3/2
+        orders = TruncationOrders(ell_max=2)
+        for lam in (0.7, 1.3, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                edge_taylor_value(lam, 0.5, 1.0, orders)
+        for lam in (0.5, 1.0, 1.5):
+            assert (edge_taylor_value(lam, 0.5, 1.0, orders)
+                    == edge_taylor_value(F(lam), 0.5, 1.0, orders))
+        graph = FeynmanGraph.build(2, [(0, 1)])
+        positions = {0: (0.0,) * 5, 1: (0.4,) + (0.0,) * 4}
+        with pytest.raises(ValueError, match="half-integer"):
+            amplitude_truncated_eval(graph, positions, 1.0, lam=1.3)
+        assert amplitude_truncated_eval(graph, positions, 1.0, lam=1.5) > 0
+
     def test_compile_checks_the_mass_scaling(self):
         # a term whose coefficient is not m^(2 lam + rho_exponent) times a
         # constant has no place in m^(2 lam) g(m rho)
         exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1, TruncationOrders(radial=4))
-        wrong = GegenExpansion(exp.lam, exp.rho_exponent, exp.prefactor * SymbolicCoeff.monomial(
-            ExactScalar.one(), m_exp=1), exp.k0, exp.log_rho, exp.series, 4)
+        wrong = GegenExpansion(exp.lam, exp.rho_exponent,
+                               exp.prefactor * SymbolicCoeff.monomial(m_exp=1),
+                               exp.k0, exp.log_rho, exp.series, 4)
         with pytest.raises(ValueError, match="is not m"):
-            wrong.evaluate(EdgeGeometry(1.0, 0.5, 0.0), 1.0)
+            expansion_value(wrong, EdgeGeometry(1.0, 0.5, 0.0), 1.0)
 
     def test_warm_edges_bind_nothing(self, monkeypatch):
         calls = []

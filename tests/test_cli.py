@@ -82,6 +82,24 @@ class TestPropEval:
                           tmp_path)
         assert code == 2
 
+    def test_gm_complex_beyond_the_double_product(self, tmp_path):
+        # (2 pi)^-200 10^-199 underflows; the summed logs give mpmath's value
+        code, doc = run_cli(["prop-eval", "--kind", "gm-complex", "--D", "200", "--r", "10",
+                             "--m", "1"], tmp_path)
+        assert code == 0 and doc["value"] == pytest.approx(1.6223831740412056e-128, rel=1e-12)
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "gm-complex", "--D", "200", "--r", "1", "--m", "1"],
+        ["--kind", "gm", "--D", "600", "--r", "1", "--m", "1"],
+        ["--kind", "g0", "--D", "2000", "--r", "10"],
+        ["--kind", "dirac", "--D", "400", "--r", "1", "--m", "1"],
+        ["--kind", "boson", "--D", "400", "--r", "1", "--m", "1", "--alpha", "2"],
+    ], ids=["gm-complex", "gm", "g0", "dirac", "boson"])
+    def test_values_beyond_the_doubles_exit_2(self, flags, tmp_path):
+        # each printed 0, inf or nan with exit 0 before
+        code, _ = run_cli(["prop-eval", *flags], tmp_path)
+        assert code == 2
+
     def test_diagonal_is_validation_error(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "0"], tmp_path)
         assert code == 2
@@ -356,7 +374,7 @@ class TestImportHygiene:
         "gegen": {"gegenbauer", "specfun", "exact"},
         "graph-coproduct": {"hopf", "feyngraph"},
         "graph-antipode": {"hopf", "feyngraph"},
-        # the Rota-Baxter layer is rational: no ExactScalar
+        # the Rota-Baxter layer is rational: no exact ring
         "renorm": {"birkhoff", "hopf", "rotabaxter", "feyngraph"},
         "beta": {"birkhoff", "hopf", "rotabaxter", "feyngraph"},
         "divisors": {"rotabaxter"},

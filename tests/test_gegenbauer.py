@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confeyn.exact import ExactScalar
+from confeyn.exact import SymbolicCoeff
 from confeyn.gegenbauer import (GegenCombo, PolySpec, _chebyshev_monomials,
                                 chebyshev_to_gegenbauer, gegenbauer_coeffs,
                                 gegenbauer_table, gegenbauer_value,
@@ -145,7 +145,7 @@ class TestConversions:
                     assert got == want
 
     def test_product_matches_gamma_oracle(self):
-        # the Gamma-function linearization over ExactScalar, whose sqrt(pi)
+        # the Gamma-function linearization in the exact ring, whose sqrt(pi)
         # factors cancel, against the product of the monomial forms
         for lam in ORACLE_WEIGHTS:
             for n in range(13):
@@ -198,13 +198,13 @@ class TestOrthogonality:
 
 class TestZonal:
     def test_sphere_volumes(self):
-        assert sphere_volume(3) == ExactScalar.pi_power(2, 4)      # 4 pi
-        assert sphere_volume(4) == ExactScalar.pi_power(4, 2)      # 2 pi^2
+        assert sphere_volume(3) == SymbolicCoeff.monomial(4, pi_half=2)      # 4 pi
+        assert sphere_volume(4) == SymbolicCoeff.monomial(2, pi_half=4)      # 2 pi^2
 
     def test_coefficients(self):
-        assert zonal_coefficient(3, 0) == ExactScalar.pi_power(2, 4)
-        assert zonal_coefficient(4, 0) == ExactScalar.pi_power(4, 2)
-        assert zonal_coefficient(3, 1) == ExactScalar.pi_power(2, F(4, 3))
+        assert zonal_coefficient(3, 0) == SymbolicCoeff.monomial(4, pi_half=2)
+        assert zonal_coefficient(4, 0) == SymbolicCoeff.monomial(2, pi_half=4)
+        assert zonal_coefficient(3, 1) == SymbolicCoeff.monomial(F(4, 3), pi_half=2)
 
     def test_reproducing_property_monte_carlo(self):
         # int_{S^2} C_n(w1.w) C_n(w.w2) dw = c_{3,n} C_n(w1.w2), lam = 1/2

@@ -3,6 +3,8 @@
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -166,6 +168,79 @@ class TestComplexCase:
             ratio = (gm_complex(Kinematics.radial(D, r, m))
                      / gm_real(Kinematics.radial(2 * D, r, m)))
             assert ratio == pytest.approx(1.0, rel=1e-12)
+
+
+def _reference(kind: str, D: int, r, m):
+    """(value, K_nu) of a real or complex kernel in mpmath; K_nu = 1 for g0."""
+    import mpmath
+    r, m = mpmath.mpf(r), mpmath.mpf(m)
+    if kind == "g0":
+        return r ** (2 - D), mpmath.mpf(1)
+    if kind == "gm":
+        nu = mpmath.mpf(D - 2) / 2
+        bessel = mpmath.besselk(nu, m * r)
+        return (2 * mpmath.pi) ** (-mpmath.mpf(D) / 2) * m ** (D - 2) * (m * r) ** -nu * bessel, bessel
+    bessel = mpmath.besselk(D - 1, m * r)
+    return (2 * mpmath.pi) ** -D * m ** (D - 1) * r ** (1 - D) * bessel, bessel
+
+
+def _product(kind: str, D: int, r: float, m: float) -> tuple[list[float], float]:
+    """The factors and the product of the plain double formula of a kernel."""
+    from confeyn.specfun import bessel_k
+    if kind == "g0":
+        factors = [r ** (2 - D)]
+    elif kind == "gm":
+        nu = (D - 2) / 2.0
+        factors = [(2 * math.pi) ** (-D / 2.0), m ** (D - 2), (m * r) ** (-nu),
+                   bessel_k(nu, m * r)]
+    else:
+        factors = [(2 * math.pi) ** (-D), m ** (D - 1), r ** (1 - D), bessel_k(D - 1, m * r)]
+    return factors, math.prod(factors)
+
+
+KERNELS = {"g0": g0_real, "gm": gm_real, "gm-complex": gm_complex}
+
+
+def _normal(x) -> bool:
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
+class TestDoubleRange:
+    @pytest.mark.parametrize("kind, D", [("g0", 100), ("g0", 400), ("g0", 2000),
+                                         ("gm", 4), ("gm", 100), ("gm", 300), ("gm", 600),
+                                         ("gm-complex", 3), ("gm-complex", 100),
+                                         ("gm-complex", 200)])
+    def test_magnitude_against_mpmath(self, kind, D):
+        # a value or a K_nu outside the normal doubles is a ValueError, never
+        # a silent 0, inf or nan
+        import mpmath
+        with mpmath.workdps(40):
+            for r in (0.1, 1.0, 3.0, 10.0, 100.0):
+                for m in ((0.0,) if kind == "g0" else (0.5, 2.0)):
+                    want, bessel = _reference(kind, D, r, m)
+                    k = Kinematics.radial(D, r, m)
+                    if not (_normal(want) and _normal(bessel)):
+                        with pytest.raises(ValueError, match="outside the normal doubles"):
+                            KERNELS[kind](k)
+                        continue
+                    assert abs(KERNELS[kind](k) - want) <= 1e-11 * want, (kind, D, r, m)
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_keeps_the_product_where_it_is_normal(self, kind):
+        # bit for bit wherever every factor and partial product is normal
+        for D in range(3, 200, 7):
+            for r in (0.3, 1.0, 2.5, 10.0):
+                for m in ((0.0,) if kind == "g0" else (0.5, 1.7)):
+                    factors, product = _product(kind, D, r, m)
+                    if all(map(_normal, (*factors, *accumulate(factors, mul)))):
+                        assert KERNELS[kind](Kinematics.radial(D, r, m)) == product
+
+    def test_dirac_and_boson_refuse_non_finite_values(self):
+        k = Kinematics.radial(400, 1.0, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            dirac_propagator(k)
+        with pytest.raises(ValueError, match="not finite"):
+            boson_propagator(k, 2.0, 0, 0)
 
 
 class TestDirac:

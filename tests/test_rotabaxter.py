@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from confeyn.exact import ExactScalar
+from confeyn.exact import SymbolicCoeff
 from confeyn.rotabaxter import (LaurentSeries, MultiLogForm, diagonal_label,
                                 divisor_labels, label_sort_key, label_str,
                                 laurent_T, multi_T, multi_residues_vanish,
@@ -75,7 +75,7 @@ def residue_single(a: MultiLogForm, label) -> dict:
 
 # coefficients that are not exact rationals: a float (LaurentSeries used to
 # store 0.1 as 3602879701896397/36028797018963968), a string, a pi-ring scalar
-NOT_RATIONAL = {"float": 0.1, "str": "1/2", "exact_scalar": ExactScalar.one()}
+NOT_RATIONAL = {"float": 0.1, "str": "1/2", "exact_scalar": SymbolicCoeff.one()}
 
 
 @pytest.mark.parametrize("value", NOT_RATIONAL.values(), ids=NOT_RATIONAL)

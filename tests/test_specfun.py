@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import kv
 
-from confeyn.exact import ExactScalar, SymbolicCoeff
+from confeyn.exact import SymbolicCoeff
 from confeyn import propagators
 from confeyn.specfun import (MAX_ORDER, BesselEvalConfig, asym_coeff, bessel_k,
                              bessel_k_ladder, digamma_exact, gamma_exact)
@@ -21,12 +21,12 @@ F = Fraction
 
 class TestGammaExact:
     def test_integer_factorial(self):
-        assert gamma_exact(4) == ExactScalar.from_rational(6)
-        assert gamma_exact(1) == ExactScalar.one()
+        assert gamma_exact(4) == SymbolicCoeff.from_rational(6)
+        assert gamma_exact(1) == SymbolicCoeff.one()
 
     def test_half_integer_values(self):
-        assert gamma_exact(F(1, 2)) == ExactScalar.pi_power(1)
-        assert gamma_exact(F(5, 2)) == ExactScalar.pi_power(1, F(3, 4))
+        assert gamma_exact(F(1, 2)) == SymbolicCoeff.monomial(pi_half=1)
+        assert gamma_exact(F(5, 2)) == SymbolicCoeff.monomial(F(3, 4), pi_half=1)
 
     def test_functional_equation(self):
         z = F(1, 2)
@@ -45,15 +45,15 @@ class TestGammaExact:
 
 class TestDigammaExact:
     def test_psi_one(self):
-        assert digamma_exact(1) == -SymbolicCoeff.gamma_symbol()
+        assert digamma_exact(1) == -SymbolicCoeff.monomial(gamma=1)
 
     def test_psi_three(self):
-        want = SymbolicCoeff.from_rational(F(3, 2)) - SymbolicCoeff.gamma_symbol()
+        want = SymbolicCoeff.from_rational(F(3, 2)) - SymbolicCoeff.monomial(gamma=1)
         assert digamma_exact(3) == want
 
     def test_psi_half(self):
-        want = (-SymbolicCoeff.gamma_symbol()
-                - 2 * SymbolicCoeff.log2_symbol())
+        want = (-SymbolicCoeff.monomial(gamma=1)
+                - 2 * SymbolicCoeff.monomial(log2=1))
         assert digamma_exact(F(1, 2)) == want
 
     def test_recurrence(self):
