@@ -118,9 +118,6 @@ class EdgeGeometry:
     def u(self) -> float:
         return self.r / self.rho
 
-    def separation(self) -> float:
-        return math.sqrt(self.rho ** 2 + self.r ** 2 - 2 * self.rho * self.r * self.cos)
-
 
 @dataclass(frozen=True)
 class TaylorTermSpec:

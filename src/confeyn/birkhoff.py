@@ -18,6 +18,16 @@ the universal singular frame
 
     phi_- = sum_{n >= 0, k_i > 0} beta_{k_1} * ... * beta_{k_n}
             / (k_1 (k_1+k_2) ... (k_1+...+k_n)).
+
+The grading Y multiplies the term of (k_1, ..., k_n) by k_1+...+k_n, which
+makes it the term of (k_1, ..., k_{n-1}) times beta_{k_n}: the frame F solves
+Y(F) = F * beta.  With F(1) = 1 and beta(1) = 0 this is, on a monomial X of
+degree d > 0 and over the reduced coproduct,
+
+    F(X) = ( beta(X) + sum F(X') beta(X'') ) / d,
+
+one recursion on the memoised coproduct in place of a sum over the 2^(d-1)
+compositions of d.
 """
 
 from __future__ import annotations
@@ -47,11 +57,10 @@ class Character:
     defined by its values on generators and memoized on monomials."""
 
     def __init__(self, hopf: HopfAlgebra, target,
-                 gen_rule: Callable[[FeynmanGraph], object], name: str = "phi"):
+                 gen_rule: Callable[[FeynmanGraph], object]):
         self.hopf = hopf
         self.target = target
         self.gen_rule = gen_rule
-        self.name = name
         self._memo: dict[tuple, object] = {}
 
     def on_monomial(self, mono: Monomial):
@@ -72,7 +81,7 @@ class CounitCharacter(Character):
     """epsilon followed by the unit of the target."""
 
     def __init__(self, hopf: HopfAlgebra, target):
-        super().__init__(hopf, target, lambda g: target.zero(), name="eps")
+        super().__init__(hopf, target, lambda g: target.zero())
 
     def on_monomial(self, mono: Monomial):
         return self.target.one() if not mono else self.target.zero()
@@ -186,7 +195,7 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
                 f"budget is {n_vertices}")
         space = canon.degree()
         renumber = {v: i + 1 for i, v in enumerate(internal)}
-        key = canon.canonical_key()
+        key = graph.canonical_key()
         terms: dict[tuple, Fraction] = {}
         for subset, _ in canon.one_pi_blocks():
             I = frozenset(renumber[v] for v in subset)
@@ -198,7 +207,7 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
         terms[((space, ("reg", linear)),)] = _stable_rational(rule_seed, key, "lin")
         return MultiLogForm(terms)
 
-    return Character(hopf, target, eta, name=f"toy[{rule_seed}]")
+    return Character(hopf, target, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -220,62 +229,35 @@ class BetaFunction:
     def on_monomial(self, mono: Monomial):
         return self(HopfElement.from_monomial(mono))
 
-    def graded(self, k: int, mono: Monomial):
-        """beta_k: beta restricted to the degree-k homogeneous piece."""
-        if monomial_degree(mono) != k:
-            return self.target.zero()
-        return self.on_monomial(mono)
-
 
 def beta_function(pair: BirkhoffPair) -> BetaFunction:
     return BetaFunction(pair)
 
 
-def _compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
-
-
 class FrameCharacter:
-    """The universal-frame series evaluated degreewise (finite in each degree)."""
+    """The universal frame by its defining recursion
+    F(X) = (beta(X) + sum F(X') beta(X'')) / deg X, memoised per monomial."""
 
     def __init__(self, beta: BetaFunction):
         self.beta = beta
         self.hopf = beta.hopf
         self.target = beta.target
+        self._memo: dict[tuple, object] = {}
 
     def on_monomial(self, mono: Monomial):
         t = self.target
         degree = monomial_degree(mono)
         if degree == 0:
             return t.one()
-        # the terms of Delta^(n-1)(mono), grouped by their degree profile,
-        # computed once for each of the `degree` distinct n
-        by_profile: dict[int, dict[tuple[int, ...], list]] = {}
-        total = t.zero()
-        for comp in _compositions(degree):
-            n = len(comp)
-            denom = Fraction(1)
-            acc = 0
-            for k in comp:
-                acc += k
-                denom *= acc
-            if n not in by_profile:
-                groups: dict[tuple[int, ...], list] = {}
-                spread = self.hopf.iterated_coproduct(HopfElement.from_monomial(mono), n)
-                for key, c in spread.terms.items():
-                    groups.setdefault(tuple(monomial_degree(m) for m in key), []).append((key, c))
-                by_profile[n] = groups
-            for key, c in by_profile[n].get(comp, ()):
-                value = t.one()
-                for m in key:
-                    value = t.mul(value, self.beta.on_monomial(m))
-                total = t.add(total, t.scale(value, c / denom))
-        return total
+        key = tuple(g.canonical_key() for g in mono)
+        cached = self._memo.get(key)
+        if cached is None:
+            beta = self.beta.on_monomial
+            value = beta(mono)
+            for (left, right), c in self.hopf.reduced_coproduct(mono).terms.items():
+                value = t.add(value, t.scale(t.mul(self.on_monomial(left), beta(right)), c))
+            self._memo[key] = cached = t.scale(value, Fraction(1, degree))
+        return cached
 
     def __call__(self, x):
         return extend_linearly(x, self.target, self.on_monomial)

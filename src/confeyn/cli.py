@@ -21,9 +21,9 @@ time; each handler imports only what it runs:
     prop-eval                     propagators (with specfun and exact)
     prop-expand                   amplitude and specfun (with gegenbauer, exact)
     gegen                         gegenbauer (with specfun and exact)
-    graph-coproduct, -antipode    hopf (with feyngraph)
-    renorm, beta                  birkhoff, hopf and rotabaxter (with feyngraph)
-    divisors                      rotabaxter
+    graph-coproduct, -antipode    hopf (with linear and feyngraph)
+    renorm, beta                  birkhoff, hopf and rotabaxter (with linear, feyngraph)
+    divisors                      rotabaxter (with linear)
 
 The usage path and exit 64 load nothing beyond this module.  Handlers call
 library functions as module attributes (``propagators.gm_real``), so a
@@ -73,7 +73,7 @@ EXPAND_MAX_D = 800      # gegenbauer at radial 64 is slowest: 0.6-0.7 s at 800 (
                         # and at 799 (ell 15/2); taylor at 799 (ell 16) 0.17 s
 RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
                           # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
-BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 1.5 s (8.6 s at 14)
+BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 0.5 s (1.9 s at 14)
 
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 

@@ -78,14 +78,6 @@ class GegenCombo:
     def __post_init__(self):
         self.coeffs = {k: c for k, c in self.coeffs.items() if c}
 
-    def expand(self) -> dict[int, Fraction]:
-        """Monomial coefficients of the combination (exact)."""
-        out: dict[int, Fraction] = {}
-        for deg, c in self.coeffs.items():
-            for power, a in _gegen_monomials(self.lam, deg):
-                out[power] = out.get(power, 0) + c * a
-        return {p: c for p, c in out.items() if c}
-
     def to_json(self) -> dict[str, str]:
         return {str(k): str(self.coeffs[k]) for k in sorted(self.coeffs)}
 

@@ -11,8 +11,8 @@ formula S(X) = -X - sum S(X') X'' on the reduced coproduct.  The grading
 derivation Y and the Dynkin operator D = S * Y (convolution) provide the
 renormalization-group machinery used by the Birkhoff module.
 
-Elements of H and of its tensor powers share one sparse core: a dict from
-keys to nonzero coefficients, kept as given and never re-wrapped.  Every
+Elements of H and of its tensor powers are sparse combinations of the
+``linear`` core, keyed by monomials and by tuples of monomials.  Every
 coefficient the algebra produces is a Python int; scaling by a Fraction
 gives exact rationals.  A ``HopfAlgebra`` memoises Delta of each monomial by
 its generators' canonical keys (a generator is the monomial of one graph),
@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .feyngraph import FeynmanGraph, TheoryProfile
+from .linear import Linear, accumulate
 
 # A monomial is a sorted tuple of FeynmanGraph generators (empty tuple = 1).
 Monomial = tuple[FeynmanGraph, ...]
@@ -50,67 +51,14 @@ def _merge(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(m1 + m2, key=FeynmanGraph.canonical_key))
 
 
-def _accumulate(out: dict, items) -> dict:
-    """Add (key, coefficient) pairs into out in place, dropping terms that cancel."""
-    for key, c in items:
-        out[key] = c = out.get(key, 0) + c
-        if not c:
-            del out[key]
-    return out
-
-
-class _Sparse:
-    """Sparse Q-linear combination: key -> nonzero coefficient.  Subclasses
-    name the product of two keys (``_combine``) and rebuild like elements
-    (``_like``)."""
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
-
-    def _like(self, terms: dict):
-        return type(self)(terms)
-
-    def __add__(self, other):
-        return self._like(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._like({key: c * other for key, c in self.terms.items()})
-        combine = self._combine
-        out: dict = {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                key = combine(key1, key2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return self._like(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self.terms == other.terms
-
-
-class HopfElement(_Sparse):
+class HopfElement(Linear):
     """Finite Q-linear combination of graph monomials."""
 
-    _combine = staticmethod(_merge)
-
-    @classmethod
-    def unit(cls) -> "HopfElement":
-        return cls({(): 1})
-
-    @classmethod
-    def zero(cls) -> "HopfElement":
-        return cls()
+    key_product = staticmethod(_merge)
 
     @classmethod
     def generator(cls, graph: FeynmanGraph) -> "HopfElement":
-        return cls({monomial(graph): 1})
+        return cls._wrap({monomial(graph): 1})
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: int | Fraction = 1) -> "HopfElement":
@@ -123,25 +71,16 @@ class HopfElement(_Sparse):
             bits.append(f"{c}*{name}")
         return " + ".join(bits) or "0"
 
-    def max_degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
 
+class TensorElement(Linear):
+    """Element of H (x) H, or of H^(x)k: a key is a k-tuple of monomials."""
 
-class TensorElement(_Sparse):
-    """Element of H (x) H (or, with k factors, H^(x)k)."""
-
-    def __init__(self, terms: dict | None = None, k: int = 2):
-        super().__init__(terms)
-        self.k = k
-
-    _combine = staticmethod(lambda key1, key2: tuple(map(_merge, key1, key2)))
-
-    def _like(self, terms: dict) -> "TensorElement":
-        return TensorElement(terms, self.k)
+    key_product = staticmethod(lambda key1, key2: tuple(map(_merge, key1, key2)))
+    unit_key = ((), ())
 
     @classmethod
     def single(cls, key: tuple[Monomial, ...], coeff: int | Fraction = 1) -> "TensorElement":
-        return cls({key: coeff}, k=len(key))
+        return cls({key: coeff})
 
     def __repr__(self) -> str:
         bits = []
@@ -191,7 +130,7 @@ class HopfAlgebra:
             parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
             key2 = (parts, monomial(quotient))
             terms[key2] = terms.get(key2, 0) + 1
-        out = self._coproduct_gen[key] = TensorElement(terms)
+        out = self._coproduct_gen[key] = TensorElement._wrap(terms)
         return out
 
     def _coproduct_monomial(self, mono: Monomial) -> TensorElement:
@@ -200,7 +139,7 @@ class HopfAlgebra:
         key = tuple(g.canonical_key() for g in mono)
         cached = self._coproduct_gen.get(key)
         if cached is None:
-            cached = TensorElement.single(((), ()))
+            cached = TensorElement.one()
             for g in mono:
                 cached = cached * self.coproduct_generator(g)
             self._coproduct_gen[key] = cached
@@ -210,27 +149,27 @@ class HopfAlgebra:
         x = as_element(x)
         if list(x.terms.values()) == [1]:  # one monomial: its shared memo entry
             return self._coproduct_monomial(next(iter(x.terms)))
-        total = TensorElement(k=2)
+        total = TensorElement.zero()
         for mono, c in x.terms.items():
             total = total + c * self._coproduct_monomial(mono)
         return total
 
     def reduced_coproduct(self, mono: Monomial) -> TensorElement:
         """Delta(x) - x (x) 1 - 1 (x) x on a monomial."""
-        return TensorElement(_accumulate(dict(self._coproduct_monomial(mono).terms),
-                                         [((mono, ()), -1), (((), mono), -1)]))
+        return TensorElement._wrap(accumulate(dict(self._coproduct_monomial(mono).terms),
+                                              [((mono, ()), -1), (((), mono), -1)]))
 
     def iterated_coproduct(self, x: HopfElement | Monomial, k: int) -> TensorElement:
         """Delta^(k-1): H -> H^(x)k (k >= 1), applied on the last slot."""
         x = as_element(x)
         if k == 1:
-            return TensorElement({(m,): c for m, c in x.terms.items()}, k=1)
+            return TensorElement._wrap({(m,): c for m, c in x.terms.items()})
         out: dict[tuple[Monomial, ...], int | Fraction] = {}
         for key, c in self.iterated_coproduct(x, k - 1).terms.items():
             for (a, b), c2 in self._coproduct_monomial(key[-1]).terms.items():
                 nk = key[:-1] + (a, b)
                 out[nk] = out.get(nk, 0) + c * c2
-        return TensorElement(out, k)
+        return TensorElement(out)
 
     # -- counit, antipode, grading --------------------------------------------
 
@@ -246,16 +185,16 @@ class HopfAlgebra:
 
     def _antipode_monomial(self, mono: Monomial) -> HopfElement:
         if not mono:
-            return HopfElement.unit()
+            return HopfElement.one()
         key = tuple(g.canonical_key() for g in mono)
         cached = self._antipode.get(key)
         if cached is not None:
             return cached
         out = {mono: -1}
         for (left, right), c in self.reduced_coproduct(mono).terms.items():
-            _accumulate(out, ((_merge(m, right), -c * c2)
-                              for m, c2 in self._antipode_monomial(left).terms.items()))
-        cached = self._antipode[key] = HopfElement(out)
+            accumulate(out, ((_merge(m, right), -c * c2)
+                             for m, c2 in self._antipode_monomial(left).terms.items()))
+        cached = self._antipode[key] = HopfElement._wrap(out)
         return cached
 
     @staticmethod
@@ -271,9 +210,9 @@ class HopfAlgebra:
         for (left, right), c in self.coproduct(x).terms.items():
             c *= monomial_degree(right)
             if c:
-                _accumulate(out, ((_merge(m, right), c * c2)
-                                  for m, c2 in self._antipode_monomial(left).terms.items()))
-        return HopfElement(out)
+                accumulate(out, ((_merge(m, right), c * c2)
+                                 for m, c2 in self._antipode_monomial(left).terms.items()))
+        return HopfElement._wrap(out)
 
     # -- convolution ------------------------------------------------------------
 

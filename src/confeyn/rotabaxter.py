@@ -5,8 +5,9 @@ linear operator T satisfying
 
     T(x) T(y) = T(x T(y)) + T(T(x) y) - T(x y).
 
-Both models have rational coefficients, kept as the int or Fraction they were
-given; any other coefficient type raises TypeError.
+Both models are sparse combinations of the ``linear`` core, with rational
+coefficients kept as the int or Fraction they were given; any other
+coefficient type raises TypeError.
 
 Model 1: Laurent series over Q with T the projection onto the polar part
 (strictly negative exponents).
@@ -35,18 +36,15 @@ S in {1..n}, and diagonal divisors D_I with I in {1..n}, |I| > 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from .linear import Linear, rational
+
 Rational = int | Fraction
-
-
-def _rational(c) -> Rational:
-    if isinstance(c, (int, Fraction)):
-        return c
-    raise TypeError(f"expected an int or Fraction coefficient, got {type(c).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -54,70 +52,28 @@ def _rational(c) -> Rational:
 # ---------------------------------------------------------------------------
 
 
-class LaurentSeries:
-    """Laurent polynomial over Q with finitely many terms."""
+class LaurentSeries(Linear):
+    """Laurent polynomial over Q with finitely many terms: exponent -> coefficient."""
+
+    key_product = staticmethod(operator.add)
+    unit_key = 0
 
     def __init__(self, coeffs: Mapping[int, Rational] | None = None):
-        self.coeffs: dict[int, Rational] = {
-            int(e): c for e, c in (coeffs or {}).items() if _rational(c)}
+        super().__init__({int(e): c for e, c in (coeffs or {}).items()})
 
-    @classmethod
-    def _of(cls, coeffs: dict[int, Rational]) -> "LaurentSeries":
-        """Wraps the checked coefficients that arithmetic produced, dropping zeros."""
-        out = cls.__new__(cls)
-        out.coeffs = {e: c for e, c in coeffs.items() if c}
-        return out
-
-    @classmethod
-    def zero(cls) -> "LaurentSeries":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentSeries":
-        return cls({0: 1})
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentSeries._of(out)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries._of({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        out: dict[int, Rational] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentSeries._of(out)
-
-    __rmul__ = __mul__
+    @property
+    def coeffs(self) -> dict[int, Rational]:
+        return self.terms
 
     def polar_part(self) -> "LaurentSeries":
-        return LaurentSeries._of({e: c for e, c in self.coeffs.items() if e < 0})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
+        return LaurentSeries._wrap({e: c for e, c in self.terms.items() if e < 0})
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self.terms):
+            c = self.terms[e]
             if e == 0:
                 bits.append(f"{c}")
             elif e == 1:
@@ -127,7 +83,7 @@ class LaurentSeries:
         return " + ".join(bits)
 
     def to_json(self) -> dict:
-        return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
+        return {str(e): str(self.terms[e]) for e in sorted(self.terms)}
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "LaurentSeries":
@@ -245,7 +201,26 @@ def _comp_mul(c1: CompMono, c2: CompMono) -> tuple[int, CompMono] | None:
     return 1, ("reg", _mul_reg_keys(data1, data2))
 
 
-class MultiLogForm:
+def _merge_multikeys(k1: MultiKey, k2: MultiKey) -> tuple[int, MultiKey] | None:
+    by_space: dict[int, CompMono] = dict(k1)
+    sign = 1
+    for space, comp in k2:
+        if space in by_space:
+            merged = _comp_mul(by_space[space], comp)
+            if merged is None:
+                return None
+            s, newcomp = merged
+            sign *= s
+            if newcomp == ("reg", ()):
+                del by_space[space]
+            else:
+                by_space[space] = newcomp
+        else:
+            by_space[space] = comp
+    return sign, tuple(sorted(by_space.items()))
+
+
+class MultiLogForm(Linear):
     """Linear combination of wedge monomials, one log-form monomial per space.
 
     A key is a sorted tuple of (space, component) with distinct spaces; the
@@ -253,8 +228,11 @@ class MultiLogForm:
     cardinality.
     """
 
+    key_product = staticmethod(_merge_multikeys)
+    signed = True
+
     def __init__(self, terms: Mapping[MultiKey, Rational] | None = None):
-        self.terms: dict[MultiKey, Rational] = {}
+        out: dict[MultiKey, Rational] = {}
         for key, c in (terms or {}).items():
             key = tuple(sorted(key))
             spaces = [s for s, _ in key]
@@ -263,60 +241,8 @@ class MultiLogForm:
             for _, (kind, data) in key:
                 if kind == "polar" and (not data or len(data) % 2):
                     raise ValueError("polar blocks must be nonempty with even cardinality")
-            self.terms[key] = self.terms.get(key, 0) + _rational(c)
-        self.terms = {k: c for k, c in self.terms.items() if c}
-
-    @classmethod
-    def _of(cls, terms: dict[MultiKey, Rational]) -> "MultiLogForm":
-        """Wraps the checked terms that arithmetic produced, dropping zeros."""
-        out = cls.__new__(cls)
-        out.terms = {k: c for k, c in terms.items() if c}
-        return out
-
-    @classmethod
-    def zero(cls) -> "MultiLogForm":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MultiLogForm":
-        return cls({(): 1})
-
-    def __add__(self, other: "MultiLogForm") -> "MultiLogForm":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return MultiLogForm._of(out)
-
-    def __sub__(self, other: "MultiLogForm") -> "MultiLogForm":
-        return self + other.scale(-1)
-
-    def scale(self, c: Rational) -> "MultiLogForm":
-        c = _rational(c)
-        return MultiLogForm._of({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, MultiLogForm):
-            return NotImplemented
-        out: dict[MultiKey, Rational] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged = _merge_multikeys(k1, k2)
-                if merged is not None:
-                    sign, key = merged
-                    out[key] = out.get(key, 0) + sign * c1 * c2
-        return MultiLogForm._of(out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiLogForm):
-            return NotImplemented
-        return self.terms == other.terms
+            out[key] = out.get(key, 0) + rational(c)
+        super().__init__(out)
 
     def __repr__(self) -> str:
         return f"MultiLogForm({len(self.terms)} monomials)"
@@ -343,31 +269,12 @@ def _multikey_sort_key(key: MultiKey) -> list:
                            for x in data]) for space, (kind, data) in key]
 
 
-def _merge_multikeys(k1: MultiKey, k2: MultiKey) -> tuple[int, MultiKey] | None:
-    by_space: dict[int, CompMono] = dict(k1)
-    sign = 1
-    for space, comp in k2:
-        if space in by_space:
-            merged = _comp_mul(by_space[space], comp)
-            if merged is None:
-                return None
-            s, newcomp = merged
-            sign *= s
-            if newcomp == ("reg", ()):
-                del by_space[space]
-            else:
-                by_space[space] = newcomp
-        else:
-            by_space[space] = comp
-    return sign, tuple(sorted(by_space.items()))
-
-
 def multi_T(a: MultiLogForm) -> MultiLogForm:
     """T = id - prod_i (id - T_i): keeps every monomial with at least one
     polar component."""
     kept = {key: c for key, c in a.terms.items()
             if any(kind == "polar" for _, (kind, _) in key)}
-    return MultiLogForm._of(kept)
+    return MultiLogForm._wrap(kept)
 
 
 def polar_subtract(a):
@@ -389,27 +296,32 @@ def multi_residues_vanish(a: MultiLogForm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentAlgebra:
-    """Rota-Baxter model: Laurent series with pole-part projection."""
+class _Model:
+    """zero, one, add and scale of a Rota-Baxter model on its element type;
+    each model names its own product and projection."""
 
     def zero(self):
-        return LaurentSeries.zero()
+        return self.element.zero()
 
     def one(self):
-        return LaurentSeries.one()
+        return self.element.one()
+
+    add = staticmethod(operator.add)
 
     @staticmethod
-    def add(a, b):
-        return a + b
+    def scale(a, q):
+        return a.scale(q)
+
+
+@dataclass(frozen=True)
+class LaurentAlgebra(_Model):
+    """Rota-Baxter model: Laurent series with pole-part projection."""
+
+    element = LaurentSeries
 
     @staticmethod
     def mul(a, b):
         return a * b
-
-    @staticmethod
-    def scale(a, q):
-        return a * q
 
     @staticmethod
     def T(a):
@@ -417,26 +329,14 @@ class LaurentAlgebra:
 
 
 @dataclass(frozen=True)
-class MultiLogAlgebra:
+class MultiLogAlgebra(_Model):
     """Rota-Baxter model: multi-space even log forms with polar projection."""
 
-    def zero(self):
-        return MultiLogForm.zero()
-
-    def one(self):
-        return MultiLogForm.one()
-
-    @staticmethod
-    def add(a, b):
-        return a + b
+    element = MultiLogForm
 
     @staticmethod
     def mul(a, b):
         return a * b
-
-    @staticmethod
-    def scale(a, q):
-        return a.scale(q)
 
     @staticmethod
     def T(a):

@@ -7,7 +7,8 @@ power of r, and every Gegenbauer expansion sums its two tensors as
 The kernels fold all of this into one polynomial in z = m r (or m rho) per
 edge, so the two routes share only the exact coefficients.
 ``expansion_value`` evaluates one expansion by the library's own kernel, as
-a one-expansion edge.
+a one-expansion edge, and ``separation`` is the distance |x_s - x_t| of an
+edge's endpoints.
 
 Each ``*_terms`` function returns (value, scale): the sum of the terms and
 the sum of their absolute values, the size of the rounding of any order of
@@ -41,6 +42,10 @@ def taylor_term_value(term: TaylorTerm, r: float, m: float) -> float:
 
 def asymptotic_term_value(term: AsymptoticTerm, r: float, m: float) -> float:
     return term.coeff.bind(m) * r ** float(term.r_exponent) * math.exp(-m * r)
+
+
+def separation(geom: EdgeGeometry) -> float:
+    return math.sqrt(geom.rho ** 2 + geom.r ** 2 - 2 * geom.rho * geom.r * geom.cos)
 
 
 def expansion_value(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> float:

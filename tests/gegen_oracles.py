@@ -9,7 +9,8 @@ C^(lam) basis by summing the explicit monomial form of C_n^(ell) against the
 closed-form expansion of each x^(n-2k).  Both return {degree: Fraction}.
 
 ``chebyshev_limit_check`` compares T_n with the lam -> 0 limit
-(n/2) C_n^(lam)(x) / lam of the generating-series coefficient.
+(n/2) C_n^(lam)(x) / lam of the generating-series coefficient, and
+``expand`` writes a Gegenbauer combination back in monomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.exact import SymbolicCoeff
-from confeyn.gegenbauer import generating_series_coeff, rising
+from confeyn.gegenbauer import GegenCombo, _gegen_monomials, generating_series_coeff, rising
 from confeyn.specfun import gamma_exact
 
 _fact = math.factorial
@@ -78,3 +79,12 @@ def chebyshev_limit_check(n: int, x: float, eps_lambda: float) -> tuple[float, f
         t_prev, t_n = t_n, 2.0 * x * t_n - t_prev
     approx = (n / 2.0) * generating_series_coeff(eps_lambda, n, x) / eps_lambda
     return t_n, approx
+
+
+def expand(combo: GegenCombo) -> dict[int, Fraction]:
+    """Monomial coefficients of the combination (exact)."""
+    out: dict[int, Fraction] = {}
+    for deg, c in combo.coeffs.items():
+        for power, a in _gegen_monomials(combo.lam, deg):
+            out[power] = out.get(power, 0) + c * a
+    return {p: c for p, c in out.items() if c}

@@ -35,6 +35,7 @@ from confeyn.rotabaxter import (LaurentAlgebra, LaurentSeries, divisor_labels,
                                 multi_residues_vanish)
 from confeyn.specfun import gamma_exact
 from conftest import laurent_rule, one_factor_form
+from gegen_oracles import expand
 from propagator_oracles import helmholtz_residual
 
 F = Fraction
@@ -156,7 +157,7 @@ def test_criterion_4_hopf_axioms(hopf, monomials_deg4):
             total = total + c * (hopf.antipode(a) * HopfElement.from_monomial(b))
         assert recon_l == x and recon_r == x
         # antipode axiom
-        assert total == hopf.counit(x) * HopfElement.unit()
+        assert total == hopf.counit(x) * HopfElement.one()
     _report(4, f"coassociativity, counit, antipode exact on {len(monomials_deg4)} "
                "monomials of degree <= 4")
 
@@ -211,15 +212,15 @@ def test_criterion_6_gegenbauer():
     weights = [F(1, 2), 1, F(3, 2), 2, F(5, 2), 3]
     for lam in weights:
         for n in range(11):
-            assert monomial_to_gegenbauer(n, lam).expand() == {n: 1}
-            assert chebyshev_to_gegenbauer(n, lam).expand() == \
+            assert expand(monomial_to_gegenbauer(n, lam)) == {n: 1}
+            assert expand(chebyshev_to_gegenbauer(n, lam)) == \
                 dict(_chebyshev_monomials(n))
             for ell in [F(1, 2), 2]:
-                assert reproject_gegenbauer(ell, n, lam).expand() == \
+                assert expand(reproject_gegenbauer(ell, n, lam)) == \
                     gegenbauer_coeffs(PolySpec(ell, n))
         for n in range(0, 11, 2):
             for m in range(1, 11, 2):
-                got = product_linearize(n, m, lam).expand()
+                got = expand(product_linearize(n, m, lam))
                 want = {}
                 for p, c in gegenbauer_coeffs(PolySpec(lam, n)).items():
                     for q, d in gegenbauer_coeffs(PolySpec(lam, m)).items():

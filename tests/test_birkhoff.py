@@ -13,7 +13,7 @@ from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import HopfElement, monomial, monomial_degree
 from confeyn.rotabaxter import (LaurentAlgebra, LaurentSeries,
                                 multi_residues_vanish)
-from conftest import banana, doubled_triangle, laurent_rule
+from conftest import banana, doubled_triangle, laurent_rule, necklace
 
 F = Fraction
 
@@ -164,7 +164,7 @@ class TestBetaAndFrame:
     def test_beta_on_unit(self, hopf, laurent_character):
         pair = birkhoff_factorize(laurent_character)
         beta = beta_function(pair)
-        assert beta(HopfElement.unit()).is_zero()
+        assert beta(HopfElement.one()).is_zero()
 
     def test_beta_vanishes_on_products(self, hopf, family, laurent_character):
         pair = birkhoff_factorize(laurent_character)
@@ -198,14 +198,10 @@ class TestBetaAndFrame:
         assert frame.on_monomial(()) == laurent_character.target.one()
 
     def test_frame_matches_per_composition_reference(self, hopf, monomials_deg4,
-                                                     laurent_character, monkeypatch):
-        # the frame takes each Delta^(n-1) once; the reference recomputes it
-        # for every composition of the degree, as the defining sum reads
-        pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair)
-        frame = universal_frame(beta)
-        t = frame.target
-
+                                                     laurent_character):
+        # the defining sum over the compositions (k_1, ..., k_n) of the degree,
+        # read off Delta^(n-1) (taken once per n), against the recursion the
+        # frame runs; both targets, up to the 12-edge necklace
         def compositions(total):
             if total == 0:
                 yield ()
@@ -213,42 +209,35 @@ class TestBetaAndFrame:
                 for rest in compositions(total - first):
                     yield (first,) + rest
 
-        def reference(mono):
-            total = t.zero()
-            for comp in compositions(monomial_degree(mono)):
-                denom = F(1)
-                for i in range(1, len(comp) + 1):
-                    denom *= sum(comp[:i])
-                spread = hopf.iterated_coproduct(HopfElement.from_monomial(mono), len(comp))
-                for key, c in spread.terms.items():
-                    if tuple(monomial_degree(m) for m in key) == comp:
+        toy = toy_feynman_character(hopf, 6, 1, rule_seed=13)
+        monos = monomials_deg4 + [monomial(necklace(6))]
+        for phi in (laurent_character, toy):
+            pair = birkhoff_factorize(phi)
+            beta = beta_function(pair)
+            frame = universal_frame(beta)
+            t = frame.target
+
+            def reference(mono):
+                total = t.zero()
+                by_profile = {}  # n -> the terms of Delta^(n-1) by degree profile
+                for comp in compositions(monomial_degree(mono)):
+                    denom = F(1)
+                    for i in range(1, len(comp) + 1):
+                        denom *= sum(comp[:i])
+                    n = len(comp)
+                    if n not in by_profile:
+                        by_profile[n] = {}
+                        spread = hopf.iterated_coproduct(HopfElement.from_monomial(mono), n)
+                        for key, c in spread.terms.items():
+                            profile = tuple(monomial_degree(m) for m in key)
+                            by_profile[n].setdefault(profile, []).append((key, c))
+                    for key, c in by_profile[n].get(comp, ()):
                         value = t.one()
                         for m in key:
                             value = t.mul(value, beta.on_monomial(m))
                         total = t.add(total, t.scale(value, c / denom))
-            return total
+                return total
 
-        calls = []
-        depth = [0]
-        raw = hopf.iterated_coproduct
-
-        def counting(x, k):
-            if depth[0] == 0:
-                calls.append(k)
-            depth[0] += 1
-            try:
-                return raw(x, k)
-            finally:
-                depth[0] -= 1
-
-        for mono in monomials_deg4:
-            degree = monomial_degree(mono)
-            if degree == 0:
-                continue
-            want = reference(mono)
-            calls.clear()
-            monkeypatch.setattr(hopf, "iterated_coproduct", counting)
-            got = frame.on_monomial(mono)
-            monkeypatch.undo()
-            assert got == want
-            assert sorted(calls) == list(range(1, degree + 1))
+            for mono in monos:
+                if monomial_degree(mono):
+                    assert frame.on_monomial(mono) == reference(mono)

@@ -372,12 +372,12 @@ class TestImportHygiene:
         "prop-eval": {"propagators", "specfun", "exact"},
         "prop-expand": {"amplitude", "specfun", "gegenbauer", "exact"},
         "gegen": {"gegenbauer", "specfun", "exact"},
-        "graph-coproduct": {"hopf", "feyngraph"},
-        "graph-antipode": {"hopf", "feyngraph"},
+        "graph-coproduct": {"hopf", "linear", "feyngraph"},
+        "graph-antipode": {"hopf", "linear", "feyngraph"},
         # the Rota-Baxter layer is rational: no exact ring
-        "renorm": {"birkhoff", "hopf", "rotabaxter", "feyngraph"},
-        "beta": {"birkhoff", "hopf", "rotabaxter", "feyngraph"},
-        "divisors": {"rotabaxter"},
+        "renorm": {"birkhoff", "hopf", "rotabaxter", "linear", "feyngraph"},
+        "beta": {"birkhoff", "hopf", "rotabaxter", "linear", "feyngraph"},
+        "divisors": {"rotabaxter", "linear"},
     }
 
     def test_subcommands(self, tmp_path, graphs_file):

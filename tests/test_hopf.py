@@ -17,7 +17,7 @@ F = Fraction
 
 class TestCoproduct:
     def test_unit(self, hopf):
-        assert hopf.coproduct(HopfElement.unit()) == TensorElement.single(((), ()))
+        assert hopf.coproduct(HopfElement.one()) == TensorElement.single(((), ()))
 
     def test_primitive_banana(self, hopf):
         b = banana(2)
@@ -74,12 +74,12 @@ class TestAxioms:
             total = HopfElement.zero()
             for (a, b), c in hopf.coproduct(x).terms.items():
                 total = total + c * (hopf.antipode(a) * HopfElement.from_monomial(b))
-            assert total == hopf.counit(x) * HopfElement.unit()
+            assert total == hopf.counit(x) * HopfElement.one()
 
 
 class TestAntipode:
     def test_unit(self, hopf):
-        assert hopf.antipode(HopfElement.unit()) == HopfElement.unit()
+        assert hopf.antipode(HopfElement.one()) == HopfElement.one()
 
     def test_primitive(self, hopf):
         b = banana(2)
@@ -95,7 +95,7 @@ class TestAntipode:
 
 class TestGradingAndDynkin:
     def test_grading_examples(self, hopf):
-        assert hopf.grading_op(HopfElement.unit()) == HopfElement.zero()
+        assert hopf.grading_op(HopfElement.one()) == HopfElement.zero()
         b = banana(3)
         assert hopf.grading_op(b) == 3 * HopfElement.generator(b)
 
@@ -104,7 +104,7 @@ class TestGradingAndDynkin:
             assert hopf.dynkin(g) == g.degree() * HopfElement.generator(g)
 
     def test_dynkin_on_unit(self, hopf):
-        assert hopf.dynkin(HopfElement.unit()) == HopfElement.zero()
+        assert hopf.dynkin(HopfElement.one()) == HopfElement.zero()
 
     def test_dynkin_nested(self, hopf):
         dt = doubled_triangle()
@@ -191,7 +191,7 @@ class TestMemo:
         assert len(hopf._coproduct_gen) > len(graphs) and hopf._antipode
         for key, delta in hopf._coproduct_gen.items():
             mono = monomial(*map(from_canonical, key))
-            assert delta == HopfAlgebra().coproduct(mono) and delta.k == 2
+            assert delta == HopfAlgebra().coproduct(mono)
         for key, s in hopf._antipode.items():
             assert s == HopfAlgebra().antipode(monomial(*map(from_canonical, key)))
 

@@ -1,6 +1,7 @@
 """Hopf, Birkhoff and Rota-Baxter laws as hypothesis properties:
-coassociativity, S * id = eps, S o S = id, Delta(xy) = Delta(x) Delta(y) and
-phi = (phi_- o S) * phi_+ on generated 1PI graphs, and the weight -1
+coassociativity, S * id = eps, S o S = id, Delta(xy) = Delta(x) Delta(y),
+phi = (phi_- o S) * phi_+ and Y(phi_-) = phi_- * beta on generated 1PI
+graphs, and the weight -1
 Rota-Baxter identity with T o T = T on both targets.  The laws that read the
 coproduct and antipode memos run on a warm shared algebra and on a fresh one,
 so that a stale or aliased memo entry cannot pass."""
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confeyn.birkhoff import Character, birkhoff_factorize
+from confeyn.birkhoff import Character, beta_function, birkhoff_factorize
 from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import HopfAlgebra, HopfElement, TensorElement
 from confeyn.rotabaxter import (LaurentAlgebra, LaurentSeries, MultiLogForm,
@@ -19,6 +20,7 @@ from conftest import laurent_rule, one_factor_form
 
 HOPF = HopfAlgebra()
 PAIR = birkhoff_factorize(Character(HOPF, LaurentAlgebra(), laurent_rule(7)))
+BETA = beta_function(PAIR)
 LAWS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
@@ -42,7 +44,7 @@ def one_pi_graphs(draw, max_edges: int = 8):
 class HopfTarget:
     """H itself as a convolution target."""
     zero = staticmethod(HopfElement.zero)
-    one = staticmethod(HopfElement.unit)
+    one = staticmethod(HopfElement.one)
 
     @staticmethod
     def add(a, b):
@@ -66,14 +68,14 @@ def test_coassociativity(graph):
         for (a1, a2), c2 in HOPF.coproduct(a).terms.items():
             key = (a1, a2, b)
             left[key] = left.get(key, Fraction(0)) + c * c2
-    assert TensorElement(left, k=3) == HOPF.iterated_coproduct(HopfElement.generator(graph), 3)
+    assert TensorElement(left) == HOPF.iterated_coproduct(HopfElement.generator(graph), 3)
 
 
 @LAWS
 @given(one_pi_graphs())
 def test_antipode_convolution_is_counit(graph):
     got = HOPF.convolve(HOPF.antipode, HopfElement.from_monomial, graph, HopfTarget)
-    assert got == HOPF.counit(graph) * HopfElement.unit() == HopfElement.zero()
+    assert got == HOPF.counit(graph) * HopfElement.one() == HopfElement.zero()
 
 
 ALGEBRAS = {"warm": lambda: HOPF, "fresh": HopfAlgebra}
@@ -103,6 +105,14 @@ def test_coproduct_is_multiplicative(algebra, g1, g2):
 @given(one_pi_graphs())
 def test_birkhoff_factorization(graph):
     assert PAIR.factorization_lhs(graph) == PAIR.phi(graph)
+
+
+@LAWS
+@given(one_pi_graphs())
+def test_grading_of_phi_minus_is_its_convolution_with_beta(graph):
+    # Y(phi_-) = phi_- * beta, the identity the universal frame solves
+    want = PAIR.target.scale(PAIR.phi_minus(graph), graph.degree())
+    assert HOPF.convolve(PAIR.minus_on_monomial, BETA.on_monomial, graph, PAIR.target) == want
 
 
 LABELS = sorted(divisor_labels(2, 1), key=label_sort_key)

@@ -5,7 +5,10 @@ renamed or moved name breaks traced benchmark runs.  This test installs the
 tracer on the modules already imported (``jobs.Confeyn``; not
 ``jobs.load_confeyn``, which drops them), drives three hooked layers, checks
 the counts the hooks record and that ``uninstall`` restores every patched
-attribute.
+attribute.  A second test runs a small renormalization (both Rota-Baxter
+targets, beta and the frame) under the tracer, so that a library path that
+stops going through a patched name fails here instead of reading 0 in a
+per-layer metric.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ def _patched_namespaces(C, tracing) -> dict:
     return spaces
 
 
-def test_tracer_hooks_count_and_uninstall_restores(monkeypatch):
+def _traced(monkeypatch, drive) -> tuple[dict, object]:
+    """The tracer's aggregates after ``drive(C, tracing, jobs)``, and what it
+    returned; checks that ``uninstall`` puts every patched attribute back."""
     monkeypatch.syspath_prepend(str(BENCH))
     import jobs
     import tracing
@@ -38,16 +43,27 @@ def test_tracer_hooks_count_and_uninstall_restores(monkeypatch):
     try:
         tr.install(C)
         assert tr.patches
+        result = drive(C, tracing, jobs)
+        agg = tr.aggregates()
+    finally:
+        tr.uninstall()
+    for name, space in spaces.items():
+        after = vars(space)
+        assert all(after.get(key) is value for key, value in before[name].items()), name
+    return agg, result
+
+
+def test_tracer_hooks_count_and_uninstall_restores(monkeypatch):
+    def drive(C, tracing, jobs):
         C.specfun.bessel_k(1.0, 0.5)
         C.specfun.bessel_k(0.5, 3.0)
         amp = C.amplitude
         expansion = amp.edge_gegenbauer_expansion(amp.TaylorTermSpec.make(0, 1), 1,
                                                   amp.TruncationOrders(radial=4))
         C.exact.SymbolicCoeff.one().bind()
-        cache = tracing.gegen_cache_stats(C)
-        agg = tr.aggregates()
-    finally:
-        tr.uninstall()
+        return expansion, tracing.gegen_cache_stats(C)
+
+    agg, (expansion, cache) = _traced(monkeypatch, drive)
     calls, counters = agg["calls"], agg["counters"]
     assert calls["specfun.bessel_k"] == 2
     assert counters["bessel_k.series.calls"] == 1 and counters["bessel_k.half.calls"] == 1
@@ -59,6 +75,30 @@ def test_tracer_hooks_count_and_uninstall_restores(monkeypatch):
     assert counters["exact.symbolic_add"] > 0 and counters["exact.symbolic_mul"] > 0
     assert calls["exact.bind"] == 1
     assert set(cache) == {"hits", "misses"} and cache["hits"] + cache["misses"] > 0
-    for name, space in spaces.items():
-        after = vars(space)
-        assert all(after.get(key) is value for key, value in before[name].items()), name
+
+
+def test_renormalization_goes_through_the_traced_names(monkeypatch):
+    def drive(C, tracing, jobs):
+        B = C.birkhoff
+        graph = C.feyngraph.FeynmanGraph.build(3, jobs.necklace_edges(3), legs=[0, 1])
+        pair = B.birkhoff_factorize(B.Character(C.hopf.HopfAlgebra(),
+                                                C.rotabaxter.LaurentAlgebra(),
+                                                jobs.laurent_rule(C, 1)))
+        log_pair = B.birkhoff_factorize(B.toy_feynman_character(C.hopf.HopfAlgebra(),
+                                                                3, 0, 1))
+        for p in (pair, log_pair):
+            p.phi_minus(graph), p.phi_plus(graph)
+        beta = B.beta_function(pair)
+        beta(graph)
+        frame = B.universal_frame(beta).on_monomial(C.hopf.monomial(graph))
+        return frame == pair.phi_minus(graph)
+
+    agg, frame_matches = _traced(monkeypatch, drive)
+    assert frame_matches
+    calls, counters = agg["calls"], agg["counters"]
+    for name in ("hopf.coproduct_generator", "birkhoff.prepare", "rotabaxter.laurent_mul",
+                 "rotabaxter.multilog_mul", "rotabaxter.laurent_T", "rotabaxter.multi_T",
+                 "birkhoff.frame_on_monomial"):
+        assert calls.get(name, 0) > 0, name
+    for name in ("hopf.coproduct_generator_distinct", "birkhoff.prepared_distinct"):
+        assert counters.get(name, 0) > 0, name
