@@ -120,33 +120,9 @@ class EdgeGeometry:
 
 
 @dataclass(frozen=True)
-class TaylorTermSpec:
-    """Index l_e of one expansion term; negative l_e sit on the pure-power
-    branch, l_e >= 0 on the power-times-log branch (integer lam only).  For
-    half-integer lam the index runs over half-integers >= -lam and the branch
-    is always 'power'."""
-    ell: Fraction
-    branch: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "ell", as_half_integer(self.ell, "ell"))
-        if self.branch not in ("power", "log"):
-            raise ValueError("branch must be 'power' or 'log'")
-        if self.branch == "log" and self.ell < 0:
-            raise ValueError("log branch needs ell >= 0")
-
-    @classmethod
-    def make(cls, ell, lam) -> "TaylorTermSpec":
-        ell = as_half_integer(ell, "ell")
-        lam = as_half_integer(lam, "lambda")
-        if lam.denominator == 2:
-            return cls(ell, "power")
-        return cls(ell, "power" if ell < 0 else "log")
-
-
-@dataclass(frozen=True)
 class TaylorTerm:
-    """One term coeff_const * r^e + coeff_log * r^e * log(r)."""
+    """One term coeff_const * r^e + coeff_log * r^e * log(r); coeff_log is
+    non-zero exactly on the power-times-log branch."""
     r_exponent: Fraction
     coeff_const: SymbolicCoeff
     coeff_log: SymbolicCoeff
@@ -176,20 +152,21 @@ def _log_constant(ell: int, lam: Fraction) -> SymbolicCoeff:
 
 
 @lru_cache(maxsize=None)
-def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
-    """Exact coefficient of the l_e term of the massive edge factor (cached:
-    the result is immutable)."""
+def taylor_term_coefficient(ell, lam) -> TaylorTerm:
+    """Exact coefficient of the l_e = ell term of the massive edge factor
+    (cached: the result is immutable).  At integer lam, ell is an integer:
+    ell < 0 sits on the pure-power branch and ell >= 0 on the power-times-log
+    branch.  At half-integer lam, ell runs over the half-integers and every
+    term is a pure power."""
     lam = _check_lambda(lam)
-    ell = term.ell
+    ell = as_half_integer(ell, "ell")
     if ell < -lam:
         raise ValueError(f"ell must be >= -lam = {-lam}")
     if lam.denominator == 1:
         lam_i = int(lam)
-        if lam_i < 1:
-            raise ValueError("integer branch needs lam >= 1")
-        if term.branch == "power":
-            if ell >= 0:
-                raise ValueError("integer lam power branch needs ell in {-lam..-1}")
+        if ell.denominator != 1:
+            raise ValueError(f"integer lam needs an integer ell, got {ell}")
+        if ell < 0:
             # Laurent sum of the small-z Macdonald expansion, re-indexed
             l = int(lam + ell)  # 0 .. lam-1
             coeff = (Fraction((-1) ** l) * Fraction(2) ** (lam_i - 2 * l - 1)
@@ -204,11 +181,7 @@ def taylor_term_coefficient(term: TaylorTermSpec, lam) -> TaylorTerm:
     # half-integer lam: terminating Macdonald form, exponential expanded; the
     # sum over j <= lam - 1/2 of (lam,j) 2^-j (-1)^k / k!, k = 2 ell + lam + 1/2 + j,
     # runs by the term ratio, with (lam,j+1)/(lam,j) = (lam+j+1/2)(lam-j-1/2)/(j+1)
-    if term.branch != "power":
-        raise ValueError("half-integer lam has no log branch")
     p = 2 * ell
-    if p.denominator != 1:
-        raise ValueError("2*ell must be an integer")
     k0 = int(p + lam + Fraction(1, 2))  # k at j = 0; ell >= -lam makes -k0 <= jmax
     j0, jmax = max(0, -k0), int(lam - Fraction(1, 2))
     a_j = asym_coeff(lam, j0) * Fraction((-1) ** (k0 + j0), 2 ** j0 * math.factorial(k0 + j0))
@@ -232,8 +205,9 @@ def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
     """Coefficient sqrt(pi/2) (2 pi)^-(lam+1) (lam,ell) 2^-ell m^(lam-ell-1/2)
     paired with the radial exponent -(ell + lam + 1/2)."""
     lam = _check_lambda(lam)
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    if ell < 0 or int(ell) != ell:
+        raise ValueError(f"ell must be an integer >= 0, got {ell}")
+    ell = int(ell)
     coeff = (two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2 * SymbolicCoeff.monomial(
         asym_coeff(lam, ell) / 2 ** ell, m_exp=lam - ell - Fraction(1, 2)))
     return AsymptoticTerm(-(ell + lam + Fraction(1, 2)), coeff)
@@ -316,9 +290,9 @@ def _series_product(a: list[dict], b: list[dict], radial: int) -> list[dict]:
     return out
 
 
-def edge_gegenbauer_expansion(term: TaylorTermSpec, lam,
-                              orders: "TruncationOrders | None" = None) -> GegenExpansion:
-    """Gegenbauer-basis expansion of one edge term at fixed weight lam.
+def edge_gegenbauer_expansion(ell, lam, orders: "TruncationOrders | None" = None
+                              ) -> GegenExpansion:
+    """Gegenbauer-basis expansion of the l_e = ell edge term at fixed weight lam.
 
     With rho^2 (1 - 2ux + u^2) the squared separation, the bare factor of the
     term is a product of at most two exact series in (u, x), truncated at
@@ -330,22 +304,20 @@ def edge_gegenbauer_expansion(term: TaylorTermSpec, lam,
     lam = _check_lambda(lam)
     orders = orders or TruncationOrders()
     radial = orders.radial
-    coeff = taylor_term_coefficient(term, lam)
-    if term.branch == "log":
-        ell = int(term.ell)
-        log_rho = _radial_power(ell, radial)
+    coeff = taylor_term_coefficient(ell, lam)
+    p = int(coeff.r_exponent)
+    log_rho, prefactor, k0 = [], coeff.coeff_const, SymbolicCoeff.zero()
+    if not coeff.coeff_log.is_zero():
+        log_rho = _radial_power(p // 2, radial)
         series = _series_product(log_rho, chebyshev_log_series(radial), radial)
-        prefactor, k0 = coeff.coeff_log, _log_constant(ell, lam)
+        prefactor, k0 = coeff.coeff_log, _log_constant(p // 2, lam)
+    elif p < 0:
+        series = generating_series(Fraction(-p, 2), radial)
+    elif p % 2 == 0:
+        series = _radial_power(p // 2, radial)
     else:
-        p = int(2 * term.ell)
-        if p < 0:
-            series = generating_series(Fraction(-p, 2), radial)
-        elif p % 2 == 0:
-            series = _radial_power(p // 2, radial)
-        else:
-            series = _series_product(_radial_power((p + 1) // 2, radial),
-                                     generating_series(Fraction(1, 2), radial), radial)
-        log_rho, prefactor, k0 = [], coeff.coeff_const, SymbolicCoeff.zero()
+        series = _series_product(_radial_power((p + 1) // 2, radial),
+                                 generating_series(Fraction(1, 2), radial), radial)
     cap = orders.gegen if orders.gegen is not None else radial
     tensors = ({k: c for k, c in gegenbauer_tensor(s, lam).items() if k[1] <= cap}
                for s in (log_rho, series))
@@ -367,6 +339,12 @@ class TruncationOrders:
     ell_max: int = 20
     asym_terms: int = 6
 
+    def __post_init__(self):
+        if self.radial < 0 or (self.gegen is not None and self.gegen < 0) or self.ell_max < 0:
+            raise ValueError(f"truncation orders must be >= 0, got {self}")
+        if self.asym_terms < 1:
+            raise ValueError(f"asym_terms must be >= 1, got {self.asym_terms}")
+
 
 def _taylor_indices(lam: Fraction, ell_max: int) -> list[Fraction]:
     if lam.denominator == 1:
@@ -386,12 +364,11 @@ def _unit_mass(coeff: SymbolicCoeff, k: int | Fraction, log_part: SymbolicCoeff 
     with b m^k = log_part (b = 0 when it is None): what puts a term into
     m^(2 lam) g(m s)."""
     twice = 2 * k
-    terms = dict(coeff.terms())
-    if any(m2 != twice or logm > 1 for m2, logm, *_ in terms):
+    if any(m2 != twice or logm > 1 for m2, logm, *_ in coeff.terms):
         raise ValueError(f"{coeff!r} is not m^{k} (a + b log m)")
     # (gamma, log2, sqrt2, pi_half) -> rational of the log m terms
-    logs = {key[2:]: q for key, q in terms.items() if key[1]}
-    if logs != {key[2:]: q for key, q in (log_part.terms() if log_part is not None else ())}:
+    logs = {key[2:]: q for key, q in coeff.terms.items() if key[1]}
+    if logs != {key[2:]: q for key, q in (log_part.terms.items() if log_part is not None else ())}:
         raise ValueError(f"the log m part of {coeff!r} is not {log_part!r}")
     return coeff.bind(1.0)
 
@@ -450,7 +427,7 @@ def _taylor_kernel(lam, ell_max: int) -> tuple[float, int, tuple, tuple]:
     plain: dict[int, float] = {}
     log: dict[int, float] = {}
     for ell in _taylor_indices(lam, ell_max):
-        term = taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
+        term = taylor_term_coefficient(ell, lam)
         k = _z_power(term.r_exponent, lam)
         b = _unit_mass(term.coeff_log, k)
         plain[k] = plain.get(k, 0.0) + _unit_mass(term.coeff_const, k, term.coeff_log)
@@ -546,7 +523,7 @@ def _trimmed(row: list[float]) -> tuple[float, ...]:
 def _cached_expansion(ell: Fraction, lam: Fraction, radial: int, gegen: int | None
                       ) -> GegenExpansion:
     orders = TruncationOrders(radial=radial, gegen=gegen)
-    return edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam, orders)
+    return edge_gegenbauer_expansion(ell, lam, orders)
 
 
 @lru_cache(maxsize=None)

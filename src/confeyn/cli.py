@@ -18,9 +18,9 @@ Each process runs one subcommand, and its start-up time is part of every
 command's wall time.  So this module imports no other confeyn module at load
 time; each handler imports only what it runs:
 
-    prop-eval                     propagators (with specfun and exact)
-    prop-expand                   amplitude and specfun (with gegenbauer, exact)
-    gegen                         gegenbauer (with specfun and exact)
+    prop-eval                     propagators (with specfun, exact and linear)
+    prop-expand                   amplitude and specfun (with gegenbauer, exact, linear)
+    gegen                         gegenbauer (with specfun, exact and linear)
     graph-coproduct, -antipode    hopf (with linear and feyngraph)
     renorm, beta                  birkhoff, hopf and rotabaxter (with linear, feyngraph)
     divisors                      rotabaxter (with linear)
@@ -230,23 +230,22 @@ def _cmd_prop_expand(args) -> dict:
     else:
         lam = specfun.as_half_integer(Fraction(args.D - 2, 2), "lambda")
     if args.method == "taylor":
-        spec = amplitude.TaylorTermSpec.make(ell, lam)
-        term = amplitude.taylor_term_coefficient(spec, lam)
-        return {"method": "taylor", "ell": str(spec.ell), "branch": spec.branch,
+        term = amplitude.taylor_term_coefficient(ell, lam)
+        return {"method": "taylor", "ell": str(ell),
+                "branch": "power" if term.coeff_log.is_zero() else "log",
                 "r_exponent": str(term.r_exponent),
                 "coeff_const": term.coeff_const.to_json(),
                 "coeff_log": term.coeff_log.to_json()}
     if args.method == "asymptotic":
-        term = amplitude.asymptotic_term_coefficient(int(ell), lam)
+        term = amplitude.asymptotic_term_coefficient(ell, lam)
         return {"method": "asymptotic", "ell": args.ell,
                 "r_exponent": str(term.r_exponent),
                 "coeff": term.coeff.to_json(),
                 "exponential_factor": "exp(-m*r)"}
     if args.method == "gegenbauer":
-        spec = amplitude.TaylorTermSpec.make(ell, lam)
         orders = amplitude.TruncationOrders(radial=args.radial, gegen=args.gegen_cap)
-        expansion = amplitude.edge_gegenbauer_expansion(spec, lam, orders)
-        return {"method": "gegenbauer", "ell": str(spec.ell),
+        expansion = amplitude.edge_gegenbauer_expansion(ell, lam, orders)
+        return {"method": "gegenbauer", "ell": str(ell),
                 "expansion": expansion.to_json()}
     raise ValueError(f"unknown method {args.method!r}")
 
@@ -260,22 +259,23 @@ def _cmd_gegen(args) -> dict:
     if args.op == "zonal":
         return {"value": gegenbauer.zonal_coefficient(args.D, args.n).scalar_json()}
     lam = _fraction_arg("--lambda", args.lam, GEGEN_MAX_LAMBDA)
-    if args.op == "coeffs":
-        spec = gegenbauer.PolySpec(lam, args.n)
-        coeffs = gegenbauer.gegenbauer_coeffs(spec)
-        return {str(p): str(c) for p, c in sorted(coeffs.items())}
-    if args.op == "monomial":
-        return gegenbauer.monomial_to_gegenbauer(args.m, lam).to_json()
-    if args.op == "chebyshev":
-        return gegenbauer.chebyshev_to_gegenbauer(args.n, lam).to_json()
-    if args.op == "reproject":
-        ell = _fraction_arg("--ell", args.ell, GEGEN_MAX_ELL)
-        return gegenbauer.reproject_gegenbauer(ell, args.n, lam).to_json()
-    if args.op == "product":
-        return gegenbauer.product_linearize(args.n, args.m, lam).to_json()
     if args.op == "generating":
         return {"value": gegenbauer.generating_series_coeff(lam, args.n, args.x)}
-    raise ValueError(f"unknown op {args.op!r}")
+    if args.op == "coeffs":
+        coeffs = gegenbauer.gegenbauer_coeffs(lam, args.n)
+    elif args.op == "monomial":
+        coeffs = gegenbauer.monomial_to_gegenbauer(args.m, lam)
+    elif args.op == "chebyshev":
+        coeffs = gegenbauer.chebyshev_to_gegenbauer(args.n, lam)
+    elif args.op == "reproject":
+        ell = _fraction_arg("--ell", args.ell, GEGEN_MAX_ELL)
+        coeffs = gegenbauer.reproject_gegenbauer(ell, args.n, lam)
+    elif args.op == "product":
+        coeffs = gegenbauer.product_linearize(args.n, args.m, lam)
+    else:
+        raise ValueError(f"unknown op {args.op!r}")
+    # string keys, so that the output sorts degrees as strings
+    return {str(d): str(c) for d, c in coeffs.items()}
 
 
 def _cmd_graph_coproduct(args) -> dict:

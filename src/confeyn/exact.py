@@ -14,6 +14,9 @@ even powers of ``sqrt(pi)``.  Gamma at half-integers (rational multiples of
 ``sqrt(pi/2)`` prefactor of large-argument Bessel asymptotics, the zonal
 constants and the edge-expansion coefficients are all elements of
 :class:`SymbolicCoeff`, which is immutable, hashable and has exact equality.
+Its sums, scaling and product are those of the sparse core
+:class:`confeyn.linear.Linear`; this module names the key product, checks
+keys, and adds inverses of single terms, float binding and JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import groupby
+from operator import add
 from typing import Iterable, Mapping, Union
+
+from .linear import Linear, rational
 
 RationalLike = Union[int, Fraction]
 # (2*m_exp, logm_exp, gamma_exp, log2_exp, sqrt2, pi_half_exp)
@@ -32,15 +38,7 @@ _EULER_GAMMA = 0.5772156649015329
 _LOG2 = math.log(2.0)
 
 
-def _as_fraction(q: RationalLike) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
-    raise TypeError(f"expected an exact rational, got {type(q).__name__}")
-
-
-def _scalar_json(terms: Iterable[tuple[Key, Fraction]]) -> list[dict]:
+def _scalar_json(terms: Iterable[tuple[Key, RationalLike]]) -> list[dict]:
     out = []
     for (*_, s, p), q in terms:
         entry: dict = {"rational": str(q), "pi_half_exp": p}
@@ -50,20 +48,24 @@ def _scalar_json(terms: Iterable[tuple[Key, Fraction]]) -> list[dict]:
     return out
 
 
-class SymbolicCoeff:
-    """Element of the exact ring: a map from the key
+class SymbolicCoeff(Linear):
+    """Element of the exact ring on the sparse core: a map from the key
     ``(2*m_exp, logm_exp, gamma_exp, log2_exp, sqrt2, pi_half_exp)`` to a
-    non-zero Fraction.
+    non-zero int or Fraction.
 
     The exponent of ``m`` may be any half-integer (it is stored doubled) and
     that of ``sqrt(pi)`` any integer; the exponents of ``log(m)``, ``gamma``
-    and ``log(2)`` are non-negative and the ``sqrt(2)`` flag is 0 or 1.
+    and ``log(2)`` are non-negative and the ``sqrt(2)`` flag is 0 or 1.  A
+    product of keys adds the exponents, with ``sqrt(2) * sqrt(2)`` folded
+    into the factor 2.
     """
 
-    __slots__ = ("_terms", "_hash", "_floats")
+    unit_key = (0, 0, 0, 0, 0, 0)
+    factored = True
+    _floats: tuple[tuple[float, int, float], ...] | None = None
 
     def __init__(self, terms: Mapping[Key, RationalLike] | None = None):
-        clean: dict[Key, Fraction] = {}
+        clean: dict[Key, RationalLike] = {}
         for key, q in (terms or {}).items():
             if any(int(e) != e for e in key):
                 raise ValueError(f"exponents must be integers (that of m doubled), got {key}")
@@ -72,28 +74,19 @@ class SymbolicCoeff:
                 raise ValueError("log(m), gamma, log(2) exponents must be >= 0")
             if s not in (0, 1):
                 raise ValueError("sqrt2 flag must be 0 or 1")
-            clean[key] = clean.get(key, 0) + _as_fraction(q)
-        self._terms = {k: q for k, q in clean.items() if q}
-        self._hash: int | None = None
-        self._floats: tuple[tuple[float, int, float], ...] | None = None
+            clean[key] = clean.get(key, 0) + rational(q)
+        super().__init__(clean)
 
-    @classmethod
-    def _of(cls, terms: dict[Key, Fraction]) -> "SymbolicCoeff":
-        """From valid keys and Fractions, without the checks of ``__init__``."""
-        out = object.__new__(cls)
-        out._terms = {k: q for k, q in terms.items() if q}
-        out._hash = out._floats = None
-        return out
+    @staticmethod
+    def key_product(a: Key, b: Key) -> tuple[int, Key]:
+        m2, lm, g, l2, s, p = map(add, a, b)
+        return (2, (m2, lm, g, l2, 0, p)) if s == 2 else (1, (m2, lm, g, l2, s, p))
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "SymbolicCoeff":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "SymbolicCoeff":
-        return cls.monomial()
+    # bench/tracing.py counts ring operations by patching these names in this
+    # class's own __dict__, so the core's methods are bound here too
+    __add__ = Linear.__add__
+    __mul__ = Linear.__mul__
+    __rmul__ = Linear.__rmul__
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "SymbolicCoeff":
@@ -105,44 +98,11 @@ class SymbolicCoeff:
                  pi_half: int = 0) -> "SymbolicCoeff":
         """``coeff * m^m_exp log(m)^logm gamma^gamma log(2)^log2
         sqrt(2)^sqrt2 pi^(pi_half/2)``; m_exp is an integer or a half-integer."""
-        return cls({(_as_fraction(m_exp) * 2, logm, gamma, log2, sqrt2, pi_half): coeff})
-
-    # -- ring structure ----------------------------------------------------
-
-    def __add__(self, other: "SymbolicCoeff") -> "SymbolicCoeff":
-        if not isinstance(other, SymbolicCoeff):
-            return NotImplemented
-        terms = dict(self._terms)
-        for k, q in other._terms.items():
-            terms[k] = terms.get(k, 0) + q
-        return SymbolicCoeff._of(terms)
-
-    def __sub__(self, other: "SymbolicCoeff") -> "SymbolicCoeff":
-        return self + (-other)
-
-    def __neg__(self) -> "SymbolicCoeff":
-        return SymbolicCoeff._of({k: -q for k, q in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymbolicCoeff._of({k: q * other for k, q in self._terms.items()})
-        if not isinstance(other, SymbolicCoeff):
-            return NotImplemented
-        terms: dict[Key, Fraction] = {}
-        for (a2, al, ag, a2l, a_s, ap), q1 in self._terms.items():
-            for (b2, bl, bg, b2l, b_s, bp), q2 in other._terms.items():
-                s, q = a_s + b_s, q1 * q2
-                if s == 2:  # sqrt(2)*sqrt(2) = 2
-                    s, q = 0, 2 * q
-                k = (a2 + b2, al + bl, ag + bg, a2l + b2l, s, ap + bp)
-                terms[k] = terms.get(k, 0) + q
-        return SymbolicCoeff._of(terms)
-
-    __rmul__ = __mul__
+        return cls({(rational(m_exp) * 2, logm, gamma, log2, sqrt2, pi_half): coeff})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (1 / _as_fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, SymbolicCoeff):
             return self * other.inverse()
         return NotImplemented
@@ -150,20 +110,11 @@ class SymbolicCoeff:
     def inverse(self) -> "SymbolicCoeff":
         """Inverse of a single term free of log(m), gamma and log(2); general
         inverses are not needed."""
-        if len(self._terms) != 1 or any(next(iter(self._terms))[1:4]):
+        if len(self.terms) != 1 or any(next(iter(self.terms))[1:4]):
             raise ValueError(f"{self!r} is not a single term in m, sqrt(2) and pi")
-        ((m2, _, _, _, s, p), q), = self._terms.items()
+        ((m2, _, _, _, s, p), q), = self.terms.items()
         # 1/(q sqrt(2)) = sqrt(2)/(2 q)
-        return SymbolicCoeff._of({(-m2, 0, 0, 0, s, -p): 1 / (q * 2 ** s)})
-
-    # -- views ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self) -> Iterable[tuple[Key, Fraction]]:
-        """The (key, rational) terms in sorted key order."""
-        yield from sorted(self._terms.items())
+        return self._wrap({(-m2, 0, 0, 0, s, -p): 1 / Fraction(q * 2 ** s)})
 
     def bind(self, m: float | None = None) -> float:
         """Numeric value with gamma, log(2), sqrt(2), pi and, where a term
@@ -172,7 +123,7 @@ class SymbolicCoeff:
             self._floats = tuple(
                 (m2 / 2.0, lm, float(q) * _SQRT2 ** s * math.pi ** (p / 2.0)
                  * (_EULER_GAMMA ** g * _LOG2 ** l2))
-                for (m2, lm, g, l2, s, p), q in self._terms.items())
+                for (m2, lm, g, l2, s, p), q in self.terms.items())
         if m is None:
             if any(e or lm for e, lm, _ in self._floats):
                 raise ValueError("mass value required to bind this coefficient")
@@ -186,18 +137,14 @@ class SymbolicCoeff:
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = SymbolicCoeff.from_rational(other)
-        if not isinstance(other, SymbolicCoeff):
-            return NotImplemented
-        return self._terms == other._terms
+        return Linear.__eq__(self, other)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         bits = []
-        for (m2, lm, g, l2, s, p), q in self.terms():
+        for (m2, lm, g, l2, s, p), q in sorted(self.terms.items()):
             names = [str(q)]
             for name, e in (("m", Fraction(m2, 2)), ("log(m)", lm), ("gamma", g),
                             ("log(2)", l2), ("sqrt2", s), ("pi", Fraction(p, 2))):
@@ -213,14 +160,15 @@ class SymbolicCoeff:
         "value" is its coefficient in the layout of :meth:`scalar_json`."""
         return [{"m_exp": str(Fraction(m2, 2)), "logm_exp": lm, "gamma_exp": g,
                  "log2_exp": l2, "value": _scalar_json(group)}
-                for (m2, lm, g, l2), group in groupby(self.terms(), lambda t: t[0][:4])]
+                for (m2, lm, g, l2), group in groupby(sorted(self.terms.items()),
+                                                      lambda t: t[0][:4])]
 
     def scalar_json(self) -> list[dict]:
         """The terms ``[{"rational", "pi_half_exp", "sqrt2"?}]`` of an element
         free of m, log(m), gamma and log(2)."""
-        if any(any(key[:4]) for key in self._terms):
+        if any(any(key[:4]) for key in self.terms):
             raise ValueError(f"{self!r} is not free of m, log(m), gamma and log(2)")
-        return _scalar_json(self.terms())
+        return _scalar_json(sorted(self.terms.items()))
 
     @classmethod
     def from_json(cls, data: list[dict]) -> "SymbolicCoeff":

@@ -18,16 +18,16 @@ re-projection of C_n^{(ell)} onto weight lam, the linearization of a product
 C_n^{(lam)} C_m^{(lam)} and the (t-power, C^{(lam)}-degree) tensors of power
 series in t with polynomial coefficients in x (:func:`gegenbauer_tensor`) are
 all built on it.  Since Gamma(lam+j)/Gamma(lam) is a Pochhammer symbol, every
-conversion coefficient is a Fraction; only the zonal spherical-harmonic
-constants carry powers of pi (as exact SymbolicCoeff scalars).  Float values
-of C_n^{(lam)} come from the three-term recurrence (:func:`gegenbauer_table`),
-never from the monomial form.
+conversion coefficient is a Fraction, and each conversion returns the dict
+{degree: Fraction} of its non-zero coefficients; only the zonal
+spherical-harmonic constants carry powers of pi (as exact SymbolicCoeff
+scalars).  Float values of C_n^{(lam)} come from the three-term recurrence
+(:func:`gegenbauer_table`), never from the monomial form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,6 +44,11 @@ def _check_weight(lam, minimum: Fraction, name: str = "lambda") -> Fraction:
     return lam
 
 
+def _check_degrees(*degrees: int) -> None:
+    if min(degrees) < 0:
+        raise ValueError(f"degrees must be >= 0, got {', '.join(map(str, degrees))}")
+
+
 @lru_cache(maxsize=None)
 def rising(x: Fraction, k: int) -> Fraction:
     """Pochhammer symbol x (x+1) ... (x+k-1), cached: every table of degree
@@ -52,34 +57,6 @@ def rising(x: Fraction, k: int) -> Fraction:
     for i in range(k):
         out *= x + i
     return out
-
-
-@dataclass(frozen=True)
-class PolySpec:
-    """One polynomial: weight lam > 0 (half-integer) and degree n."""
-    lam: Fraction | int = Fraction(1, 2)
-    n: int = 0
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("degree must be >= 0")
-        lam = as_half_integer(self.lam, "lambda")
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
-        object.__setattr__(self, "lam", lam)
-
-
-@dataclass
-class GegenCombo:
-    """Finite combination sum_k coeffs[k] * C_k^{(lam)}(x), rational coefficients."""
-    lam: Fraction
-    coeffs: dict[int, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {k: c for k, c in self.coeffs.items() if c}
-
-    def to_json(self) -> dict[str, str]:
-        return {str(k): str(self.coeffs[k]) for k in sorted(self.coeffs)}
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +87,11 @@ def _chebyshev_monomials(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(cur.items()))
 
 
-def gegenbauer_coeffs(spec: PolySpec) -> dict[int, Fraction]:
-    """Exact monomial coefficients of C_n^{(lam)}(x)."""
-    return dict(_gegen_monomials(spec.lam, spec.n))
+def gegenbauer_coeffs(lam, n: int) -> dict[int, Fraction]:
+    """Exact monomial coefficients {k: coeff of x^k} of C_n^{(lam)}(x), lam >= 1/2."""
+    lam = _check_weight(lam, Fraction(1, 2))
+    _check_degrees(n)
+    return dict(_gegen_monomials(lam, n))
 
 
 def gegenbauer_table(lam, n_max: int, x: float) -> list[float]:
@@ -123,8 +102,7 @@ def gegenbauer_table(lam, n_max: int, x: float) -> list[float]:
 
     which is stable for |x| <= 1, unlike summing the monomial form, whose
     terms cancel at high degree near |x| = 1."""
-    if n_max < 0:
-        raise ValueError("degree must be >= 0")
+    _check_degrees(n_max)
     lam = float(lam)
     out = [1.0, 2.0 * lam * x]
     for n in range(1, n_max):
@@ -142,6 +120,7 @@ def generating_series_coeff(lam, n: int, x: float) -> float:
     series in y = t(2x-t); an oracle independent of the explicit formula and
     of the recurrence.  The terms cancel near |x| = 1, so the series is summed
     exactly from Fraction(x) and Fraction(lam) and rounded once."""
+    _check_degrees(n)
     lam, two_x = Fraction(lam), 2 * Fraction(x)
     total = Fraction(0)
     binom_rising = Fraction(1)  # rising(lam, j) / j!
@@ -179,12 +158,11 @@ def _to_gegenbauer(poly: dict[int, Fraction], lam: Fraction) -> dict[int, Fracti
     return {d: c for d, c in out.items() if c}
 
 
-def monomial_to_gegenbauer(m: int, lam) -> GegenCombo:
+def monomial_to_gegenbauer(m: int, lam) -> dict[int, Fraction]:
     """Expansion of x^m in the C^{(lam)} basis, lam >= 1/2."""
     lam = _check_weight(lam, Fraction(1, 2))
-    if m < 0:
-        raise ValueError("monomial degree must be >= 0")
-    return GegenCombo(lam, _to_gegenbauer({m: 1}, lam))
+    _check_degrees(m)
+    return _to_gegenbauer({m: 1}, lam)
 
 
 def generating_series(weight, radial: int) -> list[dict[int, Fraction]]:
@@ -212,10 +190,11 @@ def gegenbauer_tensor(series, lam) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def chebyshev_to_gegenbauer(n: int, lam) -> GegenCombo:
+def chebyshev_to_gegenbauer(n: int, lam) -> dict[int, Fraction]:
     """Coefficients c^lam_{n,m} with T_n = sum_m c^lam_{n,m} C_m^{(lam)}."""
     lam = _check_weight(lam, Fraction(1, 2))
-    return GegenCombo(lam, _to_gegenbauer(dict(_chebyshev_monomials(n)), lam))
+    _check_degrees(n)
+    return _to_gegenbauer(dict(_chebyshev_monomials(n)), lam)
 
 
 @lru_cache(maxsize=None)
@@ -223,11 +202,12 @@ def _reproject(ell: Fraction, n: int, lam: Fraction) -> tuple[tuple[int, Fractio
     return tuple(sorted(_to_gegenbauer(dict(_gegen_monomials(ell, n)), lam).items()))
 
 
-def reproject_gegenbauer(ell, n: int, lam) -> GegenCombo:
+def reproject_gegenbauer(ell, n: int, lam) -> dict[int, Fraction]:
     """Expansion of C_n^{(ell)} in the C^{(lam)} basis (both weights >= 1/2)."""
     ell = _check_weight(ell, Fraction(1, 2), "source weight")
     lam = _check_weight(lam, Fraction(1, 2), "target weight")
-    return GegenCombo(lam, dict(_reproject(ell, n, lam)))
+    _check_degrees(n)
+    return dict(_reproject(ell, n, lam))
 
 
 @lru_cache(maxsize=None)
@@ -240,12 +220,11 @@ def _product_combo(n: int, m: int, lam: Fraction) -> tuple[tuple[int, Fraction],
     return tuple(sorted(_to_gegenbauer(poly, lam).items()))
 
 
-def product_linearize(n: int, m: int, lam) -> GegenCombo:
+def product_linearize(n: int, m: int, lam) -> dict[int, Fraction]:
     """Linearization C_n^{(lam)} C_m^{(lam)} = sum_d coeff_d C_d^{(lam)}."""
     lam = _check_weight(lam, Fraction(1, 2))
-    if n < 0 or m < 0:
-        raise ValueError("degrees must be >= 0")
-    return GegenCombo(lam, dict(_product_combo(n, m, lam)))
+    _check_degrees(n, m)
+    return dict(_product_combo(n, m, lam))
 
 
 def sphere_volume(D: int) -> SymbolicCoeff:
@@ -259,7 +238,6 @@ def zonal_coefficient(D: int, n: int) -> SymbolicCoeff:
     """c_{D,n} = Vol(S^{D-1}) (D-2) / (2n + D - 2), the zonal-harmonic constant."""
     if D < 3:
         raise ValueError("zonal coefficient needs dimension D >= 3")
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    _check_degrees(n)
     return sphere_volume(D) * Fraction(D - 2, 2 * n + D - 2)
 

@@ -1,5 +1,5 @@
-"""Finite Q-linear combinations of keys: the one sparse core under Hopf
-elements, their tensor powers, Laurent series and log forms.
+"""Finite Q-linear combinations of keys: the one sparse core under the exact
+ring, Hopf elements, their tensor powers, Laurent series and log forms.
 
 An element is a dict from keys to nonzero coefficients, each an int or a
 Fraction kept as given (a sum or product of ints stays an int).  A subclass
@@ -33,12 +33,13 @@ class Linear:
     """Sparse Q-linear combination: key -> nonzero coefficient.
 
     ``key_product(k1, k2)`` is the product of two keys; a subclass with
-    ``signed = True`` returns ``(sign, key)`` from it instead, or None when the
-    product of the two keys vanishes.  ``unit_key`` is the key of 1.
+    ``factored = True`` returns ``(factor, key)`` from it instead, the product
+    being factor times the key (a sign, or 2 for sqrt(2) sqrt(2)), or None
+    when the product of the two keys vanishes.  ``unit_key`` is the key of 1.
     """
 
     unit_key = ()
-    signed = False
+    factored = False
 
     def __init__(self, terms: dict | None = None):
         self.terms = {key: c for key, c in terms.items() if rational(c)} if terms else {}
@@ -64,6 +65,9 @@ class Linear:
     def __add__(self, other):
         return self._wrap(accumulate(dict(self.terms), other.terms.items()))
 
+    def __neg__(self):
+        return self._wrap({key: -c for key, c in self.terms.items()})
+
     def __sub__(self, other):
         return self._wrap(accumulate(dict(self.terms),
                                      ((key, -c) for key, c in other.terms.items())))
@@ -79,13 +83,13 @@ class Linear:
             return NotImplemented
         product = self.key_product
         out: dict = {}
-        if self.signed:
+        if self.factored:
             for key1, c1 in self.terms.items():
                 for key2, c2 in other.terms.items():
                     merged = product(key1, key2)
                     if merged is not None:
-                        sign, key = merged
-                        out[key] = out.get(key, 0) + sign * c1 * c2
+                        factor, key = merged
+                        out[key] = out.get(key, 0) + factor * c1 * c2
         else:
             for key1, c1 in self.terms.items():
                 for key2, c2 in other.terms.items():

@@ -65,6 +65,8 @@ class Kinematics:
         if not isinstance(self.D, int) or self.D < 3:
             raise ValueError(f"D must be an integer >= 3, got {self.D}")
         object.__setattr__(self, "x", tuple(float(c) for c in self.x))
+        if len(self.x) != self.D:
+            raise ValueError(f"x must have D = {self.D} components, got {len(self.x)}")
         if not all(math.isfinite(c) for c in (*self.x, self.m)):
             raise ValueError(f"coordinates and mass must be finite, got x={self.x}, m={self.m}")
         if self.m < 0:

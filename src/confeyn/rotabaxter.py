@@ -229,7 +229,7 @@ class MultiLogForm(Linear):
     """
 
     key_product = staticmethod(_merge_multikeys)
-    signed = True
+    factored = True
 
     def __init__(self, terms: Mapping[MultiKey, Rational] | None = None):
         out: dict[MultiKey, Rational] = {}

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.amplitude import (AsymptoticTerm, EdgeGeometry, GegenExpansion, TaylorTerm,
-                               TaylorTermSpec, TruncationOrders, _GegenKernel,
+                               TruncationOrders, _GegenKernel,
                                _taylor_indices, asymptotic_term_coefficient,
                                edge_gegenbauer_expansion, taylor_term_coefficient,
                                two_pi_power)
@@ -88,8 +88,8 @@ def expansion_terms(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> tuple[
 def edge_taylor_terms(lam, r: float, m: float, orders: TruncationOrders
                       ) -> tuple[float, float]:
     lam = Fraction(lam)
-    values = [taylor_term_value(taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam),
-                                r, m) for ell in _taylor_indices(lam, orders.ell_max)]
+    values = [taylor_term_value(taylor_term_coefficient(ell, lam), r, m)
+              for ell in _taylor_indices(lam, orders.ell_max)]
     return sum(values, 0.0), sum(map(abs, values), 0.0)
 
 
@@ -102,7 +102,7 @@ def edge_asymptotic_terms(lam, r: float, m: float, orders: TruncationOrders
 
 @lru_cache(maxsize=None)
 def edge_expansions(lam: Fraction, orders: TruncationOrders) -> tuple[GegenExpansion, ...]:
-    return tuple(edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam, orders)
+    return tuple(edge_gegenbauer_expansion(ell, lam, orders)
                  for ell in _taylor_indices(lam, orders.ell_max))
 
 

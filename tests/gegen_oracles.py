@@ -10,7 +10,7 @@ closed-form expansion of each x^(n-2k).  Both return {degree: Fraction}.
 
 ``chebyshev_limit_check`` compares T_n with the lam -> 0 limit
 (n/2) C_n^(lam)(x) / lam of the generating-series coefficient, and
-``expand`` writes a Gegenbauer combination back in monomials.
+``expand`` writes a Gegenbauer combination {degree: coeff} back in monomials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.exact import SymbolicCoeff
-from confeyn.gegenbauer import GegenCombo, _gegen_monomials, generating_series_coeff, rising
+from confeyn.gegenbauer import _gegen_monomials, generating_series_coeff, rising
 from confeyn.specfun import gamma_exact
 
 _fact = math.factorial
@@ -46,7 +46,7 @@ def product_by_gamma(n: int, m: int, lam: Fraction) -> dict[int, Fraction]:
             continue
         # alpha carries 1/Gamma(lam) twice, from the two monomial forms; the
         # powers of sqrt(pi) cancel there, or the unpacking or the check fails
-        ((key, ratio),) = (inner / (gam_lam * gam_lam)).terms()
+        ((key, ratio),) = (inner / (gam_lam * gam_lam)).terms.items()
         assert key == (0,) * 6, key
         alpha = ratio * ((-1) ** r * _fact(n + m - 2 * r))
         for k in range((n + m - 2 * r) // 2 + 1):
@@ -81,10 +81,11 @@ def chebyshev_limit_check(n: int, x: float, eps_lambda: float) -> tuple[float, f
     return t_n, approx
 
 
-def expand(combo: GegenCombo) -> dict[int, Fraction]:
-    """Monomial coefficients of the combination (exact)."""
+def expand(combo: dict[int, Fraction], lam: Fraction) -> dict[int, Fraction]:
+    """Monomial coefficients of the combination {degree: coeff} of the
+    C^(lam) (exact)."""
     out: dict[int, Fraction] = {}
-    for deg, c in combo.coeffs.items():
-        for power, a in _gegen_monomials(combo.lam, deg):
+    for deg, c in combo.items():
+        for power, a in _gegen_monomials(Fraction(lam), deg):
             out[power] = out.get(power, 0) + c * a
     return {p: c for p, c in out.items() if c}

@@ -15,7 +15,7 @@ from amplitude_oracles import (edge_asymptotic_terms, edge_gegenbauer_terms,
                                edge_taylor_terms, expansion_value,
                                half_integer_taylor_scalar, separation, taylor_term_value)
 from confeyn.amplitude import (DivergentRatioError, EdgeGeometry,
-                               GegenExpansion, TaylorTermSpec, TruncationOrders,
+                               GegenExpansion, TruncationOrders,
                                amplitude_truncated_eval, asymptotic_term_coefficient,
                                complex_case_weight,
                                edge_asymptotic_value, edge_gegenbauer_expansion,
@@ -23,7 +23,7 @@ from confeyn.amplitude import (DivergentRatioError, EdgeGeometry,
                                taylor_term_coefficient, two_pi_power)
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
-from confeyn.gegenbauer import PolySpec, gegenbauer_coeffs
+from confeyn.gegenbauer import gegenbauer_coeffs
 from confeyn.propagators import Kinematics, gm_real
 
 F = Fraction
@@ -79,7 +79,7 @@ def tensor_to_cos_powers(tensor, lam) -> dict[tuple[int, int], SymbolicCoeff]:
     """Expand Gegenbauer degrees into powers of cos, exactly."""
     out: dict[tuple[int, int], SymbolicCoeff] = {}
     for (n, d), coeff in tensor.items():
-        for p, a in gegenbauer_coeffs(PolySpec(lam, d)).items():
+        for p, a in gegenbauer_coeffs(lam, d).items():
             key = (n, p)
             prev = out.get(key, SymbolicCoeff.zero())
             acc = prev + coeff * a
@@ -111,7 +111,7 @@ def full_entries(exp: GegenExpansion) -> list[SymbolicCoeff]:
 class TestTaylorCoefficients:
     def test_power_branch_leading(self):
         # lam=1, ell=-1 (Laurent index 0): coefficient (2 pi)^-2 of r^-2
-        t = taylor_term_coefficient(TaylorTermSpec.make(-1, 1), 1)
+        t = taylor_term_coefficient(-1, 1)
         assert t.r_exponent == -2
         assert t.coeff_const == two_pi_power(-2)
         assert t.coeff_log.is_zero()
@@ -119,7 +119,7 @@ class TestTaylorCoefficients:
     def test_log_branch_leading(self):
         # lam=1, ell=0: the log coefficient is +(2 pi)^-2 m^2/2 (the overall
         # (-1/(2 pi))^(lam+1) is positive at lam = 1)
-        t = taylor_term_coefficient(TaylorTermSpec.make(0, 1), 1)
+        t = taylor_term_coefficient(0, 1)
         assert t.r_exponent == 0
         want_log = two_pi_power(-2) * SymbolicCoeff.monomial(F(1, 2), m_exp=2)
         assert t.coeff_log == want_log
@@ -133,10 +133,10 @@ class TestTaylorCoefficients:
     def test_massless_reduction(self):
         # at m = 0 only the ell = -lam term survives numerically
         lam, r = 2, 0.7
-        lead = taylor_term_coefficient(TaylorTermSpec.make(-2, lam), lam)
+        lead = taylor_term_coefficient(-2, lam)
         assert taylor_term_value(lead, r, 0.0) == pytest.approx(
             float(two_pi_power(-3)) * 2 ** 1 * 1 * r ** -4, rel=1e-14)
-        higher = taylor_term_coefficient(TaylorTermSpec.make(-1, lam), lam)
+        higher = taylor_term_coefficient(-1, lam)
         assert taylor_term_value(higher, r, 0.0) == 0.0
 
     def test_taylor_sum_converges_to_kernel(self):
@@ -166,8 +166,7 @@ class TestTaylorCoefficients:
         assert abs(got - direct) / direct < 1e-12
 
     def test_coefficients_are_cached(self):
-        spec = TaylorTermSpec.make(1, 2)
-        assert taylor_term_coefficient(spec, 2) is taylor_term_coefficient(spec, F(2))
+        assert taylor_term_coefficient(1, 2) is taylor_term_coefficient(1, F(2))
         edge_taylor_value(2, 0.3, 0.8, TruncationOrders(ell_max=4))
         before = taylor_term_coefficient.cache_info()
         edge_taylor_value(2, 0.4, 0.8, TruncationOrders(ell_max=4))
@@ -180,18 +179,17 @@ class TestTaylorCoefficients:
         if lam < 100:
             ells |= {-lam + 1, F(-1, 2), F(0), F(1, 2), F(7)}
         for ell in sorted(ells):
-            term = taylor_term_coefficient(TaylorTermSpec.make(ell, lam), lam)
+            term = taylor_term_coefficient(ell, lam)
             want = half_integer_taylor_scalar(lam, ell)
             assert term.coeff_const == want * SymbolicCoeff.monomial(m_exp=2 * lam + 2 * ell)
             assert term.r_exponent == 2 * ell and term.coeff_log.is_zero()
 
     def test_half_integer_has_no_log_branch(self):
-        with pytest.raises(ValueError):
-            taylor_term_coefficient(TaylorTermSpec(F(1), "log"), F(1, 2))
+        assert taylor_term_coefficient(F(1), F(1, 2)).coeff_log.is_zero()
 
     def test_laurent_branch_needs_integer_order(self):
         with pytest.raises(ValueError):
-            taylor_term_coefficient(TaylorTermSpec(F(1, 2), "power"), 1)
+            taylor_term_coefficient(F(1, 2), 1)
 
 
 class TestAsymptoticCoefficients:
@@ -221,16 +219,14 @@ class TestAsymptoticCoefficients:
 
 class TestGegenExpansion:
     def test_massless_branch_unit_entries(self):
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
-                                        TruncationOrders(radial=8))
+        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=8))
         for n in range(9):
             assert exp.plain[(n, n)] == SymbolicCoeff.one()
         assert not exp.log_rho
 
     def test_worked_value(self):
         # cos = 0, r/rho = 1/2, bare 1/sep^2 = 0.8/rho^2
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
-                                        TruncationOrders(radial=60))
+        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=60))
         geom = EdgeGeometry(rho=1.0, r=0.5, cos=0.0)
         val = bare_value(exp, geom, 1.0)
         assert abs(val - 0.8) < 1e-10
@@ -239,15 +235,13 @@ class TestGegenExpansion:
         assert abs(val2 - 0.8 / 9) < 1e-10
 
     def test_log_branch_pure_logrho_term(self):
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(0, 1), 1,
-                                        TruncationOrders(radial=6))
+        exp = edge_gegenbauer_expansion(0, 1, TruncationOrders(radial=6))
         assert exp.log_rho == {(0, 0): SymbolicCoeff.one()}
 
     def test_degree_bounded_by_radial_power(self):
         for ell, lam in [(-1, 1), (0, 1), (1, 2), (F(-1, 2), F(1, 2)),
                          (F(1, 2), F(1, 2)), (1, F(3, 2))]:
-            exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
-                                            TruncationOrders(radial=10))
+            exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=10))
             for (n, d) in list(exp.plain) + list(exp.log_rho):
                 assert d <= n
 
@@ -259,8 +253,7 @@ class TestGegenExpansion:
     def test_resummation_power_branch(self, ell, lam):
         # tensor expanded to cos powers == direct binomial series, exactly
         radial = 9
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
-                                        TruncationOrders(radial=radial))
+        exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=radial))
         got = tensor_to_cos_powers(exp.plain, lam)
         want = as_symbolic(binomial_series(F(ell), radial))
         assert got == want
@@ -269,8 +262,7 @@ class TestGegenExpansion:
     def test_resummation_log_branch(self, ell, lam):
         from confeyn.specfun import digamma_exact
         radial = 8
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
-                                        TruncationOrders(radial=radial))
+        exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=radial))
         poly = binomial_series(F(ell), radial)
         # log(rho) tensor carries the bare polynomial
         assert tensor_to_cos_powers(as_symbolic(exp.log_rho), lam) == as_symbolic(poly)
@@ -293,24 +285,21 @@ class TestGegenExpansion:
         # integer lam: every fully-assembled entry has integer pi powers and
         # no sqrt(2); half-integer lam: entries stay in Q[sqrt(pi)^{+-1}]
         for ell, lam in [(-1, 1), (0, 1), (1, 2), (-2, 3)]:
-            exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
-                                            TruncationOrders(radial=6))
+            exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=6))
             for coeff in full_entries(exp):
-                assert all(p % 2 == 0 for (*_, p), _ in coeff.terms())
-                assert all(s == 0 for (*_, s, _), _ in coeff.terms())
+                assert all(p % 2 == 0 for (*_, p), _ in coeff.terms.items())
+                assert all(s == 0 for (*_, s, _), _ in coeff.terms.items())
         for ell, lam in [(F(-1, 2), F(1, 2)), (F(1, 2), F(1, 2)), (1, F(3, 2))]:
-            exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
-                                            TruncationOrders(radial=6))
+            exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=6))
             for coeff in full_entries(exp):
                 assert isinstance(coeff, SymbolicCoeff)  # lies in the sqrt(pi) ring
-                assert all(s == 0 for (*_, s, _), _ in coeff.terms())
+                assert all(s == 0 for (*_, s, _), _ in coeff.terms.items())
 
     def test_geometric_truncation_decay(self):
         # at u <= 1/2 the partial sums converge geometrically with per-order
         # rate <= 0.6 (individual deltas oscillate through the Gegenbauer
         # zeros, so the rate is measured as the long-run geometric mean)
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
-                                        TruncationOrders(radial=40))
+        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=40))
         for cos in (0.9, 0.3, -0.5):
             geom = EdgeGeometry(rho=1.0, r=0.5, cos=cos)
             exact = 1.0 / separation(geom) ** 2
@@ -337,8 +326,7 @@ class TestGegenExpansion:
         assert abs(got - direct) / direct < 1e-10
 
     def test_serialization_shape(self):
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(0, 1), 1,
-                                        TruncationOrders(radial=3))
+        exp = edge_gegenbauer_expansion(0, 1, TruncationOrders(radial=3))
         doc = exp.to_json()
         assert set(doc) == {"lambda", "rho_exponent", "radial_order",
                             "prefactor", "plain", "log_rho"}
@@ -385,8 +373,7 @@ class TestFloatEvaluation:
     @pytest.mark.parametrize("ell,lam", EVAL_CASES)
     @pytest.mark.parametrize("gegen", [6, None])
     def test_matches_reference_sum(self, ell, lam, gegen):
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam,
-                                        TruncationOrders(radial=10, gegen=gegen))
+        exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=10, gegen=gegen))
         for u in (0.0, 0.3, 0.9):
             for cos in (-0.99, 0.3, 0.95):
                 geom = EdgeGeometry(rho=1.3, r=1.3 * u, cos=cos)
@@ -397,8 +384,7 @@ class TestFloatEvaluation:
     def test_hand_built_capped_expansion(self):
         # a hand-built expansion evaluates its own tensors, not those of the
         # expansion it was cut from
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(1, 1), 1,
-                                        TruncationOrders(radial=10))
+        exp = edge_gegenbauer_expansion(1, 1, TruncationOrders(radial=10))
         geom = EdgeGeometry(rho=2.0, r=0.8, cos=0.95)
         full = expansion_value(exp, geom, 0.7)
         for cap in (0, 3, 7):
@@ -412,8 +398,7 @@ class TestFloatEvaluation:
 
     def test_tensors_are_read_only(self):
         import dataclasses
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
-                                        TruncationOrders(radial=4))
+        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=4))
         with pytest.raises(TypeError):
             exp.plain[(0, 0)] = SymbolicCoeff.zero()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -423,15 +408,14 @@ class TestFloatEvaluation:
         lam, orders = F(3, 2), TruncationOrders(radial=8, ell_max=3)
         geom = EdgeGeometry(rho=1.1, r=0.4, cos=-0.95)
         refs = [reference_value(
-            edge_gegenbauer_expansion(TaylorTermSpec.make(F(t, 2), lam), lam, orders),
+            edge_gegenbauer_expansion(F(t, 2), lam, orders),
             geom, 0.9) for t in range(-3, 7)]
         want, scale = sum(v for v, _ in refs), sum(s for _, s in refs)
         got = edge_gegenbauer_value(lam, geom, 0.9, orders)
         assert abs(got - want) <= 1e-13 * scale
 
     def test_divergent_ratio_still_raised(self):
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1,
-                                        TruncationOrders(radial=4))
+        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=4))
         for r in (1.0, 2.5):
             geom = EdgeGeometry(rho=r, r=r, cos=0.3)
             with pytest.raises(DivergentRatioError):
@@ -478,7 +462,7 @@ class TestEdgeKernels:
         orders = TruncationOrders(radial=8, ell_max=3)
         geom = EdgeGeometry(rho=1.2, r=0.5, cos=0.4)
         for lam in (F(1, 2), F(3, 2)):
-            lead = taylor_term_coefficient(TaylorTermSpec.make(-lam, lam), lam)
+            lead = taylor_term_coefficient(-lam, lam)
             massless = lead.coeff_const.bind(0.0) * 0.7 ** float(-2 * lam)
             assert edge_taylor_value(lam, 0.7, 0.0, orders) == pytest.approx(massless, rel=1e-15)
             assert_near(edge_taylor_value(lam, 0.7, 0.0, orders),
@@ -524,7 +508,7 @@ class TestEdgeKernels:
     def test_compile_checks_the_mass_scaling(self):
         # a term whose coefficient is not m^(2 lam + rho_exponent) times a
         # constant has no place in m^(2 lam) g(m rho)
-        exp = edge_gegenbauer_expansion(TaylorTermSpec.make(-1, 1), 1, TruncationOrders(radial=4))
+        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=4))
         wrong = GegenExpansion(exp.lam, exp.rho_exponent,
                                exp.prefactor * SymbolicCoeff.monomial(m_exp=1),
                                exp.k0, exp.log_rho, exp.series, 4)

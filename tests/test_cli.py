@@ -100,6 +100,15 @@ class TestPropEval:
         code, _ = run_cli(["prop-eval", *flags], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "boson", "--m", "1", "--alpha", "2", "--x", "1,2", "--mu", "3", "--nu", "3"],
+        ["--m", "1", "--x", "1,0,0,0,0,0"],
+    ], ids=["short", "long"])
+    def test_x_needs_D_components(self, flags, tmp_path):
+        # the short vector raised IndexError (exit 1), the long one was accepted
+        code, _ = run_cli(["prop-eval", "--D", "4", *flags], tmp_path)
+        assert code == 2
+
     def test_diagonal_is_validation_error(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "0"], tmp_path)
         assert code == 2
@@ -123,6 +132,18 @@ class TestPropExpand:
                              "--ell", "1"], tmp_path)
         assert code == 0
         assert doc["r_exponent"] == "-5/2"
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "gegenbauer", "--ell", "1", "--radial", "-3"],
+        ["--method", "gegenbauer", "--ell", "1", "--radial", "4", "--gegen-cap", "-1"],
+        ["--method", "asymptotic", "--ell", "3/2"],
+        ["--method", "taylor", "--ell", "1/2"],
+        ["--method", "gegenbauer", "--ell=-1/2"],
+    ], ids=["radial", "gegen-cap", "asymptotic-ell", "taylor-ell", "gegenbauer-ell"])
+    def test_invalid_orders_and_indices_exit_2(self, flags, tmp_path):
+        # each printed an empty expansion or the term of another index, with exit 0
+        code, _ = run_cli(["prop-expand", "--D", "4", *flags], tmp_path)
+        assert code == 2
 
     def test_gegenbauer_tensor(self, tmp_path):
         code, doc = run_cli(["prop-expand", "--D", "4", "--method", "gegenbauer",
@@ -155,6 +176,16 @@ class TestGegen:
                             tmp_path)
         assert code == 0
         assert doc["value"] == [{"pi_half_exp": 2, "rational": "4"}]
+
+    @pytest.mark.parametrize("flags", [
+        ["--op", "chebyshev", "--lambda", "1", "--n", "-1"],
+        ["--op", "reproject", "--lambda", "1", "--ell", "2", "--n", "-2"],
+        ["--op", "generating", "--lambda", "1", "--n", "-3", "--x", "0.5"],
+    ], ids=["chebyshev", "reproject", "generating"])
+    def test_negative_degree_exits_2(self, flags, tmp_path):
+        # printed {"1":"1/2"}, {} and {"value":0} with exit 0
+        code, _ = run_cli(["gegen", *flags], tmp_path)
+        assert code == 2
 
     def test_bad_weight_is_validation_error(self, tmp_path):
         code, _ = run_cli(["gegen", "--op", "monomial", "--m", "2",
@@ -369,9 +400,9 @@ class TestImportHygiene:
 
     BASE = {"confeyn", "cli"}
     LOADED = {
-        "prop-eval": {"propagators", "specfun", "exact"},
-        "prop-expand": {"amplitude", "specfun", "gegenbauer", "exact"},
-        "gegen": {"gegenbauer", "specfun", "exact"},
+        "prop-eval": {"propagators", "specfun", "exact", "linear"},
+        "prop-expand": {"amplitude", "specfun", "gegenbauer", "exact", "linear"},
+        "gegen": {"gegenbauer", "specfun", "exact", "linear"},
         "graph-coproduct": {"hopf", "linear", "feyngraph"},
         "graph-antipode": {"hopf", "linear", "feyngraph"},
         # the Rota-Baxter layer is rational: no exact ring

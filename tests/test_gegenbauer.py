@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from confeyn.exact import SymbolicCoeff
-from confeyn.gegenbauer import (GegenCombo, PolySpec, _chebyshev_monomials,
+from confeyn.gegenbauer import (_chebyshev_monomials,
                                 chebyshev_to_gegenbauer, gegenbauer_coeffs,
                                 gegenbauer_table, gegenbauer_value,
                                 generating_series_coeff,
@@ -25,9 +25,9 @@ ORACLE_WEIGHTS = [F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(7, 2), F(51, 2)]
 SOURCE_WEIGHTS = [F(1, 2), F(1), F(2), F(5, 2), F(9, 2)]
 
 
-def as_rat(combo: GegenCombo) -> dict[int, Fraction]:
-    assert all(type(c) is Fraction for c in combo.coeffs.values())
-    return combo.coeffs
+def as_rat(combo: dict[int, Fraction]) -> dict[int, Fraction]:
+    assert all(type(c) is Fraction for c in combo.values())
+    return combo
 
 
 def poly_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -41,13 +41,11 @@ def poly_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fracti
 class TestExplicitCoefficients:
     def test_degree_zero(self):
         for lam in WEIGHTS:
-            assert gegenbauer_coeffs(PolySpec(lam, 0)) == {0: 1}
+            assert gegenbauer_coeffs(lam, 0) == {0: 1}
 
     def test_known_polynomials(self):
-        assert as_rat(GegenCombo(1, gegenbauer_coeffs(PolySpec(1, 2)))) \
-            == {2: F(4), 0: F(-1)}
-        assert as_rat(GegenCombo(1, gegenbauer_coeffs(PolySpec(F(1, 2), 2)))) \
-            == {2: F(3, 2), 0: F(-1, 2)}
+        assert as_rat(gegenbauer_coeffs(1, 2)) == {2: F(4), 0: F(-1)}
+        assert as_rat(gegenbauer_coeffs(F(1, 2), 2)) == {2: F(3, 2), 0: F(-1, 2)}
 
     def test_generating_function_oracle(self):
         rng = random.Random(11)
@@ -80,10 +78,9 @@ class TestExplicitCoefficients:
 
     def test_combo_eval_float_at_high_degree(self):
         from scipy.special import eval_gegenbauer
-        combo = GegenCombo(F(1), {40: F(1), 2: F(1, 3)})
+        combo = {40: F(1), 2: F(1, 3)}
         want = eval_gegenbauer(40, 1.0, 0.95) + eval_gegenbauer(2, 1.0, 0.95) / 3
-        got = sum(float(c) * gegenbauer_value(combo.lam, d, 0.95)
-                  for d, c in combo.coeffs.items())
+        got = sum(float(c) * gegenbauer_value(1, d, 0.95) for d, c in combo.items())
         assert abs(got - want) <= 1e-12 * math.comb(41, 40)
 
     def test_legendre_special_case(self):
@@ -91,9 +88,9 @@ class TestExplicitCoefficients:
 
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
-            PolySpec(F(-1, 2), 1)
+            gegenbauer_coeffs(F(-1, 2), 1)
         with pytest.raises(ValueError):
-            PolySpec(1, -1)
+            gegenbauer_coeffs(1, -1)
 
 
 class TestConversions:
@@ -119,13 +116,13 @@ class TestConversions:
     def test_monomial_inverts_exactly(self):
         for lam in WEIGHTS:
             for m in range(11):
-                expanded = expand(monomial_to_gegenbauer(m, lam))
+                expanded = expand(monomial_to_gegenbauer(m, lam), lam)
                 assert expanded == {m: 1}
 
     def test_chebyshev_inverts_exactly(self):
         for lam in WEIGHTS:
             for n in range(11):
-                expanded = expand(chebyshev_to_gegenbauer(n, lam))
+                expanded = expand(chebyshev_to_gegenbauer(n, lam), lam)
                 want = dict(_chebyshev_monomials(n))
                 assert expanded == want
 
@@ -133,16 +130,16 @@ class TestConversions:
         for lam in WEIGHTS:
             for ell in [F(1, 2), 1, 2, F(5, 2)]:
                 for n in range(11):
-                    expanded = expand(reproject_gegenbauer(ell, n, lam))
-                    assert expanded == gegenbauer_coeffs(PolySpec(ell, n))
+                    expanded = expand(reproject_gegenbauer(ell, n, lam), lam)
+                    assert expanded == gegenbauer_coeffs(ell, n)
 
     def test_product_inverts_exactly(self):
         for lam in WEIGHTS:
             for n in range(0, 11, 2):
                 for m in range(1, 11, 3):
-                    got = expand(product_linearize(n, m, lam))
-                    want = poly_mul(gegenbauer_coeffs(PolySpec(lam, n)),
-                                    gegenbauer_coeffs(PolySpec(lam, m)))
+                    got = expand(product_linearize(n, m, lam), lam)
+                    want = poly_mul(gegenbauer_coeffs(lam, n),
+                                    gegenbauer_coeffs(lam, m))
                     assert got == want
 
     def test_product_matches_gamma_oracle(self):
@@ -161,7 +158,8 @@ class TestConversions:
                         reproject_by_double_sum(ell, n, lam)
 
     def test_combo_json_is_rational_strings(self):
-        assert product_linearize(1, 1, F(1, 2)).to_json() == {"0": "1/3", "2": "2/3"}
+        # the CLI writes this dict as {"0": "1/3", "2": "2/3"}; the gegen goldens pin it
+        assert product_linearize(1, 1, F(1, 2)) == {0: F(1, 3), 2: F(2, 3)}
 
     def test_small_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -221,7 +219,7 @@ class TestZonal:
             d1 = omega @ w1
             d2 = omega @ w2
             for n in range(5):
-                coeffs = gegenbauer_coeffs(PolySpec(F(1, 2), n))
+                coeffs = gegenbauer_coeffs(F(1, 2), n)
                 poly = np.zeros(n + 1)
                 for p, c in coeffs.items():
                     poly[n - p] = float(c)

@@ -1,17 +1,20 @@
 """Hopf, Birkhoff and Rota-Baxter laws as hypothesis properties:
 coassociativity, S * id = eps, S o S = id, Delta(xy) = Delta(x) Delta(y),
 phi = (phi_- o S) * phi_+ and Y(phi_-) = phi_- * beta on generated 1PI
-graphs, and the weight -1
-Rota-Baxter identity with T o T = T on both targets.  The laws that read the
+graphs, the weight -1
+Rota-Baxter identity with T o T = T on both targets, and the commutative
+ring laws of the exact ring, whose float binding is a ring homomorphism.  The laws that read the
 coproduct and antipode memos run on a warm shared algebra and on a fresh one,
 so that a stale or aliased memo entry cannot pass."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confeyn.birkhoff import Character, beta_function, birkhoff_factorize
+from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import HopfAlgebra, HopfElement, TensorElement
 from confeyn.rotabaxter import (LaurentAlgebra, LaurentSeries, MultiLogForm,
@@ -166,3 +169,36 @@ def test_rota_baxter_laurent(x, y):
 @given(multi_log_forms(), multi_log_forms())
 def test_rota_baxter_log_forms(x, y):
     assert_rota_baxter(multi_T, x, y)
+
+
+# (2*m_exp, logm, gamma, log2, sqrt2, pi_half): odd first entries are
+# half-integer powers of m, and sqrt(2) * sqrt(2) folds into the factor 2
+EXACT_KEYS = st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 1),
+                       st.integers(0, 1), st.integers(0, 1), st.integers(-3, 3))
+EXACT = st.dictionaries(EXACT_KEYS, RATIONALS, max_size=4).map(SymbolicCoeff)
+
+
+def _magnitude(a: SymbolicCoeff, m: float) -> float:
+    """The sum of the absolute values of the terms of a at m."""
+    return sum(abs(SymbolicCoeff({key: q}).bind(m)) for key, q in a.terms.items())
+
+
+@LAWS
+@given(EXACT, EXACT, EXACT)
+def test_exact_ring_is_a_commutative_ring(a, b, c):
+    zero, one = SymbolicCoeff.zero(), SymbolicCoeff.one()
+    assert (a + b) + c == a + (b + c) and a + b == b + a
+    assert (a * b) * c == a * (b * c) and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and (a * zero).is_zero()
+    assert (a - b) + b == a and a - a == zero and -(-a) == a
+
+
+@LAWS
+@given(EXACT, EXACT, st.floats(0.1, 5.0))
+def test_bind_is_a_ring_homomorphism(a, b, m):
+    size_a, size_b = _magnitude(a, m), _magnitude(b, m)
+    assert math.isclose((a + b).bind(m), a.bind(m) + b.bind(m),
+                        rel_tol=0, abs_tol=1e-13 * (size_a + size_b) + 1e-300)
+    assert math.isclose((a * b).bind(m), a.bind(m) * b.bind(m),
+                        rel_tol=0, abs_tol=1e-13 * size_a * size_b + 1e-300)

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from confeyn.amplitude import (TaylorTermSpec, TruncationOrders, _taylor_indices,
+from confeyn.amplitude import (TruncationOrders, _taylor_indices,
                                edge_gegenbauer_expansion)
 from confeyn.cli import dumps_deterministic
 
@@ -41,7 +41,7 @@ def case_name(lam, ell, radial, cap) -> str:
 
 def tensor_hash(lam, ell, radial, cap) -> str:
     orders = TruncationOrders(radial=radial, gegen=cap)
-    expansion = edge_gegenbauer_expansion(TaylorTermSpec.make(ell, lam), lam, orders)
+    expansion = edge_gegenbauer_expansion(ell, lam, orders)
     return hashlib.sha256(dumps_deterministic(expansion.to_json()).encode()).hexdigest()
 
 

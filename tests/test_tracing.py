@@ -58,8 +58,7 @@ def test_tracer_hooks_count_and_uninstall_restores(monkeypatch):
         C.specfun.bessel_k(1.0, 0.5)
         C.specfun.bessel_k(0.5, 3.0)
         amp = C.amplitude
-        expansion = amp.edge_gegenbauer_expansion(amp.TaylorTermSpec.make(0, 1), 1,
-                                                  amp.TruncationOrders(radial=4))
+        expansion = amp.edge_gegenbauer_expansion(0, 1, amp.TruncationOrders(radial=4))
         C.exact.SymbolicCoeff.one().bind()
         return expansion, tracing.gegen_cache_stats(C)
 
