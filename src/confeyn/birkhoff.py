@@ -12,6 +12,10 @@ with the counterterm and renormalized parts built inductively on the grading:
 where the sum runs over the reduced coproduct.  The weight -1 relation makes
 both phi_- and phi_+ algebra morphisms again (tested, not assumed).
 
+Target values are summed, negated and scaled by their own arithmetic and
+multiplied through the target's ``mul``; phi, the prepared values and the
+frame are memoised per monomial, keyed by the monomial itself.
+
 The renormalization group enters through the Dynkin operator D = S * Y:
 beta = phi_- o D, and phi_- is recovered from the graded pieces of beta by
 the universal singular frame
@@ -43,107 +47,89 @@ from .rotabaxter import (MultiLogAlgebra, MultiLogForm, diagonal_label,
                          label_sort_key, separation_label)
 
 
-def extend_linearly(x, target, on_monomial):
+def extend_linearly(x, element, on_monomial):
     """sum c * on_monomial(mono) over the terms of x, a graph, a monomial or a
-    HopfElement: the linear extension of a map given on monomials."""
-    total = target.zero()
+    HopfElement: the linear extension of a map to ``element`` values."""
+    total = element.zero()
     for mono, c in as_element(x).terms.items():
-        total = target.add(total, target.scale(on_monomial(mono), c))
+        total = total + c * on_monomial(mono)
     return total
 
 
 class Character:
     """Multiplicative unital map from the Hopf algebra into a target algebra,
-    defined by its values on generators and memoized on monomials."""
+    defined by its values on generators and memoized per monomial."""
 
     def __init__(self, hopf: HopfAlgebra, target,
                  gen_rule: Callable[[FeynmanGraph], object]):
         self.hopf = hopf
         self.target = target
         self.gen_rule = gen_rule
-        self._memo: dict[tuple, object] = {}
+        self._memo: dict[Monomial, object] = {}
 
     def on_monomial(self, mono: Monomial):
-        key = tuple(g.canonical_key() for g in mono)
-        cached = self._memo.get(key)
+        cached = self._memo.get(mono)
         if cached is None:
-            value = self.target.one()
+            value = self.target.element.one()
             for g in mono:
                 value = self.target.mul(value, self.gen_rule(g))
-            self._memo[key] = cached = value
+            self._memo[mono] = cached = value
         return cached
 
     def __call__(self, x):
-        return extend_linearly(x, self.target, self.on_monomial)
-
-
-class CounitCharacter(Character):
-    """epsilon followed by the unit of the target."""
-
-    def __init__(self, hopf: HopfAlgebra, target):
-        super().__init__(hopf, target, lambda g: target.zero())
-
-    def on_monomial(self, mono: Monomial):
-        return self.target.one() if not mono else self.target.zero()
+        return extend_linearly(x, self.target.element, self.on_monomial)
 
 
 class BirkhoffPair:
     """phi_- and phi_+ of a Birkhoff factorization, computed lazily by the
-    Connes-Kreimer recursion with memoization on canonical monomials."""
+    Connes-Kreimer recursion and memoized per monomial."""
 
     def __init__(self, phi: Character):
         self.phi = phi
         self.hopf = phi.hopf
         self.target = phi.target
-        self._prepared: dict[tuple, object] = {}
+        self._prepared: dict[Monomial, object] = {}
 
     def _prepare(self, mono: Monomial):
         """phi(X) + sum phi_-(X') phi(X'') over the reduced coproduct."""
-        key = tuple(g.canonical_key() for g in mono)
-        cached = self._prepared.get(key)
+        cached = self._prepared.get(mono)
         if cached is not None:
             return cached
-        t = self.target
+        mul = self.target.mul
         value = self.phi.on_monomial(mono)
         for (left, right), c in self.hopf.reduced_coproduct(mono).terms.items():
-            value = t.add(value, t.scale(
-                t.mul(self.minus_on_monomial(left), self.phi.on_monomial(right)), c))
-        self._prepared[key] = value
+            value = value + c * mul(self.minus_on_monomial(left), self.phi.on_monomial(right))
+        self._prepared[mono] = value
         return value
 
     def minus_on_monomial(self, mono: Monomial):
         if not mono:
-            return self.target.one()
-        return self.target.scale(self.target.T(self._prepare(mono)), Fraction(-1))
+            return self.target.element.one()
+        return -self.target.T(self._prepare(mono))
 
     def plus_on_monomial(self, mono: Monomial):
         if not mono:
-            return self.target.one()
+            return self.target.element.one()
         prepared = self._prepare(mono)
-        t = self.target
-        return t.add(prepared, t.scale(t.T(prepared), Fraction(-1)))
+        return prepared - self.target.T(prepared)
 
     def phi_minus(self, x):
-        return extend_linearly(x, self.target, self.minus_on_monomial)
+        return extend_linearly(x, self.target.element, self.minus_on_monomial)
 
     def phi_plus(self, x):
-        return extend_linearly(x, self.target, self.plus_on_monomial)
+        """phi_+: the renormalized value, free of poles (T(phi_+) = 0)."""
+        return extend_linearly(x, self.target.element, self.plus_on_monomial)
 
     def factorization_lhs(self, x):
         """(phi_- o S) * phi_+ evaluated at x; recovers phi(x)."""
         return self.hopf.convolve(
             lambda m: self.phi_minus(self.hopf.antipode(HopfElement.from_monomial(m))),
-            self.plus_on_monomial, x, self.target)
+            self.plus_on_monomial, x, self.target.element)
 
 
 def birkhoff_factorize(phi: Character) -> BirkhoffPair:
     """Construct the factorization (lazy and total on graded elements)."""
     return BirkhoffPair(phi)
-
-
-def renormalized_value(pair: BirkhoffPair, graph: FeynmanGraph):
-    """phi_+(Gamma): the renormalized amplitude; polar-free in RB targets."""
-    return pair.phi_plus(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +228,23 @@ class FrameCharacter:
         self.beta = beta
         self.hopf = beta.hopf
         self.target = beta.target
-        self._memo: dict[tuple, object] = {}
+        self._memo: dict[Monomial, object] = {}
 
     def on_monomial(self, mono: Monomial):
-        t = self.target
         degree = monomial_degree(mono)
         if degree == 0:
-            return t.one()
-        key = tuple(g.canonical_key() for g in mono)
-        cached = self._memo.get(key)
+            return self.target.element.one()
+        cached = self._memo.get(mono)
         if cached is None:
-            beta = self.beta.on_monomial
+            beta, mul = self.beta.on_monomial, self.target.mul
             value = beta(mono)
             for (left, right), c in self.hopf.reduced_coproduct(mono).terms.items():
-                value = t.add(value, t.scale(t.mul(self.on_monomial(left), beta(right)), c))
-            self._memo[key] = cached = t.scale(value, Fraction(1, degree))
+                value = value + c * mul(self.on_monomial(left), beta(right))
+            self._memo[mono] = cached = Fraction(1, degree) * value
         return cached
 
     def __call__(self, x):
-        return extend_linearly(x, self.target, self.on_monomial)
+        return extend_linearly(x, self.target.element, self.on_monomial)
 
 
 def universal_frame(beta: BetaFunction) -> FrameCharacter:

@@ -316,15 +316,15 @@ def _laurent_character(algebra: HopfAlgebra, graphs, phi_path: str) -> Character
     from . import birkhoff, rotabaxter
 
     table = _load_json(phi_path)
-    by_key = {}
+    by_graph = {}  # a graph hashes by its isomorphism class
     for name, graph in graphs:
         if name not in table:
             raise ValueError(f"phi file missing entry for graph {name!r}")
-        by_key[graph.canonical_key()] = rotabaxter.LaurentSeries.from_json(table[name])
+        by_graph[graph] = rotabaxter.LaurentSeries.from_json(table[name])
 
     def rule(g: FeynmanGraph) -> LaurentSeries:
         try:
-            return by_key[g.canonical_key()]
+            return by_graph[g]
         except KeyError:
             raise ValueError("phi file does not cover a subgraph/quotient "
                              "generated during factorization; add it") from None
@@ -349,36 +349,32 @@ def _make_pair(args, graphs) -> BirkhoffPair:
     return birkhoff.birkhoff_factorize(phi)
 
 
-def _series_report(value: LaurentSeries) -> dict:
-    return {"coeffs": value.to_json(), "repr": repr(value)}
+def _report(value):
+    """A target value as JSON: a Laurent series with its repr, a log form as is."""
+    from . import rotabaxter
+
+    if isinstance(value, rotabaxter.LaurentSeries):
+        return {"coeffs": value.to_json(), "repr": repr(value)}
+    return value.to_json()
 
 
 def _cmd_renorm(args) -> dict:
-    from . import hopf, rotabaxter
+    from . import hopf
 
     graphs = _load_graphs(args.graphs)
     pair = _make_pair(args, graphs)
-    target = args.target
+    flag = {"laurent": "polar_free", "logform": "residue_free"}[args.target]
     out = []
     for name, graph in graphs:
-        if target == "laurent":
-            out.append({
-                "name": name,
-                "phi": _series_report(pair.phi.on_monomial(hopf.monomial(graph))),
-                "phi_minus": _series_report(pair.phi_minus(graph)),
-                "phi_plus": _series_report(pair.phi_plus(graph)),
-                "polar_free": pair.phi_plus(graph).polar_part().is_zero(),
-            })
-        else:
-            plus = pair.phi_plus(graph)
-            out.append({
-                "name": name,
-                "phi": pair.phi.on_monomial(hopf.monomial(graph)).to_json(),
-                "phi_minus": pair.phi_minus(graph).to_json(),
-                "phi_plus": plus.to_json(),
-                "residue_free": rotabaxter.multi_residues_vanish(plus),
-            })
-    return {"target": target, "graphs": out}
+        plus = pair.phi_plus(graph)
+        out.append({
+            "name": name,
+            "phi": _report(pair.phi.on_monomial(hopf.monomial(graph))),
+            "phi_minus": _report(pair.phi_minus(graph)),
+            "phi_plus": _report(plus),
+            flag: pair.target.T(plus).is_zero(),
+        })
+    return {"target": args.target, "graphs": out}
 
 
 def _cmd_beta(args) -> dict:
@@ -387,23 +383,18 @@ def _cmd_beta(args) -> dict:
     _check_max("--degree", args.degree, BETA_MAX_DEGREE)
     graphs = _load_graphs(args.graphs)
     pair = _make_pair(args, graphs)
-    target = args.target
     beta = birkhoff.beta_function(pair)
     frame = birkhoff.universal_frame(beta)
     out = []
     for name, graph in graphs:
-        value = beta(hopf.HopfElement.generator(graph))
-        entry = {"name": name, "degree": graph.degree()}
-        if target == "laurent":
-            entry["beta"] = _series_report(value)
-        else:
-            entry["beta"] = value.to_json()
+        entry = {"name": name, "degree": graph.degree(),
+                 "beta": _report(beta(hopf.HopfElement.generator(graph)))}
         if graph.degree() <= args.degree:
             recon = frame.on_monomial(hopf.monomial(graph))
             entry["frame_matches_phi_minus"] = bool(
                 recon == pair.phi_minus(graph))
         out.append(entry)
-    return {"target": target, "graphs": out}
+    return {"target": args.target, "graphs": out}
 
 
 def _cmd_divisors(args) -> dict:

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import SymbolicCoeff
-from .specfun import as_half_integer, gamma_exact
+from .specfun import as_half_integer, gamma_exact, rising
 
 _fact = math.factorial
 
@@ -47,16 +47,6 @@ def _check_weight(lam, minimum: Fraction, name: str = "lambda") -> Fraction:
 def _check_degrees(*degrees: int) -> None:
     if min(degrees) < 0:
         raise ValueError(f"degrees must be >= 0, got {', '.join(map(str, degrees))}")
-
-
-@lru_cache(maxsize=None)
-def rising(x: Fraction, k: int) -> Fraction:
-    """Pochhammer symbol x (x+1) ... (x+k-1), cached: every table of degree
-    n asks for it at each k <= n."""
-    out = Fraction(1)
-    for i in range(k):
-        out *= x + i
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -14,11 +14,12 @@ renormalization-group machinery used by the Birkhoff module.
 Elements of H and of its tensor powers are sparse combinations of the
 ``linear`` core, keyed by monomials and by tuples of monomials.  Every
 coefficient the algebra produces is a Python int; scaling by a Fraction
-gives exact rationals.  A ``HopfAlgebra`` memoises Delta of each monomial by
-its generators' canonical keys (a generator is the monomial of one graph),
-and S per monomial; the reduced and iterated coproducts, the antipode, the
-Dynkin operator and convolution read those memos.  Elements the algebra
-returns may be memo entries shared with later calls: treat them as read-only.
+gives exact rationals.  A ``HopfAlgebra`` memoises Delta and S per monomial,
+keyed by the monomial itself (a graph hashes and compares by its canonical
+form, so relabelled copies share an entry); the reduced and iterated
+coproducts, the antipode, the Dynkin operator and convolution read those
+memos.  Elements the algebra returns may be memo entries shared with later
+calls: treat them as read-only.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class HopfAlgebra:
 
     def __init__(self, theory: TheoryProfile | None = None):
         self.theory = theory or TheoryProfile()
-        self._coproduct_gen: dict[tuple, TensorElement] = {}  # Delta per monomial
-        self._antipode: dict[tuple[tuple, ...], HopfElement] = {}
+        self._coproduct_gen: dict[Monomial, TensorElement] = {}  # Delta per monomial
+        self._antipode: dict[Monomial, HopfElement] = {}
         self._graphs: dict[tuple, FeynmanGraph] = {}
 
     def _intern(self, graph: FeynmanGraph) -> FeynmanGraph:
@@ -120,29 +121,27 @@ class HopfAlgebra:
     # -- coproduct -----------------------------------------------------------
 
     def coproduct_generator(self, graph: FeynmanGraph) -> TensorElement:
-        key = (graph.canonical_key(),)
-        cached = self._coproduct_gen.get(key)
+        cached = self._coproduct_gen.get((graph,))
         if cached is not None:
             return cached
         g_mono = monomial(graph)
         terms = {(g_mono, ()): 1, ((), g_mono): 1}
         for sel, quotient in graph._admissible_pairs(self.theory):
             parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
-            key2 = (parts, monomial(quotient))
-            terms[key2] = terms.get(key2, 0) + 1
-        out = self._coproduct_gen[key] = TensorElement._wrap(terms)
+            key = (parts, monomial(quotient))
+            terms[key] = terms.get(key, 0) + 1
+        out = self._coproduct_gen[g_mono] = TensorElement._wrap(terms)
         return out
 
     def _coproduct_monomial(self, mono: Monomial) -> TensorElement:
         if len(mono) == 1:
             return self.coproduct_generator(mono[0])
-        key = tuple(g.canonical_key() for g in mono)
-        cached = self._coproduct_gen.get(key)
+        cached = self._coproduct_gen.get(mono)
         if cached is None:
             cached = TensorElement.one()
             for g in mono:
                 cached = cached * self.coproduct_generator(g)
-            self._coproduct_gen[key] = cached
+            self._coproduct_gen[mono] = cached
         return cached
 
     def coproduct(self, x: HopfElement | Monomial | FeynmanGraph) -> TensorElement:
@@ -171,7 +170,7 @@ class HopfAlgebra:
                 out[nk] = out.get(nk, 0) + c * c2
         return TensorElement(out)
 
-    # -- counit, antipode, grading --------------------------------------------
+    # -- counit, antipode, Dynkin ----------------------------------------------
 
     @staticmethod
     def counit(x: HopfElement | Monomial | FeynmanGraph) -> int | Fraction:
@@ -186,22 +185,15 @@ class HopfAlgebra:
     def _antipode_monomial(self, mono: Monomial) -> HopfElement:
         if not mono:
             return HopfElement.one()
-        key = tuple(g.canonical_key() for g in mono)
-        cached = self._antipode.get(key)
+        cached = self._antipode.get(mono)
         if cached is not None:
             return cached
         out = {mono: -1}
         for (left, right), c in self.reduced_coproduct(mono).terms.items():
             accumulate(out, ((_merge(m, right), -c * c2)
                              for m, c2 in self._antipode_monomial(left).terms.items()))
-        cached = self._antipode[key] = HopfElement._wrap(out)
+        cached = self._antipode[mono] = HopfElement._wrap(out)
         return cached
-
-    @staticmethod
-    def grading_op(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
-        """Y: scales each monomial by its degree."""
-        x = as_element(x)
-        return HopfElement({m: c * monomial_degree(m) for m, c in x.terms.items()})
 
     def dynkin(self, x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
         """D = S * Y (convolution of antipode and grading): the graded-Hopf
@@ -217,16 +209,13 @@ class HopfAlgebra:
     # -- convolution ------------------------------------------------------------
 
     def convolve(self, phi1: Callable, phi2: Callable,
-                 x: HopfElement | Monomial | FeynmanGraph, target) -> object:
-        """(phi1 * phi2)(x) = <phi1 (x) phi2, Delta(x)> in the target algebra.
-
-        ``phi1``/``phi2`` map monomials to target values; ``target`` supplies
-        zero()/add/mul via the algebra-model protocol.
-        """
-        total = target.zero()
+                 x: HopfElement | Monomial | FeynmanGraph, element: type[Linear]) -> Linear:
+        """(phi1 * phi2)(x) = <phi1 (x) phi2, Delta(x)>: ``phi1`` and ``phi2``
+        map monomials to values of type ``element`` (HopfElement, LaurentSeries,
+        ...), whose own arithmetic sums, scales and multiplies them."""
+        total = element.zero()
         for (left, right), c in self.coproduct(x).terms.items():
-            total = target.add(total, target.scale(
-                target.mul(phi1(left), phi2(right)), c))
+            total = total + c * (phi1(left) * phi2(right))
         return total
 
 

@@ -63,12 +63,16 @@ class Linear:
         return not self.terms
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self._wrap(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return self._wrap({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self._wrap(accumulate(dict(self.terms),
                                      ((key, -c) for key, c in other.terms.items())))
 

@@ -7,7 +7,10 @@ linear operator T satisfying
 
 Both models are sparse combinations of the ``linear`` core, with rational
 coefficients kept as the int or Fraction they were given; any other
-coefficient type raises TypeError.
+coefficient type raises TypeError.  A target of the Birkhoff layer
+(``LaurentAlgebra``, ``MultiLogAlgebra``) names only its element type, its
+product ``mul`` and T; sums, differences, scaling, zero and one are the
+elements' own arithmetic.
 
 Model 1: Laurent series over Q with T the projection onto the polar part
 (strictly negative exponents).
@@ -37,7 +40,6 @@ S in {1..n}, and diagonal divisors D_I with I in {1..n}, |I| > 1.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -277,66 +279,27 @@ def multi_T(a: MultiLogForm) -> MultiLogForm:
     return MultiLogForm._wrap(kept)
 
 
-def polar_subtract(a):
-    """a - T(a); all iterated residues of the result vanish."""
-    if isinstance(a, MultiLogForm):
-        return a - multi_T(a)
-    if isinstance(a, LaurentSeries):
-        return a - laurent_T(a)
-    raise TypeError(f"no polar subtraction for {type(a).__name__}")
-
-
-def multi_residues_vanish(a: MultiLogForm) -> bool:
-    """True when no monomial carries a polar block (all iterated residues zero)."""
-    return multi_T(a).is_zero()
-
-
 # ---------------------------------------------------------------------------
-# Algebra models (uniform protocol for characters / Birkhoff factorization)
+# Rota-Baxter targets: an element type, its product and T
 # ---------------------------------------------------------------------------
 
 
-class _Model:
-    """zero, one, add and scale of a Rota-Baxter model on its element type;
-    each model names its own product and projection."""
-
-    def zero(self):
-        return self.element.zero()
-
-    def one(self):
-        return self.element.one()
-
-    add = staticmethod(operator.add)
-
-    @staticmethod
-    def scale(a, q):
-        return a.scale(q)
-
-
-@dataclass(frozen=True)
-class LaurentAlgebra(_Model):
-    """Rota-Baxter model: Laurent series with pole-part projection."""
+class LaurentAlgebra:
+    """Rota-Baxter target: Laurent series with pole-part projection."""
 
     element = LaurentSeries
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    mul = staticmethod(operator.mul)
 
     @staticmethod
     def T(a):
         return laurent_T(a)
 
 
-@dataclass(frozen=True)
-class MultiLogAlgebra(_Model):
-    """Rota-Baxter model: multi-space even log forms with polar projection."""
+class MultiLogAlgebra:
+    """Rota-Baxter target: multi-space even log forms with polar projection."""
 
     element = MultiLogForm
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
+    mul = staticmethod(operator.mul)
 
     @staticmethod
     def T(a):

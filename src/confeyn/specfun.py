@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .exact import _EULER_GAMMA, SymbolicCoeff
@@ -56,6 +57,16 @@ def as_half_integer(z, name: str = "argument") -> Fraction:
     return z
 
 
+@lru_cache(maxsize=None)
+def rising(x: Fraction, k: int) -> Fraction:
+    """Pochhammer symbol (x)_k = x (x+1) ... (x+k-1), cached: every Gegenbauer
+    table of degree n asks for it at each k <= n."""
+    out = Fraction(1)
+    for i in range(k):
+        out *= x + i
+    return out
+
+
 def gamma_exact(z) -> SymbolicCoeff:
     """Gamma(z) for positive integer or half-integer z, as an exact scalar.
 
@@ -67,13 +78,8 @@ def gamma_exact(z) -> SymbolicCoeff:
         raise ValueError(f"gamma_exact requires z > 0, got {z}")
     if z.denominator == 1:
         return SymbolicCoeff.from_rational(math.factorial(int(z) - 1))
-    # z = n + 1/2: Gamma(z) = (z-1)(z-2)...(1/2) * sqrt(pi)
-    coeff = Fraction(1)
-    w = z - 1
-    while w > 0:
-        coeff *= w
-        w -= 1
-    return SymbolicCoeff.monomial(coeff, pi_half=1)
+    # z = n + 1/2: Gamma(z) = (1/2)_n * sqrt(pi)
+    return SymbolicCoeff.monomial(rising(Fraction(1, 2), int(z)), pi_half=1)
 
 
 def digamma_exact(z) -> SymbolicCoeff:
@@ -102,11 +108,7 @@ def asym_coeff(nu, ell: int) -> Fraction:
     nu = as_half_integer(nu, "order")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    lower = nu - ell + Fraction(1, 2)
-    coeff = Fraction(1)
-    for i in range(2 * ell):
-        coeff *= lower + i
-    return coeff / math.factorial(ell)
+    return rising(nu - ell + Fraction(1, 2), 2 * ell) / math.factorial(ell)
 
 
 # kept here: the bench tracer labels bessel_k calls by this crossover until it reads z = 2
@@ -218,7 +220,7 @@ def bessel_k_ladder(nu: float, z: float, steps: int) -> list[float]:
     """
     mu = _checked_order(nu, z)
     if mu is None:
-        raise ValueError(f"bessel_k_ladder needs an integer or half-integer order, got {nu}")
+        raise ValueError(f"K_nu needs an integer or half-integer order, got {nu}")
     if steps < 0 or nu + steps > MAX_ORDER:
         raise ValueError(f"ladder steps must lie in [0, {MAX_ORDER} - nu], got {steps}")
     if mu:
@@ -248,14 +250,12 @@ def bessel_k_ladder(nu: float, z: float, steps: int) -> list[float]:
     return out
 
 
-
 def bessel_k(nu: float, z: float) -> float:
     """Modified Bessel function (Macdonald function) K_nu(z) for z > 0 and
-    integer or half-integer 0 <= nu <= MAX_ORDER, in double precision.
+    integer or half-integer 0 <= nu <= MAX_ORDER, in double precision: the
+    ladder of no steps.
 
     Raises ValueError for non-finite or out-of-range arguments and for any
     other order.
     """
-    if _checked_order(nu, z) is None:
-        raise ValueError(f"bessel_k needs an integer or half-integer order, got {nu}")
     return bessel_k_ladder(nu, z, 0)[0]

@@ -20,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.exact import SymbolicCoeff
-from confeyn.gegenbauer import _gegen_monomials, generating_series_coeff, rising
-from confeyn.specfun import gamma_exact
+from confeyn.gegenbauer import _gegen_monomials, generating_series_coeff
+from confeyn.specfun import gamma_exact, rising
 
 _fact = math.factorial
 

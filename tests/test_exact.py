@@ -1,6 +1,7 @@
 """Ring axioms and representation invariants of the exact ring."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -97,6 +98,18 @@ def test_exact_equality_decidable():
     b = SymbolicCoeff.monomial(pi_half=2) + SymbolicCoeff.from_rational(Fraction(1, 3))
     assert a == b and hash(a) == hash(b)
     assert a != b + SymbolicCoeff.one()
+
+
+@pytest.mark.parametrize("number", [1, Fraction(1, 2)], ids=["int", "fraction"])
+def test_adding_a_number_raises_type_error(number):
+    # a number is no ring element here: from_rational makes it one
+    one = SymbolicCoeff.one()
+    for combine in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            combine(one, number)
+        with pytest.raises(TypeError):
+            combine(number, one)
+    assert one + SymbolicCoeff.from_rational(number) == SymbolicCoeff.from_rational(1 + number)
 
 
 def test_serialization_round_trip():
