@@ -74,6 +74,12 @@ EXPAND_MAX_D = 800      # gegenbauer at radial 64 is slowest: 0.6-0.7 s at 800 (
 RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
                           # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
 BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 0.5 s (1.9 s at 14)
+GRAPH_MAX_VERTICES = 32  # legs included; a leg on each vertex of a 16-vertex cubic graph:
+                         # graph-coproduct 2.1 s, graph-antipode 3.0 s
+GRAPH_MAX_INTERNAL_EDGES = 25  # graph-antipode: K5,5 1.1 s, 12 bananas in a ring with one
+                               # tripled 3.5 s (coproduct 0.7 s, 1.0 s); K6,6 (36) took 19 s.
+                               # renorm and beta factorize every quotient and are slower:
+                               # on the 12-banana ring renorm takes 29 s, beta over 120 s
 
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 
@@ -164,6 +170,10 @@ def _load_graphs(path: str) -> list[tuple[str, FeynmanGraph]]:
     for i, entry in enumerate(entries):
         name = entry.get("name", f"graph{i}")
         graph = FeynmanGraph.from_json(entry)
+        # before validation, whose valence count is quadratic in the size
+        _check_max(f"graph {name!r}: vertex count", len(graph.external), GRAPH_MAX_VERTICES)
+        _check_max(f"graph {name!r}: internal edge count", graph.degree(),
+                   GRAPH_MAX_INTERNAL_EDGES)
         problems = graph.validate()
         if problems:
             raise ValueError(f"graph {name!r}: " + "; ".join(problems))

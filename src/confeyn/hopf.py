@@ -104,9 +104,11 @@ def as_element(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
 
 class HopfAlgebra:
     """Coproduct / antipode engine memoised per monomial.  The theory profile
-    feeds the admissible-subgraph enumeration; parts are interned by raw
-    structure, so identical ones pay for one canonical form.  Quotients are
-    not: few of them repeat, and the table would keep each one alive."""
+    feeds the admissible-subgraph enumeration.  Parts and quotients are
+    interned by their exact vertex and edge lists, so each distinct labelled
+    graph pays for one canonical form per algebra: G/(gamma u gamma') recurs
+    as (G/gamma)/gamma'.  The table keeps each quotient alive with the
+    algebra."""
 
     def __init__(self, theory: TheoryProfile | None = None):
         self.theory = theory or TheoryProfile()
@@ -128,7 +130,7 @@ class HopfAlgebra:
         terms = {(g_mono, ()): 1, ((), g_mono): 1}
         for sel, quotient in graph._admissible_pairs(self.theory):
             parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
-            key = (parts, monomial(quotient))
+            key = (parts, monomial(self._intern(quotient)))
             terms[key] = terms.get(key, 0) + 1
         out = self._coproduct_gen[g_mono] = TensorElement._wrap(terms)
         return out

@@ -352,6 +352,9 @@ def golden_suite(tmp_path) -> list[list[str]]:
     graphs.write_text(json.dumps({"graphs": [
         dict(name="banana", **banana.to_json()),
         dict(name="dtriangle", **dt.to_json())]}))
+    k55 = tmp_path / "k55.json"  # an unpruned search visits its |Aut| = 28,800 leaves
+    k55.write_text(json.dumps({"graphs": [dict(name="K5,5", **FeynmanGraph.build(
+        10, [(i, 5 + j) for i in range(5) for j in range(5)]).to_json())]}))
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"banana": {"-2": "1", "0": "3", "1": "1"},
                                "dtriangle": {"-2": "1", "-1": "2", "0": "3"}}))
@@ -376,6 +379,7 @@ def golden_suite(tmp_path) -> list[list[str]]:
         ["gegen", "--op", "coeffs", "--n", "6", "--lambda", "3/2"],
         ["gegen", "--op", "chebyshev", "--n", "7", "--lambda", "2"],
         ["gegen", "--op", "reproject", "--ell", "5/2", "--n", "6", "--lambda", "1"],
+        ["graph-coproduct", "--graphs", str(k55)],
     ]
 
 

@@ -14,7 +14,8 @@ from confeyn import cli
 from confeyn.cli import (BETA_MAX_DEGREE, DIVISORS_MAX_K, DIVISORS_MAX_N, EXPAND_MAX_D,
                          EXPAND_MAX_ELL, EXPAND_MAX_GEGEN_CAP, EXPAND_MAX_RADIAL,
                          GEGEN_MAX_D, GEGEN_MAX_ELL, GEGEN_MAX_LAMBDA, GEGEN_MAX_M,
-                         GEGEN_MAX_N, PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_VERTICES,
+                         GEGEN_MAX_N, GRAPH_MAX_INTERNAL_EDGES, GRAPH_MAX_VERTICES,
+                         PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_VERTICES,
                          main)
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
@@ -364,6 +365,34 @@ class TestArgumentCaps:
     def test_missing_weight_is_a_validation_error(self, args, tmp_path, capsys):
         assert run_cli(["gegen", *args], tmp_path)[0] == 2
         assert "is required" in capsys.readouterr().err
+
+    GRAPH_COMMANDS = [["graph-coproduct"], ["graph-antipode"],
+                      ["renorm", "--target", "logform"], ["beta", "--target", "logform"]]
+
+    @pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=lambda c: c[0])
+    def test_graph_size_is_capped(self, command, tmp_path, capsys):
+        # a ring of 16 vertices with a leg on each, then one leg more; a banana
+        # of 25 edges, then 26
+        ring = list(range(GRAPH_MAX_VERTICES // 2))
+        cases = [
+            (FeynmanGraph.build(len(ring), [(i, (i + 1) % len(ring)) for i in ring], legs=ring),
+             FeynmanGraph.build(len(ring), [(i, (i + 1) % len(ring)) for i in ring],
+                                legs=ring + [0]),
+             f"vertex count {GRAPH_MAX_VERTICES + 1} exceeds the maximum {GRAPH_MAX_VERTICES}"),
+            (FeynmanGraph.build(2, [(0, 1)] * GRAPH_MAX_INTERNAL_EDGES),
+             FeynmanGraph.build(2, [(0, 1)] * (GRAPH_MAX_INTERNAL_EDGES + 1)),
+             f"internal edge count {GRAPH_MAX_INTERNAL_EDGES + 1} exceeds the maximum "
+             f"{GRAPH_MAX_INTERNAL_EDGES}")]
+        for at_cap, above, message in cases:
+            for graph, code in ((at_cap, 0), (above, 2)):
+                path = tmp_path / "graphs.json"
+                path.write_text(json.dumps([dict(name="big", **graph.to_json())]))
+                args = command + ["--graphs", str(path)]
+                if command[0] in ("renorm", "beta"):
+                    args += ["--n-vertices", str(RENORM_MAX_VERTICES)]
+                assert run_cli(args, tmp_path)[0] == code
+                if code:
+                    assert f"error: graph 'big': {message}" in capsys.readouterr().err
 
     def test_too_few_quad_points(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
