@@ -74,12 +74,14 @@ EXPAND_MAX_D = 800      # gegenbauer at radial 64 is slowest: 0.6-0.7 s at 800 (
 RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
                           # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
 BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 0.5 s (1.9 s at 14)
-GRAPH_MAX_VERTICES = 32  # legs included; a leg on each vertex of a 16-vertex cubic graph:
-                         # graph-coproduct 2.1 s, graph-antipode 3.0 s
-GRAPH_MAX_INTERNAL_EDGES = 25  # graph-antipode: K5,5 1.1 s, 12 bananas in a ring with one
-                               # tripled 3.5 s (coproduct 0.7 s, 1.0 s); K6,6 (36) took 19 s.
-                               # renorm and beta factorize every quotient and are slower:
-                               # on the 12-banana ring renorm takes 29 s, beta over 120 s
+GRAPH_MAX_VERTICES = 16  # legs included; graph-antipode 3.9 s on the generalized Petersen
+                         # graph GP(8,2) (coproduct 1.3 s), 2.1 s on K5,5 with 6 legs;
+                         # 11-14 s at 24 with a leg on each vertex of the circulant C12(1,5)
+GRAPH_MAX_INTERNAL_EDGES = 25  # graph-antipode: K5,5 1.2 s, 12 bananas in a ring with one
+                               # tripled 4.4 s (coproduct 0.9 s, 1.4 s)
+RENORM_MAX_INTERNAL_EDGES = 12  # renorm and beta factorize every quotient: beta --degree 12
+                                # on a ring of 6 bananas with a leg on each vertex 0.5 s, on a
+                                # ring of 8 (16 edges) 5.0 s; renorm 0.3 s and 0.4 s
 
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 
@@ -345,6 +347,9 @@ def _make_pair(args, graphs) -> BirkhoffPair:
     from . import birkhoff, hopf
 
     _check_max("--n-vertices", args.n_vertices, RENORM_MAX_VERTICES)
+    for name, graph in graphs:
+        _check_max(f"graph {name!r}: internal edge count", graph.degree(),
+                   RENORM_MAX_INTERNAL_EDGES)
     algebra = hopf.HopfAlgebra()
     if args.target == "laurent":
         if not args.phi:

@@ -8,7 +8,7 @@ The grading used by the Hopf algebra is the number of internal edges.
 Two graphs compare equal when they are isomorphic (as multigraphs with the
 external/internal vertex flags).  The canonical form is the least leaf of an
 individualization-refinement search over vertex indices, pruned by the
-automorphisms it knows (McKay & Piperno, arXiv:1301.1493): K5,5 takes 17
+automorphisms it knows (McKay & Piperno, arXiv:1301.1493): K5,5 takes 91
 search nodes where the unpruned search visits its 28,800 automorphic leaves.
 The key equals that unpruned search's, so labels derived from it are stable.
 """
@@ -362,42 +362,29 @@ def _refine(colors: list[int], cells: int, adj: list[list[tuple[int, bool]]]
         cells = len(palette)
 
 
-def _twin_swaps(flags: list[bool], adj: list[list[tuple[int, bool]]]) -> list[list[int]]:
-    """Swapping two vertices with the same flag and the same edges is an
-    automorphism: the swaps of consecutive members of each such class."""
-    classes: dict[tuple, list[int]] = {}
-    for v, ends in enumerate(adj):
-        classes.setdefault((flags[v], *sorted(ends)), []).append(v)
-    swaps = []
-    for cls in classes.values():
-        for a, b in zip(cls, cls[1:]):
-            perm = list(range(len(adj)))
-            perm[a], perm[b] = b, a
-            swaps.append(perm)
-    return swaps
-
-
 def _find(root: list[int], u: int) -> int:
     while root[u] != u:
         root[u] = u = root[root[u]]
     return u
 
 
-def _merge(root: list[int], perm: list[int]) -> None:
-    """Join the orbits of ``perm`` into the union-find forest ``root``."""
-    for u, w in enumerate(perm):
-        root[_find(root, u)] = _find(root, w)
+def _join_orbits(root: list[int], automorphisms: list[list[int]], path: list[int]) -> None:
+    """Join into the union-find forest ``root`` the orbits of those
+    ``automorphisms`` that fix every vertex of ``path``."""
+    for g in automorphisms:
+        if all(g[p] == p for p in path):
+            for u, w in enumerate(g):
+                root[_find(root, u)] = _find(root, w)
 
 
 def _canonical_form(graph: FeynmanGraph) -> tuple:
     """The least leaf encoding of the search tree that refines the coloring
     by the external flag and individualizes, in turn, each vertex of the
-    first non-singleton cell.  Known automorphisms are the twin swaps and
-    the maps between leaves that encode alike.  A node skips a child whose
-    vertex shares an orbit with an explored sibling, under the known
-    automorphisms that fix the node's path, and abandons the child it is
-    exploring once that child joins such an orbit: an automorphism maps those
-    subtrees onto explored ones, so the least leaf is the exhaustive search's."""
+    first non-singleton cell.  The map between two leaves that encode alike
+    is an automorphism.  A node skips a child whose vertex shares an orbit
+    with an explored sibling, under the recorded automorphisms that fix the
+    node's path: such an automorphism maps the child's subtree onto the
+    sibling's, so the least leaf is the exhaustive search's."""
     n = len(graph.external)
     if not n:
         return ((), ())
@@ -412,29 +399,10 @@ def _canonical_form(graph: FeynmanGraph) -> tuple:
         edges.append((a, b, e.internal))
     best: tuple | None = None
     best_order: list[int] = []
-    automorphisms: list[list[int]] | None = None  # from the first node with two children
-    nodes: list[list] = []  # per open node: [orbit forest or None, explored children]
+    automorphisms: list[list[int]] = []
 
-    def record(perm: list[int], path: list[int]) -> int | None:
-        """Store an automorphism and join its orbits at the open nodes whose
-        path it fixes.  Returns the depth of the highest node whose current
-        child path[depth] now shares an orbit with an explored sibling."""
-        automorphisms.append(perm)
-        resume = None
-        for depth, (root, explored) in enumerate(nodes):
-            if depth and perm[path[depth - 1]] != path[depth - 1]:
-                break
-            if root is not None:
-                _merge(root, perm)
-                if resume is None and _find(root, path[depth]) in {
-                        _find(root, u) for u in explored}:
-                    resume = depth
-        return resume
-
-    def search(colors: list[int], cells: int, path: list[int]) -> int | None:
-        """Explore a node; returns the depth of an ancestor to resume at when
-        a recorded automorphism made the ancestor's current child redundant."""
-        nonlocal best, best_order, automorphisms
+    def search(colors: list[int], cells: int, path: list[int]) -> None:
+        nonlocal best, best_order
         colors, cells = _refine(colors, cells, adj)
         if cells == n:  # a leaf: color = position
             verts = [False] * n
@@ -449,36 +417,25 @@ def _canonical_form(graph: FeynmanGraph) -> tuple:
                 at = [0] * n
                 for v, pos in enumerate(colors):
                     at[pos] = v
-                return record([at[pos] for pos in best_order], path)
-            return None
+                automorphisms.append([at[pos] for pos in best_order])
+            return
         sizes = [0] * cells
         for c in colors:
             sizes[c] += 1
         target = next(c for c, size in enumerate(sizes) if size > 1)
-        depth = len(nodes)
-        node: list = [None, []]
-        nodes.append(node)
-        explored = node[1]
+        root = list(range(n))
+        joined = 0
+        explored: list[int] = []
         for v in [v for v, c in enumerate(colors) if c == target]:
             if explored:
-                if node[0] is None:
-                    if automorphisms is None:
-                        automorphisms = _twin_swaps(flags, adj)
-                    node[0] = list(range(n))
-                    for g in automorphisms:
-                        if all(g[p] == p for p in path):
-                            _merge(node[0], g)
-                if _find(node[0], v) in {_find(node[0], u) for u in explored}:
+                _join_orbits(root, automorphisms[joined:], path)
+                joined = len(automorphisms)
+                if _find(root, v) in {_find(root, u) for u in explored}:
                     continue
             child = [c + 1 for c in colors]  # individualize v ahead of all
             child[v] = 0
-            resume = search(child, cells + 1, path + [v])
+            search(child, cells + 1, path + [v])
             explored.append(v)
-            if resume is not None and resume < depth:
-                nodes.pop()
-                return resume
-        nodes.pop()
-        return None
 
     cells = len(set(flags))
     search([int(flag) for flag in flags] if cells == 2 else [0] * n, cells, [])

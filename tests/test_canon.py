@@ -3,7 +3,7 @@
 against networkx isomorphism, and how often a factorization computes a form."""
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import networkx as nx
 import pytest
@@ -96,6 +96,65 @@ class TestAgainstOracle:
         FeynmanGraph({0: True, 1: True}, [Edge(0, 1, False)])])
     def test_degenerate_graphs(self, graph):
         assert feyngraph._canonical_form(graph) == oracle_canonical_form(graph)
+
+
+def fixes_path_and_maps(graph: FeynmanGraph, path: list[int], a: int, b: int) -> bool:
+    """Whether an automorphism of ``graph`` fixes each vertex of ``path`` and
+    maps ``a`` to ``b``, vertices given by their index in ``graph.external``."""
+    def pinned(mark: int) -> nx.MultiGraph:
+        ids = list(graph.external)
+        pins = {ids[p]: i for i, p in enumerate(path)}
+        pins.setdefault(ids[mark], -1)
+        g = nx_graph(graph)
+        for v in g:
+            g.nodes[v]["pin"] = (g.nodes[v]["external"], pins.get(v))
+        return g
+    return nx.is_isomorphic(pinned(a), pinned(b), node_match=categorical_node_match("pin", None),
+                            edge_match=categorical_multiedge_match("internal", None))
+
+
+def prism(k: int, legs: list[int]) -> FeynmanGraph:
+    """Two k-cycles joined by k rungs."""
+    return FeynmanGraph.build(2 * k, [(i, (i + 1) % k) for i in range(k)]
+                              + [(k + i, k + (i + 1) % k) for i in range(k)]
+                              + [(i, k + i) for i in range(k)], legs=legs)
+
+
+PRUNED = {"K3,3": complete_bipartite(3), "K4": complete(4), "necklace5": necklace(5, False),
+          "prism4": prism(4, []), "prism4-legs": prism(4, list(range(8))),
+          "petersen": FeynmanGraph.build(10, [(i, (i + 1) % 5) for i in range(5)]
+                                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                         + [(i, 5 + i) for i in range(5)])}
+
+
+class TestPruning:
+    @pytest.mark.parametrize("name", sorted(PRUNED))
+    def test_orbits_come_from_automorphisms_that_fix_the_path(self, name, monkeypatch):
+        """Each node prunes by orbits under automorphisms that fix its path:
+        every pair of vertices joined in a node's orbit forest is mapped one
+        onto the other by such an automorphism (found by networkx), although
+        the search records automorphisms that move the path too."""
+        graph = PRUNED[name]
+        join = feyngraph._join_orbits
+        moving = []
+        checked: dict = {}
+
+        def checked_join(root, automorphisms, path):
+            join(root, automorphisms, path)
+            moving.extend(g for g in automorphisms if any(g[p] != p for p in path))
+            orbits = defaultdict(list)
+            for u in range(len(root)):
+                orbits[feyngraph._find(root, u)].append(u)
+            for orbit in orbits.values():
+                for b in orbit[1:]:
+                    key = (tuple(path), orbit[0], b)
+                    if key not in checked:
+                        checked[key] = fixes_path_and_maps(graph, path, orbit[0], b)
+                    assert checked[key], key
+
+        monkeypatch.setattr(feyngraph, "_join_orbits", checked_join)
+        assert feyngraph._canonical_form(graph) == oracle_canonical_form(graph)
+        assert moving and any(checked.values())
 
 
 class TestAgainstNetworkx:

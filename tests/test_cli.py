@@ -15,8 +15,8 @@ from confeyn.cli import (BETA_MAX_DEGREE, DIVISORS_MAX_K, DIVISORS_MAX_N, EXPAND
                          EXPAND_MAX_ELL, EXPAND_MAX_GEGEN_CAP, EXPAND_MAX_RADIAL,
                          GEGEN_MAX_D, GEGEN_MAX_ELL, GEGEN_MAX_LAMBDA, GEGEN_MAX_M,
                          GEGEN_MAX_N, GRAPH_MAX_INTERNAL_EDGES, GRAPH_MAX_VERTICES,
-                         PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_VERTICES,
-                         main)
+                         PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_INTERNAL_EDGES,
+                         RENORM_MAX_VERTICES, main)
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 from test_acceptance import GOLDENS, golden_suite
@@ -371,18 +371,19 @@ class TestArgumentCaps:
 
     @pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=lambda c: c[0])
     def test_graph_size_is_capped(self, command, tmp_path, capsys):
-        # a ring of 16 vertices with a leg on each, then one leg more; a banana
-        # of 25 edges, then 26
+        # a ring of 8 vertices with a leg on each, then one leg more; a banana
+        # at the command's internal edge cap, then with one edge more
         ring = list(range(GRAPH_MAX_VERTICES // 2))
+        edge_cap = (RENORM_MAX_INTERNAL_EDGES if command[0] in ("renorm", "beta")
+                    else GRAPH_MAX_INTERNAL_EDGES)
         cases = [
             (FeynmanGraph.build(len(ring), [(i, (i + 1) % len(ring)) for i in ring], legs=ring),
              FeynmanGraph.build(len(ring), [(i, (i + 1) % len(ring)) for i in ring],
                                 legs=ring + [0]),
              f"vertex count {GRAPH_MAX_VERTICES + 1} exceeds the maximum {GRAPH_MAX_VERTICES}"),
-            (FeynmanGraph.build(2, [(0, 1)] * GRAPH_MAX_INTERNAL_EDGES),
-             FeynmanGraph.build(2, [(0, 1)] * (GRAPH_MAX_INTERNAL_EDGES + 1)),
-             f"internal edge count {GRAPH_MAX_INTERNAL_EDGES + 1} exceeds the maximum "
-             f"{GRAPH_MAX_INTERNAL_EDGES}")]
+            (FeynmanGraph.build(2, [(0, 1)] * edge_cap),
+             FeynmanGraph.build(2, [(0, 1)] * (edge_cap + 1)),
+             f"internal edge count {edge_cap + 1} exceeds the maximum {edge_cap}")]
         for at_cap, above, message in cases:
             for graph, code in ((at_cap, 0), (above, 2)):
                 path = tmp_path / "graphs.json"
