@@ -38,14 +38,19 @@ Numeric evaluation rests on the exact identity G_m(r) = m^(2 lam) g(m r):
 the mass exponent of every term is 2 lam plus its radial exponent, and
 log m only enters through log(m r).  The first evaluation of an edge factor
 at a weight lam and :class:`TruncationOrders` checks this in exact
-arithmetic, term by term, and compiles one float kernel, which is cached;
-after that an edge costs one cache lookup and float arithmetic, with no
-symbolic coefficient bound.  With z = m r, the Taylor edge is
+arithmetic, term by term, and compiles one float kernel, which is cached
+and binds no symbolic coefficient.  With z = m r, the Taylor edge is
 r^(-2 lam) [A(z) + log(z) B(z)] for two polynomials evaluated by Horner's
 rule, and the asymptotic edge is m^(2 lam) z^(-lam-1/2) e^(-z) P(1/z).  The
 Gegenbauer edge is rho^(-2 lam) [P(zeta) + log(zeta) Q(zeta)] at zeta = m rho,
 where each coefficient of P and Q is a float row dotted with one basis
 u^n C_d^(lam)(cos) built per edge, C by the three-term recurrence.
+
+:func:`amplitude_truncated_eval` does its fixed work once per call: a cached
+plan checks lam and binds the method's edge function (a compiled kernel, or
+the Macdonald kernel for direct); each vertex is checked (D finite floats) and
+its norm taken once.  An edge costs its separation, the mass lookup and the
+edge function, which checks the mass; a non-finite factor or product raises.
 
 The complex-case kernel in dimension D coincides with the real kernel at
 weight D - 1 (its prefactor is (2 pi)^-D and the Macdonald order is D - 1),
@@ -58,11 +63,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul, sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .exact import SymbolicCoeff
 from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
@@ -105,9 +110,10 @@ class EdgeGeometry:
             raise ValueError("cos out of range")
 
     @classmethod
-    def from_points(cls, xs: Sequence[float], xt: Sequence[float]) -> "EdgeGeometry":
-        ns = math.sqrt(sum(map(mul, xs, xs)))
-        nt = math.sqrt(sum(map(mul, xt, xt)))
+    def from_points(cls, xs: Sequence[float], xt: Sequence[float],
+                    ns: float | None = None, nt: float | None = None) -> "EdgeGeometry":
+        ns = _norm(xs) if ns is None else ns
+        nt = _norm(xt) if nt is None else nt
         rho, r = max(ns, nt), min(ns, nt)
         if r == 0.0:
             return cls(rho, 0.0, 0.0)
@@ -117,6 +123,10 @@ class EdgeGeometry:
     @property
     def u(self) -> float:
         return self.r / self.rho
+
+
+def _norm(x: Sequence[float]) -> float:
+    return math.sqrt(sum(map(mul, x, x)))
 
 
 @dataclass(frozen=True)
@@ -406,14 +416,22 @@ def _bracket(lam2: float, step: int, plain: Sequence[float], log: Sequence[float
              s: float, m: float) -> float:
     """s^(-2 lam) [P(z) + log(z) Q(z)] at z = m s, that is m^(2 lam) g(m s),
     for P and Q given by their coefficients of 1, z^step, z^(2 step), ..."""
-    if not m >= 0:
-        raise ValueError(f"mass must be >= 0, got {m}")
+    if not 0 <= m < math.inf:
+        raise ValueError(f"mass must be >= 0 and finite, got {m}")
     z = m * s
-    w = z ** step
-    value = _horner(plain, w)
-    if log:
-        value += math.log(z) * _horner(log, w)
-    return value * s ** -lam2
+    if log and not z > 0:
+        raise ValueError(f"log m needs m > 0, got m = {m} (m r = {z})")
+    try:
+        w = z ** step
+        value = _horner(plain, w)
+        if log:
+            value += math.log(z) * _horner(log, w)
+        value *= s ** -lam2
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # a power beyond the doubles
+        value = math.inf
+    raise ValueError(f"the edge factor at m = {m}, r = {s} is {value}, not a finite double")
 
 
 @lru_cache(maxsize=None)
@@ -454,13 +472,24 @@ def _asymptotic_kernel(lam, terms: int) -> tuple[float, float, tuple[float, ...]
     return float(2 * lam), float(lam + Fraction(1, 2)), tuple(coeffs)
 
 
+def _asymptotic(lam2: float, power: float, coeffs: Sequence[float], r: float, m: float
+                ) -> float:
+    """m^(2 lam) z^-(lam+1/2) e^-z P(1/z) at z = m r."""
+    if not 0 < m < math.inf:
+        raise ValueError(f"the asymptotic expansion needs a finite m > 0, got {m}")
+    z = m * r
+    try:
+        value = m ** lam2 * z ** -power * math.exp(-z) * _horner(coeffs, 1.0 / z)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        value = math.inf
+    raise ValueError(f"the edge factor at m = {m}, r = {r} is {value}, not a finite double")
+
+
 def edge_asymptotic_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
     """Truncated large-separation value of one edge factor."""
-    lam2, power, coeffs = _asymptotic_kernel(lam, orders.asym_terms)
-    if not m > 0:
-        raise ValueError(f"the asymptotic expansion needs m > 0, got {m}")
-    z = m * r
-    return m ** lam2 * z ** -power * math.exp(-z) * _horner(coeffs, 1.0 / z)
+    return _asymptotic(*_asymptotic_kernel(lam, orders.asym_terms), r, m)
 
 
 class _GegenKernel:
@@ -502,7 +531,7 @@ class _GegenKernel:
 
     def evaluate(self, geom: EdgeGeometry, m: float) -> float:
         if geom.r > 0 and geom.u >= 1.0:
-            raise DivergentRatioError("expansion needs r/rho < 1")
+            raise DivergentRatioError(f"expansion needs r/rho < 1, got {geom.u}")
         u = geom.u if geom.rho else 0.0
         u_pows = list(accumulate(repeat(u, self.n_max), mul, initial=1.0))
         c_vals = gegenbauer_table(self.lam, self.d_max, geom.cos)
@@ -541,6 +570,24 @@ def edge_gegenbauer_value(lam, geom: EdgeGeometry, m: float,
     return _gegen_kernel(lam, orders).evaluate(geom, m)
 
 
+@lru_cache(maxsize=None)
+def _edge_plan(lam, method: str, orders: TruncationOrders) -> tuple[int, Callable, bool]:
+    """The fixed work of an amplitude call: D, the edge function edge(r, m) of
+    ``method`` and whether it takes an :class:`EdgeGeometry` in place of r."""
+    lam = _check_lambda(lam)
+    D = int(2 * lam + 2)
+    if method == "direct":
+        from .propagators import _gm_real
+        return D, partial(_gm_real, D), False
+    if method == "taylor":
+        return D, partial(_bracket, *_taylor_kernel(lam, orders.ell_max)), False
+    if method == "asymptotic":
+        return D, partial(_asymptotic, *_asymptotic_kernel(lam, orders.asym_terms)), False
+    if method == "gegenbauer":
+        return D, _gegen_kernel(lam, orders).evaluate, True
+    raise ValueError(f"unknown method {method!r}")
+
+
 def amplitude_truncated_eval(graph: FeynmanGraph,
                              positions: dict[int, Sequence[float]],
                              masses: dict[int, float] | float,
@@ -552,32 +599,22 @@ def amplitude_truncated_eval(graph: FeynmanGraph,
 
     ``method`` is one of direct | taylor | asymptotic | gegenbauer.
     """
-    from .propagators import Kinematics, gm_real
-
-    # the edge functions take lam as given: their kernel caches check it once
-    D = int(2 * _check_lambda(lam) + 2)
-    orders = orders or TruncationOrders()
+    D, edge, angular = _edge_plan(lam, method, orders or TruncationOrders())
+    points = {}
+    for v in dict.fromkeys(v for e in graph.edges for v in (e.src, e.tgt)):
+        x = points[v] = tuple(map(float, positions[v]))
+        if len(x) != D or not all(map(math.isfinite, x)):
+            raise ValueError(f"vertex {v} needs D = {D} finite coordinates, got {x}")
+    norms = {v: _norm(x) for v, x in points.items()} if angular else {}
     total = 1.0
     for idx, e in enumerate(graph.edges):
-        xs = tuple(map(float, positions[e.src]))
-        xt = tuple(map(float, positions[e.tgt]))
+        xs, xt = points[e.src], points[e.tgt]
+        r = _norm(tuple(map(sub, xs, xt)))
+        if not 0 < r < math.inf:
+            raise ValueError(f"edge {idx} has {'coincident endpoints' if r == 0 else 'r = inf'}")
         m = masses if isinstance(masses, (int, float)) else masses[idx]
-        diff = tuple(map(sub, xs, xt))
-        r = math.sqrt(sum(map(mul, diff, diff)))
-        if r == 0.0:
-            raise ValueError(f"edge {idx} has coincident endpoints")
-        if method == "direct":
-            total *= gm_real(Kinematics(D, diff, m))
-        elif method == "taylor":
-            total *= edge_taylor_value(lam, r, m, orders)
-        elif method == "asymptotic":
-            total *= edge_asymptotic_value(lam, r, m, orders)
-        elif method == "gegenbauer":
-            geom = EdgeGeometry.from_points(xs, xt)
-            if geom.r > 0 and geom.u >= 1.0:
-                raise DivergentRatioError(
-                    f"edge {idx}: r/rho = {geom.u} is not < 1")
-            total *= edge_gegenbauer_value(lam, geom, m, orders)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        total *= edge(EdgeGeometry.from_points(xs, xt, norms[e.src], norms[e.tgt])
+                      if angular else r, m)
+    if not math.isfinite(total):
+        raise ValueError(f"the amplitude, a product of finite edge factors, is {total}")
     return total

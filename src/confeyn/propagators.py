@@ -96,13 +96,13 @@ def _require_off_diagonal(k: Kinematics) -> float:
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles
 
 
-def _normal_product(name: str, k: Kinematics, factors: Sequence[tuple[float, float]],
-                    bessel: float = 1.0) -> float:
+def _normal_product(name: str, D: int, m: float, r: float,
+                    factors: Sequence[tuple[float, float]], bessel: float = 1.0) -> float:
     """The product of base ** exponent over ``factors`` (positive bases),
     times the value ``bessel`` of K_nu: computed as that product, in order,
     when every factor and every partial product are normal doubles, and as
     exp of the summed logs otherwise.  Raises ValueError when K_nu or the
-    value of ``name`` at ``k`` is outside the normal doubles."""
+    value of ``name`` at (D, m, r) is outside the normal doubles."""
     value = 1.0
     try:
         for base, e in factors:
@@ -116,7 +116,7 @@ def _normal_product(name: str, k: Kinematics, factors: Sequence[tuple[float, flo
                 return value
     except OverflowError:  # a factor beyond the doubles
         pass
-    what = f"|{name}| at D = {k.D}, m = {k.m}, r = {k.r}"
+    what = f"|{name}| at D = {D}, m = {m}, r = {r}"
     if not _TINY <= bessel <= _HUGE:
         raise ValueError(f"{what}: K_nu = {bessel} is outside the normal doubles")
     log_value = sum(e * math.log(base) for base, e in factors) + math.log(bessel)
@@ -132,19 +132,22 @@ def _normal_product(name: str, k: Kinematics, factors: Sequence[tuple[float, flo
 def g0_real(k: Kinematics) -> float:
     """Massless propagator ||x||^(2-D)."""
     r = _require_off_diagonal(k)
-    return _normal_product("g0_real", k, ((r, 2 - k.D),))
+    return _normal_product("g0_real", k.D, k.m, r, ((r, 2 - k.D),))
 
 
 def gm_real(k: Kinematics) -> float:
     """Massive propagator via the Macdonald function."""
-    r = _require_off_diagonal(k)
-    if k.m <= 0:
-        raise ValueError("gm_real requires m > 0")
-    nu = (k.D - 2) / 2.0
-    z = k.m * r
-    return _normal_product("gm_real", k,
-                           ((2 * math.pi, -k.D / 2.0), (k.m, k.D - 2), (z, -nu)),
-                           bessel_k(nu, z))
+    return _gm_real(k.D, _require_off_diagonal(k), k.m)
+
+
+def _gm_real(D: int, r: float, m: float) -> float:
+    """gm_real at D and r > 0 as :class:`Kinematics` checks them; checks m."""
+    if not 0 < m < math.inf:
+        raise ValueError(f"gm_real requires a finite m > 0, got {m}")
+    nu = (D - 2) / 2.0
+    z = m * r
+    return _normal_product("gm_real", D, m, r,
+                           ((2 * math.pi, -D / 2.0), (m, D - 2), (z, -nu)), bessel_k(nu, z))
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,7 @@ def g0_complex(k: Kinematics) -> ComplexPhase:
     """
     r = _require_off_diagonal(k)
     D = k.D
-    magnitude = _normal_product("g0_complex", k, (
+    magnitude = _normal_product("g0_complex", D, k.m, r, (
         (math.factorial(D - 2), 1), (2 * math.pi, -D), (r, 2 - 2 * D)))
     # -1/i^D = i^(2-D mod 4)
     return ComplexPhase(magnitude, (2 - D) % 4)
@@ -216,7 +219,7 @@ def gm_complex(k: Kinematics) -> float:
     if k.m <= 0:
         raise ValueError("gm_complex requires m > 0")
     nu = k.D - 1
-    return _normal_product("gm_complex", k,
+    return _normal_product("gm_complex", k.D, k.m, r,
                            ((2 * math.pi, -k.D), (k.m, nu), (r, -nu)), bessel_k(nu, k.m * r))
 
 

@@ -7,6 +7,7 @@ linearization route used by the implementation, and compares exactly.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -481,6 +482,19 @@ class TestEdgeKernels:
             with pytest.raises(ValueError, match="mass must be >= 0"):
                 value()
 
+    def test_edges_beyond_the_doubles_raise(self):
+        # each of these once returned -inf or nan, or raised OverflowError
+        orders = TruncationOrders(radial=6, ell_max=3, asym_terms=4)
+        geom = EdgeGeometry(rho=1.0, r=0.3, cos=0.2)
+        for value in (lambda: edge_taylor_value(F(1, 2), 0.9, 1e300, orders),
+                      lambda: edge_taylor_value(1, 0.9, 1e300, orders),
+                      lambda: edge_taylor_value(1, 0.9, math.inf, orders),
+                      lambda: edge_asymptotic_value(1, 0.9, 1e300, orders),
+                      lambda: edge_asymptotic_value(1, 0.9, math.inf, orders),
+                      lambda: edge_gegenbauer_value(F(1, 2), geom, 1e300, orders)):
+            with pytest.raises(ValueError):
+                value()
+
     def test_invalid_lambda_is_never_cached(self):
         for _ in range(2):
             for lam in (0, F(1, 3), -1):
@@ -587,6 +601,140 @@ class TestAmplitudeEval:
         for method in ("direct", "taylor", "asymptotic", "gegenbauer"):
             with pytest.raises(ValueError, match="coincident"):
                 amplitude_truncated_eval(g, pos, 0.1, 1, method)
+
+
+# name -> (internal vertices, internal edges)
+LOOP_GRAPHS = {
+    "banana": (2, [(0, 1), (0, 1), (0, 1)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    "square": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "doubled_triangle": (3, [(0, 1), (0, 1), (0, 2), (2, 1)]),
+}
+METHODS = ("direct", "taylor", "asymptotic", "gegenbauer")
+
+
+def seeded_case(name: str, D: int, seed: int):
+    """The graph, seeded positions and one mass per edge.  Each vertex norm is
+    0.3-0.55 times the one before, so every edge has r/rho < 1."""
+    rng = random.Random(f"{name}/{D}/{seed}")
+    nv, edges = LOOP_GRAPHS[name]
+    norm, pos = rng.uniform(0.8, 1.2), {}
+    for v in range(nv):
+        direction = [rng.gauss(0.0, 1.0) for _ in range(D)]
+        scale = norm / math.sqrt(sum(c * c for c in direction))
+        pos[v] = [c * scale for c in direction]
+        norm *= rng.uniform(0.3, 0.55)
+    masses = {i: rng.uniform(0.5, 1.5) for i in range(len(edges))}
+    return FeynmanGraph.build(nv, edges), pos, masses
+
+
+def edge_by_edge(graph, pos, masses, lam, method, orders) -> float:
+    """The product, in edge order, of the public per-edge functions."""
+    D = int(2 * lam + 2)
+    total = 1.0
+    for idx, e in enumerate(graph.edges):
+        xs, xt = tuple(map(float, pos[e.src])), tuple(map(float, pos[e.tgt]))
+        diff = tuple(a - b for a, b in zip(xs, xt))
+        r = math.sqrt(sum(c * c for c in diff))
+        m = masses if isinstance(masses, float) else masses[idx]
+        if method == "direct":
+            total *= gm_real(Kinematics(D, diff, m))
+        elif method == "taylor":
+            total *= edge_taylor_value(lam, r, m, orders)
+        elif method == "asymptotic":
+            total *= edge_asymptotic_value(lam, r, m, orders)
+        else:
+            total *= edge_gegenbauer_value(lam, EdgeGeometry.from_points(xs, xt), m, orders)
+    return total
+
+
+ONE_EDGE = FeynmanGraph.build(2, [(0, 1)])
+NEAR_4D = {0: (1.0, 0.0, 0.0, 0.0), 1: (0.1, 0.2, 0.0, 0.0)}
+
+
+class TestAmplitudeLoop:
+    """The per-call plan of amplitude_truncated_eval: the same floats as the
+    public edge functions, no per-edge set-up when warm, and one refusal of
+    bad input for every method."""
+
+    @pytest.mark.parametrize("name", LOOP_GRAPHS)
+    @pytest.mark.parametrize("D", (3, 4, 6))
+    def test_equals_the_product_of_edge_functions(self, name, D):
+        lam = F(D - 2, 2)
+        orders = TruncationOrders(radial=10, ell_max=4, asym_terms=5)
+        for seed in range(3):
+            graph, pos, masses = seeded_case(name, D, seed)
+            for method in METHODS:
+                for mass in (masses, masses[0]):
+                    want = edge_by_edge(graph, pos, mass, lam, method, orders)
+                    got = amplitude_truncated_eval(graph, pos, mass, lam, method, orders)
+                    assert got == want, (seed, method, mass)
+
+    def test_warm_calls_build_no_kinematics_and_bind_nothing(self, monkeypatch):
+        built, bound = [], []
+        init, bind = Kinematics.__post_init__, SymbolicCoeff.bind
+        monkeypatch.setattr(Kinematics, "__post_init__",
+                            lambda self: built.append(self) or init(self))
+        monkeypatch.setattr(SymbolicCoeff, "bind",
+                            lambda self, m=None: bound.append(m) or bind(self, m))
+        orders = TruncationOrders(radial=6, ell_max=2, asym_terms=4)
+        graph, pos, masses = seeded_case("doubled_triangle", 5, 0)
+        for method in METHODS:
+            amplitude_truncated_eval(graph, pos, masses, F(3, 2), method, orders)
+            built.clear()
+            bound.clear()
+            amplitude_truncated_eval(graph, pos, masses, F(3, 2), method, orders)
+            assert built == [] and bound == [], method
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_wrong_length_or_non_finite_positions_refused(self, method):
+        # 3 and 5 coordinates at D = 4 once gave a value for all but direct;
+        # nan gave nan for taylor and asymptotic
+        for pos in ({0: (1.0, 0.0, 0.0), 1: (0.1, 0.2, 0.0)},
+                    {0: (1.0, 0.0, 0.0, 0.0, 0.0), 1: (0.1, 0.2, 0.0, 0.0, 0.0)},
+                    {0: (1.0, 0.0, 0.0, math.nan), 1: (0.1, 0.2, 0.0, 0.0)},
+                    {0: (1.0, 0.0, 0.0, 0.0), 1: (0.1, math.inf, 0.0, 0.0)}):
+            with pytest.raises(ValueError, match="needs D = 4 finite coordinates"):
+                amplitude_truncated_eval(ONE_EDGE, pos, 1.0, 1, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_infinite_mass_refused(self, method):
+        with pytest.raises(ValueError, match="finite"):
+            amplitude_truncated_eval(ONE_EDGE, NEAR_4D, math.inf, 1, method)
+
+    @pytest.mark.parametrize("method", ("taylor", "gegenbauer"))
+    def test_edge_factor_beyond_the_doubles_refused(self, method):
+        # lam = 1/2, m = 1e300 once returned -inf
+        pos = {0: (1.0, 0.0, 0.0), 1: (0.1, 0.2, 0.0)}
+        with pytest.raises(ValueError, match="not a finite double"):
+            amplitude_truncated_eval(ONE_EDGE, pos, 1e300, F(1, 2), method)
+
+    @pytest.mark.parametrize("method", ("taylor", "asymptotic", "gegenbauer"))
+    def test_overflowing_power_is_a_value_error(self, method):
+        # lam = 1, m = 1e300: z ** k once raised OverflowError
+        with pytest.raises(ValueError, match="not a finite double"):
+            amplitude_truncated_eval(ONE_EDGE, NEAR_4D, 1e300, 1, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_infinite_separation_refused(self, method):
+        # vertices at 1e200 once gave nan (taylor, gegenbauer) and 0.0 (asymptotic)
+        pos = {0: (1e200, 0.0, 0.0, 0.0), 1: (0.0, 1e200, 0.0, 0.0)}
+        with pytest.raises(ValueError, match="edge 0 has r = inf"):
+            amplitude_truncated_eval(ONE_EDGE, pos, 1.0, 1, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_product_beyond_the_doubles_refused(self, method):
+        # two finite edge factors of about 1e198 whose product is inf
+        graph = FeynmanGraph.build(2, [(0, 1), (0, 1)])
+        pos = {0: (0.0,) * 6, 1: (1e-50,) + (0.0,) * 5}
+        with pytest.raises(ValueError, match="finite"):
+            amplitude_truncated_eval(graph, pos, 1.0, 2, method)
+
+    @pytest.mark.parametrize("method", ("taylor", "gegenbauer"))
+    def test_massless_log_terms_name_the_cause(self, method):
+        # integer lam at m = 0 once raised a bare "math domain error"
+        with pytest.raises(ValueError, match="log m needs m > 0"):
+            amplitude_truncated_eval(ONE_EDGE, NEAR_4D, 0.0, 1, method)
 
 
 class TestEdgeGeometry:
