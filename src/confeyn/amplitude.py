@@ -61,6 +61,7 @@ so every expansion here covers the complex case by passing lam = D - 1; see
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -474,17 +475,19 @@ def _asymptotic_kernel(lam, terms: int) -> tuple[float, float, tuple[float, ...]
 
 def _asymptotic(lam2: float, power: float, coeffs: Sequence[float], r: float, m: float
                 ) -> float:
-    """m^(2 lam) z^-(lam+1/2) e^-z P(1/z) at z = m r."""
+    """m^(2 lam) z^-(lam+1/2) e^-z P(1/z) at z = m r, refused where e^-z
+    underflows as where a factor overflows."""
     if not 0 < m < math.inf:
         raise ValueError(f"the asymptotic expansion needs a finite m > 0, got {m}")
     z = m * r
     try:
         value = m ** lam2 * z ** -power * math.exp(-z) * _horner(coeffs, 1.0 / z)
-        if math.isfinite(value):
+        if math.isfinite(value) and abs(value) >= sys.float_info.min:
             return value
     except OverflowError:
         value = math.inf
-    raise ValueError(f"the edge factor at m = {m}, r = {r} is {value}, not a finite double")
+    raise ValueError(f"the edge factor at m = {m}, r = {r} is {value}, "
+                     "not a finite double of normal magnitude")
 
 
 def edge_asymptotic_value(lam, r: float, m: float, orders: TruncationOrders) -> float:

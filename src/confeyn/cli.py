@@ -5,11 +5,9 @@ renorm, beta, divisors.  Payloads are JSON files (or inline); output is JSON
 with sorted keys, rationals as strings, and floats rendered with 17
 significant digits, so identical inputs give byte-identical output.
 
-Numeric defaults (quadrature points, truncation orders, toy-character seeds)
-may be overridden by a JSON file named by the CONFEYN_CONFIG environment
-variable; explicit flags always win.  Every size argument has a documented
-maximum (the ``*_MAX_*`` constants below), checked in its handler so that
-configured values are capped too.
+Every size argument has a documented maximum (the ``*_MAX_*`` constants
+below), checked by its argparse type as the argument is parsed; the sizes of
+the graphs in a ``--graphs`` file are checked as the file is loaded.
 
 Exit codes: 0 success, 2 validation error, 3 numeric non-convergence,
 64 unknown subcommand.
@@ -34,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -140,24 +137,42 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _check_max(flag: str, value, maximum) -> None:
-    if value is not None and value > maximum:
-        raise ValueError(f"{flag} {value} exceeds the maximum {maximum}")
+def _check_max(what: str, value: int, maximum: int) -> None:
+    if value > maximum:
+        raise ValueError(f"{what} {value} exceeds the maximum {maximum}")
 
 
-def _fraction_arg(flag: str, text: str | None, maximum: int) -> Fraction:
-    """A rational such as 3/2 or 1.5, at most ``maximum`` in absolute value and
-    in denominator.  The exponent form is refused: Fraction('1e10000000')
-    alone builds a ten-million-digit integer."""
-    if text is None:
-        raise ValueError(f"{flag} is required")
-    if len(text) > 64 or "e" in text.lower():
-        raise ValueError(f"{flag} must be a rational such as 3/2, got {text[:64]!r}")
-    value = Fraction(text)
-    if abs(value) > maximum or value.denominator > maximum:
-        raise ValueError(f"{flag} {text} exceeds the maximum {maximum} "
-                         "in absolute value or denominator")
-    return value
+def _int_arg(maximum: int):
+    """The argparse type of an integer at most ``maximum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer at most {maximum}, got {text!r}") from None
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the maximum {maximum}")
+        return value
+    return parse
+
+
+def _fraction_arg(maximum: int):
+    """The argparse type of a rational such as 3/2 or 1.5, at most ``maximum``
+    in absolute value and in denominator.  The exponent form is refused:
+    Fraction('1e10000000') alone builds a ten-million-digit integer."""
+    def parse(text: str) -> Fraction:
+        try:
+            if len(text) > 64 or "e" in text.lower():
+                raise ValueError
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"must be a rational such as 3/2, got {text[:64]!r}") from None
+        if abs(value) > maximum or value.denominator > maximum:
+            raise argparse.ArgumentTypeError(
+                f"{text} exceeds the maximum {maximum} in absolute value or denominator")
+        return value
+    return parse
 
 
 # -- graph files --------------------------------------------------------------
@@ -198,10 +213,6 @@ def _monomial_names(mono, registry: dict[str, dict]) -> list[str]:
 def _cmd_prop_eval(args) -> dict:
     from . import propagators
 
-    if args.quad_points < 2:
-        raise ValueError(f"--quad-points must be at least 2, got {args.quad_points}")
-    _check_max("--quad-points", args.quad_points, QUAD_MAX_POINTS)
-    _check_max("--D", args.D, PROP_MAX_D)
     if args.x:
         x = tuple(float(c) for c in args.x.split(","))
         k = propagators.Kinematics(args.D, x, args.m)
@@ -213,8 +224,7 @@ def _cmd_prop_eval(args) -> dict:
     elif kind == "g0":
         value = propagators.g0_real(k)
     elif kind == "gm-integral":
-        quad = propagators.QuadratureConfig(points=args.quad_points)
-        value = propagators.gm_integral(k, quad)
+        value = propagators.gm_integral(k, args.quad_points)
     elif kind == "gm-complex":
         value = propagators.gm_complex(k)
     elif kind == "g0-complex":
@@ -233,31 +243,27 @@ def _cmd_prop_eval(args) -> dict:
 def _cmd_prop_expand(args) -> dict:
     from . import amplitude, specfun
 
-    _check_max("--radial", args.radial, EXPAND_MAX_RADIAL)
-    _check_max("--gegen-cap", args.gegen_cap, EXPAND_MAX_GEGEN_CAP)
-    _check_max("--D", args.D, EXPAND_MAX_D)
-    ell = _fraction_arg("--ell", args.ell, EXPAND_MAX_ELL)
     if args.case == "complex":
         lam = amplitude.complex_case_weight(args.D)
     else:
         lam = specfun.as_half_integer(Fraction(args.D - 2, 2), "lambda")
     if args.method == "taylor":
-        term = amplitude.taylor_term_coefficient(ell, lam)
-        return {"method": "taylor", "ell": str(ell),
+        term = amplitude.taylor_term_coefficient(args.ell, lam)
+        return {"method": "taylor", "ell": str(args.ell),
                 "branch": "power" if term.coeff_log.is_zero() else "log",
                 "r_exponent": str(term.r_exponent),
                 "coeff_const": term.coeff_const.to_json(),
                 "coeff_log": term.coeff_log.to_json()}
     if args.method == "asymptotic":
-        term = amplitude.asymptotic_term_coefficient(ell, lam)
-        return {"method": "asymptotic", "ell": args.ell,
+        term = amplitude.asymptotic_term_coefficient(args.ell, lam)
+        return {"method": "asymptotic", "ell": str(args.ell),
                 "r_exponent": str(term.r_exponent),
                 "coeff": term.coeff.to_json(),
                 "exponential_factor": "exp(-m*r)"}
     if args.method == "gegenbauer":
         orders = amplitude.TruncationOrders(radial=args.radial, gegen=args.gegen_cap)
-        expansion = amplitude.edge_gegenbauer_expansion(ell, lam, orders)
-        return {"method": "gegenbauer", "ell": str(ell),
+        expansion = amplitude.edge_gegenbauer_expansion(args.ell, lam, orders)
+        return {"method": "gegenbauer", "ell": str(args.ell),
                 "expansion": expansion.to_json()}
     raise ValueError(f"unknown method {args.method!r}")
 
@@ -265,12 +271,11 @@ def _cmd_prop_expand(args) -> dict:
 def _cmd_gegen(args) -> dict:
     from . import gegenbauer
 
-    _check_max("--n", args.n, GEGEN_MAX_N)
-    _check_max("--m", args.m, GEGEN_MAX_M)
-    _check_max("--D", args.D, GEGEN_MAX_D)
     if args.op == "zonal":
         return {"value": gegenbauer.zonal_coefficient(args.D, args.n).scalar_json()}
-    lam = _fraction_arg("--lambda", args.lam, GEGEN_MAX_LAMBDA)
+    lam = args.lam
+    if lam is None:
+        raise ValueError("--lambda is required")
     if args.op == "generating":
         return {"value": gegenbauer.generating_series_coeff(lam, args.n, args.x)}
     if args.op == "coeffs":
@@ -280,8 +285,9 @@ def _cmd_gegen(args) -> dict:
     elif args.op == "chebyshev":
         coeffs = gegenbauer.chebyshev_to_gegenbauer(args.n, lam)
     elif args.op == "reproject":
-        ell = _fraction_arg("--ell", args.ell, GEGEN_MAX_ELL)
-        coeffs = gegenbauer.reproject_gegenbauer(ell, args.n, lam)
+        if args.ell is None:
+            raise ValueError("--ell is required")
+        coeffs = gegenbauer.reproject_gegenbauer(args.ell, args.n, lam)
     elif args.op == "product":
         coeffs = gegenbauer.product_linearize(args.n, args.m, lam)
     else:
@@ -346,7 +352,6 @@ def _laurent_character(algebra: HopfAlgebra, graphs, phi_path: str) -> Character
 def _make_pair(args, graphs) -> BirkhoffPair:
     from . import birkhoff, hopf
 
-    _check_max("--n-vertices", args.n_vertices, RENORM_MAX_VERTICES)
     for name, graph in graphs:
         _check_max(f"graph {name!r}: internal edge count", graph.degree(),
                    RENORM_MAX_INTERNAL_EDGES)
@@ -395,7 +400,6 @@ def _cmd_renorm(args) -> dict:
 def _cmd_beta(args) -> dict:
     from . import birkhoff, hopf
 
-    _check_max("--degree", args.degree, BETA_MAX_DEGREE)
     graphs = _load_graphs(args.graphs)
     pair = _make_pair(args, graphs)
     beta = birkhoff.beta_function(pair)
@@ -415,20 +419,18 @@ def _cmd_beta(args) -> dict:
 def _cmd_divisors(args) -> dict:
     from . import rotabaxter
 
-    _check_max("--n", args.n, DIVISORS_MAX_N)
-    _check_max("--k", args.k, DIVISORS_MAX_K)
     labels = rotabaxter.divisor_labels(args.n, args.k)
     return {"n": args.n, "k": args.k, "count": len(labels),
             "labels": [rotabaxter.label_str(l)
                        for l in sorted(labels, key=rotabaxter.label_sort_key)]}
 
 
-def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="confeyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prop-eval", help="evaluate a propagator")
-    p.add_argument("--D", type=int, required=True, help=f"at most {PROP_MAX_D}")
+    p.add_argument("--D", type=_int_arg(PROP_MAX_D), required=True, help=f"at most {PROP_MAX_D}")
     p.add_argument("--m", type=float, default=0.0)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--x", type=str, default=None, help="comma-separated separation vector")
@@ -438,19 +440,21 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--mu", type=int, default=0)
     p.add_argument("--nu", type=int, default=0)
-    p.add_argument("--quad-points", type=int, default=1600,
+    p.add_argument("--quad-points", type=_int_arg(QUAD_MAX_POINTS), default=1600,
                    help=f"2 to {QUAD_MAX_POINTS}")
     p.set_defaults(func=_cmd_prop_eval)
 
     p = sub.add_parser("prop-expand", help="expansion coefficients of an edge factor")
-    p.add_argument("--D", type=int, required=True, help=f"at most {EXPAND_MAX_D}")
+    p.add_argument("--D", type=_int_arg(EXPAND_MAX_D), required=True,
+                   help=f"at most {EXPAND_MAX_D}")
     p.add_argument("--case", default="real", choices=["real", "complex"])
     p.add_argument("--method", default="taylor",
                    choices=["taylor", "asymptotic", "gegenbauer"])
-    p.add_argument("--ell", type=str, required=True,
-                   help=f"at most {EXPAND_MAX_ELL} in absolute value")
-    p.add_argument("--radial", type=int, default=24, help=f"at most {EXPAND_MAX_RADIAL}")
-    p.add_argument("--gegen-cap", type=int, default=None,
+    p.add_argument("--ell", type=_fraction_arg(EXPAND_MAX_ELL), required=True,
+                   help=f"at most {EXPAND_MAX_ELL} in absolute value and denominator")
+    p.add_argument("--radial", type=_int_arg(EXPAND_MAX_RADIAL), default=24,
+                   help=f"at most {EXPAND_MAX_RADIAL}")
+    p.add_argument("--gegen-cap", type=_int_arg(EXPAND_MAX_GEGEN_CAP), default=None,
                    help=f"at most {EXPAND_MAX_GEGEN_CAP}")
     p.set_defaults(func=_cmd_prop_expand)
 
@@ -458,15 +462,15 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--op", required=True,
                    choices=["coeffs", "monomial", "chebyshev", "reproject",
                             "product", "zonal", "generating"])
-    p.add_argument("--lambda", dest="lam", type=str, default=None,
+    p.add_argument("--lambda", dest="lam", type=_fraction_arg(GEGEN_MAX_LAMBDA), default=None,
                    help=f"a rational; at most {GEGEN_MAX_LAMBDA} in absolute value and "
                         "denominator; every op but zonal needs it")
-    p.add_argument("--n", type=int, default=0, help=f"at most {GEGEN_MAX_N}")
-    p.add_argument("--m", type=int, default=0, help=f"at most {GEGEN_MAX_M}")
-    p.add_argument("--ell", type=str, default=None,
+    p.add_argument("--n", type=_int_arg(GEGEN_MAX_N), default=0, help=f"at most {GEGEN_MAX_N}")
+    p.add_argument("--m", type=_int_arg(GEGEN_MAX_M), default=0, help=f"at most {GEGEN_MAX_M}")
+    p.add_argument("--ell", type=_fraction_arg(GEGEN_MAX_ELL), default=None,
                    help=f"source weight of reproject; at most {GEGEN_MAX_ELL} in absolute "
                         "value and denominator")
-    p.add_argument("--D", type=int, default=3, help=f"at most {GEGEN_MAX_D}")
+    p.add_argument("--D", type=_int_arg(GEGEN_MAX_D), default=3, help=f"at most {GEGEN_MAX_D}")
     p.add_argument("--x", type=float, default=0.0)
     p.set_defaults(func=_cmd_gegen)
 
@@ -478,42 +482,30 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.set_defaults(func=_cmd_graph_antipode)
 
-    p = sub.add_parser("renorm", help="Birkhoff factorization report")
-    p.add_argument("--target", required=True, choices=["laurent", "logform"])
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--phi", default=None, help="per-graph Laurent values (JSON)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-vertices", type=int, default=6,
-                   help=f"at most {RENORM_MAX_VERTICES}")
-    p.set_defaults(func=_cmd_renorm)
-
-    p = sub.add_parser("beta", help="beta function and universal-frame check")
-    p.add_argument("--target", required=True, choices=["laurent", "logform"])
-    p.add_argument("--graphs", required=True)
-    p.add_argument("--phi", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-vertices", type=int, default=6,
-                   help=f"at most {RENORM_MAX_VERTICES}")
-    p.add_argument("--degree", type=int, default=3, help=f"at most {BETA_MAX_DEGREE}")
-    p.set_defaults(func=_cmd_beta)
+    for name, text, func in (("renorm", "Birkhoff factorization report", _cmd_renorm),
+                             ("beta", "beta function and universal-frame check", _cmd_beta)):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--target", required=True, choices=["laurent", "logform"])
+        p.add_argument("--graphs", required=True)
+        p.add_argument("--phi", default=None, help="per-graph Laurent values (JSON)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--n-vertices", type=_int_arg(RENORM_MAX_VERTICES), default=6,
+                       help=f"at most {RENORM_MAX_VERTICES}")
+        p.set_defaults(func=func)
+    sub.choices["beta"].add_argument("--degree", type=_int_arg(BETA_MAX_DEGREE), default=3,
+                                     help=f"at most {BETA_MAX_DEGREE}")
 
     p = sub.add_parser("divisors", help="boundary divisor labels")
-    p.add_argument("--n", type=int, required=True, help=f"at most {DIVISORS_MAX_N}")
-    p.add_argument("--k", type=int, required=True, help=f"at most {DIVISORS_MAX_K}")
+    p.add_argument("--n", type=_int_arg(DIVISORS_MAX_N), required=True,
+                   help=f"at most {DIVISORS_MAX_N}")
+    p.add_argument("--k", type=_int_arg(DIVISORS_MAX_K), required=True,
+                   help=f"at most {DIVISORS_MAX_K}")
     p.set_defaults(func=_cmd_divisors)
 
     for name in SUBCOMMANDS:
         sub.choices[name].add_argument("--out", default=None,
                                        help="output path (default: stdout)")
-        if overrides:
-            sub.choices[name].set_defaults(
-                **{k: v for k, v in overrides.items() if k in _CONFIG_KEYS})
     return parser
-
-
-CONFIG_ENV = "CONFEYN_CONFIG"
-_CONFIG_KEYS = ("quad_points", "radial", "gegen_cap", "seed", "n_vertices",
-                "degree")
 
 
 def _nonconvergence_errors() -> tuple[type, ...]:
@@ -531,15 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv[0] not in SUBCOMMANDS:
         sys.stderr.write(USAGE)
         return 64
-    overrides = None
-    config_path = os.environ.get(CONFIG_ENV)
-    if config_path:
-        try:
-            overrides = _load_json(config_path)
-        except (OSError, json.JSONDecodeError) as exc:
-            sys.stderr.write(f"error reading {CONFIG_ENV}: {exc}\n")
-            return 2
-    parser = build_parser(overrides)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -187,30 +187,6 @@ class FeynmanGraph:
 
     # -- subgraphs and contraction --------------------------------------------
 
-    def edge_components(self, edge_indices: Iterable[int]) -> list[frozenset[int]]:
-        """Connected components (sharing a vertex) of an internal edge subset."""
-        edge_indices = list(edge_indices)
-        parent = {i: i for i in edge_indices}
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        by_vertex: dict[int, int] = {}
-        for i in edge_indices:
-            e = self.edges[i]
-            for v in (e.src, e.tgt):
-                if v in by_vertex:
-                    parent[find(i)] = find(by_vertex[v])
-                else:
-                    by_vertex[v] = i
-        groups: dict[int, set[int]] = {}
-        for i in edge_indices:
-            groups.setdefault(find(i), set()).add(i)
-        return [frozenset(g) for g in groups.values()]
-
     def component_graph(self, component: frozenset[int]) -> "FeynmanGraph":
         """The subgraph spanned by an internal-edge component, as a standalone
         graph (vertices relabelled 0..v-1, all internal)."""
@@ -266,9 +242,11 @@ class FeynmanGraph:
                 chosen = family + [edges]
                 selection = SubgraphSelection(frozenset().union(*chosen),
                                               tuple(sorted(chosen, key=sorted)))
-                # all internal edges contract to a graph without any: not 1PI
+                # the quotient of a valid graph by vertex-disjoint induced 1PI
+                # blocks is valid; all internal edges contract to a graph
+                # without any: not 1PI
                 quotient = self.contract(selection, _check_admissible=False)
-                if not quotient.validate() and quotient.is_1pi() and theory.allows(quotient):
+                if quotient.is_1pi() and theory.allows(quotient):
                     out.append((selection, quotient))
                 extend(j + 1, used | verts, chosen)
 
@@ -277,14 +255,17 @@ class FeynmanGraph:
 
     def contract(self, selection: "SubgraphSelection",
                  _check_admissible: bool = True) -> "FeynmanGraph":
-        """Collapse each component of the selection to a single internal vertex."""
-        if _check_admissible:
-            components = self.edge_components(selection.edge_indices)
-            if not all(self.component_graph(c).is_1pi() for c in components):
-                raise ValueError("selection components are not all 1PI")
+        """Collapse each component of the selection to a single internal vertex.
+        Raises ValueError unless the components are vertex-disjoint 1PI
+        subgraphs whose edges are the selection's."""
+        if _check_admissible and frozenset().union(*selection.components) != selection.edge_indices:
+            raise ValueError("selection components do not cover its edges")
         rep: dict[int, int] = {}
         for comp in selection.components:
             verts = {v for i in comp for v in (self.edges[i].src, self.edges[i].tgt)}
+            if _check_admissible and (verts & rep.keys()
+                                      or not self.component_graph(comp).is_1pi()):
+                raise ValueError("selection components are not vertex-disjoint 1PI subgraphs")
             target = min(verts)
             for v in verts:
                 rep[v] = target

@@ -150,25 +150,23 @@ def _gm_real(D: int, r: float, m: float) -> float:
                            ((2 * math.pi, -D / 2.0), (m, D - 2), (z, -nu)), bessel_k(nu, z))
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Trapezoid rule on u in [-L, L] after t = e^u, with refinement check;
-    L is chosen from m and r."""
-    points: int = 1600
-    target: float = 1e-10
+QUADRATURE_TARGET = 1e-10  # relative change of gm_integral when its step halves
 
 
-def gm_integral(k: Kinematics, quad: QuadratureConfig | None = None) -> float:
-    """Heat-kernel integral representation of the massive propagator.
+def gm_integral(k: Kinematics, points: int = 1600) -> float:
+    """Heat-kernel integral representation of the massive propagator: the
+    trapezoid rule with ``points`` (an int >= 2) steps on u in [-L, L] after
+    t = e^u, L chosen from m and r.
 
     Independent of the Bessel route; raises :class:`QuadratureError` with the
-    achieved estimate if the refinement check misses the target.
+    achieved estimate if the rule with half the steps differs by more than
+    QUADRATURE_TARGET.
     """
+    if not isinstance(points, int) or points < 2:
+        raise ValueError(f"gm_integral needs an integer points >= 2, got {points!r}")
     r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("gm_integral requires m > 0")
-    if quad is None:
-        quad = QuadratureConfig()
     # after t = e^u the integrand is exp((1 - D/2) u - m^2 e^u - (r^2/4) e^-u);
     # choose L so both exponential walls are far below double precision
     L = 6.0 + max(abs(math.log(45.0 / k.m ** 2)), abs(math.log(4 * 45.0 / r ** 2)))
@@ -184,10 +182,10 @@ def gm_integral(k: Kinematics, quad: QuadratureConfig | None = None) -> float:
                 total += w * math.exp(expo)
         return total * h * (4 * math.pi) ** (-k.D / 2.0)
 
-    coarse = scan(quad.points // 2)
-    fine = scan(quad.points)
+    coarse = scan(points // 2)
+    fine = scan(points)
     estimate = abs(fine - coarse) / max(abs(fine), 1e-300)
-    if estimate > quad.target:
+    if estimate > QUADRATURE_TARGET:
         raise QuadratureError("heat-kernel quadrature did not converge", estimate)
     return fine
 

@@ -8,8 +8,34 @@ with at most about 14 internal edges.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable
 
 from confeyn.feyngraph import FeynmanGraph, SubgraphSelection, TheoryProfile
+
+
+def edge_components(graph: FeynmanGraph, edge_indices: Iterable[int]) -> list[frozenset[int]]:
+    """Connected components (sharing a vertex) of an internal edge subset."""
+    edge_indices = list(edge_indices)
+    parent = {i: i for i in edge_indices}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    by_vertex: dict[int, int] = {}
+    for i in edge_indices:
+        e = graph.edges[i]
+        for v in (e.src, e.tgt):
+            if v in by_vertex:
+                parent[find(i)] = find(by_vertex[v])
+            else:
+                by_vertex[v] = i
+    groups: dict[int, set[int]] = {}
+    for i in edge_indices:
+        groups.setdefault(find(i), set()).add(i)
+    return [frozenset(g) for g in groups.values()]
 
 
 def scan_admissible_subgraphs(graph: FeynmanGraph, theory: TheoryProfile | None = None
@@ -22,7 +48,7 @@ def scan_admissible_subgraphs(graph: FeynmanGraph, theory: TheoryProfile | None 
     for size in range(1, len(internal)):
         for subset in combinations(internal, size):
             sel = frozenset(subset)
-            components = graph.edge_components(sel)
+            components = edge_components(graph, sel)
             if not all(graph.component_graph(c).is_1pi() for c in components):
                 continue
             selection = SubgraphSelection(sel, tuple(sorted(components, key=sorted)))
@@ -47,7 +73,7 @@ def scan_one_pi_vertex_sets(graph: FeynmanGraph) -> list[frozenset[int]]:
     seen: set[frozenset[int]] = set()
     for size in range(2, len(internal) + 1):
         for subset in combinations(internal, size):
-            comps = graph.edge_components(frozenset(subset))
+            comps = edge_components(graph, frozenset(subset))
             if len(comps) != 1:
                 continue
             comp = comps[0]

@@ -709,6 +709,16 @@ class TestAmplitudeLoop:
         with pytest.raises(ValueError, match="not a finite double"):
             amplitude_truncated_eval(ONE_EDGE, pos, 1e300, F(1, 2), method)
 
+    def test_underflowing_asymptotic_edge_refused(self):
+        # e^(-m r) underflows: asymptotic returned 0.0 where every other
+        # method refuses the edge
+        pos = {0: (0.92, 0.0, 0.0), 1: (0.0, 0.0, 0.0)}
+        for method in METHODS:
+            with pytest.raises(ValueError):
+                amplitude_truncated_eval(ONE_EDGE, pos, 1e300, F(1, 2), method)
+        with pytest.raises(ValueError, match="not a finite double of normal magnitude"):
+            amplitude_truncated_eval(ONE_EDGE, pos, 1e300, F(1, 2), "asymptotic")
+
     @pytest.mark.parametrize("method", ("taylor", "asymptotic", "gegenbauer"))
     def test_overflowing_power_is_a_value_error(self, method):
         # lam = 1, m = 1e300: z ** k once raised OverflowError

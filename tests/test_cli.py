@@ -134,6 +134,13 @@ class TestPropExpand:
         assert code == 0
         assert doc["r_exponent"] == "-5/2"
 
+    def test_ell_is_printed_as_a_rational_by_every_method(self, tmp_path):
+        # asymptotic printed the flag's text, "2.0"
+        for method in ("taylor", "asymptotic", "gegenbauer"):
+            code, doc = run_cli(["prop-expand", "--D", "4", "--method", method,
+                                 "--ell", "2.0", "--radial", "2"], tmp_path)
+            assert code == 0 and doc["ell"] == "2", method
+
     @pytest.mark.parametrize("flags", [
         ["--method", "gegenbauer", "--ell", "1", "--radial", "-3"],
         ["--method", "gegenbauer", "--ell", "1", "--radial", "4", "--gegen-cap", "-1"],
@@ -400,13 +407,26 @@ class TestArgumentCaps:
                            "--kind", "gm-integral", "--quad-points", "1"], tmp_path)
         assert code == 2
 
-    def test_configured_values_are_capped(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"radial": EXPAND_MAX_RADIAL + 1}))
-        monkeypatch.setenv("CONFEYN_CONFIG", str(cfg))
-        code, _ = run_cli(["prop-expand", "--D", "4", "--method", "gegenbauer",
-                           "--ell", "0"], tmp_path)
-        assert code == 2
+    def test_bounds_are_named_where_parsed(self, tmp_path, capsys):
+        for args, message in (
+                (["prop-eval", "--D", str(PROP_MAX_D + 1)],
+                 f"argument --D: {PROP_MAX_D + 1} exceeds the maximum {PROP_MAX_D}"),
+                (["beta", "--target", "logform", "--graphs", "g.json", "--degree", "2.5"],
+                 f"argument --degree: must be an integer at most {BETA_MAX_DEGREE}"),
+                (["gegen", "--op", "monomial", "--m", "2", "--lambda", "1/0"],
+                 "argument --lambda: must be a rational such as 3/2")):
+            assert run_cli(args, tmp_path)[0] == 2
+            assert message in capsys.readouterr().err
+
+    def test_unused_lambda_is_still_parsed(self, tmp_path, capsys):
+        # zonal needs no weight, and ignored a malformed one with exit 0
+        assert run_cli(["gegen", "--op", "zonal", "--lambda", "abc"], tmp_path)[0] == 2
+        assert "argument --lambda:" in capsys.readouterr().err
+
+    def test_config_file_is_not_read(self, tmp_path, monkeypatch):
+        # a CONFEYN_CONFIG naming a missing file once exited 2
+        monkeypatch.setenv("CONFEYN_CONFIG", str(tmp_path / "missing.json"))
+        assert run_cli(["divisors", "--n", "1", "--k", "0"], tmp_path)[0] == 0
 
 
 SRC = str(Path(confeyn.__file__).resolve().parent.parent)
@@ -560,20 +580,3 @@ class TestExitCodesAndGoldens:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"1": "1/2"}
-
-    def test_config_env_var(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"quad_points": 8}))
-        monkeypatch.setenv("CONFEYN_CONFIG", str(cfg))
-        # the configured coarse quadrature now fails to converge by default
-        code = main(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
-                     "--kind", "gm-integral", "--out", str(tmp_path / "o.json")])
-        assert code == 3
-        # explicit flags still win over the config file
-        code = main(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
-                     "--kind", "gm-integral", "--quad-points", "1600",
-                     "--out", str(tmp_path / "o2.json")])
-        assert code == 0
-        monkeypatch.setenv("CONFEYN_CONFIG", str(tmp_path / "missing.json"))
-        assert main(["divisors", "--n", "1", "--k", "0",
-                     "--out", str(tmp_path / "o3.json")]) == 2

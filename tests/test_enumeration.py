@@ -82,6 +82,17 @@ def test_fixed_set_quotients_carried(graph):
     assert_quotients_carried(graph)
 
 
+@pytest.mark.parametrize("graph", [pytest.param(g, id=f"family{i}")
+                                   for i, g in enumerate(generate_graph_family(4))]
+                         + [pytest.param(necklace(6), id="necklace6")])
+def test_carried_quotients_are_valid(graph):
+    # the enumeration does not validate its quotients: a valid graph divided
+    # by vertex-disjoint induced 1PI blocks is valid
+    for theory in THEORIES:
+        assert all(quotient.validate() == []
+                   for _, quotient in graph._admissible_pairs(theory))
+
+
 def test_scan_theory_filter_is_last():
     # the shortcut in assert_matches_scan agrees with a direct scan
     g = necklace(4)

@@ -200,6 +200,18 @@ class TestContraction:
         with pytest.raises(ValueError):
             g.contract(sel)
 
+    def test_listed_components_are_checked(self):
+        # two bananas in a chain with legs; the whole edge set listed as two
+        # components once collapsed to a disconnected 2-vertex quotient
+        g = FeynmanGraph.build(3, [(0, 1), (0, 1), (1, 2), (1, 2)], legs=[0, 2])
+        whole = frozenset(range(4))
+        with pytest.raises(ValueError, match="vertex-disjoint 1PI"):
+            g.contract(SubgraphSelection(whole, (frozenset({0, 1}), frozenset({2, 3}))))
+        with pytest.raises(ValueError, match="do not cover"):
+            g.contract(SubgraphSelection(whole, (frozenset({0, 1}),)))
+        q = g.contract(SubgraphSelection(whole, (whole,)))
+        assert q.internal_vertices() == [0] and q.validate() == []
+
     def test_external_structure_preserved(self):
         g = FeynmanGraph.build(3, [(0, 1), (0, 1), (0, 2), (2, 1)], legs=[2])
         sel = [s for s in g.admissible_subgraphs()

@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 
 from confeyn.propagators import (ComplexPhase, DiagonalError,
-                                 Kinematics, QuadratureConfig, QuadratureError,
+                                 Kinematics, QuadratureError,
                                  boson_propagator, diag_continuation,
                                  dirac_propagator, g0_complex, g0_real,
                                  gm_complex, gm_integral, gm_real)
@@ -84,8 +84,14 @@ class TestMassive:
     def test_quadrature_failure_reports_estimate(self):
         k = Kinematics.radial(4, 1.0, 1.0)
         with pytest.raises(QuadratureError) as err:
-            gm_integral(k, QuadratureConfig(points=8, target=1e-12))
+            gm_integral(k, points=8)
         assert err.value.estimate > 0
+
+    @pytest.mark.parametrize("points", [1, -4, 2.5])
+    def test_quadrature_needs_two_integer_points(self, points):
+        # 1 (and 0) raised ZeroDivisionError, -4 returned -0.0
+        with pytest.raises(ValueError, match="integer points >= 2"):
+            gm_integral(Kinematics.radial(4, 1.0, 1.0), points)
 
     def test_diagonal_rejected_every_dimension(self):
         for D in (3, 4, 5, 6):
