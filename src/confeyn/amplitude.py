@@ -21,12 +21,12 @@ is decomposed as a sum of terms indexed by l_e:
 Each term is further expanded in Gegenbauer polynomials of the fixed weight
 lam: writing rho = max(|x_s|, |x_t|), r = min(...), u = r/rho and
 c = omega_s . omega_t, the squared separation is rho^2 (1 - 2 u c + u^2), so
-each term is rho^(2 l_e) times a product of at most two exact series in
-(u, c): (1 - 2 u c + u^2)^l, the log series
-(1/2) log(1 - 2 u c + u^2) = -sum_p T_p(c) u^p / p, and the generating series
-sum_n u^n C_n^(w)(c) for negative and odd powers.  The product is truncated
-at the radial order and each power c^k converted to the weight-lam basis
-once.
+a term r^(2 l_e) is rho^(2 l_e) times the generating function
+(1 - 2 u c + u^2)^(l_e) = sum_n u^n C_n^(-l_e)(c), and the log branch adds
+(1 - 2 u c + u^2)^l (1/2) log(1 - 2 u c + u^2), half its derivative in the
+exponent (:func:`~confeyn.gegenbauer.log_generating_series`).  Both are
+truncated at the radial order and each power c^k converted to the weight-lam
+basis once.
 
 The tensors are rational and read-only; the term coefficient (prefactor) and
 the constant k0 of the log bracket log(m r / 2) - ... = log r + k0 factor
@@ -71,9 +71,9 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .exact import SymbolicCoeff
-from .gegenbauer import (chebyshev_log_series, gegenbauer_table, gegenbauer_tensor,
-                         generating_series)
-from .specfun import as_half_integer, asym_coeff, digamma_exact
+from .gegenbauer import (gegenbauer_table, gegenbauer_tensor, generating_series,
+                         log_generating_series)
+from .specfun import as_half_integer, asym_coeff, check_weight, digamma_exact
 
 if TYPE_CHECKING:  # the graph argument of amplitude_truncated_eval only
     from .feyngraph import FeynmanGraph
@@ -139,13 +139,6 @@ class TaylorTerm:
     coeff_log: SymbolicCoeff
 
 
-def _check_lambda(lam) -> Fraction:
-    lam = as_half_integer(lam, "lambda")
-    if lam < Fraction(1, 2):
-        raise ValueError("need lam >= 1/2 (dimension D >= 3)")
-    return lam
-
-
 def complex_case_weight(D: int) -> Fraction:
     """Weight for the complex-case expansions: the massive complex kernel in
     dimension D is the real kernel at lam = D - 1 (indices then run over
@@ -169,7 +162,7 @@ def taylor_term_coefficient(ell, lam) -> TaylorTerm:
     ell < 0 sits on the pure-power branch and ell >= 0 on the power-times-log
     branch.  At half-integer lam, ell runs over the half-integers and every
     term is a pure power."""
-    lam = _check_lambda(lam)
+    lam = check_weight(lam)
     ell = as_half_integer(ell, "ell")
     if ell < -lam:
         raise ValueError(f"ell must be >= -lam = {-lam}")
@@ -215,7 +208,7 @@ class AsymptoticTerm:
 def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
     """Coefficient sqrt(pi/2) (2 pi)^-(lam+1) (lam,ell) 2^-ell m^(lam-ell-1/2)
     paired with the radial exponent -(ell + lam + 1/2)."""
-    lam = _check_lambda(lam)
+    lam = check_weight(lam)
     if ell < 0 or int(ell) != ell:
         raise ValueError(f"ell must be an integer >= 0, got {ell}")
     ell = int(ell)
@@ -277,58 +270,28 @@ class GegenExpansion:
         }
 
 
-def _radial_power(ell: int, radial: int) -> list[dict[int, int]]:
-    """(1 - 2ux + u^2)^ell up to u^radial: item n holds {k: coeff of x^k} of
-    u^n, from the binomial expansion of (1 + u^2 - 2ux)^ell."""
-    out: list[dict[int, int]] = [{} for _ in range(radial + 1)]
-    for k in range(ell + 1):
-        for q in range(ell - k + 1):
-            if k + 2 * q <= radial:
-                out[k + 2 * q][k] = math.comb(ell, k) * math.comb(ell - k, q) * (-2) ** k
-    return out
-
-
-def _series_product(a: list[dict], b: list[dict], radial: int) -> list[dict]:
-    """The product of two series in the layout of :func:`_radial_power`,
-    truncated at u^radial."""
-    out: list[dict] = [{} for _ in range(radial + 1)]
-    for n1, poly1 in enumerate(a):
-        for n2, poly2 in enumerate(b[:radial + 1 - n1]):
-            acc = out[n1 + n2]
-            for k1, c1 in poly1.items():
-                for k2, c2 in poly2.items():
-                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
-    return out
-
-
 def edge_gegenbauer_expansion(ell, lam, orders: "TruncationOrders | None" = None
                               ) -> GegenExpansion:
     """Gegenbauer-basis expansion of the l_e = ell edge term at fixed weight lam.
 
     With rho^2 (1 - 2ux + u^2) the squared separation, the bare factor of the
-    term is a product of at most two exact series in (u, x), truncated at
-    u^radial and converted to the C^(lam) basis once: (1 - 2ux + u^2)^ell
-    times log(rho) + k0 + (1/2) log(1 - 2ux + u^2) on the log branch; on the
-    power branch r^p with p = 2 ell, the generating series of C^(-p/2) for
-    p < 0, (1 - 2ux + u^2)^(p/2) for even p >= 0, and for odd p > 0
-    (1 - 2ux + u^2)^((p+1)/2) times the generating series of C^(1/2)."""
-    lam = _check_lambda(lam)
+    term comes from the one generating function (1 - 2ux + u^2)^(p/2), p the
+    radial exponent, truncated at u^radial and converted to the C^(lam) basis
+    once: on the power branch it is the whole factor; on the log branch
+    (p = 2l) it multiplies log(rho) + k0, and its derivative in p/2 at l,
+    halved, is the series (1 - 2ux + u^2)^l (1/2) log(1 - 2ux + u^2)."""
+    lam = check_weight(lam)
     orders = orders or TruncationOrders()
     radial = orders.radial
     coeff = taylor_term_coefficient(ell, lam)
     p = int(coeff.r_exponent)
-    log_rho, prefactor, k0 = [], coeff.coeff_const, SymbolicCoeff.zero()
-    if not coeff.coeff_log.is_zero():
-        log_rho = _radial_power(p // 2, radial)
-        series = _series_product(log_rho, chebyshev_log_series(radial), radial)
-        prefactor, k0 = coeff.coeff_log, _log_constant(p // 2, lam)
-    elif p < 0:
-        series = generating_series(Fraction(-p, 2), radial)
-    elif p % 2 == 0:
-        series = _radial_power(p // 2, radial)
+    if coeff.coeff_log.is_zero():
+        log_rho, series = [], generating_series(Fraction(-p, 2), radial)
+        prefactor, k0 = coeff.coeff_const, SymbolicCoeff.zero()
     else:
-        series = _series_product(_radial_power((p + 1) // 2, radial),
-                                 generating_series(Fraction(1, 2), radial), radial)
+        l = p // 2
+        log_rho, series = generating_series(-l, radial), log_generating_series(l, radial)
+        prefactor, k0 = coeff.coeff_log, _log_constant(l, lam)
     cap = orders.gegen if orders.gegen is not None else radial
     tensors = ({k: c for k, c in gegenbauer_tensor(s, lam).items() if k[1] <= cap}
                for s in (log_rho, series))
@@ -442,7 +405,7 @@ def _taylor_kernel(lam, ell_max: int) -> tuple[float, int, tuple, tuple]:
     r^(-2 lam) z^k (a + b log z) when coeff_log = b m^k and coeff_const =
     m^k (a + b log m), which is checked.  The kernels are cached by lam as
     given: a value equal to a checked lam is that lam."""
-    lam = _check_lambda(lam)
+    lam = check_weight(lam)
     plain: dict[int, float] = {}
     log: dict[int, float] = {}
     for ell in _taylor_indices(lam, ell_max):
@@ -465,7 +428,7 @@ def _asymptotic_kernel(lam, terms: int) -> tuple[float, float, tuple[float, ...]
     """2 lam, lam + 1/2 and the coefficients of P in the edge factor
     m^(2 lam) z^-(lam+1/2) e^-z P(1/z), z = m r: the term of index ell is
     c m^(lam-ell-1/2) r^-(lam+ell+1/2) e^-z = c m^(2 lam) z^-(lam+ell+1/2) e^-z."""
-    lam = _check_lambda(lam)
+    lam = check_weight(lam)
     coeffs = []
     for ell in range(terms):
         term = asymptotic_term_coefficient(ell, lam)
@@ -561,7 +524,7 @@ def _cached_expansion(ell: Fraction, lam: Fraction, radial: int, gegen: int | No
 @lru_cache(maxsize=None)
 def _gegen_kernel(lam, orders: TruncationOrders) -> _GegenKernel:
     """The kernel of the expansions of every term of one edge factor."""
-    lam = _check_lambda(lam)
+    lam = check_weight(lam)
     return _GegenKernel(lam, [_cached_expansion(ell, lam, orders.radial, orders.gegen)
                               for ell in _taylor_indices(lam, orders.ell_max)])
 
@@ -577,7 +540,7 @@ def edge_gegenbauer_value(lam, geom: EdgeGeometry, m: float,
 def _edge_plan(lam, method: str, orders: TruncationOrders) -> tuple[int, Callable, bool]:
     """The fixed work of an amplitude call: D, the edge function edge(r, m) of
     ``method`` and whether it takes an :class:`EdgeGeometry` in place of r."""
-    lam = _check_lambda(lam)
+    lam = check_weight(lam)
     D = int(2 * lam + 2)
     if method == "direct":
         from .propagators import _gm_real

@@ -63,11 +63,11 @@ PROP_MAX_D = 2002     # the real kernel's order (D-2)/2 stops at specfun.MAX_ORD
 DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
 DIVISORS_MAX_K = 8    # 40,938 labels at n = 12
 QUAD_MAX_POINTS = 1_000_000  # gm-integral: 0.8-1.1 s
-EXPAND_MAX_RADIAL = 64  # gegenbauer method at |ell| = 16: 1.0 s for D = 3, 4, 12, 34
-EXPAND_MAX_ELL = 16     # |ell|; gegenbauer method at radial 64: 1.0 s (1.3 s at 24)
+EXPAND_MAX_RADIAL = 64  # gegenbauer method at |ell| = 16: 0.3 s for D = 3, 4, 12, 34
+EXPAND_MAX_ELL = 16     # |ell|; gegenbauer method at radial 64: 0.3 s (0.4 s at 24)
 EXPAND_MAX_GEGEN_CAP = EXPAND_MAX_RADIAL  # filters the tensor, costs nothing itself
-EXPAND_MAX_D = 800      # gegenbauer at radial 64 is slowest: 0.6-0.7 s at 800 (ell 16)
-                        # and at 799 (ell 15/2); taylor at 799 (ell 16) 0.17 s
+EXPAND_MAX_D = 800      # gegenbauer at radial 64: 0.35 s at 800 (ell 16) and at 799
+                        # (ell 15/2); taylor at 799 (ell 16) 0.17 s
 RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
                           # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
 BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 0.5 s (1.9 s at 14)

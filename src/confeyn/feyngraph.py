@@ -27,22 +27,6 @@ class Edge:
     internal: bool = True
 
 
-@dataclass(frozen=True)
-class TheoryProfile:
-    """Pluggable 'same theory' constraint for contraction admissibility.
-
-    The default (no bound) accepts every 1PI quotient.  A valence bound of 4
-    models a quartic scalar theory.
-    """
-    max_valence: int | None = None
-
-    def allows(self, graph: "FeynmanGraph") -> bool:
-        if self.max_valence is None:
-            return True
-        return all(graph.valence(v) <= self.max_valence
-                   for v in graph.internal_vertices())
-
-
 class FeynmanGraph:
     """Multigraph with flagged external vertices and no looping edges.
 
@@ -216,21 +200,18 @@ class FeynmanGraph:
                 blocks.append((verts, frozenset(i for v in verts for _, i in induced[v])))
         return blocks
 
-    def admissible_subgraphs(self, theory: TheoryProfile | None = None
-                             ) -> list["SubgraphSelection"]:
+    def admissible_subgraphs(self) -> list["SubgraphSelection"]:
         """All proper nonempty disjoint unions of 1PI internal subgraphs whose
-        contraction is again a valid 1PI graph of the theory, ordered by size,
+        contraction is again a valid 1PI graph, ordered by size,
         then by sorted edge indices.  An unselected edge inside a component
         would contract to a looping edge, so the candidates are the families
         of vertex-disjoint :meth:`one_pi_blocks`.  Raises ValueError on an
         invalid graph."""
-        return [selection for selection, _ in self._admissible_pairs(theory)]
+        return [selection for selection, _ in self._admissible_pairs()]
 
-    def _admissible_pairs(self, theory: TheoryProfile | None = None
-                          ) -> list[tuple["SubgraphSelection", "FeynmanGraph"]]:
+    def _admissible_pairs(self) -> list[tuple["SubgraphSelection", "FeynmanGraph"]]:
         """Each admissible selection with the quotient it was checked on."""
         self.require_valid()
-        theory = theory or TheoryProfile()
         blocks = self.one_pi_blocks()
         out = []
 
@@ -246,7 +227,7 @@ class FeynmanGraph:
                 # blocks is valid; all internal edges contract to a graph
                 # without any: not 1PI
                 quotient = self.contract(selection, _check_admissible=False)
-                if quotient.is_1pi() and theory.allows(quotient):
+                if quotient.is_1pi():
                     out.append((selection, quotient))
                 extend(j + 1, used | verts, chosen)
 

@@ -8,6 +8,12 @@ with the explicit monomial form
 
     C_n^{(lam)}(x) = sum_{k=0}^{[n/2]} (-1)^k Gamma(lam+n-k) / (k! (n-2k)! Gamma(lam)) (2x)^{n-2k}.
 
+Both hold as formal series at any half-integer lam, with the Gamma ratio read
+as the rising factorial (lam)_{n-k}: at lam = -l <= 0 the series is the
+polynomial (1 - 2tx + t^2)^l (:func:`generating_series`), and minus its
+derivative in lam there is (1 - 2tx + t^2)^l log(1 - 2tx + t^2)
+(:func:`log_generating_series`).
+
 Every basis change into C^{(lam)} takes one route: the polynomial is
 written in monomials and each x^k is converted by its row of the expansion
 
@@ -32,16 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import SymbolicCoeff
-from .specfun import as_half_integer, gamma_exact, rising
+from .specfun import as_half_integer, check_weight, gamma_exact, rising
 
 _fact = math.factorial
-
-
-def _check_weight(lam, minimum: Fraction, name: str = "lambda") -> Fraction:
-    lam = as_half_integer(lam, name)
-    if lam < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {lam}")
-    return lam
 
 
 def _check_degrees(*degrees: int) -> None:
@@ -51,12 +50,14 @@ def _check_degrees(*degrees: int) -> None:
 
 @lru_cache(maxsize=None)
 def _gegen_monomials(lam: Fraction, n: int) -> tuple[tuple[int, Fraction], ...]:
-    # Gamma(lam+n-k)/Gamma(lam) = rising(lam, n-k) keeps everything rational
+    # Gamma(lam+n-k)/Gamma(lam) = rising(lam, n-k) keeps everything rational;
+    # at an integer lam <= 0 it vanishes for n - k > -lam, and the term is dropped
     out = []
     for k in range(n // 2 + 1):
         coeff = (Fraction((-1) ** k) * rising(lam, n - k)
                  / (Fraction(_fact(k)) * _fact(n - 2 * k))) * 2 ** (n - 2 * k)
-        out.append((n - 2 * k, coeff))
+        if coeff:
+            out.append((n - 2 * k, coeff))
     return tuple(out)
 
 
@@ -79,7 +80,7 @@ def _chebyshev_monomials(n: int) -> tuple[tuple[int, int], ...]:
 
 def gegenbauer_coeffs(lam, n: int) -> dict[int, Fraction]:
     """Exact monomial coefficients {k: coeff of x^k} of C_n^{(lam)}(x), lam >= 1/2."""
-    lam = _check_weight(lam, Fraction(1, 2))
+    lam = check_weight(lam)
     _check_degrees(n)
     return dict(_gegen_monomials(lam, n))
 
@@ -150,29 +151,49 @@ def _to_gegenbauer(poly: dict[int, Fraction], lam: Fraction) -> dict[int, Fracti
 
 def monomial_to_gegenbauer(m: int, lam) -> dict[int, Fraction]:
     """Expansion of x^m in the C^{(lam)} basis, lam >= 1/2."""
-    lam = _check_weight(lam, Fraction(1, 2))
+    lam = check_weight(lam)
     _check_degrees(m)
     return _to_gegenbauer({m: 1}, lam)
 
 
 def generating_series(weight, radial: int) -> list[dict[int, Fraction]]:
-    """sum_n t^n C_n^{(weight)}(x) up to t^radial: item n holds the monomial
-    coefficients {k: coeff of x^k} of t^n."""
-    weight = _check_weight(weight, Fraction(1, 2), "weight")
+    """(1 - 2tx + t^2)^(-weight) = sum_n t^n C_n^{(weight)}(x) up to t^radial,
+    a formal series at any half-integer weight: item n holds the non-zero
+    monomial coefficients {k: coeff of x^k} of t^n.  At an integer weight
+    -l <= 0 it is the polynomial (1 - 2tx + t^2)^l, and the list stops at
+    t^(2l)."""
+    weight = as_half_integer(weight, "weight")
+    _check_degrees(radial)
+    if weight.denominator == 1 and weight <= 0:
+        radial = min(radial, -2 * int(weight))
     return [dict(_gegen_monomials(weight, n)) for n in range(radial + 1)]
 
 
-def chebyshev_log_series(radial: int) -> list[dict[int, Fraction]]:
-    """(1/2) log(1 - 2tx + t^2) = -sum_{p >= 1} T_p(x) t^p / p up to t^radial,
-    in the layout of :func:`generating_series`."""
-    return [{}] + [{k: Fraction(-c, p) for k, c in _chebyshev_monomials(p)}
-                   for p in range(1, radial + 1)]
+def log_generating_series(l: int, radial: int) -> list[dict[int, Fraction]]:
+    """(1 - 2tx + t^2)^l (1/2) log(1 - 2tx + t^2) up to t^radial, in the layout
+    of :func:`generating_series`: the derivative of (1 - 2tx + t^2)^s at s = l,
+    halved, which is -(1/2) sum_n t^n dC_n^{(w)}(x)/dw at w = -l.
+
+    That is the monomial form of C_n^{(w)} with each (w)_j replaced by its
+    derivative at w = -l: (-l)_j sum_{i<j} 1/(i - l) for j <= l and
+    (-1)^l l! (j - l - 1)! for j > l.  Both are integers, reached by the
+    product rule d(w)_{j+1} = (w + j) d(w)_j + (w)_j, so each coefficient is
+    one Fraction of two integers."""
+    _check_degrees(l, radial)
+    rise, drise = 1, [0]  # (-l)_j and d(w)_j at w = -l
+    for j in range(radial):
+        drise.append(drise[j] * (j - l) + rise)
+        rise *= j - l
+    return [{n - 2 * k: Fraction((-1) ** (k + 1) * drise[n - k] * 2 ** (n - 2 * k),
+                                 2 * _fact(k) * _fact(n - 2 * k))
+             for k in range(n // 2 + 1) if drise[n - k]}
+            for n in range(radial + 1)]
 
 
 def gegenbauer_tensor(series, lam) -> dict[tuple[int, int], Fraction]:
     """The tensor {(n, d): coeff} of sum_n t^n sum_k series[n][k] x^k in the
     C^{(lam)} basis; zero entries are dropped."""
-    lam = _check_weight(lam, Fraction(1, 2))
+    lam = check_weight(lam)
     out: dict[tuple[int, int], Fraction] = {}
     for n, poly in enumerate(series):
         for d, c in _to_gegenbauer(poly, lam).items():
@@ -182,7 +203,7 @@ def gegenbauer_tensor(series, lam) -> dict[tuple[int, int], Fraction]:
 
 def chebyshev_to_gegenbauer(n: int, lam) -> dict[int, Fraction]:
     """Coefficients c^lam_{n,m} with T_n = sum_m c^lam_{n,m} C_m^{(lam)}."""
-    lam = _check_weight(lam, Fraction(1, 2))
+    lam = check_weight(lam)
     _check_degrees(n)
     return _to_gegenbauer(dict(_chebyshev_monomials(n)), lam)
 
@@ -194,8 +215,8 @@ def _reproject(ell: Fraction, n: int, lam: Fraction) -> tuple[tuple[int, Fractio
 
 def reproject_gegenbauer(ell, n: int, lam) -> dict[int, Fraction]:
     """Expansion of C_n^{(ell)} in the C^{(lam)} basis (both weights >= 1/2)."""
-    ell = _check_weight(ell, Fraction(1, 2), "source weight")
-    lam = _check_weight(lam, Fraction(1, 2), "target weight")
+    ell = check_weight(ell, "source weight")
+    lam = check_weight(lam, "target weight")
     _check_degrees(n)
     return dict(_reproject(ell, n, lam))
 
@@ -212,7 +233,7 @@ def _product_combo(n: int, m: int, lam: Fraction) -> tuple[tuple[int, Fraction],
 
 def product_linearize(n: int, m: int, lam) -> dict[int, Fraction]:
     """Linearization C_n^{(lam)} C_m^{(lam)} = sum_d coeff_d C_d^{(lam)}."""
-    lam = _check_weight(lam, Fraction(1, 2))
+    lam = check_weight(lam)
     _check_degrees(n, m)
     return dict(_product_combo(n, m, lam))
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .feyngraph import FeynmanGraph, TheoryProfile
+from .feyngraph import FeynmanGraph
 from .linear import Linear, accumulate
 
 # A monomial is a sorted tuple of FeynmanGraph generators (empty tuple = 1).
@@ -103,15 +103,13 @@ def as_element(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
 
 
 class HopfAlgebra:
-    """Coproduct / antipode engine memoised per monomial.  The theory profile
-    feeds the admissible-subgraph enumeration.  Parts and quotients are
-    interned by their exact vertex and edge lists, so each distinct labelled
-    graph pays for one canonical form per algebra: G/(gamma u gamma') recurs
-    as (G/gamma)/gamma'.  The table keeps each quotient alive with the
-    algebra."""
+    """Coproduct / antipode engine memoised per monomial.  Parts and
+    quotients are interned by their exact vertex and edge lists, so each
+    distinct labelled graph pays for one canonical form per algebra:
+    G/(gamma u gamma') recurs as (G/gamma)/gamma'.  The table keeps each
+    quotient alive with the algebra."""
 
-    def __init__(self, theory: TheoryProfile | None = None):
-        self.theory = theory or TheoryProfile()
+    def __init__(self):
         self._coproduct_gen: dict[Monomial, TensorElement] = {}  # Delta per monomial
         self._antipode: dict[Monomial, HopfElement] = {}
         self._graphs: dict[tuple, FeynmanGraph] = {}
@@ -128,7 +126,7 @@ class HopfAlgebra:
             return cached
         g_mono = monomial(graph)
         terms = {(g_mono, ()): 1, ((), g_mono): 1}
-        for sel, quotient in graph._admissible_pairs(self.theory):
+        for sel, quotient in graph._admissible_pairs():
             parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
             key = (parts, monomial(self._intern(quotient)))
             terms[key] = terms.get(key, 0) + 1

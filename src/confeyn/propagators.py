@@ -19,7 +19,8 @@ No kernel returns a silent 0, inf or nan: the four scalar kernels raise
 ValueError when their value, or the K_nu inside it, is outside the normal
 doubles, and take summed logarithms where only the plain product of their
 factors leaves that range (:func:`_normal_product`); the Dirac and boson
-kernels raise ValueError on a non-finite value.
+kernels raise ValueError on a non-finite value, and on a value below the
+normal doubles unless it is zero by symmetry.
 
 An independent route to the massive kernel is provided here: the heat-kernel
 integral representation
@@ -256,8 +257,11 @@ def dirac_propagator(k: Kinematics) -> DiracCoeffs:
     k_lm1, k_lam, k_lp1 = bessel_k_ladder(lam - 1, z, 2)
     a = pref * r ** (-(lam + 1)) * ((lam / r) * k_lam + (sm / 2.0) * (k_lm1 + k_lp1))
     b = pref * k.m * r ** (-lam) * k_lam
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"Dirac coefficients at D = {k.D}, m = {k.m}, r = {r} are not finite")
+    if not (_TINY <= a <= _HUGE and _TINY <= b <= _HUGE):  # both are positive
+        what = f"Dirac coefficients at D = {k.D}, m = {k.m}, r = {r}"
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"{what} are not finite")
+        raise ValueError(f"{what}: a = {a}, b = {b} is outside the normal doubles")
     return DiracCoeffs(a, b)
 
 
@@ -304,12 +308,17 @@ def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
         raise ValueError("index out of range")
     m1 = math.sqrt(k.m)
     if alpha == 1.0:  # the derivative terms cancel identically
-        return (1.0 if mu == nu else 0.0) * gm_real(Kinematics(k.D, k.x, m1))
+        return gm_real(Kinematics(k.D, k.x, m1)) if mu == nu else 0.0
     g1, gp1, gpp1 = _scalar_radial_derivs(k.D, m1, r)
     _, gp2, gpp2 = _scalar_radial_derivs(k.D, math.sqrt(k.m / alpha), r)
     dd = (_second_partial(k.x, r, gp2, gpp2, mu, nu)
           - _second_partial(k.x, r, gp1, gpp1, mu, nu))
     value = (1.0 if mu == nu else 0.0) * g1 + dd / (k.m ** 2)
-    if not math.isfinite(value):
-        raise ValueError(f"boson propagator at D = {k.D}, m = {k.m}, r = {r} is not finite")
+    # an exact 0 is right only off the diagonal with x_mu = 0 or x_nu = 0
+    if not _TINY <= abs(value) <= _HUGE and (
+            value != 0.0 or mu == nu or 0.0 not in (k.x[mu], k.x[nu])):
+        what = f"boson propagator at D = {k.D}, m = {k.m}, r = {r}"
+        if not math.isfinite(value):
+            raise ValueError(f"{what} is not finite")
+        raise ValueError(f"{what} = {value} is below the normal doubles")
     return value

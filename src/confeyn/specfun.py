@@ -57,6 +57,15 @@ def as_half_integer(z, name: str = "argument") -> Fraction:
     return z
 
 
+def check_weight(lam, name: str = "lambda") -> Fraction:
+    """A Gegenbauer weight: a half-integer lam >= 1/2, as for dimension
+    D = 2 lam + 2 >= 3."""
+    lam = as_half_integer(lam, name)
+    if lam < Fraction(1, 2):
+        raise ValueError(f"{name} must be >= 1/2, got {lam}")
+    return lam
+
+
 @lru_cache(maxsize=None)
 def rising(x: Fraction, k: int) -> Fraction:
     """Pochhammer symbol (x)_k = x (x+1) ... (x+k-1), cached: every Gegenbauer

@@ -11,6 +11,12 @@ closed-form expansion of each x^(n-2k).  Both return {degree: Fraction}.
 ``chebyshev_limit_check`` compares T_n with the lam -> 0 limit
 (n/2) C_n^(lam)(x) / lam of the generating-series coefficient, and
 ``expand`` writes a Gegenbauer combination {degree: coeff} back in monomials.
+
+``bare_factor_by_products`` builds the bare edge factor (1 - 2ux + u^2)^(p/2)
+and its log-branch partner (1 - 2ux + u^2)^l (1/2) log(1 - 2ux + u^2) as
+products of at most two exact series: a binomial expansion
+(``radial_power``), the C^(w) generating series at w >= 1/2 and the
+Chebyshev log series (1/2) log(1 - 2ux + u^2) = -sum_p T_p(x) u^p / p.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from confeyn.exact import SymbolicCoeff
-from confeyn.gegenbauer import _gegen_monomials, generating_series_coeff
+from confeyn.gegenbauer import (_chebyshev_monomials, _gegen_monomials, gegenbauer_coeffs,
+                                generating_series_coeff)
 from confeyn.specfun import gamma_exact, rising
 
 _fact = math.factorial
@@ -89,3 +96,46 @@ def expand(combo: dict[int, Fraction], lam: Fraction) -> dict[int, Fraction]:
         for power, a in _gegen_monomials(Fraction(lam), deg):
             out[power] = out.get(power, 0) + c * a
     return {p: c for p, c in out.items() if c}
+
+
+def radial_power(ell: int, radial: int) -> list[dict[int, int]]:
+    """(1 - 2ux + u^2)^ell up to u^radial: item n holds {k: coeff of x^k} of
+    u^n, from the binomial expansion of (1 + u^2 - 2ux)^ell."""
+    out: list[dict[int, int]] = [{} for _ in range(radial + 1)]
+    for k in range(ell + 1):
+        for q in range(ell - k + 1):
+            if k + 2 * q <= radial:
+                out[k + 2 * q][k] = math.comb(ell, k) * math.comb(ell - k, q) * (-2) ** k
+    return out
+
+
+def chebyshev_log_series(radial: int) -> list[dict[int, Fraction]]:
+    """(1/2) log(1 - 2ux + u^2) = -sum_{p >= 1} T_p(x) u^p / p up to u^radial."""
+    return [{}] + [{k: Fraction(-c, p) for k, c in _chebyshev_monomials(p)}
+                   for p in range(1, radial + 1)]
+
+
+def series_product(a: list[dict], b: list[dict], radial: int) -> list[dict]:
+    """The product of two series in the layout of :func:`radial_power`,
+    truncated at u^radial."""
+    out: list[dict] = [{} for _ in range(radial + 1)]
+    for n1, poly1 in enumerate(a):
+        for n2, poly2 in enumerate(b[:radial + 1 - n1]):
+            acc = out[n1 + n2]
+            for k1, c1 in poly1.items():
+                for k2, c2 in poly2.items():
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+    return out
+
+
+def bare_factor_by_products(p: int, radial: int, log: bool = False) -> list[dict]:
+    """(1 - 2ux + u^2)^(p/2) up to u^radial; with ``log`` (p = 2l even and
+    >= 0) its log-branch partner (1 - 2ux + u^2)^l (1/2) log(1 - 2ux + u^2)."""
+    if log:
+        return series_product(radial_power(p // 2, radial), chebyshev_log_series(radial), radial)
+    if p < 0:
+        return [gegenbauer_coeffs(Fraction(-p, 2), n) for n in range(radial + 1)]
+    if p % 2 == 0:
+        return radial_power(p // 2, radial)
+    half = [gegenbauer_coeffs(Fraction(1, 2), n) for n in range(radial + 1)]
+    return series_product(radial_power((p + 1) // 2, radial), half, radial)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable
 
-from confeyn.feyngraph import FeynmanGraph, SubgraphSelection, TheoryProfile
+from confeyn.feyngraph import FeynmanGraph, SubgraphSelection
 
 
 def edge_components(graph: FeynmanGraph, edge_indices: Iterable[int]) -> list[frozenset[int]]:
@@ -38,11 +38,9 @@ def edge_components(graph: FeynmanGraph, edge_indices: Iterable[int]) -> list[fr
     return [frozenset(g) for g in groups.values()]
 
 
-def scan_admissible_subgraphs(graph: FeynmanGraph, theory: TheoryProfile | None = None
-                              ) -> list[SubgraphSelection]:
+def scan_admissible_subgraphs(graph: FeynmanGraph) -> list[SubgraphSelection]:
     """All proper nonempty disjoint unions of 1PI internal subgraphs whose
-    contraction is again a valid 1PI graph of the theory."""
-    theory = theory or TheoryProfile()
+    contraction is again a valid 1PI graph."""
     internal = graph.internal_edge_indices()
     out = []
     for size in range(1, len(internal)):
@@ -59,8 +57,6 @@ def scan_admissible_subgraphs(graph: FeynmanGraph, theory: TheoryProfile | None 
             if quotient.validate():
                 continue
             if not quotient.is_1pi():
-                continue
-            if not theory.allows(quotient):
                 continue
             out.append(selection)
     return out

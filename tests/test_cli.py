@@ -102,6 +102,31 @@ class TestPropEval:
         assert code == 2
 
     @pytest.mark.parametrize("flags", [
+        ["--kind", "dirac", "--D", "4", "--r", "800"],
+        ["--kind", "dirac", "--D", "4", "--r", "705"],
+        ["--kind", "dirac", "--D", "400", "--r", "10"],
+        ["--kind", "boson", "--D", "4", "--r", "1500", "--alpha", "2"],
+        ["--kind", "boson", "--D", "100", "--r", "600", "--alpha", "4"],
+    ], ids=["dirac-zero", "dirac-subnormal", "dirac-high-D", "boson-zero", "boson-subnormal"])
+    def test_values_below_the_normal_doubles_exit_2(self, flags, tmp_path):
+        # each printed 0 or a subnormal with exit 0 before, where gm refuses
+        code, _ = run_cli(["prop-eval", "--m", "1", *flags], tmp_path)
+        assert code == 2
+
+    def test_small_normal_and_symmetric_zero_boson_values_print(self, tmp_path):
+        # mpmath at 40 digits gives 2.26884509216146802e-223
+        code, doc = run_cli(["prop-eval", "--kind", "boson", "--D", "4", "--m", "1",
+                             "--r", "705", "--alpha", "2"], tmp_path)
+        assert code == 0 and doc["value"] == pytest.approx(2.268845092161468e-223, rel=1e-13)
+        code, doc = run_cli(["prop-eval", "--kind", "boson", "--D", "4", "--m", "1",
+                             "--x", "1,0,0,0", "--mu", "1", "--nu", "2", "--alpha", "2"], tmp_path)
+        assert code == 0 and doc["value"] == 0
+        # at alpha = 1 only g_mu_nu G is left: 0 off the diagonal, even where G underflows
+        code, doc = run_cli(["prop-eval", "--kind", "boson", "--D", "4", "--m", "1",
+                             "--r", "1500", "--alpha", "1", "--mu", "0", "--nu", "1"], tmp_path)
+        assert code == 0 and doc["value"] == 0
+
+    @pytest.mark.parametrize("flags", [
         ["--kind", "boson", "--m", "1", "--alpha", "2", "--x", "1,2", "--mu", "3", "--nu", "3"],
         ["--m", "1", "--x", "1,0,0,0,0,0"],
     ], ids=["short", "long"])

@@ -9,12 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confeyn.feyngraph import Edge, FeynmanGraph, SubgraphSelection, TheoryProfile
+from confeyn.feyngraph import Edge, FeynmanGraph, SubgraphSelection
 from confeyn.hopf import HopfAlgebra, generate_graph_family, monomial
 from conftest import necklace
 from subset_scan import scan_admissible_subgraphs, scan_one_pi_vertex_sets
-
-THEORIES = (TheoryProfile(), TheoryProfile(max_valence=4))
 
 DENSE = {
     "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
@@ -36,40 +34,34 @@ def fixed_graphs() -> list[tuple[str, FeynmanGraph]]:
 
 
 def assert_matches_scan(graph: FeynmanGraph):
-    # the theory test is the scan's last filter, so the bounded theory's
-    # list is the unbounded one restricted to quotients the theory allows
-    loose = scan_admissible_subgraphs(graph)
-    for theory in THEORIES:
-        expected = [s for s in loose if theory.allows(graph.contract(s))]
-        assert graph.admissible_subgraphs(theory) == expected
+    assert graph.admissible_subgraphs() == scan_admissible_subgraphs(graph)
     assert [verts for verts, _ in graph.one_pi_blocks()] == scan_one_pi_vertex_sets(graph)
 
 
 def assert_quotients_carried(graph: FeynmanGraph):
-    for theory in THEORIES:
-        pairs = graph._admissible_pairs(theory)
-        selections = graph.admissible_subgraphs(theory)
-        assert selections == [sel for sel, _ in pairs]
-        assert all(type(sel) is SubgraphSelection for sel in selections)
-        for sel, quotient in pairs:
-            checked = graph.contract(sel)
-            assert (quotient.external, quotient.edges) == (checked.external, checked.edges)
-            assert quotient.canonical_key() == checked.canonical_key()
-        if not graph.is_1pi():
-            continue
-        # the Hopf layer counts each carried quotient and contracts nothing again
-        want = {(monomial(graph), ()): 1, ((), monomial(graph)): 1}
-        for sel in selections:
-            key = (monomial(*map(graph.component_graph, sel.components)),
-                   monomial(graph.contract(sel)))
-            want[key] = want.get(key, 0) + 1
-        with mock.patch.object(FeynmanGraph, "contract", autospec=True,
-                               side_effect=FeynmanGraph.contract) as contract:
-            got = HopfAlgebra(theory).coproduct_generator(graph)
-        assert got.terms == want
-        assert contract.call_count >= len(pairs)
-        assert all(call.kwargs == {"_check_admissible": False}
-                   for call in contract.call_args_list)
+    pairs = graph._admissible_pairs()
+    selections = graph.admissible_subgraphs()
+    assert selections == [sel for sel, _ in pairs]
+    assert all(type(sel) is SubgraphSelection for sel in selections)
+    for sel, quotient in pairs:
+        checked = graph.contract(sel)
+        assert (quotient.external, quotient.edges) == (checked.external, checked.edges)
+        assert quotient.canonical_key() == checked.canonical_key()
+    if not graph.is_1pi():
+        return
+    # the Hopf layer counts each carried quotient and contracts nothing again
+    want = {(monomial(graph), ()): 1, ((), monomial(graph)): 1}
+    for sel in selections:
+        key = (monomial(*map(graph.component_graph, sel.components)),
+               monomial(graph.contract(sel)))
+        want[key] = want.get(key, 0) + 1
+    with mock.patch.object(FeynmanGraph, "contract", autospec=True,
+                           side_effect=FeynmanGraph.contract) as contract:
+        got = HopfAlgebra().coproduct_generator(graph)
+    assert got.terms == want
+    assert contract.call_count >= len(pairs)
+    assert all(call.kwargs == {"_check_admissible": False}
+               for call in contract.call_args_list)
 
 
 @pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in fixed_graphs()])
@@ -88,17 +80,7 @@ def test_fixed_set_quotients_carried(graph):
 def test_carried_quotients_are_valid(graph):
     # the enumeration does not validate its quotients: a valid graph divided
     # by vertex-disjoint induced 1PI blocks is valid
-    for theory in THEORIES:
-        assert all(quotient.validate() == []
-                   for _, quotient in graph._admissible_pairs(theory))
-
-
-def test_scan_theory_filter_is_last():
-    # the shortcut in assert_matches_scan agrees with a direct scan
-    g = necklace(4)
-    for theory in THEORIES:
-        assert scan_admissible_subgraphs(g, theory) == \
-            [s for s in scan_admissible_subgraphs(g) if theory.allows(g.contract(s))]
+    assert all(quotient.validate() == [] for _, quotient in graph._admissible_pairs())
 
 
 @st.composite

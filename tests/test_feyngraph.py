@@ -7,8 +7,7 @@ import random
 import networkx as nx
 import pytest
 
-from confeyn.feyngraph import (Edge, FeynmanGraph, SubgraphSelection,
-                               TheoryProfile)
+from confeyn.feyngraph import Edge, FeynmanGraph, SubgraphSelection
 from conftest import banana, doubled_triangle, triangle
 
 
@@ -82,9 +81,8 @@ class TestOnePI:
             assert g.is_1pi() == expected
 
 
-def brute_force_admissible(graph: FeynmanGraph, theory=None):
+def brute_force_admissible(graph: FeynmanGraph):
     """Independent enumeration: networkx for components/bridges/validity."""
-    theory = theory or TheoryProfile()
     internal = graph.internal_edge_indices()
     found = []
     for size in range(1, len(internal)):
@@ -137,7 +135,7 @@ def brute_force_admissible(graph: FeynmanGraph, theory=None):
             for v, ext in graph.external.items():
                 vertices[node(v)] = ext
             quotient = FeynmanGraph(vertices, edges)
-            if quotient.validate() or not quotient.is_1pi() or not theory.allows(quotient):
+            if quotient.validate() or not quotient.is_1pi():
                 continue
             found.append(frozenset(subset))
     return sorted(found, key=sorted)
@@ -164,13 +162,6 @@ class TestAdmissibleSubgraphs:
             mine = sorted((sorted(s.edge_indices) for s in g.admissible_subgraphs()))
             brute = [sorted(s) for s in brute_force_admissible(g)]
             assert mine == brute
-
-    def test_theory_profile_restricts(self):
-        g = FeynmanGraph.build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3)])
-        loose = g.admissible_subgraphs()
-        tight = g.admissible_subgraphs(TheoryProfile(max_valence=3))
-        assert {frozenset(s.edge_indices) for s in tight} <= \
-            {frozenset(s.edge_indices) for s in loose}
 
 
 class TestContraction:

@@ -11,13 +11,13 @@ from confeyn.exact import SymbolicCoeff
 from confeyn.gegenbauer import (_chebyshev_monomials,
                                 chebyshev_to_gegenbauer, gegenbauer_coeffs,
                                 gegenbauer_table, gegenbauer_value,
-                                generating_series_coeff,
-                                monomial_to_gegenbauer, product_linearize,
+                                generating_series, generating_series_coeff,
+                                log_generating_series, monomial_to_gegenbauer, product_linearize,
                                 reproject_gegenbauer, sphere_volume,
                                 zonal_coefficient)
-from confeyn.specfun import gamma_exact
-from gegen_oracles import (chebyshev_limit_check, expand, product_by_gamma,
-                           reproject_by_double_sum)
+from confeyn.specfun import gamma_exact, rising
+from gegen_oracles import (bare_factor_by_products, chebyshev_limit_check, expand,
+                           product_by_gamma, reproject_by_double_sum)
 
 F = Fraction
 WEIGHTS = [F(1, 2), 1, F(3, 2), 2, F(5, 2), 3]
@@ -91,6 +91,66 @@ class TestExplicitCoefficients:
             gegenbauer_coeffs(F(-1, 2), 1)
         with pytest.raises(ValueError):
             gegenbauer_coeffs(1, -1)
+
+
+def nonzero_rows(series: list[dict]) -> list[dict]:
+    """The series with zero coefficients and trailing empty rows dropped."""
+    rows = [{k: c for k, c in row.items() if c} for row in series]
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
+
+
+class TestGeneratingSeries:
+    RADIALS = (0, 1, 2, 12, 40)
+
+    def test_power_matches_product_route(self):
+        for p in range(-40, 41):
+            for radial in self.RADIALS:
+                got = generating_series(F(-p, 2), radial)
+                assert all(all(row.values()) for row in got)
+                assert got == nonzero_rows(bare_factor_by_products(p, radial))
+
+    def test_log_matches_product_route(self):
+        for l in range(17):
+            for radial in self.RADIALS:
+                got = log_generating_series(l, radial)
+                assert all(all(row.values()) for row in got)
+                want = bare_factor_by_products(2 * l, radial, log=True)
+                assert nonzero_rows(got) == nonzero_rows(want)
+
+    def test_log_series_is_the_weight_derivative(self):
+        # the x^n coefficient of u^n is -(1/2) 2^n / n! times d(w)_n at w = -l
+        for l in range(9):
+            series = log_generating_series(l, 20)
+            for j in range(1, 21):
+                if j <= l:
+                    want = rising(F(-l), j) * sum(F(1, i - l) for i in range(j))
+                else:
+                    want = (-1) ** l * math.factorial(l) * math.factorial(j - l - 1)
+                assert series[j][j] == -F(2 ** j, 2 * math.factorial(j)) * want
+
+    def test_rows_at_negative_weights_match_binomial_oracle(self):
+        for weight in (0, -1, -3, F(-1, 2), F(-5, 2), F(-9, 2)):
+            for n, row in enumerate(generating_series(weight, 12)):
+                for x in (-0.83, -0.2, 0.45, 0.97):
+                    got = float(sum(c * F(x) ** k for k, c in row.items()))
+                    want = generating_series_coeff(weight, n, x)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_polynomial_weights_stop_at_twice_the_degree(self):
+        assert generating_series(0, 40) == [{0: 1}]
+        assert len(generating_series(-3, 40)) == 7
+        assert generating_series(-1, 40) == [{0: 1}, {1: -2}, {0: 1}]
+        assert log_generating_series(0, 0) == [{}]
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            generating_series(F(1, 3), 2)
+        with pytest.raises(ValueError):
+            generating_series(1, -1)
+        with pytest.raises(ValueError):
+            log_generating_series(-1, 2)
 
 
 class TestConversions:
