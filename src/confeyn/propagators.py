@@ -3,9 +3,9 @@
 Conventions (D = 2*lam + 2 throughout):
 
 * massless real:      G_0(x) = ||x||^(2-D)
-* massive real:       G_m(x) = (2 pi)^(-D/2) m^(D-2) (m||x||)^(-(D-2)/2) K_{(D-2)/2}(m||x||)
+* massive real:       G^(D)_m(x) = (2 pi)^(-D/2) m^(D-2) (m||x||)^(-(D-2)/2) K_{(D-2)/2}(m||x||)
 * massless complex:   -(D-2)!/(2 pi i)^D ||x||^(2-2D), phase kept as exact metadata
-* massive complex:    (2 pi)^(-D) m^(D-1) ||x||^(-(D-1)) K_{D-1}(m||x||)
+* massive complex:    (2 pi)^(-D) m^(D-1) ||x||^(-(D-1)) K_{D-1}(m||x||) = G^(2D)_m(x)
 * Dirac:              S = (-i dslash + m) G_{sqrt(m)}, returned as the pair of
                       coefficients of i gamma^mu x_mu and of the identity
 * vector boson:       Stueckelberg-gauge combination of G_{sqrt(m)} and
@@ -15,12 +15,21 @@ The mass convention difference is deliberate: the scalar/Helmholtz sections
 use momentum denominators ||k||^2 + m^2 while the Dirac/boson ones use
 ||k||^2 + m (hence the sqrt(m) kernels); both are surfaced as written.
 
-No kernel returns a silent 0, inf or nan: the four scalar kernels raise
-ValueError when their value, or the K_nu inside it, is outside the normal
-doubles, and take summed logarithms where only the plain product of their
-factors leaves that range (:func:`_normal_product`); the Dirac and boson
-kernels raise ValueError on a non-finite value, and on a value below the
-normal doubles unless it is zero by symmetry.
+Every massive kernel is the real kernel at a shifted dimension: by
+d/dr [(m/r)^nu K_nu(m r)] = -r (m/r)^(nu+1) K_{nu+1}(m r) (DLMF 10.29),
+d_mu G^(D) = -2 pi x_mu G^(D+2), so the Dirac coefficients are
+2 pi G^(D+2) and m G^(D), and d_mu d_nu G^(D) = -2 pi delta_{mu nu} G^(D+2)
++ 4 pi^2 x_mu x_nu G^(D+4).  One ladder of K_nu gives G^(D), G^(D+2), ...
+at one mass (:func:`_scalar_ladder`); each is a product of powers and K_nu,
+taken in plain floats, or in summed logarithms where only the plain product
+leaves the normal doubles (:func:`_product`).
+
+No kernel returns a silent 0, inf or nan.  The four scalar kernels raise
+ValueError when their value is outside the normal doubles, which includes
+every value whose K_nu is outside them.  The Dirac and boson kernels check
+only their own result: they raise ValueError on a non-finite value, and on
+a value below the normal doubles unless it is zero by symmetry; a boson
+term that underflows counts as 0.
 
 An independent route to the massive kernel is provided here: the heat-kernel
 integral representation
@@ -40,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .specfun import bessel_k, bessel_k_ladder
+from .specfun import bessel_k_ladder
 
 
 class DiagonalError(ValueError):
@@ -97,13 +106,15 @@ def _require_off_diagonal(k: Kinematics) -> float:
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles
 
 
-def _normal_product(name: str, D: int, m: float, r: float,
-                    factors: Sequence[tuple[float, float]], bessel: float = 1.0) -> float:
+def _product(factors: Sequence[tuple[float, float]], bessel: float = 1.0) -> float:
     """The product of base ** exponent over ``factors`` (positive bases),
     times the value ``bessel`` of K_nu: computed as that product, in order,
-    when every factor and every partial product are normal doubles, and as
-    exp of the summed logs otherwise.  Raises ValueError when K_nu or the
-    value of ``name`` at (D, m, r) is outside the normal doubles."""
+    when every factor, every partial product and the result are normal
+    doubles, and as exp of the summed logs otherwise, so it may be 0, below
+    the normal doubles or inf.  A K_nu below or above the normal doubles
+    gives 0 or inf."""
+    if not _TINY <= bessel <= _HUGE:
+        return 0.0 if bessel < _TINY else math.inf
     value = 1.0
     try:
         for base, e in factors:
@@ -113,27 +124,40 @@ def _normal_product(name: str, D: int, m: float, r: float,
                 break
         else:
             value *= bessel
-            if _TINY <= value <= _HUGE and _TINY <= bessel <= _HUGE:
+            if _TINY <= value <= _HUGE:
                 return value
     except OverflowError:  # a factor beyond the doubles
         pass
-    what = f"|{name}| at D = {D}, m = {m}, r = {r}"
-    if not _TINY <= bessel <= _HUGE:
-        raise ValueError(f"{what}: K_nu = {bessel} is outside the normal doubles")
-    log_value = sum(e * math.log(base) for base, e in factors) + math.log(bessel)
     try:
-        value = math.exp(log_value)
+        return math.exp(sum(e * math.log(base) for base, e in factors) + math.log(bessel))
     except OverflowError:
-        value = math.inf
+        return math.inf
+
+
+def _normal(name: str, D: int, m: float, r: float, value: float) -> float:
+    """``value`` of ``name`` at (D, m, r); ValueError unless a normal double."""
     if not _TINY <= value <= _HUGE:
-        raise ValueError(f"{what} = exp({log_value:.6g}) is outside the normal doubles")
+        raise ValueError(f"|{name}| at D = {D}, m = {m}, r = {r} = {value} "
+                         "is outside the normal doubles")
     return value
+
+
+def _scalar_ladder(D: int, M: float, r: float, n: int = 0) -> list[float]:
+    """[G^(D), G^(D+2), ..., G^(D+2n)] of the real kernel at mass M and
+    distance r, from one ladder of K_nu; each by :func:`_product`."""
+    nu = (D - 2) / 2.0
+    z = M * r
+    ladder = bessel_k_ladder(nu, z, n)
+    for i, K in enumerate(ladder):  # G^(2 nu + 2) from K_nu, nu = (D-2)/2 + i
+        ladder[i] = _product(((2 * math.pi, -1.0 - nu), (M, 2.0 * nu), (z, -nu)), K)
+        nu += 1.0
+    return ladder
 
 
 def g0_real(k: Kinematics) -> float:
     """Massless propagator ||x||^(2-D)."""
     r = _require_off_diagonal(k)
-    return _normal_product("g0_real", k.D, k.m, r, ((r, 2 - k.D),))
+    return _normal("g0_real", k.D, k.m, r, _product(((r, 2 - k.D),)))
 
 
 def gm_real(k: Kinematics) -> float:
@@ -145,10 +169,7 @@ def _gm_real(D: int, r: float, m: float) -> float:
     """gm_real at D and r > 0 as :class:`Kinematics` checks them; checks m."""
     if not 0 < m < math.inf:
         raise ValueError(f"gm_real requires a finite m > 0, got {m}")
-    nu = (D - 2) / 2.0
-    z = m * r
-    return _normal_product("gm_real", D, m, r,
-                           ((2 * math.pi, -D / 2.0), (m, D - 2), (z, -nu)), bessel_k(nu, z))
+    return _normal("gm_real", D, m, r, _scalar_ladder(D, m, r)[0])
 
 
 QUADRATURE_TARGET = 1e-10  # relative change of gm_integral when its step halves
@@ -206,20 +227,19 @@ def g0_complex(k: Kinematics) -> ComplexPhase:
     """
     r = _require_off_diagonal(k)
     D = k.D
-    magnitude = _normal_product("g0_complex", D, k.m, r, (
-        (math.factorial(D - 2), 1), (2 * math.pi, -D), (r, 2 - 2 * D)))
+    magnitude = _normal("g0_complex", D, k.m, r, _product((
+        (math.factorial(D - 2), 1), (2 * math.pi, -D), (r, 2 - 2 * D))))
     # -1/i^D = i^(2-D mod 4)
     return ComplexPhase(magnitude, (2 - D) % 4)
 
 
 def gm_complex(k: Kinematics) -> float:
-    """Massive complex propagator (2 pi)^(-D) m^(D-1) ||x||^(-(D-1)) K_{D-1}(m||x||)."""
+    """Massive complex propagator (2 pi)^(-D) m^(D-1) ||x||^(-(D-1)) K_{D-1}(m||x||),
+    evaluated as the real kernel in dimension 2D."""
     r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("gm_complex requires m > 0")
-    nu = k.D - 1
-    return _normal_product("gm_complex", k.D, k.m, r,
-                           ((2 * math.pi, -k.D), (k.m, nu), (r, -nu)), bessel_k(nu, k.m * r))
+    return _normal("gm_complex", k.D, k.m, r, _scalar_ladder(2 * k.D, k.m, r)[0])
 
 
 def diag_continuation(D: int, m: float) -> float:
@@ -240,7 +260,8 @@ class DiracCoeffs:
 
 
 def dirac_propagator(k: Kinematics) -> DiracCoeffs:
-    """Euclidean Dirac propagator coefficients, from S = (-i dslash + m) G_{sqrt(m)}.
+    """Euclidean Dirac propagator coefficients, from S = (-i dslash + m) G_{sqrt(m)}:
+    a = 2 pi G^(D+2)_{sqrt(m)} and b = m G^(D)_{sqrt(m)}.
 
     Requires integer lam >= 1 (even dimension D = 2 lam + 2).
     """
@@ -250,13 +271,9 @@ def dirac_propagator(k: Kinematics) -> DiracCoeffs:
     lam = k.lam
     if lam.denominator != 1 or lam < 1:
         raise ValueError("Dirac coefficients need integer lam = (D-2)/2 >= 1")
-    lam = float(lam)
-    sm = math.sqrt(k.m)
-    z = sm * r
-    pref = (2 * math.pi) ** (-(lam + 1)) * k.m ** (lam / 2.0)
-    k_lm1, k_lam, k_lp1 = bessel_k_ladder(lam - 1, z, 2)
-    a = pref * r ** (-(lam + 1)) * ((lam / r) * k_lam + (sm / 2.0) * (k_lm1 + k_lp1))
-    b = pref * k.m * r ** (-lam) * k_lam
+    g, g_up = _scalar_ladder(k.D, math.sqrt(k.m), r, 1)
+    a = 2 * math.pi * g_up
+    b = k.m * g
     if not (_TINY <= a <= _HUGE and _TINY <= b <= _HUGE):  # both are positive
         what = f"Dirac coefficients at D = {k.D}, m = {k.m}, r = {r}"
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -265,55 +282,28 @@ def dirac_propagator(k: Kinematics) -> DiracCoeffs:
     return DiracCoeffs(a, b)
 
 
-def _scalar_radial_derivs(D: int, mass: float, r: float) -> tuple[float, float, float]:
-    """(G, G', G'') for G(r) = (2 pi)^(-(lam+1)) mass^lam r^(-lam) K_lam(mass r),
-    using K_nu'(z) = -(K_{nu+1} + K_{nu-1})/2 with K_{-nu} = K_nu; the five
-    orders lam-2 .. lam+2 come from one ladder."""
-    lam = (D - 2) / 2.0
-    pref = (2 * math.pi) ** (-(lam + 1)) * mass ** lam
-    low = min(abs(lam - 2), abs(lam - 1))
-    ks = bessel_k_ladder(low, mass * r, round(lam + 2 - low))
-
-    def k(order):
-        return ks[round(abs(order) - low)]
-    k0 = k(lam)
-    kp = -(k(lam + 1) + k(lam - 1)) / 2.0
-    kpp = (k(lam + 2) + 2.0 * k0 + k(lam - 2)) / 4.0
-    g = pref * r ** (-lam) * k0
-    gp = pref * (-lam * r ** (-lam - 1) * k0 + r ** (-lam) * mass * kp)
-    gpp = pref * (lam * (lam + 1) * r ** (-lam - 2) * k0
-                  - 2.0 * lam * mass * r ** (-lam - 1) * kp
-                  + mass * mass * r ** (-lam) * kpp)
-    return g, gp, gpp
-
-
-def _second_partial(x: Sequence[float], r: float, gp: float, gpp: float,
-                    mu: int, nu: int) -> float:
-    """d_mu d_nu of a radial kernel at x from its radial derivatives G', G''."""
-    delta = 1.0 if mu == nu else 0.0
-    return delta * gp / r + x[mu] * x[nu] * (gpp - gp / r) / (r * r)
-
-
 def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
     """Massive vector-boson propagator component in the Stueckelberg gauge:
 
-        g_{mu nu} G_{sqrt(m)} + (1/m^2)(d_mu d_nu G_{sqrt(m/alpha)} - d_mu d_nu G_{sqrt(m)})
+        g_{mu nu} G_{sqrt(m)} + (1/m^2)(d_mu d_nu G_{sqrt(m/alpha)} - d_mu d_nu G_{sqrt(m)}),
+
+    with d_mu d_nu G^(D) = -2 pi g_{mu nu} G^(D+2) + 4 pi^2 x_mu x_nu G^(D+4).
     """
     r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("boson_propagator requires m > 0")
-    if alpha <= 0:
-        raise ValueError("gauge parameter alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"gauge parameter alpha must be finite and positive, got {alpha}")
     if not (0 <= mu < k.D and 0 <= nu < k.D):
         raise ValueError("index out of range")
     m1 = math.sqrt(k.m)
     if alpha == 1.0:  # the derivative terms cancel identically
         return gm_real(Kinematics(k.D, k.x, m1)) if mu == nu else 0.0
-    g1, gp1, gpp1 = _scalar_radial_derivs(k.D, m1, r)
-    _, gp2, gpp2 = _scalar_radial_derivs(k.D, math.sqrt(k.m / alpha), r)
-    dd = (_second_partial(k.x, r, gp2, gpp2, mu, nu)
-          - _second_partial(k.x, r, gp1, gpp1, mu, nu))
-    value = (1.0 if mu == nu else 0.0) * g1 + dd / (k.m ** 2)
+    delta = 1.0 if mu == nu else 0.0
+    g, g2, g4 = _scalar_ladder(k.D, m1, r, 2)
+    h2, h4 = _scalar_ladder(k.D + 2, math.sqrt(k.m / alpha), r, 1)
+    dd = 4 * math.pi ** 2 * k.x[mu] * k.x[nu] * (h4 - g4) - 2 * math.pi * delta * (h2 - g2)
+    value = delta * g + dd / (k.m ** 2)
     # an exact 0 is right only off the diagonal with x_mu = 0 or x_nu = 0
     if not _TINY <= abs(value) <= _HUGE and (
             value != 0.0 or mu == nu or 0.0 not in (k.x[mu], k.x[nu])):

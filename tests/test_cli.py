@@ -78,7 +78,7 @@ class TestPropEval:
         for D, want in (("172", 3.7483888489714e-173), ("173", 1.0201425898447e-173)):
             code, doc = run_cli(["prop-eval", "--D", D, "--r", "10", "--kind", "g0-complex"],
                                 tmp_path)
-            assert code == 0 and doc["magnitude"] == pytest.approx(want, rel=1e-12)
+            assert code == 0 and doc["magnitude"] == pytest.approx(want, rel=1e-12, abs=0)
         code, _ = run_cli(["prop-eval", "--D", "400", "--r", "0.1", "--kind", "g0-complex"],
                           tmp_path)
         assert code == 2
@@ -87,7 +87,8 @@ class TestPropEval:
         # (2 pi)^-200 10^-199 underflows; the summed logs give mpmath's value
         code, doc = run_cli(["prop-eval", "--kind", "gm-complex", "--D", "200", "--r", "10",
                              "--m", "1"], tmp_path)
-        assert code == 0 and doc["value"] == pytest.approx(1.6223831740412056e-128, rel=1e-12)
+        assert code == 0
+        assert doc["value"] == pytest.approx(1.6223831740412056e-128, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flags", [
         ["--kind", "gm-complex", "--D", "200", "--r", "1", "--m", "1"],
@@ -104,20 +105,36 @@ class TestPropEval:
     @pytest.mark.parametrize("flags", [
         ["--kind", "dirac", "--D", "4", "--r", "800"],
         ["--kind", "dirac", "--D", "4", "--r", "705"],
-        ["--kind", "dirac", "--D", "400", "--r", "10"],
         ["--kind", "boson", "--D", "4", "--r", "1500", "--alpha", "2"],
         ["--kind", "boson", "--D", "100", "--r", "600", "--alpha", "4"],
-    ], ids=["dirac-zero", "dirac-subnormal", "dirac-high-D", "boson-zero", "boson-subnormal"])
+    ], ids=["dirac-zero", "dirac-subnormal", "boson-zero", "boson-subnormal"])
     def test_values_below_the_normal_doubles_exit_2(self, flags, tmp_path):
         # each printed 0 or a subnormal with exit 0 before, where gm refuses
         code, _ = run_cli(["prop-eval", "--m", "1", *flags], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("flags, want", [
+        (["--kind", "dirac"], {"a": 6.4611793374374028e-128, "b": 1.6223831740412056e-128}),
+        (["--kind", "boson", "--alpha", "1.5", "--mu", "1", "--nu", "1"],
+         {"value": 1.3462184549623695e-128}),
+        (["--kind", "boson", "--alpha", "1.5", "--mu", "0", "--nu", "0"],
+         {"value": 1.1131777930196991e-126}),
+    ], ids=["dirac", "boson-11", "boson-00"])
+    def test_high_dimension_values_past_the_plain_prefactor(self, flags, want, tmp_path):
+        # mpmath at 60 digits; the prefactor (2 pi)^-201 10^-199 alone is below
+        # the doubles, which made Dirac exit 2 and boson print -2.7616e-129
+        # (1,1) and 1.09695e-126 (0,0)
+        code, doc = run_cli(["prop-eval", "--D", "400", "--m", "1", "--r", "10", *flags], tmp_path)
+        assert code == 0
+        for key, value in want.items():
+            assert doc[key] == pytest.approx(value, rel=1e-11, abs=0), key
+
     def test_small_normal_and_symmetric_zero_boson_values_print(self, tmp_path):
         # mpmath at 40 digits gives 2.26884509216146802e-223
         code, doc = run_cli(["prop-eval", "--kind", "boson", "--D", "4", "--m", "1",
                              "--r", "705", "--alpha", "2"], tmp_path)
-        assert code == 0 and doc["value"] == pytest.approx(2.268845092161468e-223, rel=1e-13)
+        assert code == 0
+        assert doc["value"] == pytest.approx(2.268845092161468e-223, rel=1e-13, abs=0)
         code, doc = run_cli(["prop-eval", "--kind", "boson", "--D", "4", "--m", "1",
                              "--x", "1,0,0,0", "--mu", "1", "--nu", "2", "--alpha", "2"], tmp_path)
         assert code == 0 and doc["value"] == 0

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import mul
 
@@ -190,6 +191,52 @@ def _reference(kind: str, D: int, r, m):
     return (2 * mpmath.pi) ** -D * m ** (D - 1) * r ** (1 - D) * bessel, bessel
 
 
+@lru_cache(maxsize=None)
+def _radial_reference(D: int, M: float, r: float):
+    """(G, G', G'') of the real kernel G(r) at mass M in mpmath, from
+    K_nu'(z) = -(K_{nu-1} + K_{nu+1})/2 rather than the dimension shift."""
+    import mpmath
+    lam, M, r = mpmath.mpf(D - 2) / 2, mpmath.mpf(M), mpmath.mpf(r)
+    k = {i: mpmath.besselk(lam + i, M * r) for i in range(-2, 3)}
+    k0, k1, k2 = k[0], -(k[-1] + k[1]) / 2, (k[-2] + 2 * k[0] + k[2]) / 4
+    c = (2 * mpmath.pi) ** (-mpmath.mpf(D) / 2) * M ** lam
+    return (c * r ** -lam * k0,
+            c * (-lam * r ** (-lam - 1) * k0 + r ** -lam * M * k1),
+            c * (lam * (lam + 1) * r ** (-lam - 2) * k0 - 2 * lam * r ** (-lam - 1) * M * k1
+                 + r ** -lam * M * M * k2))
+
+
+VECTOR_DIRECTION = (0.6, 0.8)  # x = r (0.6, 0.8, 0, ...): every (mu, nu) below is non-zero
+
+
+def _vector_checks(kind: str, D: int, r: float, m: float):
+    """(call, value, scale) of each Dirac coefficient, or each boson component
+    over alpha and (mu, nu), with its mpmath value and the scale of its terms."""
+    import mpmath
+    if kind == "dirac":
+        g, gp, _ = _radial_reference(D, math.sqrt(m), r)
+        k = Kinematics.radial(D, r, m)
+        a, b = -gp / r, m * g
+        return [(lambda: dirac_propagator(k).a, a, a), (lambda: dirac_propagator(k).b, b, b)]
+    x = tuple(c * r for c in VECTOR_DIRECTION) + (0.0,) * (D - 2)
+    k = Kinematics(D, x, m)
+
+    def dd(M, mu, nu):  # d_mu d_nu G = delta G'/r + x_mu x_nu (G'' - G'/r)/r^2
+        _, gp, gpp = _radial_reference(D, M, k.r)
+        return ((gp / k.r if mu == nu else 0)
+                + mpmath.mpf(x[mu]) * x[nu] * (gpp - gp / k.r) / k.r ** 2)
+
+    g = _radial_reference(D, math.sqrt(m), k.r)[0]
+    checks = []
+    for alpha in (0.5, 1.5):
+        for mu, nu in ((0, 0), (1, 1), (0, 1)):
+            d1, d2 = dd(math.sqrt(m), mu, nu), dd(math.sqrt(m / alpha), mu, nu)
+            value = (g if mu == nu else 0) + (d2 - d1) / m ** 2
+            scale = abs(g) + (abs(d1) + abs(d2)) / m ** 2
+            checks.append((partial(boson_propagator, k, alpha, mu, nu), value, scale))
+    return checks
+
+
 def _product(kind: str, D: int, r: float, m: float) -> tuple[list[float], float]:
     """The factors and the product of the plain double formula of a kernel."""
     from confeyn.specfun import bessel_k
@@ -199,8 +246,9 @@ def _product(kind: str, D: int, r: float, m: float) -> tuple[list[float], float]
         nu = (D - 2) / 2.0
         factors = [(2 * math.pi) ** (-D / 2.0), m ** (D - 2), (m * r) ** (-nu),
                    bessel_k(nu, m * r)]
-    else:
-        factors = [(2 * math.pi) ** (-D), m ** (D - 1), r ** (1 - D), bessel_k(D - 1, m * r)]
+    else:  # the real kernel at dimension 2D
+        factors = [(2 * math.pi) ** (-D), m ** (2 * D - 2), (m * r) ** (1 - D),
+                   bessel_k(D - 1, m * r)]
     return factors, math.prod(factors)
 
 
@@ -215,7 +263,9 @@ class TestDoubleRange:
     @pytest.mark.parametrize("kind, D", [("g0", 100), ("g0", 400), ("g0", 2000),
                                          ("gm", 4), ("gm", 100), ("gm", 300), ("gm", 600),
                                          ("gm-complex", 3), ("gm-complex", 100),
-                                         ("gm-complex", 200)])
+                                         ("gm-complex", 200),
+                                         *((kind, D) for kind in ("dirac", "boson")
+                                           for D in (4, 100, 300, 400, 600))])
     def test_magnitude_against_mpmath(self, kind, D):
         # a value or a K_nu outside the normal doubles is a ValueError, never
         # a silent 0, inf or nan
@@ -223,6 +273,9 @@ class TestDoubleRange:
         with mpmath.workdps(40):
             for r in (0.1, 1.0, 3.0, 10.0, 100.0):
                 for m in ((0.0,) if kind == "g0" else (0.5, 2.0)):
+                    if kind in ("dirac", "boson"):
+                        self.check_vector_kernel(kind, D, r, m)
+                        continue
                     want, bessel = _reference(kind, D, r, m)
                     k = Kinematics.radial(D, r, m)
                     if not (_normal(want) and _normal(bessel)):
@@ -230,6 +283,17 @@ class TestDoubleRange:
                             KERNELS[kind](k)
                         continue
                     assert abs(KERNELS[kind](k) - want) <= 1e-11 * want, (kind, D, r, m)
+
+    @staticmethod
+    def check_vector_kernel(kind, D, r, m):
+        # a normal value within 1e-12 of its term scale, or a ValueError: the
+        # K_nu ladder may overflow where the value is normal
+        for call, want, scale in _vector_checks(kind, D, r, m):
+            try:
+                got = call()
+            except ValueError:
+                continue
+            assert _normal(want) and abs(got - want) <= 1e-12 * scale, (kind, D, r, m, got, want)
 
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_keeps_the_product_where_it_is_normal(self, kind):
@@ -336,6 +400,10 @@ class TestBoson:
             boson_propagator(k, -1.0, 0, 0)
         with pytest.raises(ValueError):
             boson_propagator(k, 1.0, 0, 9)
+        for alpha in (math.nan, math.inf):
+            # nan failed inside bessel_k, inf with "z > 0"
+            with pytest.raises(ValueError, match="alpha must be finite and positive"):
+                boson_propagator(k, alpha, 0, 0)
 
 
 class TestKinematics:

@@ -216,7 +216,7 @@ class TestPropagatorRegressions:
     def test_prop_eval_in_former_defect_window(self, D, r, capsys):
         assert main(["prop-eval", "--D", str(D), "--m", "1", "--r", str(r)]) == 0
         got = float(capsys.readouterr().out.split(":")[-1].rstrip("}\n"))
-        assert got == pytest.approx(_gm_closed_form(D, 1.0, r), rel=1e-12)
+        assert got == pytest.approx(_gm_closed_form(D, 1.0, r), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flags", [["--r", "inf"], ["--r", "nan"],
                                        ["--r", "1", "--m", "nan"],
@@ -226,8 +226,10 @@ class TestPropagatorRegressions:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("D", [3, 4, 5, 6, 7, 8])
-    def test_boson_one_ladder_per_argument(self, D, monkeypatch):
+    @staticmethod
+    def ladder_arguments(monkeypatch) -> list:
+        """The z of every bessel_k_ladder call the propagators make; a
+        bessel_k call fails."""
         args = []
 
         def counting(nu, z, steps):
@@ -235,10 +237,22 @@ class TestPropagatorRegressions:
             return bessel_k_ladder(nu, z, steps)
 
         def no_single_order(nu, z):
-            raise AssertionError("boson kernel called bessel_k")
+            raise AssertionError("kernel called bessel_k")
 
         monkeypatch.setattr(propagators, "bessel_k_ladder", counting)
-        monkeypatch.setattr(propagators, "bessel_k", no_single_order)
+        monkeypatch.setattr(propagators, "bessel_k", no_single_order, raising=False)
+        return args
+
+    @pytest.mark.parametrize("D", [3, 4, 5, 6, 7, 8])
+    def test_boson_one_ladder_per_argument(self, D, monkeypatch):
+        args = self.ladder_arguments(monkeypatch)
         x = (0.8, -0.3) + (0.2,) * (D - 2)
         propagators.boson_propagator(Kinematics(D, x, 1.3), 1.7, 0, 1)
         assert len(args) == len(set(args)) == 2
+
+    @pytest.mark.parametrize("D", [4, 6, 8])
+    def test_dirac_one_ladder(self, D, monkeypatch):
+        args = self.ladder_arguments(monkeypatch)
+        x = (0.8, -0.3) + (0.2,) * (D - 2)
+        propagators.dirac_propagator(Kinematics(D, x, 1.3))
+        assert len(args) == 1
