@@ -43,8 +43,7 @@ from typing import Callable
 
 from .feyngraph import Edge, FeynmanGraph
 from .hopf import HopfAlgebra, HopfElement, Monomial, as_element, monomial_degree
-from .rotabaxter import (MultiLogAlgebra, MultiLogForm, diagonal_label,
-                         label_sort_key, separation_label)
+from .rotabaxter import MultiLogAlgebra, MultiLogForm, diagonal_label, separation_label
 
 
 def extend_linearly(x, element, on_monomial):
@@ -185,8 +184,8 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
         terms: dict[tuple, Fraction] = {}
         for subset, _ in canon.one_pi_blocks():
             I = frozenset(renumber[v] for v in subset)
-            block = sorted((diagonal_label(I), separation_label("inf", I)), key=label_sort_key)
-            terms[((space, ("polar", tuple(block))),)] = \
+            block = (separation_label("inf", I), diagonal_label(I))
+            terms[((space, ("polar", block)),)] = \
                 _stable_rational(rule_seed, key, sorted(I), "polar")
         terms[()] = _stable_rational(rule_seed, key, "const")
         linear = ((separation_label("inf", frozenset({1})), 1),)

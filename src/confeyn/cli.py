@@ -421,8 +421,7 @@ def _cmd_divisors(args) -> dict:
 
     labels = rotabaxter.divisor_labels(args.n, args.k)
     return {"n": args.n, "k": args.k, "count": len(labels),
-            "labels": [rotabaxter.label_str(l)
-                       for l in sorted(labels, key=rotabaxter.label_sort_key)]}
+            "labels": [rotabaxter.label_str(l) for l in sorted(labels)]}
 
 
 def build_parser() -> argparse.ArgumentParser:

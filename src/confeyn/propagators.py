@@ -92,7 +92,9 @@ class Kinematics:
 
     @classmethod
     def radial(cls, D: int, r: float, m: float = 0.0) -> "Kinematics":
-        """Separation of length r along the first axis."""
+        """Separation of length r >= 0 along the first axis."""
+        if r < 0:
+            raise ValueError(f"a radial separation needs r >= 0, got {r}")
         return cls(D, (r,) + (0.0,) * (D - 1), m)
 
 

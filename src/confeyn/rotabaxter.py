@@ -34,15 +34,21 @@ is the case of one factor.
 
 Divisor labels for the compactification of n points avoiding k marked
 components: separation divisors D_{c,S} with c in {1..k, inf} and nonempty
-S in {1..n}, and diagonal divisors D_I with I in {1..n}, |I| > 1.
+S in {1..n}, and diagonal divisors D_I with I in {1..n}, |I| > 1.  A label
+is a ``Label`` (kind, component, points) whose tuple order is the label
+order: separation labels before diagonal ones, then the component (1..k, then
+inf), then the sorted points.  A polar block lists its labels strictly in
+that order, and the log-form JSON and the ``divisors`` command follow it.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .linear import Linear, rational
 
@@ -101,41 +107,33 @@ def laurent_T(s: LaurentSeries) -> LaurentSeries:
 # Divisor labels
 # ---------------------------------------------------------------------------
 
-# ("sep", c, S) with c an int in 1..k or the string "inf"; ("diag", I)
-Label = tuple
+class Label(NamedTuple):
+    """A boundary divisor; labels order themselves as tuples (module docstring)."""
 
-
-def label_sort_key(label: Label) -> tuple:
-    kind = label[0]
-    if kind == "sep":
-        c = label[1]
-        c_key = (1, 0) if c == "inf" else (0, int(c))
-        return (0, c_key, tuple(sorted(label[2])))
-    if kind == "diag":
-        return (1, (0, 0), tuple(sorted(label[1])))
-    raise ValueError(f"unknown label kind {kind!r}")
+    kind: int  # 0 for a separation label D_{c,S}, 1 for a diagonal label D_I
+    component: int | float  # c in 1..k, or math.inf; 0 on diagonal labels
+    points: tuple[int, ...]  # S or I, sorted
 
 
 def label_str(label: Label) -> str:
-    if label[0] == "sep":
-        return f"sep:{label[1]}:" + ",".join(str(i) for i in sorted(label[2]))
-    return "diag:" + ",".join(str(i) for i in sorted(label[1]))
+    points = ",".join(map(str, label.points))
+    if label.kind:
+        return "diag:" + points
+    return f"sep:{'inf' if label.component == math.inf else label.component}:{points}"
 
 
 def diagonal_label(I: Iterable[int]) -> Label:
-    I = frozenset(int(i) for i in I)
+    I = tuple(sorted({int(i) for i in I}))
     if len(I) < 2:
         raise ValueError("diagonal labels need |I| > 1")
-    return ("diag", I)
+    return Label(1, 0, I)
 
 
 def separation_label(c, S: Iterable[int]) -> Label:
-    S = frozenset(int(i) for i in S)
+    S = tuple(sorted({int(i) for i in S}))
     if not S:
         raise ValueError("separation labels need nonempty S")
-    if c != "inf":
-        c = int(c)
-    return ("sep", c, S)
+    return Label(0, math.inf if c == "inf" else int(c), S)
 
 
 def divisor_labels(n: int, k: int) -> frozenset[Label]:
@@ -164,18 +162,12 @@ CompMono = tuple
 MultiKey = tuple  # sorted tuple of (space, CompMono)
 
 
-def _merge_polar(J1: frozenset, J2: frozenset) -> tuple[int, frozenset] | None:
+def _merge_polar(a: tuple, b: tuple) -> tuple[int, tuple] | None:
     """Exterior product of two sorted dlog blocks: None if a factor repeats,
-    else (sign, union) with the interleaving parity sign."""
-    if J1 & J2:
+    else (sign, merged sorted block) with the interleaving parity sign."""
+    if not set(a).isdisjoint(b):
         return None
-    a = sorted(J1, key=label_sort_key)
-    b = sorted(J2, key=label_sort_key)
-    inversions = 0
-    for x in a:
-        kx = label_sort_key(x)
-        inversions += sum(1 for y in b if label_sort_key(y) < kx)
-    return (-1) ** inversions, J1 | J2
+    return (-1) ** sum(bisect_left(b, x) for x in a), tuple(sorted(a + b))
 
 
 def _mul_reg_keys(k1: RegKey, k2: RegKey) -> RegKey:
@@ -184,18 +176,18 @@ def _mul_reg_keys(k1: RegKey, k2: RegKey) -> RegKey:
         exps[label] = exps.get(label, 0) + e
     for label, e in k2:
         exps[label] = exps.get(label, 0) + e
-    return tuple(sorted(exps.items(), key=lambda kv: label_sort_key(kv[0])))
+    return tuple(sorted(exps.items()))
 
 
 def _comp_mul(c1: CompMono, c2: CompMono) -> tuple[int, CompMono] | None:
     kind1, data1 = c1
     kind2, data2 = c2
     if kind1 == "polar" and kind2 == "polar":
-        merged = _merge_polar(frozenset(data1), frozenset(data2))
+        merged = _merge_polar(data1, data2)
         if merged is None:
             return None
         sign, J = merged
-        return sign, ("polar", tuple(sorted(J, key=label_sort_key)))
+        return sign, ("polar", J)
     if kind1 == "polar":
         return (1, c1) if data2 == () else None  # stratum evaluation kills variables
     if kind2 == "polar":
@@ -243,6 +235,8 @@ class MultiLogForm(Linear):
             for _, (kind, data) in key:
                 if kind == "polar" and (not data or len(data) % 2):
                     raise ValueError("polar blocks must be nonempty with even cardinality")
+                if kind == "polar" and any(x >= y for x, y in zip(data, data[1:])):
+                    raise ValueError("polar blocks must list distinct labels in label order")
             out[key] = out.get(key, 0) + rational(c)
         super().__init__(out)
 
@@ -251,7 +245,7 @@ class MultiLogForm(Linear):
 
     def to_json(self) -> list:
         out = []
-        for key in sorted(self.terms, key=_multikey_sort_key):
+        for key in sorted(self.terms):
             comps = []
             for space, (kind, data) in key:
                 if kind == "polar":
@@ -263,12 +257,6 @@ class MultiLogForm(Linear):
             out.append({"components": comps,
                         "value": [{"pi_half_exp": 0, "rational": str(self.terms[key])}]})
         return out
-
-
-def _multikey_sort_key(key: MultiKey) -> list:
-    """Orders monomials by space, kind and then labels through label_sort_key."""
-    return [(space, kind, [label_sort_key(x) if kind == "polar" else (label_sort_key(x[0]), x[1])
-                           for x in data]) for space, (kind, data) in key]
 
 
 def multi_T(a: MultiLogForm) -> MultiLogForm:

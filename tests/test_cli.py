@@ -156,6 +156,11 @@ class TestPropEval:
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "0"], tmp_path)
         assert code == 2
 
+    def test_negative_r_exits_2(self, tmp_path):
+        # printed the value at r = 1 with exit 0
+        code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "-1"], tmp_path)
+        assert code == 2
+
     def test_quadrature_failure_exit_code(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "1",
                            "--kind", "gm-integral", "--quad-points", "8"], tmp_path)

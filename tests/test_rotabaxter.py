@@ -9,7 +9,7 @@ import pytest
 
 from confeyn.exact import SymbolicCoeff
 from confeyn.rotabaxter import (LaurentSeries, MultiLogForm, diagonal_label,
-                                divisor_labels, label_sort_key, label_str,
+                                divisor_labels, label_str,
                                 laurent_T, multi_T, separation_label)
 from conftest import one_factor_form
 
@@ -26,7 +26,7 @@ def rand_laurent(rng) -> LaurentSeries:
                           for e in range(rng.randint(-3, 0), rng.randint(1, 4))})
 
 
-LABELS = sorted(divisor_labels(3, 1), key=label_sort_key)
+LABELS = sorted(divisor_labels(3, 1))
 
 
 def rand_logform(rng, space=3, labels=LABELS) -> MultiLogForm:
@@ -39,8 +39,7 @@ def rand_logform(rng, space=3, labels=LABELS) -> MultiLogForm:
     regular = {}
     for _ in range(rng.randint(0, 3)):
         vars_ = rng.sample(labels, rng.randint(0, 2))
-        key = tuple(sorted(((v, rng.randint(1, 2)) for v in vars_),
-                           key=lambda kv: label_sort_key(kv[0])))
+        key = tuple(sorted((v, rng.randint(1, 2)) for v in vars_))
         regular[key] = F(rng.randint(-4, 4), rng.randint(1, 5))
     return one_factor_form(space, polar, regular)
 
@@ -71,6 +70,26 @@ def residue_single(a: MultiLogForm, label) -> dict:
             J = key[0][1][1]
             out[frozenset(J) - {label}] = c * ((-1) ** J.index(label))
     return out
+
+
+def legacy_sort_key(label) -> tuple:
+    """Reference for the label order: the sort key labels had when they were
+    tagged tuples, read off the label's string.  Separation labels come
+    before diagonal ones, components 1..k before inf, then the points."""
+    kind, *rest = label_str(label).split(":")
+    points = tuple(int(i) for i in rest[-1].split(","))
+    if kind == "sep":
+        return (0, (1, 0) if rest[0] == "inf" else (0, int(rest[0])), points)
+    return (1, (0, 0), points)
+
+
+def legacy_merge_polar(J1: frozenset, J2: frozenset):
+    """Reference for the wedge of two dlog blocks: None if they share a label,
+    else (sign, block), the sign from a quadratic count of inversions."""
+    if J1 & J2:
+        return None
+    inversions = sum(1 for x in J1 for y in J2 if legacy_sort_key(y) < legacy_sort_key(x))
+    return (-1) ** inversions, tuple(sorted(J1 | J2, key=legacy_sort_key))
 
 
 # coefficients that are not exact rationals: a float (LaurentSeries used to
@@ -160,6 +179,13 @@ class TestDivisorLabels:
         with pytest.raises(ValueError):
             divisor_labels(0, 0)
 
+    def test_plain_sort_is_the_legacy_order(self):
+        for n in range(1, 6):
+            for k in range(4):
+                labels = divisor_labels(n, k)
+                assert len({legacy_sort_key(l) for l in labels}) == len(labels)
+                assert sorted(labels) == sorted(labels, key=legacy_sort_key), (n, k)
+
 
 class TestLogForm:
     """Single-space log forms: one-factor multi-space forms."""
@@ -193,6 +219,29 @@ class TestLogForm:
             MultiLogForm({((3, ("polar", ())),): 1})
         with pytest.raises(ValueError, match="even cardinality"):
             one_factor_form(3, {frozenset([LABELS[0]]): 0})
+
+    def test_unsorted_polar_block_refused(self):
+        # was its own key: unequal to the sorted block, and f - g kept 2 terms
+        sep, diag = separation_label("inf", {1}), diagonal_label({1, 2})
+        with pytest.raises(ValueError, match="label order"):
+            MultiLogForm({((3, ("polar", (diag, sep))),): 1})
+
+    def test_repeated_polar_label_refused(self):
+        # dlog a ^ dlog a = 0 was kept as a nonzero monomial
+        sep = separation_label("inf", {1})
+        with pytest.raises(ValueError, match="label order"):
+            MultiLogForm({((3, ("polar", (sep, sep))),): 1})
+
+    def test_polar_products_match_the_legacy_sign(self):
+        rng = random.Random(13)
+        labels = sorted(divisor_labels(4, 2))
+        for _ in range(300):
+            drawn = rng.sample(labels, rng.choice([4, 6, 8]))
+            cut = rng.choice(range(2, len(drawn) - 1, 2))
+            J1, J2 = frozenset(drawn[:cut]), frozenset(drawn[cut:])
+            sign, block = legacy_merge_polar(J1, J2)
+            got = one_factor_form(3, {J1: 1}) * one_factor_form(3, {J2: 1})
+            assert got.terms == {((3, ("polar", block)),): sign}
 
     def test_commutativity_fuzz(self):
         rng = random.Random(3)
@@ -248,7 +297,7 @@ class TestLogForm:
     def test_json_deterministic(self):
         # labels of the toy character's kind: separation only at infinity
         rng = random.Random(9)
-        a = rand_logform(rng, labels=sorted(divisor_labels(3, 0), key=label_sort_key))
+        a = rand_logform(rng, labels=sorted(divisor_labels(3, 0)))
         assert a.to_json() == a.to_json()
         assert a.to_json() and all(comp["space"] == 3 for mono in a.to_json()
                                    for comp in mono["components"])
