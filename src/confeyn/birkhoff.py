@@ -13,12 +13,20 @@ where the sum runs over the reduced coproduct.  The weight -1 relation makes
 both phi_- and phi_+ algebra morphisms again (tested, not assumed).
 
 Target values are summed, negated and scaled by their own arithmetic and
-multiplied through the target's ``mul``; phi, the prepared values and the
-frame are memoised per monomial, keyed by the monomial itself.
+multiplied through the target's ``mul``; phi, the prepared values, beta and
+the frame are memoised per monomial, keyed by the monomial itself.
 
 The renormalization group enters through the Dynkin operator D = S * Y:
-beta = phi_- o D, and phi_- is recovered from the graded pieces of beta by
-the universal singular frame
+beta = phi_- o D.  Both targets are commutative, so beta = phi_-^(*-1) *
+Y(phi_-) is an infinitesimal character: it vanishes on 1 and on every product
+of two or more graphs, and Y(phi_-) = phi_- * beta gives, on a graph G and
+over the reduced coproduct,
+
+    beta(G) = deg G phi_-(G) - sum phi_-(G') beta(G''),
+
+memoised per graph.  The Dynkin form phi_-(D(x)), which expands the antipode
+into products, is the test oracle.  phi_- is recovered from the graded pieces
+of beta by the universal singular frame
 
     phi_- = sum_{n >= 0, k_i > 0} beta_{k_1} * ... * beta_{k_n}
             / (k_1 (k_1+k_2) ... (k_1+...+k_n)).
@@ -31,7 +39,7 @@ degree d > 0 and over the reduced coproduct,
     F(X) = ( beta(X) + sum F(X') beta(X'') ) / d,
 
 one recursion on the memoised coproduct in place of a sum over the 2^(d-1)
-compositions of d.
+compositions of d; only the terms whose X'' is one graph contribute.
 """
 
 from __future__ import annotations
@@ -201,18 +209,30 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
 
 
 class BetaFunction:
-    """beta = phi_- o D with D the Dynkin operator S * Y."""
+    """beta = phi_- o D with D the Dynkin operator S * Y, by its recursion
+    beta(G) = deg G phi_-(G) - sum phi_-(G') beta(G'') on a graph, memoised
+    per graph, and 0 on 1 and on products (module docstring)."""
 
     def __init__(self, pair: BirkhoffPair):
         self.pair = pair
         self.hopf = pair.hopf
         self.target = pair.target
-
-    def __call__(self, x):
-        return self.pair.phi_minus(self.hopf.dynkin(x))
+        self._memo: dict[Monomial, object] = {}
 
     def on_monomial(self, mono: Monomial):
-        return self(HopfElement.from_monomial(mono))
+        if len(mono) != 1:
+            return self.target.element.zero()
+        cached = self._memo.get(mono)
+        if cached is None:
+            minus, mul = self.pair.minus_on_monomial, self.target.mul
+            value = monomial_degree(mono) * minus(mono)
+            for (left, right), c in self.hopf.reduced_coproduct(mono).terms.items():
+                value = value - c * mul(minus(left), self.on_monomial(right))
+            self._memo[mono] = cached = value
+        return cached
+
+    def __call__(self, x):
+        return extend_linearly(x, self.target.element, self.on_monomial)
 
 
 def beta_function(pair: BirkhoffPair) -> BetaFunction:
@@ -238,7 +258,8 @@ class FrameCharacter:
             beta, mul = self.beta.on_monomial, self.target.mul
             value = beta(mono)
             for (left, right), c in self.hopf.reduced_coproduct(mono).terms.items():
-                value = value + c * mul(self.on_monomial(left), beta(right))
+                if len(right) == 1:  # beta vanishes on products
+                    value = value + c * mul(self.on_monomial(left), beta(right))
             self._memo[mono] = cached = Fraction(1, degree) * value
         return cached
 

@@ -70,15 +70,17 @@ EXPAND_MAX_D = 800      # gegenbauer at radial 64: 0.35 s at 800 (ell 16) and at
                         # (ell 15/2); taylor at 799 (ell 16) 0.17 s
 RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
                           # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
-BETA_MAX_DEGREE = 12  # frame check on a 12-edge necklace: 0.5 s (1.9 s at 14)
+BETA_MAX_DEGREE = 12  # beta and frame check on a 12-edge necklace: 0.06 s in process
+                      # (0.2 s at 14)
 GRAPH_MAX_VERTICES = 16  # legs included; graph-antipode 3.9 s on the generalized Petersen
                          # graph GP(8,2) (coproduct 1.3 s), 2.1 s on K5,5 with 6 legs;
                          # 11-14 s at 24 with a leg on each vertex of the circulant C12(1,5)
 GRAPH_MAX_INTERNAL_EDGES = 25  # graph-antipode: K5,5 1.2 s, 12 bananas in a ring with one
                                # tripled 4.4 s (coproduct 0.9 s, 1.4 s)
 RENORM_MAX_INTERNAL_EDGES = 12  # renorm and beta factorize every quotient: beta --degree 12
-                                # on a ring of 6 bananas with a leg on each vertex 0.5 s, on a
-                                # ring of 8 (16 edges) 5.0 s; renorm 0.3 s and 0.4 s
+                                # on a ring of 6 bananas with a leg on each vertex 0.15 s a
+                                # run, on a ring of 8 (16 edges) 0.8 s in process; renorm
+                                # 0.12 s and 0.4 s
 
 USAGE = "usage: confeyn {" + ",".join(SUBCOMMANDS) + "} [options]\n"
 

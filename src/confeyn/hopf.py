@@ -8,8 +8,9 @@ by the number of internal edges.  The coproduct on a generator is
 summed over admissible subgraphs (disjoint unions of 1PI pieces with 1PI
 quotient), extended multiplicatively; the antipode is the usual inductive
 formula S(X) = -X - sum S(X') X'' on the reduced coproduct.  The grading
-derivation Y and the Dynkin operator D = S * Y (convolution) provide the
-renormalization-group machinery used by the Birkhoff module.
+derivation Y and the Dynkin operator D = S * Y (convolution) define the beta
+function phi_- o D; the Birkhoff module computes it by its recursion, and
+``dynkin`` is its test oracle.
 
 Elements of H and of its tensor powers are sparse combinations of the
 ``linear`` core, keyed by monomials and by tuples of monomials.  Every

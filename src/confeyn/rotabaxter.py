@@ -130,10 +130,15 @@ def diagonal_label(I: Iterable[int]) -> Label:
 
 
 def separation_label(c, S: Iterable[int]) -> Label:
+    """D_{c,S}: c is a marked component (an int >= 1), or "inf" or math.inf."""
+    if c == "inf":
+        c = math.inf
+    elif c != math.inf and (type(c) is not int or c < 1):
+        raise ValueError(f"separation components are 'inf' or an int >= 1, got {c!r}")
     S = tuple(sorted({int(i) for i in S}))
     if not S:
         raise ValueError("separation labels need nonempty S")
-    return Label(0, math.inf if c == "inf" else int(c), S)
+    return Label(0, c, S)
 
 
 def divisor_labels(n: int, k: int) -> frozenset[Label]:
@@ -219,7 +224,8 @@ class MultiLogForm(Linear):
 
     A key is a sorted tuple of (space, component) with distinct spaces; the
     empty key is the unit.  Every polar component is a nonempty block of even
-    cardinality.
+    cardinality, and every regular one a nonempty monomial of distinct labels
+    in label order with positive int exponents.
     """
 
     key_product = staticmethod(_merge_multikeys)
@@ -237,6 +243,12 @@ class MultiLogForm(Linear):
                     raise ValueError("polar blocks must be nonempty with even cardinality")
                 if kind == "polar" and any(x >= y for x, y in zip(data, data[1:])):
                     raise ValueError("polar blocks must list distinct labels in label order")
+                if kind == "reg" and not data:
+                    raise ValueError("the unit is the empty key, not a ('reg', ()) component")
+                if kind == "reg" and any(x >= y for (x, _), (y, _) in zip(data, data[1:])):
+                    raise ValueError("regular monomials must list distinct labels in label order")
+                if kind == "reg" and any(type(e) is not int or e < 1 for _, e in data):
+                    raise ValueError("regular exponents must be positive integers")
             out[key] = out.get(key, 0) + rational(c)
         super().__init__(out)
 

@@ -3,17 +3,24 @@
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from confeyn.birkhoff import (Character, beta_function, birkhoff_factorize,
                               toy_feynman_character, universal_frame)
 from confeyn.feyngraph import FeynmanGraph
-from confeyn.hopf import HopfElement, monomial, monomial_degree
+from confeyn.hopf import HopfElement, generate_graph_family, monomial, monomial_degree
 from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries, multi_T
 from conftest import banana, doubled_triangle, laurent_rule, necklace
 
 F = Fraction
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def dynkin_beta(pair, x):
+    """beta by its definition phi_- o D, D = S * Y expanded through the antipode."""
+    return pair.phi_minus(pair.hopf.dynkin(x))
 
 
 class TestWorkedExamples:
@@ -164,11 +171,34 @@ class TestBetaAndFrame:
         assert beta(HopfElement.one()).is_zero()
 
     def test_beta_vanishes_on_products(self, hopf, family, laurent_character):
-        pair = birkhoff_factorize(laurent_character)
-        beta = beta_function(pair)
         deg2 = [g for g in family if g.degree() == 2]
-        for a, b in itertools.combinations_with_replacement(deg2, 2):
-            assert beta(HopfElement.from_monomial(monomial(a, b))).is_zero()
+        for phi in (laurent_character, toy_feynman_character(hopf, 6, 1, rule_seed=1)):
+            beta = beta_function(birkhoff_factorize(phi))
+            for a, b in itertools.combinations_with_replacement(deg2, 2):
+                assert beta(HopfElement.from_monomial(monomial(a, b))).is_zero()
+
+    @pytest.mark.parametrize("target", ["laurent", "logform"])
+    def test_beta_is_phi_minus_of_the_dynkin_operator(self, hopf, monkeypatch, target):
+        # the recursion against the defining beta = phi_- o (S * Y), which
+        # expands the antipode: necklaces, the family, the dense benchmark
+        # shapes and products of two and three graphs (where both are 0)
+        monkeypatch.syspath_prepend(str(BENCH))
+        from jobs import DENSE_GRAPHS
+
+        phi = (Character(hopf, LaurentAlgebra(), laurent_rule(1)) if target == "laurent"
+               else toy_feynman_character(hopf, 8, 1, rule_seed=1))
+        pair = birkhoff_factorize(phi)
+        beta = beta_function(pair)
+        family = generate_graph_family(4, with_legs=True)
+        graphs = ([necklace(k) for k in range(3, 8)] + family
+                  + [FeynmanGraph.build(n, edges) for n, edges in DENSE_GRAPHS.values()])
+        small = [g for g in family if g.degree() <= 3]
+        products = [monomial(*gs) for r in (2, 3)
+                    for gs in itertools.combinations_with_replacement(small[:4], r)]
+        for x in graphs + products:
+            want = dynkin_beta(pair, x)
+            assert beta(x) == want
+            assert want.is_zero() == isinstance(x, tuple)
 
     def test_frame_round_trip_laurent(self, hopf, monomials_deg4, laurent_character):
         pair = birkhoff_factorize(laurent_character)

@@ -1,6 +1,7 @@
 """Rota-Baxter weight -1 identities in both models, exact arithmetic; the
 single-space log forms are the one-factor case of the multi-space model."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -179,6 +180,21 @@ class TestDivisorLabels:
         with pytest.raises(ValueError):
             divisor_labels(0, 0)
 
+    def test_zero_component_refused(self):
+        # printed sep:0:1
+        with pytest.raises(ValueError, match="int >= 1"):
+            separation_label(0, {1})
+
+    def test_negative_component_refused(self):
+        # printed sep:-2:1
+        with pytest.raises(ValueError, match="int >= 1"):
+            separation_label(-2, {1})
+
+    def test_math_inf_component_accepted(self):
+        # int(math.inf) raised OverflowError
+        assert separation_label(math.inf, {1, 2}) == separation_label("inf", {1, 2})
+        assert label_str(separation_label(math.inf, {1})) == "sep:inf:1"
+
     def test_plain_sort_is_the_legacy_order(self):
         for n in range(1, 6):
             for k in range(4):
@@ -231,6 +247,30 @@ class TestLogForm:
         sep = separation_label("inf", {1})
         with pytest.raises(ValueError, match="label order"):
             MultiLogForm({((3, ("polar", (sep, sep))),): 1})
+
+    def test_unsorted_regular_monomial_refused(self):
+        # was its own key: unequal to the sorted monomial, and f - g kept 2 terms
+        sep, diag = separation_label("inf", {1}), diagonal_label({1, 2})
+        with pytest.raises(ValueError, match="label order"):
+            MultiLogForm({((3, ("reg", ((diag, 1), (sep, 1)))),): 1})
+
+    def test_repeated_regular_label_refused(self):
+        # sep * sep was kept apart from sep^2
+        sep = separation_label("inf", {1})
+        with pytest.raises(ValueError, match="label order"):
+            MultiLogForm({((3, ("reg", ((sep, 1), (sep, 1)))),): 1})
+
+    def test_unit_written_as_a_component_refused(self):
+        # compared unequal to MultiLogForm.one()
+        with pytest.raises(ValueError, match="unit"):
+            MultiLogForm({((3, ("reg", ())),): 1})
+
+    @pytest.mark.parametrize("exponent", [0, -1])
+    def test_nonpositive_regular_exponent_refused(self, exponent):
+        # sep^0 was kept apart from the unit
+        sep = separation_label("inf", {1})
+        with pytest.raises(ValueError, match="positive"):
+            MultiLogForm({((3, ("reg", ((sep, exponent),))),): 1})
 
     def test_polar_products_match_the_legacy_sign(self):
         rng = random.Random(13)
