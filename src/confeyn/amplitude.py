@@ -37,19 +37,21 @@ JSON output.
 Numeric evaluation rests on the exact identity G_m(r) = m^(2 lam) g(m r):
 the mass exponent of every term is 2 lam plus its radial exponent, and
 log m only enters through log(m r).  The first evaluation of an edge factor
-at a weight lam and :class:`TruncationOrders` checks this in exact
-arithmetic, term by term, and compiles one float kernel, which is cached
-and binds no symbolic coefficient.  With z = m r, the Taylor edge is
+at a weight lam, a method and :class:`TruncationOrders` checks this in exact
+arithmetic, term by term, and compiles one float kernel, which binds no
+symbolic coefficient.  With z = m r, the Taylor edge is
 r^(-2 lam) [A(z) + log(z) B(z)] for two polynomials evaluated by Horner's
 rule, and the asymptotic edge is m^(2 lam) z^(-lam-1/2) e^(-z) P(1/z).  The
 Gegenbauer edge is rho^(-2 lam) [P(zeta) + log(zeta) Q(zeta)] at zeta = m rho,
 where each coefficient of P and Q is a float row dotted with one basis
 u^n C_d^(lam)(cos) built per edge, C by the three-term recurrence.
 
-:func:`amplitude_truncated_eval` does its fixed work once per call: a cached
-plan checks lam and binds the method's edge function (a compiled kernel, or
-the Macdonald kernel for direct); each vertex is checked (D finite floats) and
-its norm taken once.  An edge costs its separation, the mass lookup and the
+Every edge value, of one edge or of a whole amplitude, goes through a plan
+cached per lam, method and orders, the only cache of compiled kernels: it
+checks lam once and binds the method's edge function (a compiled kernel, or
+the Macdonald kernel for direct).  :func:`amplitude_truncated_eval` takes
+the plan once per call; each vertex is checked (D finite floats) and its
+norm taken once.  An edge costs its separation, the mass lookup and the
 edge function, which checks the mass; a non-finite factor or product raises.
 
 The complex-case kernel in dimension D coincides with the real kernel at
@@ -398,14 +400,11 @@ def _bracket(lam2: float, step: int, plain: Sequence[float], log: Sequence[float
     raise ValueError(f"the edge factor at m = {m}, r = {s} is {value}, not a finite double")
 
 
-@lru_cache(maxsize=None)
-def _taylor_kernel(lam, ell_max: int) -> tuple[float, int, tuple, tuple]:
+def _taylor_kernel(lam: Fraction, ell_max: int) -> tuple[float, int, tuple, tuple]:
     """The :func:`_bracket` arguments of the edge factor up to ell_max.  With
     k = p + 2 lam, the term coeff_const r^p + coeff_log r^p log r is
     r^(-2 lam) z^k (a + b log z) when coeff_log = b m^k and coeff_const =
-    m^k (a + b log m), which is checked.  The kernels are cached by lam as
-    given: a value equal to a checked lam is that lam."""
-    lam = check_weight(lam)
+    m^k (a + b log m), which is checked."""
     plain: dict[int, float] = {}
     log: dict[int, float] = {}
     for ell in _taylor_indices(lam, ell_max):
@@ -420,15 +419,13 @@ def _taylor_kernel(lam, ell_max: int) -> tuple[float, int, tuple, tuple]:
 
 def edge_taylor_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
     """Truncated small-separation value of one edge factor."""
-    return _bracket(*_taylor_kernel(lam, orders.ell_max), r, m)
+    return _edge_plan(lam, "taylor", orders)[1](r, m)
 
 
-@lru_cache(maxsize=None)
-def _asymptotic_kernel(lam, terms: int) -> tuple[float, float, tuple[float, ...]]:
+def _asymptotic_kernel(lam: Fraction, terms: int) -> tuple[float, float, tuple[float, ...]]:
     """2 lam, lam + 1/2 and the coefficients of P in the edge factor
     m^(2 lam) z^-(lam+1/2) e^-z P(1/z), z = m r: the term of index ell is
     c m^(lam-ell-1/2) r^-(lam+ell+1/2) e^-z = c m^(2 lam) z^-(lam+ell+1/2) e^-z."""
-    lam = check_weight(lam)
     coeffs = []
     for ell in range(terms):
         term = asymptotic_term_coefficient(ell, lam)
@@ -455,7 +452,7 @@ def _asymptotic(lam2: float, power: float, coeffs: Sequence[float], r: float, m:
 
 def edge_asymptotic_value(lam, r: float, m: float, orders: TruncationOrders) -> float:
     """Truncated large-separation value of one edge factor."""
-    return _asymptotic(*_asymptotic_kernel(lam, orders.asym_terms), r, m)
+    return _edge_plan(lam, "asymptotic", orders)[1](r, m)
 
 
 class _GegenKernel:
@@ -514,18 +511,9 @@ def _trimmed(row: list[float]) -> tuple[float, ...]:
     return tuple(row[:end])
 
 
-@lru_cache(maxsize=None)
-def _cached_expansion(ell: Fraction, lam: Fraction, radial: int, gegen: int | None
-                      ) -> GegenExpansion:
-    orders = TruncationOrders(radial=radial, gegen=gegen)
-    return edge_gegenbauer_expansion(ell, lam, orders)
-
-
-@lru_cache(maxsize=None)
-def _gegen_kernel(lam, orders: TruncationOrders) -> _GegenKernel:
+def _gegen_kernel(lam: Fraction, orders: TruncationOrders) -> _GegenKernel:
     """The kernel of the expansions of every term of one edge factor."""
-    lam = check_weight(lam)
-    return _GegenKernel(lam, [_cached_expansion(ell, lam, orders.radial, orders.gegen)
+    return _GegenKernel(lam, [edge_gegenbauer_expansion(ell, lam, orders)
                               for ell in _taylor_indices(lam, orders.ell_max)])
 
 
@@ -533,13 +521,15 @@ def edge_gegenbauer_value(lam, geom: EdgeGeometry, m: float,
                           orders: TruncationOrders) -> float:
     """Truncated value of one edge factor: the sum of the Gegenbauer
     expansions of its terms, evaluated by one compiled kernel."""
-    return _gegen_kernel(lam, orders).evaluate(geom, m)
+    return _edge_plan(lam, "gegenbauer", orders)[1](geom, m)
 
 
 @lru_cache(maxsize=None)
 def _edge_plan(lam, method: str, orders: TruncationOrders) -> tuple[int, Callable, bool]:
-    """The fixed work of an amplitude call: D, the edge function edge(r, m) of
-    ``method`` and whether it takes an :class:`EdgeGeometry` in place of r."""
+    """The fixed work of an edge or amplitude evaluation: D, the edge function
+    edge(r, m) of ``method`` and whether it takes an :class:`EdgeGeometry` in
+    place of r.  The only cache of compiled kernels, keyed by lam as given: a
+    value equal to a checked lam is that lam."""
     lam = check_weight(lam)
     D = int(2 * lam + 2)
     if method == "direct":
@@ -568,7 +558,10 @@ def amplitude_truncated_eval(graph: FeynmanGraph,
     D, edge, angular = _edge_plan(lam, method, orders or TruncationOrders())
     points = {}
     for v in dict.fromkeys(v for e in graph.edges for v in (e.src, e.tgt)):
-        x = points[v] = tuple(map(float, positions[v]))
+        try:
+            x = points[v] = tuple(map(float, positions[v]))
+        except LookupError:
+            raise ValueError(f"vertex {v} has no position") from None
         if len(x) != D or not all(map(math.isfinite, x)):
             raise ValueError(f"vertex {v} needs D = {D} finite coordinates, got {x}")
     norms = {v: _norm(x) for v, x in points.items()} if angular else {}
@@ -578,7 +571,10 @@ def amplitude_truncated_eval(graph: FeynmanGraph,
         r = _norm(tuple(map(sub, xs, xt)))
         if not 0 < r < math.inf:
             raise ValueError(f"edge {idx} has {'coincident endpoints' if r == 0 else 'r = inf'}")
-        m = masses if isinstance(masses, (int, float)) else masses[idx]
+        try:
+            m = masses if isinstance(masses, (int, float)) else masses[idx]
+        except LookupError:
+            raise ValueError(f"edge {idx} has no mass") from None
         total *= edge(EdgeGeometry.from_points(xs, xt, norms[e.src], norms[e.tgt])
                       if angular else r, m)
     if not math.isfinite(total):

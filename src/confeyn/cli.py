@@ -305,12 +305,10 @@ def _cmd_graph_coproduct(args) -> dict:
     registry: dict[str, dict] = {}
     graphs_out = []
     for name, graph in _load_graphs(args.graphs):
-        terms = []
-        for (left, right), c in sorted(algebra.coproduct(graph).terms.items(),
-                                       key=lambda kv: str(kv[0])):
-            terms.append({"coeff": str(c),
-                          "left": _monomial_names(left, registry),
-                          "right": _monomial_names(right, registry)})
+        terms = sorted(({"coeff": str(c), "left": _monomial_names(left, registry),
+                         "right": _monomial_names(right, registry)}
+                        for (left, right), c in algebra.coproduct(graph).terms.items()),
+                       key=lambda t: (t["left"], t["right"]))
         graphs_out.append({"name": name, "degree": graph.degree(),
                            "coproduct": terms})
     return {"graphs": graphs_out, "labels": registry}
@@ -323,11 +321,9 @@ def _cmd_graph_antipode(args) -> dict:
     registry: dict[str, dict] = {}
     graphs_out = []
     for name, graph in _load_graphs(args.graphs):
-        terms = []
-        antipode = algebra.antipode(graph)
-        for mono, c in sorted(antipode.terms.items(), key=lambda kv: str(kv[0])):
-            terms.append({"coeff": str(c),
-                          "monomial": _monomial_names(mono, registry)})
+        terms = sorted(({"coeff": str(c), "monomial": _monomial_names(mono, registry)}
+                        for mono, c in algebra.antipode(graph).terms.items()),
+                       key=lambda t: t["monomial"])
         graphs_out.append({"name": name, "antipode": terms})
     return {"graphs": graphs_out, "labels": registry}
 

@@ -161,6 +161,8 @@ class HopfAlgebra:
 
     def iterated_coproduct(self, x: HopfElement | Monomial, k: int) -> TensorElement:
         """Delta^(k-1): H -> H^(x)k (k >= 1), applied on the last slot."""
+        if k < 1:
+            raise ValueError(f"the iterated coproduct needs k >= 1, got {k}")
         x = as_element(x)
         if k == 1:
             return TensorElement._wrap({(m,): c for m, c in x.terms.items()})

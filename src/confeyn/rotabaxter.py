@@ -187,17 +187,15 @@ def _mul_reg_keys(k1: RegKey, k2: RegKey) -> RegKey:
 def _comp_mul(c1: CompMono, c2: CompMono) -> tuple[int, CompMono] | None:
     kind1, data1 = c1
     kind2, data2 = c2
-    if kind1 == "polar" and kind2 == "polar":
-        merged = _merge_polar(data1, data2)
-        if merged is None:
-            return None
-        sign, J = merged
-        return sign, ("polar", J)
-    if kind1 == "polar":
-        return (1, c1) if data2 == () else None  # stratum evaluation kills variables
-    if kind2 == "polar":
-        return (1, c2) if data1 == () else None
-    return 1, ("reg", _mul_reg_keys(data1, data2))
+    if kind1 != kind2:
+        return None  # polar x regular: stratum evaluation kills variables
+    if kind1 == "reg":
+        return 1, ("reg", _mul_reg_keys(data1, data2))
+    merged = _merge_polar(data1, data2)
+    if merged is None:
+        return None
+    sign, J = merged
+    return sign, ("polar", J)
 
 
 def _merge_multikeys(k1: MultiKey, k2: MultiKey) -> tuple[int, MultiKey] | None:
@@ -208,12 +206,8 @@ def _merge_multikeys(k1: MultiKey, k2: MultiKey) -> tuple[int, MultiKey] | None:
             merged = _comp_mul(by_space[space], comp)
             if merged is None:
                 return None
-            s, newcomp = merged
+            s, by_space[space] = merged
             sign *= s
-            if newcomp == ("reg", ()):
-                del by_space[space]
-            else:
-                by_space[space] = newcomp
         else:
             by_space[space] = comp
     return sign, tuple(sorted(by_space.items()))
@@ -225,7 +219,9 @@ class MultiLogForm(Linear):
     A key is a sorted tuple of (space, component) with distinct spaces; the
     empty key is the unit.  Every polar component is a nonempty block of even
     cardinality, and every regular one a nonempty monomial of distinct labels
-    in label order with positive int exponents.
+    in label order with positive int exponents.  So on one space polar x
+    regular is 0, regular x regular merges into a nonempty monomial and polar
+    x polar wedges: no product has an empty component.
     """
 
     key_product = staticmethod(_merge_multikeys)

@@ -15,6 +15,7 @@ import pytest
 from amplitude_oracles import (edge_asymptotic_terms, edge_gegenbauer_terms,
                                edge_taylor_terms, expansion_value,
                                half_integer_taylor_scalar, separation, taylor_term_value)
+from confeyn import amplitude
 from confeyn.amplitude import (DivergentRatioError, EdgeGeometry,
                                GegenExpansion, TruncationOrders,
                                amplitude_truncated_eval, asymptotic_term_coefficient,
@@ -670,6 +671,27 @@ class TestAmplitudeLoop:
                     got = amplitude_truncated_eval(graph, pos, mass, lam, method, orders)
                     assert got == want, (seed, method, mass)
 
+    def test_one_plan_serves_edges_and_amplitudes(self, monkeypatch):
+        # the plan is the only cache of compiled kernels: an edge function
+        # and an amplitude at the same lam, method and orders compile once
+        caches = {name for name, obj in vars(amplitude).items() if hasattr(obj, "cache_info")}
+        assert caches == {"taylor_term_coefficient", "_edge_plan"}
+        built = []
+        init = amplitude._GegenKernel.__init__
+        monkeypatch.setattr(amplitude._GegenKernel, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        orders = TruncationOrders(radial=7, gegen=3, ell_max=1, asym_terms=3)
+        graph, pos, masses = seeded_case("triangle", 5, 1)
+        edge_gegenbauer_value(F(3, 2), EdgeGeometry(rho=1.0, r=0.3, cos=0.1), 0.9, orders)
+        amplitude_truncated_eval(graph, pos, masses, F(3, 2), "gegenbauer", orders)
+        assert len(built) == 1
+        for method, edge in (("taylor", edge_taylor_value), ("asymptotic", edge_asymptotic_value)):
+            edge(F(3, 2), 15.0, 0.9, orders)
+            before = amplitude._edge_plan.cache_info()
+            amplitude_truncated_eval(graph, pos, masses, F(3, 2), method, orders)
+            after = amplitude._edge_plan.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses), method
+
     def test_warm_calls_build_no_kinematics_and_bind_nothing(self, monkeypatch):
         built, bound = [], []
         init, bind = Kinematics.__post_init__, SymbolicCoeff.bind
@@ -696,6 +718,16 @@ class TestAmplitudeLoop:
                     {0: (1.0, 0.0, 0.0, 0.0), 1: (0.1, math.inf, 0.0, 0.0)}):
             with pytest.raises(ValueError, match="needs D = 4 finite coordinates"):
                 amplitude_truncated_eval(ONE_EDGE, pos, 1.0, 1, method)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_missing_position_or_mass_is_named(self, method):
+        # both once raised a bare KeyError: 1
+        graph = FeynmanGraph.build(2, [(0, 1), (0, 1)])
+        with pytest.raises(ValueError, match="vertex 1 has no position"):
+            amplitude_truncated_eval(graph, {0: NEAR_4D[0]}, 1.0, 1, method)
+        for masses in ({0: 1.0}, [1.0]):
+            with pytest.raises(ValueError, match="edge 1 has no mass"):
+                amplitude_truncated_eval(graph, NEAR_4D, masses, 1, method)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_infinite_mass_refused(self, method):

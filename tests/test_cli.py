@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,15 @@ class TestGegen:
         assert code == 2
 
 
+# name -> (internal vertices, internal edges)
+RELABELLED_SHAPES = {
+    "prism": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "K33": (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
+    "wheel5": (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+    "necklace4": (4, [(i, (i + 1) % 4) for i in range(4) for _ in range(2)]),
+}
+
+
 class TestGraphCommands:
     def test_coproduct(self, tmp_path, graphs_file):
         code, doc = run_cli(["graph-coproduct", "--graphs", graphs_file], tmp_path)
@@ -266,6 +276,29 @@ class TestGraphCommands:
         by_name = {g["name"]: g for g in doc["graphs"]}
         assert by_name["banana"]["antipode"][0]["coeff"] == "-1"
         assert len(by_name["dtriangle"]["antipode"]) == 2
+
+    def test_term_order_follows_the_isomorphism_classes(self, tmp_path):
+        # six relabellings of each shape, each with two legs and one run of
+        # its own: terms were once sorted by the graphs' repr, which many
+        # classes share, so ties fell back to the order of enumeration
+        rng = random.Random(5)
+        runs = {"graph-coproduct": [], "graph-antipode": []}
+        for copy in range(6):
+            entries = []
+            for name, (nv, edges) in RELABELLED_SHAPES.items():
+                perm = rng.sample(range(nv), nv)
+                relabelled = [(perm[a], perm[b]) for a, b in edges]
+                rng.shuffle(relabelled)
+                graph = FeynmanGraph.build(nv, relabelled, legs=[perm[v] for v in edges[0]])
+                entries.append(dict(name=name, **graph.to_json()))
+            path = tmp_path / f"relabelled{copy}.json"
+            path.write_text(json.dumps({"graphs": entries}))
+            for command, docs in runs.items():
+                code, doc = run_cli([command, "--graphs", str(path)], tmp_path)
+                assert code == 0
+                docs.append(doc["graphs"])
+        for command, docs in runs.items():
+            assert all(graphs == docs[0] for graphs in docs), command
 
     def test_invalid_graph_rejected(self, tmp_path):
         bad = {"graphs": [{"name": "loop", "vertices": [{"id": 0, "external": False}],

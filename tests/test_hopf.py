@@ -39,6 +39,19 @@ class TestCoproduct:
         rhs = hopf.coproduct(x) * hopf.coproduct(y)
         assert lhs == rhs
 
+    def test_a_combination_is_that_combination_of_the_memo_entries(self):
+        hopf = HopfAlgebra()
+        g, h = doubled_triangle(), banana(2)
+        monos = (monomial(g), monomial(h), monomial(g, h))
+        entries = [hopf.coproduct(mono) for mono in monos]
+        before = [dict(e.terms) for e in entries]
+        G, H = HopfElement.generator(g), HopfElement.generator(h)
+        got = hopf.coproduct(2 * G - H + G * H)
+        assert got == 2 * entries[0] - entries[1] + entries[2]
+        # the sum is built beside the memo, which still holds the same entries
+        assert [dict(e.terms) for e in entries] == before
+        assert all(hopf.coproduct(mono) is e for mono, e in zip(monos, entries))
+
     def test_grading_respected(self, hopf, monomials_deg4):
         for m in monomials_deg4:
             for (a, b), _ in hopf.coproduct(HopfElement.from_monomial(m)).terms.items():
@@ -57,6 +70,12 @@ class TestAxioms:
             left = {k: v for k, v in left.items() if v}
             right = hopf.iterated_coproduct(x, 3).terms
             assert left == right
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_iterated_coproduct_needs_one_slot(self, hopf, k):
+        # k = 0 once recursed until RecursionError
+        with pytest.raises(ValueError, match="k >= 1"):
+            hopf.iterated_coproduct(monomial(banana(2)), k)
 
     def test_counit(self, hopf, monomials_deg4):
         for m in monomials_deg4:
