@@ -49,7 +49,7 @@ import json
 from fractions import Fraction
 from typing import Callable
 
-from .feyngraph import Edge, FeynmanGraph
+from .feyngraph import FeynmanGraph
 from .hopf import HopfAlgebra, HopfElement, Monomial, as_element, monomial_degree
 from .rotabaxter import MultiLogAlgebra, MultiLogForm, diagonal_label, separation_label
 
@@ -154,14 +154,6 @@ def _stable_rational(*parts, lo: int = -6, hi: int = 6) -> Fraction:
     return Fraction(num, den)
 
 
-def _canonical_representative(graph: FeynmanGraph) -> FeynmanGraph:
-    """Rebuild the graph from its canonical form so the toy rule depends only
-    on the isomorphism class."""
-    flags, edges = graph.canonical_key()
-    vertices = {i: bool(flag) for i, flag in enumerate(flags)}
-    return FeynmanGraph(vertices, [Edge(a, b, internal) for (a, b, internal) in edges])
-
-
 def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
                           rule_seed: int) -> Character:
     """Deterministic stand-in for the regularized-form assignment Gamma -> eta.
@@ -180,7 +172,7 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
     target = MultiLogAlgebra()
 
     def eta(graph: FeynmanGraph) -> MultiLogForm:
-        canon = _canonical_representative(graph)
+        canon = graph.canonical_representative()
         internal = canon.internal_vertices()
         if len(internal) > n_vertices:
             raise ValueError(

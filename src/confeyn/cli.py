@@ -58,8 +58,8 @@ GEGEN_MAX_LAMBDA = 10 ** 6  # product at n = 256, m = 32: 0.8 s (0.9 s at 199999
                             # reproject 0.7 s, chebyshev 0.5 s
 GEGEN_MAX_ELL = 10 ** 6     # reproject at n = 256: 0.5 s at lambda 1, 0.6 s at 10^6
 GEGEN_MAX_D = 2002    # zonal at n = 256: 0.1 s
-PROP_MAX_D = 2002     # the real kernel's order (D-2)/2 stops at specfun.MAX_ORDER = 1000;
-                      # every kind 0.1 s
+PROP_MAX_D = 2002     # the real kernel's order (D-2)/2 stops at specfun.MAX_ORDER = 1000,
+                      # the ladder's length (K_nu is scaled, so not its range); every kind 0.1 s
 DIVISORS_MAX_N = 12   # (k+1)(2^n-1) + 2^n-n-1 labels: 16,368 at k = 2
 DIVISORS_MAX_K = 8    # 40,938 labels at n = 12
 QUAD_MAX_POINTS = 1_000_000  # gm-integral: 0.8-1.1 s
@@ -204,7 +204,8 @@ def _monomial_names(mono, registry: dict[str, dict]) -> list[str]:
     names = []
     for g in mono:
         lbl = g.label()
-        registry.setdefault(lbl, g.to_json())
+        if lbl not in registry:
+            registry[lbl] = g.canonical_representative().to_json()
         names.append(lbl)
     return names
 

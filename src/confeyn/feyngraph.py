@@ -274,6 +274,11 @@ class FeynmanGraph:
             self._canon = _canonical_form(self)
         return self._canon
 
+    def canonical_representative(self) -> "FeynmanGraph":
+        """The graph rebuilt from its canonical form: one for every labelling."""
+        flags, edges = self.canonical_key()
+        return FeynmanGraph(dict(enumerate(flags)), [Edge(*e) for e in edges])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeynmanGraph):
             return NotImplemented

@@ -20,16 +20,15 @@ d/dr [(m/r)^nu K_nu(m r)] = -r (m/r)^(nu+1) K_{nu+1}(m r) (DLMF 10.29),
 d_mu G^(D) = -2 pi x_mu G^(D+2), so the Dirac coefficients are
 2 pi G^(D+2) and m G^(D), and d_mu d_nu G^(D) = -2 pi delta_{mu nu} G^(D+2)
 + 4 pi^2 x_mu x_nu G^(D+4).  One ladder of K_nu gives G^(D), G^(D+2), ...
-at one mass (:func:`_scalar_ladder`); each is a product of powers and K_nu,
-taken in plain floats, or in summed logarithms where only the plain product
-leaves the normal doubles (:func:`_product`).
+at one mass (:func:`_scalar_ladder`); each is a product of powers and K_nu
+(:func:`_product`).  Both carry K_nu, a power or a partial product as a
+double mantissa times a power of two, so a scalar kernel or a Dirac
+coefficient is a normal double wherever its value is one (for m r above
+about 1e-154, where no ladder step overflows).
 
-No kernel returns a silent 0, inf or nan.  The four scalar kernels raise
-ValueError when their value is outside the normal doubles, which includes
-every value whose K_nu is outside them.  The Dirac and boson kernels check
-only their own result: they raise ValueError on a non-finite value, and on
-a value below the normal doubles unless it is zero by symmetry; a boson
-term that underflows counts as 0.
+No kernel returns a silent 0, inf or nan: each raises ValueError exactly
+when its value is outside the normal doubles (:func:`_normal`), except a
+boson component that is zero by symmetry.
 
 An independent route to the massive kernel is provided here: the heat-kernel
 integral representation
@@ -106,39 +105,60 @@ def _require_off_diagonal(k: Kinematics) -> float:
 
 
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal doubles
+_LOW, _HIGH = 2.0 ** -500, 2.0 ** 500  # a product of two stays normal
 
 
-def _product(factors: Sequence[tuple[float, float]], bessel: float = 1.0) -> float:
-    """The product of base ** exponent over ``factors`` (positive bases),
-    times the value ``bessel`` of K_nu: computed as that product, in order,
-    when every factor, every partial product and the result are normal
-    doubles, and as exp of the summed logs otherwise, so it may be 0, below
-    the normal doubles or inf.  A K_nu below or above the normal doubles
-    gives 0 or inf."""
-    if not _TINY <= bessel <= _HUGE:
-        return 0.0 if bessel < _TINY else math.inf
-    value = 1.0
+def _power(base, x) -> tuple[float, int]:
+    """base ** x as (mantissa, exponent): frexp of the power where it is a normal
+    double, else of (base ** (x/2)) ** 2; an integer base sheds its bit length."""
+    if isinstance(base, int):
+        mantissa, exponent = _power(base / (1 << base.bit_length()), x)
+        return mantissa, exponent + base.bit_length() * x
     try:
-        for base, e in factors:
-            x = base ** e
-            value *= x
-            if not (_TINY <= x <= _HUGE and _TINY <= value <= _HUGE):
-                break
-        else:
-            value *= bessel
-            if _TINY <= value <= _HUGE:
-                return value
-    except OverflowError:  # a factor beyond the doubles
-        pass
+        p = base ** x
+    except OverflowError:
+        p = math.inf
+    if _TINY <= p <= _HUGE:
+        return math.frexp(p)
+    mantissa, exponent = _power(base, x / 2)
+    mantissa, k = math.frexp(mantissa * mantissa)
+    return mantissa, 2 * exponent + k
+
+
+def _product(factors: Sequence[tuple[float, float]],
+             bessel: tuple[float, int] = (1.0, 0)) -> float:
+    """The product of base ** x over ``factors``, in order, times K_nu as
+    (mantissa, exponent); 0 or inf beyond the doubles.  A power or partial
+    product outside [2^-500, 2^500] moves its exponent into a scale, which is
+    exact: where the plain product is normal throughout, it is bit for bit."""
+    value, scale = 1.0, bessel[1]
+    for base, x in factors:
+        try:
+            p = base ** x
+        except OverflowError:
+            p = math.inf
+        if not _LOW <= p <= _HIGH:
+            p, k = _power(base, x)
+            scale += k
+        value *= p
+        if not _LOW <= value <= _HIGH:
+            value, k = math.frexp(value)
+            scale += k
+    if scale:  # so that value times the mantissa stays normal
+        value, k = math.frexp(value)
+        scale += k
+    value *= bessel[0]
+    if not scale:
+        return value
     try:
-        return math.exp(sum(e * math.log(base) for base, e in factors) + math.log(bessel))
+        return math.ldexp(value, scale)
     except OverflowError:
         return math.inf
 
 
 def _normal(name: str, D: int, m: float, r: float, value: float) -> float:
     """``value`` of ``name`` at (D, m, r); ValueError unless a normal double."""
-    if not _TINY <= value <= _HUGE:
+    if not _TINY <= abs(value) <= _HUGE:
         raise ValueError(f"|{name}| at D = {D}, m = {m}, r = {r} = {value} "
                          "is outside the normal doubles")
     return value
@@ -147,8 +167,7 @@ def _normal(name: str, D: int, m: float, r: float, value: float) -> float:
 def _scalar_ladder(D: int, M: float, r: float, n: int = 0) -> list[float]:
     """[G^(D), G^(D+2), ..., G^(D+2n)] of the real kernel at mass M and
     distance r, from one ladder of K_nu; each by :func:`_product`."""
-    nu = (D - 2) / 2.0
-    z = M * r
+    nu, z = (D - 2) / 2.0, M * r
     ladder = bessel_k_ladder(nu, z, n)
     for i, K in enumerate(ladder):  # G^(2 nu + 2) from K_nu, nu = (D-2)/2 + i
         ladder[i] = _product(((2 * math.pi, -1.0 - nu), (M, 2.0 * nu), (z, -nu)), K)
@@ -274,14 +293,8 @@ def dirac_propagator(k: Kinematics) -> DiracCoeffs:
     if lam.denominator != 1 or lam < 1:
         raise ValueError("Dirac coefficients need integer lam = (D-2)/2 >= 1")
     g, g_up = _scalar_ladder(k.D, math.sqrt(k.m), r, 1)
-    a = 2 * math.pi * g_up
-    b = k.m * g
-    if not (_TINY <= a <= _HUGE and _TINY <= b <= _HUGE):  # both are positive
-        what = f"Dirac coefficients at D = {k.D}, m = {k.m}, r = {r}"
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"{what} are not finite")
-        raise ValueError(f"{what}: a = {a}, b = {b} is outside the normal doubles")
-    return DiracCoeffs(a, b)
+    return DiracCoeffs(_normal("Dirac a", k.D, k.m, r, 2 * math.pi * g_up),
+                       _normal("Dirac b", k.D, k.m, r, k.m * g))
 
 
 def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
@@ -306,11 +319,6 @@ def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
     h2, h4 = _scalar_ladder(k.D + 2, math.sqrt(k.m / alpha), r, 1)
     dd = 4 * math.pi ** 2 * k.x[mu] * k.x[nu] * (h4 - g4) - 2 * math.pi * delta * (h2 - g2)
     value = delta * g + dd / (k.m ** 2)
-    # an exact 0 is right only off the diagonal with x_mu = 0 or x_nu = 0
-    if not _TINY <= abs(value) <= _HUGE and (
-            value != 0.0 or mu == nu or 0.0 not in (k.x[mu], k.x[nu])):
-        what = f"boson propagator at D = {k.D}, m = {k.m}, r = {r}"
-        if not math.isfinite(value):
-            raise ValueError(f"{what} is not finite")
-        raise ValueError(f"{what} = {value} is below the normal doubles")
-    return value
+    if value == 0.0 and mu != nu and 0.0 in (k.x[mu], k.x[nu]):
+        return value  # zero by symmetry, off the diagonal with x_mu = 0 or x_nu = 0
+    return _normal("boson propagator", k.D, k.m, r, value)

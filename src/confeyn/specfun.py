@@ -21,8 +21,8 @@ from
   ``K_{3/2} = K_{1/2} (1 + 1/z)``;
 
 and the upward recurrence ``K_{n+1} = K_{n-1} + (2n/z) K_n``, which adds
-positive terms only, gives the higher orders.  The module uses the standard
-library only.
+positive terms only, gives the higher orders, each carried as a double
+mantissa times a power of two.  The module uses the standard library only.
 
 The coefficients of the large-argument asymptotic series
 
@@ -146,27 +146,12 @@ class BesselEvalConfig:
 
 DEFAULT_BESSEL_CONFIG = BesselEvalConfig()
 
-MAX_ORDER = 1000  # bounds the recurrence; K_nu(z) at e^z scale stays finite for z > 700
+MAX_ORDER = 1000  # bounds the recurrence's length, not its range: K_nu is carried scaled
 _EPS = 1e-16
 _MAX_ITER = 10_000
 _EXP_NORMAL_Z = 700.0  # exp(-z) is a normal double up to here
-
-
-def _checked_order(nu: float, z: float) -> float | None:
-    """Validate (nu, z); return the lowest order of nu's ladder (0.0 or 0.5),
-    or None when nu is neither an integer nor a half-integer."""
-    if not (math.isfinite(nu) and math.isfinite(z)):
-        raise ValueError(f"bessel_k needs finite nu and z, got nu={nu}, z={z}")
-    if z <= 0:
-        raise ValueError(f"bessel_k requires z > 0 (singular at the origin), got {z}")
-    if nu < 0:
-        raise ValueError("bessel_k requires nu >= 0 (K_{-nu} = K_nu)")
-    if nu > MAX_ORDER:
-        raise ValueError(f"bessel_k supports orders up to {MAX_ORDER}, got {nu}")
-    two_nu = round(2 * nu)
-    if abs(2 * nu - two_nu) >= 1e-12:
-        return None
-    return 0.5 if two_nu % 2 else 0.0
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # fdlibm's log(2)
+_SPLIT_K = 1 << 21  # k * _LN2_HI is exact below; past z = 2^21 log 2 every kernel underflows
 
 
 def _temme_k01(z: float) -> tuple[float, float]:
@@ -219,17 +204,29 @@ def _steed_k01(z: float) -> tuple[float, float]:
     raise ArithmeticError(f"Steed's CF2 for K_0({z}) did not converge")
 
 
-def bessel_k_ladder(nu: float, z: float, steps: int) -> list[float]:
-    """[K_nu(z), K_(nu+1)(z), ..., K_(nu+steps)(z)] for integer or
-    half-integer nu >= 0, from one evaluation of the two lowest orders.
+def bessel_k_ladder(nu: float, z: float, steps: int) -> list[tuple[float, int]]:
+    """[K_nu(z), K_(nu+1)(z), ..., K_(nu+steps)(z)] for integer or half-integer
+    nu >= 0, from one evaluation of the two lowest orders, each as (mantissa,
+    exponent) worth mantissa * 2 ** exponent.
 
     The upward recurrence K_(n+1) = K_(n-1) + (2n/z) K_n adds positive terms
     only; the downward direction cancels, so every ladder starts at order 0
-    or 1/2.
-    """
-    mu = _checked_order(nu, z)
-    if mu is None:
+    or 1/2.  Past z = 700, e^-z is 2^-k exp(k log 2 - z) (Cody and Waite), and
+    a step past 2^500 divides by 2^500, both exactly: with exponent 0 the
+    mantissa is the plain recurrence.  Below z of about 1e-154 one step can
+    still overflow the mantissa to inf."""
+    if not (math.isfinite(nu) and math.isfinite(z)):
+        raise ValueError(f"bessel_k needs finite nu and z, got nu={nu}, z={z}")
+    if z <= 0:
+        raise ValueError(f"bessel_k requires z > 0 (singular at the origin), got {z}")
+    if nu < 0:
+        raise ValueError("bessel_k requires nu >= 0 (K_{-nu} = K_nu)")
+    if nu > MAX_ORDER:
+        raise ValueError(f"bessel_k supports orders up to {MAX_ORDER}, got {nu}")
+    two_nu = round(2 * nu)
+    if abs(2 * nu - two_nu) >= 1e-12:
         raise ValueError(f"K_nu needs an integer or half-integer order, got {nu}")
+    mu = 0.5 if two_nu % 2 else 0.0
     if steps < 0 or nu + steps > MAX_ORDER:
         raise ValueError(f"ladder steps must lie in [0, {MAX_ORDER} - nu], got {steps}")
     if mu:
@@ -239,32 +236,28 @@ def bessel_k_ladder(nu: float, z: float, steps: int) -> list[float]:
         a, b = _temme_k01(z)
     else:
         a, b = _steed_k01(z)
-    tail = 1.0
-    if mu or z >= 2.0:
-        # a, b carry e^z: fold e^-z in now while it is a normal double, so that
-        # high orders at moderate z cannot overflow; past that, apply it at the
-        # end in two halves, neither of which underflows early
-        if z <= _EXP_NORMAL_Z:
-            f = math.exp(-z)
-            a *= f
-            b *= f
-        else:
-            tail = math.exp(-0.5 * z)
+    exponent = 0
+    if mu or z >= 2.0:  # a, b carry e^z: fold e^-z in before high orders can overflow
+        k = min(round(z / _LN2_HI), _SPLIT_K) if z > _EXP_NORMAL_Z else 0
+        f = math.exp((k * _LN2_HI - z) + k * _LN2_LO)  # exp(-z) itself at k = 0
+        a, b, exponent = a * f, b * f, -k
     first = round(nu - mu)
     out = []
     for i in range(first + steps + 1):
         if i >= first:
-            out.append(a * tail * tail)
+            out.append((a, exponent))
         a, b = b, a + (2.0 * (mu + i + 1) / z) * b
+        if b > 2.0 ** 500:
+            a, b, exponent = a * 2.0 ** -500, b * 2.0 ** -500, exponent + 500
     return out
 
 
 def bessel_k(nu: float, z: float) -> float:
     """Modified Bessel function (Macdonald function) K_nu(z) for z > 0 and
-    integer or half-integer 0 <= nu <= MAX_ORDER, in double precision: the
-    ladder of no steps.
-
-    Raises ValueError for non-finite or out-of-range arguments and for any
-    other order.
-    """
-    return bessel_k_ladder(nu, z, 0)[0]
+    integer or half-integer 0 <= nu <= MAX_ORDER, as a double (0 or inf where
+    it leaves the doubles): the ladder of no steps, with its ValueErrors."""
+    mantissa, exponent = bessel_k_ladder(nu, z, 0)[0]
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf

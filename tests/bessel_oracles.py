@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from confeyn.specfun import DEFAULT_BESSEL_CONFIG, BesselEvalConfig, _checked_order, asym_coeff
+from confeyn.specfun import DEFAULT_BESSEL_CONFIG, BesselEvalConfig, asym_coeff
 
 
 def _k_half_integer(n: int, z, terms_cap: int | None = None):
@@ -103,7 +103,8 @@ def bessel_k_branch(nu: float, z: float, branch: str,
     """
     if cfg is None:
         cfg = DEFAULT_BESSEL_CONFIG
-    mu = _checked_order(nu, z)
+    two_nu = round(2 * nu)  # the lowest order of nu's ladder, None off the half-integers
+    mu = None if abs(2 * nu - two_nu) >= 1e-12 else (0.5 if two_nu % 2 else 0.0)
     if branch not in ("series", "asymptotic"):
         raise ValueError(f"unknown branch {branch!r}")
     series = branch == "series" and mu != 0.5

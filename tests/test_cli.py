@@ -85,23 +85,41 @@ class TestPropEval:
         assert code == 2
 
     def test_gm_complex_beyond_the_double_product(self, tmp_path):
-        # (2 pi)^-200 10^-199 underflows; the summed logs give mpmath's value
+        # (2 pi)^-200 10^-199 underflows; the scaled product gives mpmath's value
         code, doc = run_cli(["prop-eval", "--kind", "gm-complex", "--D", "200", "--r", "10",
                              "--m", "1"], tmp_path)
         assert code == 0
         assert doc["value"] == pytest.approx(1.6223831740412056e-128, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("flags", [
-        ["--kind", "gm-complex", "--D", "200", "--r", "1", "--m", "1"],
+        ["--kind", "gm-complex", "--D", "300", "--r", "1", "--m", "1"],
         ["--kind", "gm", "--D", "600", "--r", "1", "--m", "1"],
         ["--kind", "g0", "--D", "2000", "--r", "10"],
-        ["--kind", "dirac", "--D", "400", "--r", "1", "--m", "1"],
-        ["--kind", "boson", "--D", "400", "--r", "1", "--m", "1", "--alpha", "2"],
+        ["--kind", "dirac", "--D", "1000", "--r", "1", "--m", "1"],
+        ["--kind", "boson", "--D", "1000", "--r", "1", "--m", "1", "--alpha", "2"],
     ], ids=["gm-complex", "gm", "g0", "dirac", "boson"])
     def test_values_beyond_the_doubles_exit_2(self, flags, tmp_path):
-        # each printed 0, inf or nan with exit 0 before
+        # mpmath at 60 digits: 6.1e+459 (gm-complex), a = 3.2e+882 (dirac) and
+        # 8.1e+881 (boson); each printed 0, inf or nan with exit 0 once
         code, _ = run_cli(["prop-eval", *flags], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("flags, want, rel", [
+        (["--kind", "gm-complex", "--D", "200"], {"value": 1.8383266702822033e+270}, 1e-13),
+        (["--kind", "dirac", "--D", "400"],
+         {"a": 7.3165865698163029e+272, "b": 1.8383266702822033e+270}, 1e-13),
+        # a difference of terms about 1,600 times larger, so a few ulps of
+        # each term show as 3e-13 here
+        (["--kind", "boson", "--D", "400", "--alpha", "2"], {"value": 1.8435072394784152e+272},
+         1e-12),
+    ], ids=["gm-complex", "dirac", "boson"])
+    def test_values_past_the_k_nu_overflow_print(self, flags, want, rel, tmp_path):
+        # mpmath at 60 digits; K_nu overflowed a double here, so each exited 2
+        # although the value is a normal double
+        code, doc = run_cli(["prop-eval", "--r", "1", "--m", "1", *flags], tmp_path)
+        assert code == 0
+        for key, value in want.items():
+            assert doc[key] == pytest.approx(value, rel=rel, abs=0), key
 
     @pytest.mark.parametrize("flags", [
         ["--kind", "dirac", "--D", "4", "--r", "800"],
@@ -277,10 +295,10 @@ class TestGraphCommands:
         assert by_name["banana"]["antipode"][0]["coeff"] == "-1"
         assert len(by_name["dtriangle"]["antipode"]) == 2
 
-    def test_term_order_follows_the_isomorphism_classes(self, tmp_path):
-        # six relabellings of each shape, each with two legs and one run of
-        # its own: terms were once sorted by the graphs' repr, which many
-        # classes share, so ties fell back to the order of enumeration
+    @staticmethod
+    def relabelled_runs(tmp_path) -> dict[str, list[str]]:
+        """The stdout of each graph command on six relabellings of each shape,
+        each with two legs and one run of its own."""
         rng = random.Random(5)
         runs = {"graph-coproduct": [], "graph-antipode": []}
         for copy in range(6):
@@ -293,12 +311,26 @@ class TestGraphCommands:
                 entries.append(dict(name=name, **graph.to_json()))
             path = tmp_path / f"relabelled{copy}.json"
             path.write_text(json.dumps({"graphs": entries}))
-            for command, docs in runs.items():
-                code, doc = run_cli([command, "--graphs", str(path)], tmp_path)
-                assert code == 0
-                docs.append(doc["graphs"])
-        for command, docs in runs.items():
+            for command, outs in runs.items():
+                assert main([command, "--graphs", str(path), "--out", str(tmp_path / "out")]) == 0
+                outs.append((tmp_path / "out").read_text())
+        return runs
+
+    def test_term_order_follows_the_isomorphism_classes(self, tmp_path):
+        # terms were once sorted by the graphs' repr, which many classes
+        # share, so ties fell back to the order of enumeration
+        for command, outs in self.relabelled_runs(tmp_path).items():
+            docs = [json.loads(out)["graphs"] for out in outs]
             assert all(graphs == docs[0] for graphs in docs), command
+
+    def test_labels_do_not_depend_on_labelling(self, tmp_path):
+        # each label once named the first input graph met in its class
+        for command, outs in self.relabelled_runs(tmp_path).items():
+            assert len(set(outs)) == 1, command
+            for label, graph in json.loads(outs[0])["labels"].items():
+                graph = FeynmanGraph.from_json(graph)
+                assert graph.label() == label
+                assert graph.to_json() == graph.canonical_representative().to_json()
 
     def test_invalid_graph_rejected(self, tmp_path):
         bad = {"graphs": [{"name": "loop", "vertices": [{"id": 0, "external": False}],

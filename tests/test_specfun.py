@@ -197,13 +197,53 @@ class TestBesselKDouble:
     def test_ladder_matches_single_orders(self, nu):
         for z in (0.3, 2.0, 9.0, 720.0):
             ladder = bessel_k_ladder(nu, z, 4)
-            assert ladder == [bessel_k(nu + i, z) for i in range(5)]
+            assert [math.ldexp(*k) for k in ladder] == [bessel_k(nu + i, z) for i in range(5)]
+            assert ladder == [bessel_k_ladder(nu + i, z, 0)[0] for i in range(5)]
+
+    @pytest.mark.parametrize("nu", [0, 0.5, 1, 7.5, 40, 151.5, 400, 777, MAX_ORDER - 0.5,
+                                    MAX_ORDER])
+    def test_scaled_ladder_against_mpmath(self, nu):
+        # mantissa * 2^exponent, also where K_nu is far outside the doubles
+        # (K_1000(1e-3) is about 10^5564); past z = 700 e^-z is split as
+        # 2^-k exp(k log 2 - z)
+        for z in (*np.logspace(-3, math.log10(700.0), 9), 700.5, 2e3, 1e5, 1.4e6):
+            mantissa, exponent = bessel_k_ladder(nu, float(z), 0)[0]
+            want = _k_reference(nu, float(z))
+            got = mpmath.ldexp(mpmath.mpf(mantissa), exponent)
+            assert abs(got - want) <= 1e-13 * want, (nu, z, mantissa, exponent)
+
+    def test_ladder_steps_stay_scaled(self):
+        # K_0 .. K_1000 at z = 1e-3 in one ladder, each a finite mantissa
+        ladder = bessel_k_ladder(0, 1e-3, MAX_ORDER)
+        assert all(0.0 < m < math.inf for m, _ in ladder)
+        assert ladder[0][1] == 0 and ladder[-1][1] > 1024
+        for n in (250, 600, MAX_ORDER):
+            want = _k_reference(n, 1e-3)
+            assert abs(mpmath.ldexp(mpmath.mpf(ladder[n][0]), ladder[n][1]) - want) <= 1e-13 * want
 
     def test_ladder_rejects_general_order(self):
         with pytest.raises(ValueError):
             bessel_k_ladder(0.25, 1.0, 2)
         with pytest.raises(ValueError):
             bessel_k_ladder(1, 1.0, -1)
+
+
+def _k_reference(nu, z):
+    """K_nu(z) in mpmath at 40 digits: the upward recurrence from mpmath's
+    K_0 and K_1, or the closed forms of K_1/2 and K_3/2.  mpmath's own
+    besselk is slow or fails to converge for orders in the hundreds at z of
+    about the order, and loses its digits at large half-integer orders."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        if nu % 1:
+            a = mpmath.sqrt(mpmath.pi / (2 * z)) * mpmath.exp(-z)
+            b = a * (1 + 1 / z)
+        else:
+            a, b = mpmath.besselk(0, z), mpmath.besselk(1, z)
+        mu = nu % 1
+        for i in range(round(nu - mu)):
+            a, b = b, a + 2 * (mu + i + 1) / z * b
+        return +a
 
 
 def _gm_closed_form(D, m, r):
