@@ -144,8 +144,10 @@ def birkhoff_factorize(phi: Character) -> BirkhoffPair:
 # ---------------------------------------------------------------------------
 
 
-def _stable_rational(*parts, lo: int = -6, hi: int = 6) -> Fraction:
-    blob = json.dumps(parts, sort_keys=True, default=str).encode()
+def _stable_rational(head: str, *parts, lo: int = -6, hi: int = 6) -> Fraction:
+    """A rational in [lo, hi] / [1, 5] hashed from the JSON list whose first
+    items ``head`` dumps (a list, dumped once per graph) and then ``parts``."""
+    blob = (head[:-1] + ", " + json.dumps(parts)[1:]).encode()
     h = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
     num = lo + h % (hi - lo + 1)
     den = 1 + (h >> 16) % 5
@@ -180,16 +182,15 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
                 f"budget is {n_vertices}")
         space = canon.degree()
         renumber = {v: i + 1 for i, v in enumerate(internal)}
-        key = graph.canonical_key()
+        head = json.dumps([rule_seed, graph.canonical_key()])
         terms: dict[tuple, Fraction] = {}
         for subset, _ in canon.one_pi_blocks():
             I = frozenset(renumber[v] for v in subset)
             block = (separation_label("inf", I), diagonal_label(I))
-            terms[((space, ("polar", block)),)] = \
-                _stable_rational(rule_seed, key, sorted(I), "polar")
-        terms[()] = _stable_rational(rule_seed, key, "const")
+            terms[((space, ("polar", block)),)] = _stable_rational(head, sorted(I), "polar")
+        terms[()] = _stable_rational(head, "const")
         linear = ((separation_label("inf", frozenset({1})), 1),)
-        terms[((space, ("reg", linear)),)] = _stable_rational(rule_seed, key, "lin")
+        terms[((space, ("reg", linear)),)] = _stable_rational(head, "lin")
         return MultiLogForm(terms)
 
     return Character(hopf, target, eta)

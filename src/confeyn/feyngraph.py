@@ -5,6 +5,12 @@ Graphs are finite multigraphs without looping edges.  External vertices have
 valence 1; an edge is external exactly when it touches an external vertex.
 The grading used by the Hopf algebra is the number of internal edges.
 
+Parts and quotients come in one normalized labelling: the vertices numbered
+0..k-1 in the order of their old ids, each edge a sorted (min, max, internal)
+triple, the triples sorted.  Its (flags, edges) key has the shape of a
+canonical form, so labelled copies that differ only in vertex ids, edge order
+or orientation share a key, and a key is known before any graph is built.
+
 Two graphs compare equal when they are isomorphic (as multigraphs with the
 external/internal vertex flags).  The canonical form is the least leaf of an
 individualization-refinement search over vertex indices, pruned by the
@@ -61,6 +67,16 @@ class FeynmanGraph:
             edges.append(Edge(anchor, nxt, False))
             nxt += 1
         return cls(vertices, edges)
+
+    @classmethod
+    def _from_key(cls, key: tuple, is_1pi: bool | None = None) -> "FeynmanGraph":
+        """The graph on vertices 0..k-1 that a (flags, edge triples) key
+        writes, as canonical forms and normalized labellings do; ``is_1pi``
+        presets the flag where the caller knows it."""
+        flags, edges = key
+        graph = cls(dict(enumerate(flags)), [Edge(*e) for e in edges])
+        graph._is_1pi = is_1pi
+        return graph
 
     @classmethod
     def from_json(cls, data: dict) -> "FeynmanGraph":
@@ -173,13 +189,13 @@ class FeynmanGraph:
 
     def component_graph(self, component: frozenset[int]) -> "FeynmanGraph":
         """The subgraph spanned by an internal-edge component, as a standalone
-        graph (vertices relabelled 0..v-1, all internal)."""
-        verts = sorted({v for i in component for v in
-                        (self.edges[i].src, self.edges[i].tgt)})
-        relabel = {v: j for j, v in enumerate(verts)}
-        edges = [Edge(relabel[self.edges[i].src], relabel[self.edges[i].tgt], True)
-                 for i in sorted(component)]
-        return FeynmanGraph({j: False for j in relabel.values()}, edges)
+        graph in the normalized labelling (all vertices internal)."""
+        return FeynmanGraph._from_key(self._component_key(component))
+
+    def _component_key(self, component: frozenset[int]) -> tuple:
+        verts = sorted({v for i in component for v in (self.edges[i].src, self.edges[i].tgt)})
+        return _normalized((False,) * len(verts), {v: j for j, v in enumerate(verts)},
+                           ((self.edges[i].src, self.edges[i].tgt, True) for i in component))
 
     def one_pi_blocks(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """(V, edges of G[V]) for each internal vertex set V, |V| >= 2, whose
@@ -209,62 +225,65 @@ class FeynmanGraph:
         invalid graph."""
         return [selection for selection, _ in self._admissible_pairs()]
 
-    def _admissible_pairs(self) -> list[tuple["SubgraphSelection", "FeynmanGraph"]]:
-        """Each admissible selection with the quotient it was checked on."""
+    def _admissible_pairs(self) -> list[tuple["SubgraphSelection", tuple]]:
+        """Each admissible selection with the normalized key of its quotient.
+        Contracting connected vertex sets keeps a 1PI graph connected and
+        bridgeless, so a 1PI graph's quotients are 1PI except by the block of
+        every internal vertex, which leaves no internal edge; the quotients of
+        other graphs are built and searched."""
         self.require_valid()
         blocks = self.one_pi_blocks()
+        whole = frozenset(self.internal_vertices()) if self.is_1pi() else None
         out = []
 
-        def extend(start: int, used: frozenset[int], family: list[frozenset[int]]):
+        def extend(start: int, used: frozenset[int], groups: list[frozenset[int]],
+                   family: list[frozenset[int]]):
             for j in range(start, len(blocks)):
                 verts, edges = blocks[j]
                 if verts & used:
                     continue
                 chosen = family + [edges]
+                merged = groups + [verts]
                 selection = SubgraphSelection(frozenset().union(*chosen),
                                               tuple(sorted(chosen, key=sorted)))
-                # the quotient of a valid graph by vertex-disjoint induced 1PI
-                # blocks is valid; all internal edges contract to a graph
-                # without any: not 1PI
-                quotient = self.contract(selection, _check_admissible=False)
-                if quotient.is_1pi():
-                    out.append((selection, quotient))
-                extend(j + 1, used | verts, chosen)
+                # vertex-disjoint induced 1PI blocks leave a valid quotient
+                key = self._quotient_key(merged, selection.edge_indices)
+                if (verts != whole) if whole is not None else FeynmanGraph._from_key(key).is_1pi():
+                    out.append((selection, key))
+                extend(j + 1, used | verts, merged, chosen)
 
-        extend(0, frozenset(), [])
+        extend(0, frozenset(), [], [])
         return sorted(out, key=lambda p: (len(p[0].edge_indices), sorted(p[0].edge_indices)))
 
-    def contract(self, selection: "SubgraphSelection",
-                 _check_admissible: bool = True) -> "FeynmanGraph":
-        """Collapse each component of the selection to a single internal vertex.
-        Raises ValueError unless the components are vertex-disjoint 1PI
-        subgraphs whose edges are the selection's."""
-        if _check_admissible and frozenset().union(*selection.components) != selection.edge_indices:
-            raise ValueError("selection components do not cover its edges")
+    def _quotient_key(self, groups: Sequence[frozenset[int]], dropped: frozenset[int]) -> tuple:
+        """The normalized key of the graph with the edges ``dropped`` removed
+        and each vertex set of ``groups`` merged into its least vertex."""
         rep: dict[int, int] = {}
+        for verts in groups:
+            rep.update(dict.fromkeys(verts, min(verts)))
+        kept = sorted(v for v in self.external if rep.get(v, v) == v)
+        at = {v: j for j, v in enumerate(kept)}
+        for v, target in rep.items():
+            at[v] = at[target]
+        return _normalized(tuple(self.external[v] for v in kept), at,
+                           ((e.src, e.tgt, e.internal) for i, e in enumerate(self.edges)
+                            if i not in dropped))
+
+    def contract(self, selection: "SubgraphSelection") -> "FeynmanGraph":
+        """Collapse each component of the selection to a single internal
+        vertex, in the normalized labelling.  Raises ValueError unless the
+        components are vertex-disjoint 1PI subgraphs whose edges are the
+        selection's and the quotient is valid."""
+        if frozenset().union(*selection.components) != selection.edge_indices:
+            raise ValueError("selection components do not cover its edges")
+        groups: list[frozenset[int]] = []
         for comp in selection.components:
-            verts = {v for i in comp for v in (self.edges[i].src, self.edges[i].tgt)}
-            if _check_admissible and (verts & rep.keys()
-                                      or not self.component_graph(comp).is_1pi()):
+            verts = frozenset(v for i in comp for v in (self.edges[i].src, self.edges[i].tgt))
+            if any(verts & g for g in groups) or not self.component_graph(comp).is_1pi():
                 raise ValueError("selection components are not vertex-disjoint 1PI subgraphs")
-            target = min(verts)
-            for v in verts:
-                rep[v] = target
-        vertices = {v: ext for v, ext in self.external.items()
-                    if v not in rep or rep[v] == v}
-        edges = []
-        for i, e in enumerate(self.edges):
-            if i in selection.edge_indices:
-                continue
-            s = rep.get(e.src, e.src)
-            t = rep.get(e.tgt, e.tgt)
-            if s == t:
-                raise ValueError("contraction would create a looping edge")
-            edges.append(Edge(s, t, e.internal))
-        result = FeynmanGraph(vertices, edges)
-        if _check_admissible:
-            result.require_valid()
-        return result
+            groups.append(verts)
+        return FeynmanGraph._from_key(
+            self._quotient_key(groups, selection.edge_indices)).require_valid()
 
     # -- canonical form --------------------------------------------------------
 
@@ -276,8 +295,7 @@ class FeynmanGraph:
 
     def canonical_representative(self) -> "FeynmanGraph":
         """The graph rebuilt from its canonical form: one for every labelling."""
-        flags, edges = self.canonical_key()
-        return FeynmanGraph(dict(enumerate(flags)), [Edge(*e) for e in edges])
+        return FeynmanGraph._from_key(self.canonical_key())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeynmanGraph):
@@ -307,6 +325,20 @@ class SubgraphSelection:
     components: tuple[frozenset[int], ...]
 
 
+def _normalized(flags: tuple[bool, ...], at: dict[int, int],
+                ends: Iterable[tuple[int, int, bool]]) -> tuple:
+    """The (flags, edges) key of the edges ``ends`` with their vertices
+    renumbered by ``at``, each edge a sorted (min, max, internal) triple."""
+    edges = []
+    for src, tgt, internal in ends:
+        a, b = at[src], at[tgt]
+        if a == b:
+            raise ValueError("contraction would create a looping edge")
+        edges.append((a, b, internal) if a < b else (b, a, internal))
+    edges.sort()
+    return flags, tuple(edges)
+
+
 def _refine(colors: list[int], cells: int, adj: list[list[tuple[int, bool]]]
             ) -> tuple[list[int], int]:
     """Color refinement of a coloring of the vertices 0..n-1 by ``cells``
@@ -314,8 +346,9 @@ def _refine(colors: list[int], cells: int, adj: list[list[tuple[int, bool]]]
     the sorted codes 2 * color + internal of its edges' far ends (a vertex
     alone in its cell needs only its color).  The ranks depend only on the
     order of the input colors, and each pass refines the last, so the first
-    pass that keeps the number of cells returns the stable coloring, numbered
-    0..k-1."""
+    pass that keeps the number of cells finds the stable coloring, numbered
+    0..k-1.  Its ranks are its input colors, which lead each signature, so it
+    returns those."""
     while True:
         sizes = [0] * cells
         for c in colors:
@@ -323,9 +356,9 @@ def _refine(colors: list[int], cells: int, adj: list[list[tuple[int, bool]]]
         signature = [(c, *sorted([2 * colors[w] + f for w, f in ends])) if sizes[c] > 1
                      else (c,) for c, ends in zip(colors, adj)]
         palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        colors = [palette[sig] for sig in signature]
         if len(palette) == cells:
             return colors, cells
+        colors = [palette[sig] for sig in signature]
         cells = len(palette)
 
 

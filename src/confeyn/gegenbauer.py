@@ -110,18 +110,23 @@ def generating_series_coeff(lam, n: int, x: float) -> float:
     """n-th Taylor coefficient in t of (1-2tx+t^2)^(-lam), by the binomial
     series in y = t(2x-t); an oracle independent of the explicit formula and
     of the recurrence.  The terms cancel near |x| = 1, so the series is summed
-    exactly from Fraction(x) and Fraction(lam) and rounded once."""
+    exactly, in integers over the common denominator q^n n! w^n of lam = p/q
+    and 2x = u/w, and rounded once."""
     _check_degrees(n)
     lam, two_x = Fraction(lam), 2 * Fraction(x)
-    total = Fraction(0)
-    binom_rising = Fraction(1)  # rising(lam, j) / j!
-    # y^j contributes to t^{j+i} via (2x-t)^j = sum_i C(j,i) (2x)^{j-i} (-t)^i
+    p, q = lam.numerator, lam.denominator
+    u, w = two_x.numerator, two_x.denominator
+    total = 0
+    rise = 1  # rising(lam, j) q^j
+    # y^j contributes to t^{j+i} via (2x-t)^j = sum_i C(j,i) (2x)^{j-i} (-t)^i;
+    # over q^j j! w^(j-i), so its share of the common denominator is q^i n!/j! w^2i
     for j in range(n + 1):
         i = n - j
         if i <= j:
-            total += binom_rising * math.comb(j, i) * two_x ** (j - i) * (-1) ** i
-        binom_rising *= (lam + j) / (j + 1)
-    return float(total)
+            total += ((-1) ** i * rise * math.comb(j, i) * u ** (j - i)
+                      * q ** i * math.perm(n, i) * w ** (2 * i))
+        rise *= p + j * q
+    return total / (q ** n * _fact(n) * w ** n)
 
 
 @lru_cache(maxsize=None)

@@ -105,19 +105,24 @@ def as_element(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
 
 class HopfAlgebra:
     """Coproduct / antipode engine memoised per monomial.  Parts and
-    quotients are interned by their exact vertex and edge lists, so each
-    distinct labelled graph pays for one canonical form per algebra:
-    G/(gamma u gamma') recurs as (G/gamma)/gamma'.  The table keeps each
-    quotient alive with the algebra."""
+    quotients are interned by the key of their normalized labelling (see
+    ``feyngraph``), taken from the selection before any graph is built, so
+    each distinct normalized graph is built once and pays for one canonical
+    form per algebra: G/(gamma u gamma') recurs as (G/gamma)/gamma', and
+    relabelled copies of a part meet under one key.  The table keeps each
+    interned graph alive with the algebra."""
 
     def __init__(self):
         self._coproduct_gen: dict[Monomial, TensorElement] = {}  # Delta per monomial
         self._antipode: dict[Monomial, HopfElement] = {}
         self._graphs: dict[tuple, FeynmanGraph] = {}
 
-    def _intern(self, graph: FeynmanGraph) -> FeynmanGraph:
-        raw = (tuple(graph.external), tuple(graph.external.values()), graph.edges)
-        return self._graphs.setdefault(raw, graph)
+    def _intern(self, key: tuple) -> FeynmanGraph:
+        """The graph of a part or quotient key of a 1PI graph: 1PI itself."""
+        graph = self._graphs.get(key)
+        if graph is None:
+            graph = self._graphs[key] = FeynmanGraph._from_key(key, is_1pi=True)
+        return graph
 
     # -- coproduct -----------------------------------------------------------
 
@@ -128,7 +133,7 @@ class HopfAlgebra:
         g_mono = monomial(graph)
         terms = {(g_mono, ()): 1, ((), g_mono): 1}
         for sel, quotient in graph._admissible_pairs():
-            parts = monomial(*(self._intern(graph.component_graph(c)) for c in sel.components))
+            parts = monomial(*(self._intern(graph._component_key(c)) for c in sel.components))
             key = (parts, monomial(self._intern(quotient)))
             terms[key] = terms.get(key, 0) + 1
         out = self._coproduct_gen[g_mono] = TensorElement._wrap(terms)

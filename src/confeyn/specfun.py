@@ -213,8 +213,11 @@ def bessel_k_ladder(nu: float, z: float, steps: int) -> list[tuple[float, int]]:
     only; the downward direction cancels, so every ladder starts at order 0
     or 1/2.  Past z = 700, e^-z is 2^-k exp(k log 2 - z) (Cody and Waite), and
     a step past 2^500 divides by 2^500, both exactly: with exponent 0 the
-    mantissa is the plain recurrence.  Below z of about 1e-154 one step can
-    still overflow the mantissa to inf."""
+    mantissa is the plain recurrence.  A step whose product (2n/z) K_n leaves
+    the doubles (z below about n 1e-151) is taken again on K_(n-1) and K_n
+    divided by 2^s, where 2^(s-1) <= 2n/z < 2^s: K_n exactly, and K_(n-1)
+    then lies below the last bit of the sum.  Where K_3/2 leaves the doubles,
+    the half-integer ladder starts 2^s lower, 2^(s-1) <= 1/z < 2^s."""
     if not (math.isfinite(nu) and math.isfinite(z)):
         raise ValueError(f"bessel_k needs finite nu and z, got nu={nu}, z={z}")
     if z <= 0:
@@ -229,26 +232,37 @@ def bessel_k_ladder(nu: float, z: float, steps: int) -> list[tuple[float, int]]:
     mu = 0.5 if two_nu % 2 else 0.0
     if steps < 0 or nu + steps > MAX_ORDER:
         raise ValueError(f"ladder steps must lie in [0, {MAX_ORDER} - nu], got {steps}")
+    exponent = 0
     if mu:
         a = math.sqrt(math.pi / (2.0 * z))
         b = a * (1.0 + 1.0 / z)
+        if b == math.inf:  # z below about 4e-206: K_3/2 starts 2^exponent lower
+            exponent = math.frexp(1.0 / z)[1]
+            a = math.ldexp(a, -exponent)
+            b = a * (1.0 + 1.0 / z)
     elif z < 2.0:
         a, b = _temme_k01(z)
     else:
         a, b = _steed_k01(z)
-    exponent = 0
     if mu or z >= 2.0:  # a, b carry e^z: fold e^-z in before high orders can overflow
         k = min(round(z / _LN2_HI), _SPLIT_K) if z > _EXP_NORMAL_Z else 0
         f = math.exp((k * _LN2_HI - z) + k * _LN2_LO)  # exp(-z) itself at k = 0
-        a, b, exponent = a * f, b * f, -k
+        a, b, exponent = a * f, b * f, exponent - k
     first = round(nu - mu)
     out = []
     for i in range(first + steps + 1):
         if i >= first:
             out.append((a, exponent))
-        a, b = b, a + (2.0 * (mu + i + 1) / z) * b
-        if b > 2.0 ** 500:
-            a, b, exponent = a * 2.0 ** -500, b * 2.0 ** -500, exponent + 500
+        ratio = 2.0 * (mu + i + 1) / z
+        c = a + ratio * b
+        if c > 2.0 ** 500:
+            if c == math.inf > ratio:  # the product left the doubles: take the step lower
+                s = math.frexp(ratio)[1]
+                a, b, exponent = math.ldexp(a, -s), math.ldexp(b, -s), exponent + s
+                c = a + ratio * b
+            if c > 2.0 ** 500:
+                b, c, exponent = b * 2.0 ** -500, c * 2.0 ** -500, exponent + 500
+        a, b = b, c
     return out
 
 

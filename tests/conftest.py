@@ -92,3 +92,11 @@ def necklace(k: int) -> FeynmanGraph:
     """A ring of k bananas (bead i is edges 2i, 2i+1) with legs on 0 and 1."""
     return FeynmanGraph.build(k, [(i, (i + 1) % k) for i in range(k) for _ in range(2)],
                               legs=[0, 1])
+
+
+DENSE = {
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "prism": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+    "K33": (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
+    "wheel5": (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
+}

@@ -50,11 +50,9 @@ def scan_admissible_subgraphs(graph: FeynmanGraph) -> list[SubgraphSelection]:
             if not all(graph.component_graph(c).is_1pi() for c in components):
                 continue
             selection = SubgraphSelection(sel, tuple(sorted(components, key=sorted)))
-            try:
-                quotient = graph.contract(selection, _check_admissible=False)
+            try:  # a looping edge or an invalid quotient
+                quotient = graph.contract(selection)
             except ValueError:
-                continue
-            if quotient.validate():
                 continue
             if not quotient.is_1pi():
                 continue

@@ -3,6 +3,7 @@
 against networkx isomorphism, and how often a factorization computes a form."""
 
 import itertools
+import random
 from collections import Counter, defaultdict
 
 import networkx as nx
@@ -17,7 +18,7 @@ from confeyn.birkhoff import Character, birkhoff_factorize
 from confeyn.feyngraph import Edge, FeynmanGraph
 from confeyn.hopf import HopfAlgebra, generate_graph_family
 from confeyn.rotabaxter import LaurentAlgebra
-from conftest import laurent_rule
+from conftest import DENSE, laurent_rule
 from test_laws import LAWS
 
 
@@ -178,26 +179,41 @@ class TestAgainstNetworkx:
         assert (g1.canonical_key() == g2.canonical_key()) == nx_isomorphic(g1, g2)
 
 
+def normalized(graph: FeynmanGraph) -> tuple:
+    """The graph with its vertices numbered in sorted order and each edge a
+    sorted (min, max, internal) triple, the triples sorted."""
+    at = {v: i for i, v in enumerate(sorted(graph.external))}
+    return (tuple(graph.external[v] for v in sorted(graph.external)),
+            tuple(sorted((*sorted((at[e.src], at[e.tgt])), e.internal) for e in graph.edges)))
+
+
+def count_forms(monkeypatch, graphs: list[FeynmanGraph]) -> tuple[Counter, list]:
+    """Forms computed by one Laurent factorization of ``graphs``, counted per
+    normalized labelled graph, and the graphs they were computed for."""
+    seen: Counter = Counter()
+    objects: list[FeynmanGraph] = []
+    form = feyngraph._canonical_form
+
+    def counted(graph):
+        seen[normalized(graph)] += 1
+        objects.append(graph)
+        return form(graph)
+
+    monkeypatch.setattr(feyngraph, "_canonical_form", counted)
+    pair = birkhoff_factorize(Character(HopfAlgebra(), LaurentAlgebra(), laurent_rule(7)))
+    for g in graphs:
+        pair.phi_minus(g)
+        pair.phi_plus(g)
+    return seen, objects
+
+
 class TestCallCounts:
     def test_one_form_per_labelled_graph_and_no_rehash(self, monkeypatch):
-        """One Laurent factorization computes each distinct labelled graph's
-        form at most once, and a graph's hash, once taken, is not recomputed
-        from its form."""
+        """One Laurent factorization computes each normalized labelled
+        graph's form at most once, and a graph's hash, once taken, is not
+        recomputed from its form."""
         graphs = [necklace(4, legs=True)] + generate_graph_family(3)
-        seen: Counter = Counter()
-        objects: list[FeynmanGraph] = []
-        form = feyngraph._canonical_form
-
-        def counted(graph):
-            seen[(tuple(graph.external.items()), graph.edges)] += 1
-            objects.append(graph)
-            return form(graph)
-
-        monkeypatch.setattr(feyngraph, "_canonical_form", counted)
-        pair = birkhoff_factorize(Character(HopfAlgebra(), LaurentAlgebra(), laurent_rule(7)))
-        for g in graphs:
-            pair.phi_minus(g)
-            pair.phi_plus(g)
+        seen, objects = count_forms(monkeypatch, graphs)
         assert seen and max(seen.values()) == 1
 
         key_calls = []
@@ -208,3 +224,20 @@ class TestCallCounts:
             first = hash(g)
             key_calls.clear()
             assert hash(g) == first and not key_calls
+
+    def test_relabelled_copies_share_one_form(self, monkeypatch):
+        """Parts and quotients that differ only in vertex ids, edge order or
+        orientation share one form: the forms of one Laurent factorization of
+        relabelled necklaces and dense graphs number at most the inputs plus
+        the distinct normalized graphs."""
+        rng = random.Random(0)
+        shapes = [(k, [(i, (i + 1) % k) for i in range(k) for _ in range(2)])
+                  for k in range(3, 7)] + list(DENSE.values())
+        graphs = []
+        for nv, edges in shapes:
+            perm = rng.sample(range(nv), nv)
+            relabelled = [(perm[a], perm[b]) for a, b in edges]
+            rng.shuffle(relabelled)
+            graphs.append(FeynmanGraph.build(nv, relabelled, legs=[perm[v] for v in edges[0]]))
+        seen, _ = count_forms(monkeypatch, graphs)
+        assert sum(seen.values()) <= len(graphs) + len(seen), (sum(seen.values()), len(seen))

@@ -121,6 +121,14 @@ class TestPropEval:
         for key, value in want.items():
             assert doc[key] == pytest.approx(value, rel=rel, abs=0), key
 
+    def test_tiny_mass_prints(self, tmp_path):
+        # mpmath at 60 digits; one K_nu ladder step at z = 1e-160 overflowed,
+        # so this exited 2, though --m 1e-100 printed the same value
+        code, doc = run_cli(["prop-eval", "--kind", "gm", "--D", "22", "--r", "1",
+                             "--m", "1e-160"], tmp_path)
+        assert code == 0
+        assert doc["value"] == pytest.approx(0.30835744740933833, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("flags", [
         ["--kind", "dirac", "--D", "4", "--r", "800"],
         ["--kind", "dirac", "--D", "4", "--r", "705"],

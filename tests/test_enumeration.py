@@ -9,17 +9,15 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confeyn import feyngraph
 from confeyn.feyngraph import Edge, FeynmanGraph, SubgraphSelection
 from confeyn.hopf import HopfAlgebra, generate_graph_family, monomial
-from conftest import necklace
+from conftest import DENSE, banana, doubled_triangle, necklace, triangle
 from subset_scan import scan_admissible_subgraphs, scan_one_pi_vertex_sets
+from test_canon import SHAPES
+from test_laws import LAWS, one_pi_graphs
 
-DENSE = {
-    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-    "prism": (6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
-    "K33": (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
-    "wheel5": (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
-}
+SHARED = HopfAlgebra()
 
 
 def fixed_graphs() -> list[tuple[str, FeynmanGraph]]:
@@ -43,13 +41,15 @@ def assert_quotients_carried(graph: FeynmanGraph):
     selections = graph.admissible_subgraphs()
     assert selections == [sel for sel, _ in pairs]
     assert all(type(sel) is SubgraphSelection for sel in selections)
-    for sel, quotient in pairs:
+    for sel, key in pairs:
+        # the carried key writes the checked contraction, which is normalized
         checked = graph.contract(sel)
-        assert (quotient.external, quotient.edges) == (checked.external, checked.edges)
-        assert quotient.canonical_key() == checked.canonical_key()
+        flags, edges = key
+        assert list(checked.external.items()) == list(enumerate(flags))
+        assert checked.edges == tuple(Edge(*e) for e in edges)
     if not graph.is_1pi():
         return
-    # the Hopf layer counts each carried quotient and contracts nothing again
+    # the Hopf layer counts each carried quotient and contracts nothing
     want = {(monomial(graph), ()): 1, ((), monomial(graph)): 1}
     for sel in selections:
         key = (monomial(*map(graph.component_graph, sel.components)),
@@ -59,9 +59,7 @@ def assert_quotients_carried(graph: FeynmanGraph):
                            side_effect=FeynmanGraph.contract) as contract:
         got = HopfAlgebra().coproduct_generator(graph)
     assert got.terms == want
-    assert contract.call_count >= len(pairs)
-    assert all(call.kwargs == {"_check_admissible": False}
-               for call in contract.call_args_list)
+    assert contract.call_count == 0
 
 
 @pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in fixed_graphs()])
@@ -80,7 +78,8 @@ def test_fixed_set_quotients_carried(graph):
 def test_carried_quotients_are_valid(graph):
     # the enumeration does not validate its quotients: a valid graph divided
     # by vertex-disjoint induced 1PI blocks is valid
-    assert all(quotient.validate() == [] for _, quotient in graph._admissible_pairs())
+    assert all(FeynmanGraph._from_key(key).validate() == []
+               for _, key in graph._admissible_pairs())
 
 
 @st.composite
@@ -128,3 +127,93 @@ def test_invalid_graph_rejected():
     g = FeynmanGraph({0: False, 1: False}, [Edge(0, 1), Edge(0, 1), Edge(1, 1)])
     with pytest.raises(ValueError, match="looping"):
         g.admissible_subgraphs()
+
+
+def _blocks_families(graph: FeynmanGraph):
+    """Every nonempty family of vertex-disjoint one_pi_blocks, as (vertex
+    sets, selection)."""
+    blocks = graph.one_pi_blocks()
+
+    def extend(start, used, family):
+        for j in range(start, len(blocks)):
+            if not blocks[j][0] & used:
+                chosen = family + [blocks[j]]
+                yield chosen
+                yield from extend(j + 1, used | blocks[j][0], chosen)
+
+    for family in extend(0, frozenset(), []):
+        comps = [edges for _, edges in family]
+        yield ([verts for verts, _ in family],
+               SubgraphSelection(frozenset().union(*comps), tuple(sorted(comps, key=sorted))))
+
+
+def _conftest_graphs() -> list[FeynmanGraph]:
+    return (generate_graph_family(4) + generate_graph_family(4, with_legs=False)
+            + [banana(n) for n in (2, 3, 4)] + [triangle(), doubled_triangle()]
+            + [necklace(k) for k in range(3, 8)])
+
+
+def assert_one_pi_quotient_rule(graph: FeynmanGraph):
+    # a 1PI graph's quotient by vertex-disjoint 1PI blocks is 1PI unless one
+    # block holds every internal vertex: checked by the bridge search
+    assert graph.is_1pi()
+    whole = frozenset(graph.internal_vertices())
+    kept = []
+    for groups, sel in _blocks_families(graph):
+        quotient = graph.contract(sel)
+        searched = (bool(quotient.internal_edge_indices())
+                    and FeynmanGraph._connected_bridgeless(quotient._internal_adjacency()))
+        assert searched == (groups != [whole])
+        if searched:
+            kept.append(sel)
+    kept.sort(key=lambda s: (len(s.edge_indices), sorted(s.edge_indices)))
+    assert graph.admissible_subgraphs() == kept
+
+
+@pytest.mark.parametrize("graph", [pytest.param(g, id=f"conftest{i}")
+                                   for i, g in enumerate(_conftest_graphs())]
+                         + [pytest.param(SHAPES[n], id=n) for n in sorted(SHAPES)])
+def test_one_pi_quotient_rule(graph):
+    assert_one_pi_quotient_rule(graph)
+
+
+@LAWS
+@given(one_pi_graphs())
+def test_one_pi_quotient_rule_on_generated_graphs(graph):
+    assert_one_pi_quotient_rule(graph)
+
+
+def _stands_for(graph: FeynmanGraph, sel: SubgraphSelection):
+    """The parts and the quotient of a selection on the graph's own vertex
+    ids, edge order and orientation."""
+    parts = []
+    rep = {}
+    for comp in sel.components:
+        ends = {v for i in comp for v in (graph.edges[i].src, graph.edges[i].tgt)}
+        parts.append(FeynmanGraph({v: False for v in ends}, [graph.edges[i] for i in comp]))
+        rep.update(dict.fromkeys(ends, min(ends)))
+    quotient = FeynmanGraph(
+        {v: ext for v, ext in graph.external.items() if rep.get(v, v) == v},
+        [Edge(rep.get(e.src, e.src), rep.get(e.tgt, e.tgt), e.internal)
+         for i, e in enumerate(graph.edges) if i not in sel.edge_indices])
+    return parts, quotient
+
+
+@LAWS
+@given(one_pi_graphs())
+def test_interned_graphs_keep_their_class(graph):
+    # normalized labels merge relabelled copies only: on the algebra shared by
+    # every example, each interned part and quotient of the coproduct closure
+    # has the canonical key of the graph it stands for
+    todo, seen = [graph], {id(graph)}
+    while todo:
+        g = todo.pop()
+        for sel, key in g._admissible_pairs():
+            parts, quotient = _stands_for(g, sel)
+            for k, original in [*zip(map(g._component_key, sel.components), parts),
+                                (key, quotient)]:
+                interned = SHARED._intern(k)
+                assert interned.canonical_key() == feyngraph._canonical_form(original)
+                if id(interned) not in seen:
+                    seen.add(id(interned))
+                    todo.append(interned)

@@ -86,6 +86,23 @@ class TestExplicitCoefficients:
     def test_legendre_special_case(self):
         assert generating_series_coeff(F(1, 2), 1, 0.37) == pytest.approx(0.37, abs=1e-15)
 
+    @pytest.mark.parametrize("lam", [F(1, 2), 1, F(5, 2)])
+    def test_generating_series_is_the_rounded_exact_sum(self, lam):
+        # the sum in integers over one denominator is the same rational as the
+        # sum in Fractions, so it rounds to the same double (GEGEN_MAX_N = 256)
+        def fraction_sum(n, x):
+            total, binom_rising, two_x = F(0), F(1), 2 * F(x)
+            for j in range(n + 1):
+                if n - j <= j:
+                    total += (binom_rising * math.comb(j, n - j) * two_x ** (2 * j - n)
+                              * (-1) ** (n - j))
+                binom_rising *= (F(lam) + j) / (j + 1)
+            return float(total)
+
+        for n in [*range(13), 31, 64, 127, 200, 256]:
+            for x in (0.99, -0.99, 0.3, 0.7):
+                assert generating_series_coeff(lam, n, x) == fraction_sum(n, x), (n, x)
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             gegenbauer_coeffs(F(-1, 2), 1)

@@ -304,6 +304,18 @@ class TestDoubleRange:
                     if all(map(_normal, (*factors, *accumulate(factors, mul)))):
                         assert KERNELS[kind](Kinematics.radial(D, r, m)) == product
 
+    @pytest.mark.parametrize("kind, D", [("gm", 22), ("gm", 101), ("gm-complex", 12),
+                                         ("gm-complex", 60)])
+    def test_tiny_masses_against_mpmath(self, kind, D):
+        # below z = m r of about 1e-154 one K_nu ladder step overflowed to inf
+        import mpmath
+        with mpmath.workdps(40):
+            for m in (1e-155, 1e-160, 1e-230, 1e-300):
+                for r in (0.5, 1.0, 3.0):
+                    want = _reference(kind, D, r, m)
+                    got = KERNELS[kind](Kinematics.radial(D, r, m))
+                    assert abs(got - want) <= 1e-12 * want, (kind, D, r, m)
+
     def test_dirac_and_boson_refuse_non_finite_values(self):
         # mpmath: a = 3.2e+882 and the (0, 0) component 8.1e+881
         k = Kinematics.radial(1000, 1.0, 1.0)

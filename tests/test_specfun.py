@@ -221,6 +221,16 @@ class TestBesselKDouble:
             want = _k_reference(n, 1e-3)
             assert abs(mpmath.ldexp(mpmath.mpf(ladder[n][0]), ladder[n][1]) - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("nu", [0, 0.5, 9, 40.5])
+    def test_ladder_steps_at_tiny_arguments(self, nu):
+        # a step whose product (2n/z) K_n leaves the doubles is taken lower
+        for z in (1e-152, 1e-160, 1e-230, 1e-300):
+            ladder = bessel_k_ladder(nu, z, 60)
+            for n in (0, 1, 2, 30, 60):
+                want = _k_reference(nu + n, z)
+                got = mpmath.ldexp(mpmath.mpf(ladder[n][0]), ladder[n][1])
+                assert abs(got - want) <= 1e-13 * want, (nu, z, n)
+
     def test_ladder_rejects_general_order(self):
         with pytest.raises(ValueError):
             bessel_k_ladder(0.25, 1.0, 2)
