@@ -228,12 +228,15 @@ class FeynmanGraph:
     def _admissible_pairs(self) -> list[tuple["SubgraphSelection", tuple]]:
         """Each admissible selection with the normalized key of its quotient.
         Contracting connected vertex sets keeps a 1PI graph connected and
-        bridgeless, so a 1PI graph's quotients are 1PI except by the block of
-        every internal vertex, which leaves no internal edge; the quotients of
-        other graphs are built and searched."""
+        bridgeless, so its quotients are 1PI except by the block of every
+        internal vertex, which leaves no internal edge.  It also keeps each
+        bridge of a graph that is not 1PI (no block holds one) and each
+        split of its internal part, so such a graph has no admissible pair."""
         self.require_valid()
+        if not self.is_1pi():
+            return []
         blocks = self.one_pi_blocks()
-        whole = frozenset(self.internal_vertices()) if self.is_1pi() else None
+        whole = frozenset(self.internal_vertices())
         out = []
 
         def extend(start: int, used: frozenset[int], groups: list[frozenset[int]],
@@ -246,10 +249,9 @@ class FeynmanGraph:
                 merged = groups + [verts]
                 selection = SubgraphSelection(frozenset().union(*chosen),
                                               tuple(sorted(chosen, key=sorted)))
-                # vertex-disjoint induced 1PI blocks leave a valid quotient
-                key = self._quotient_key(merged, selection.edge_indices)
-                if (verts != whole) if whole is not None else FeynmanGraph._from_key(key).is_1pi():
-                    out.append((selection, key))
+                if verts != whole:
+                    # vertex-disjoint induced 1PI blocks leave a valid quotient
+                    out.append((selection, self._quotient_key(merged, selection.edge_indices)))
                 extend(j + 1, used | verts, merged, chosen)
 
         extend(0, frozenset(), [], [])

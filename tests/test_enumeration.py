@@ -155,15 +155,15 @@ def _conftest_graphs() -> list[FeynmanGraph]:
 
 def assert_one_pi_quotient_rule(graph: FeynmanGraph):
     # a 1PI graph's quotient by vertex-disjoint 1PI blocks is 1PI unless one
-    # block holds every internal vertex: checked by the bridge search
-    assert graph.is_1pi()
+    # block holds every internal vertex, and no quotient of a graph that is
+    # not 1PI is 1PI: checked by the bridge search
     whole = frozenset(graph.internal_vertices())
     kept = []
     for groups, sel in _blocks_families(graph):
         quotient = graph.contract(sel)
         searched = (bool(quotient.internal_edge_indices())
                     and FeynmanGraph._connected_bridgeless(quotient._internal_adjacency()))
-        assert searched == (groups != [whole])
+        assert searched == (graph.is_1pi() and groups != [whole])
         if searched:
             kept.append(sel)
     kept.sort(key=lambda s: (len(s.edge_indices), sorted(s.edge_indices)))
@@ -180,6 +180,12 @@ def test_one_pi_quotient_rule(graph):
 @LAWS
 @given(one_pi_graphs())
 def test_one_pi_quotient_rule_on_generated_graphs(graph):
+    assert_one_pi_quotient_rule(graph)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(multigraphs())
+def test_one_pi_quotient_rule_on_generated_multigraphs(graph):
     assert_one_pi_quotient_rule(graph)
 
 
