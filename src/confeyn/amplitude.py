@@ -28,22 +28,24 @@ exponent (:func:`~confeyn.gegenbauer.log_generating_series`).  Both are
 truncated at the radial order and each power c^k converted to the weight-lam
 basis once.
 
-The tensors are rational and read-only; the term coefficient (prefactor) and
-the constant k0 of the log bracket log(m r / 2) - ... = log r + k0 factor
-out, so a log-branch term is prefactor * rho^(2l) * [(k0 + log rho) log_rho +
-series].  The symbolic tensor plain = k0 log_rho + series is a view for the
-JSON output.
+Every term is stored free of the mass.  By the exact identity
+G_m(r) = m^(2 lam) g(m r), a term of radial exponent p is r^(-2 lam) z^k
+(a + b log z) with z = m r and k = p + 2 lam, so an :class:`EdgeTerm` holds
+k and the exact a and b (an asymptotic term also carries e^(-z), with b = 0);
+m^k and log m are written only into the JSON output.  The rational tensors
+are read-only; the term coefficient (prefactor) and the constant kappa of the
+log bracket log(m r / 2) - ... = log z + kappa factor out, so a log-branch
+term is prefactor * rho^(-2 lam) zeta^k [(kappa + log zeta) log_rho + series]
+at zeta = m rho.  The symbolic tensor plain = (kappa + log m) log_rho +
+series is a view for the JSON output.
 
-Numeric evaluation rests on the exact identity G_m(r) = m^(2 lam) g(m r):
-the mass exponent of every term is 2 lam plus its radial exponent, and
-log m only enters through log(m r).  The first evaluation of an edge factor
-at a weight lam, a method and :class:`TruncationOrders` checks this in exact
-arithmetic, term by term, and compiles one float kernel, which binds no
-symbolic coefficient.  With z = m r, the Taylor edge is
-r^(-2 lam) [A(z) + log(z) B(z)] for two polynomials evaluated by Horner's
+The first evaluation of an edge factor at a weight lam, a method and
+:class:`TruncationOrders` compiles one float kernel from these mass-free
+constants, and a warm kernel binds no symbolic coefficient.  The Taylor edge
+is r^(-2 lam) [A(z) + log(z) B(z)] for two polynomials evaluated by Horner's
 rule, and the asymptotic edge is m^(2 lam) z^(-lam-1/2) e^(-z) P(1/z).  The
-Gegenbauer edge is rho^(-2 lam) [P(zeta) + log(zeta) Q(zeta)] at zeta = m rho,
-where each coefficient of P and Q is a float row dotted with one basis
+Gegenbauer edge is rho^(-2 lam) [P(zeta) + log(zeta) Q(zeta)], where each
+coefficient of P and Q is a float row dotted with one basis
 u^n C_d^(lam)(cos) built per edge, C by the three-term recurrence.
 
 Every edge value, of one edge or of a whole amplitude, goes through a plan
@@ -133,12 +135,14 @@ def _norm(x: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class TaylorTerm:
-    """One term coeff_const * r^e + coeff_log * r^e * log(r); coeff_log is
-    non-zero exactly on the power-times-log branch."""
-    r_exponent: Fraction
-    coeff_const: SymbolicCoeff
-    coeff_log: SymbolicCoeff
+class EdgeTerm:
+    """One term r^(-2 lam) z^k (a + b log z) of an edge factor, z = m r: the
+    mass enters only through z, so a and b are exact and free of m.  b is
+    non-zero exactly on the power-times-log branch; an asymptotic term also
+    carries e^(-z) and has b = 0."""
+    z_power: Fraction
+    a: SymbolicCoeff
+    b: SymbolicCoeff
 
 
 def complex_case_weight(D: int) -> Fraction:
@@ -151,23 +155,24 @@ def complex_case_weight(D: int) -> Fraction:
 
 
 def _log_constant(ell: int, lam: Fraction) -> SymbolicCoeff:
-    """k0 = log m - log 2 - (psi(ell+1) + psi(lam+ell+1)) / 2: the log branch
-    bracket log(m r / 2) - (psi(ell+1) + psi(lam+ell+1)) / 2 is log r + k0."""
-    return (SymbolicCoeff.monomial(logm=1) - SymbolicCoeff.monomial(log2=1)
+    """kappa = -log 2 - (psi(ell+1) + psi(lam+ell+1)) / 2: the log branch
+    bracket log(m r / 2) - (psi(ell+1) + psi(lam+ell+1)) / 2 is log z + kappa."""
+    return (-SymbolicCoeff.monomial(log2=1)
             - Fraction(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
 
 
 @lru_cache(maxsize=None)
-def taylor_term_coefficient(ell, lam) -> TaylorTerm:
-    """Exact coefficient of the l_e = ell term of the massive edge factor
-    (cached: the result is immutable).  At integer lam, ell is an integer:
-    ell < 0 sits on the pure-power branch and ell >= 0 on the power-times-log
-    branch.  At half-integer lam, ell runs over the half-integers and every
-    term is a pure power."""
+def taylor_term_coefficient(ell, lam) -> EdgeTerm:
+    """Exact term of index l_e = ell of the massive edge factor, of radial
+    exponent 2 ell (cached: the result is immutable).  At integer lam, ell is
+    an integer: ell < 0 sits on the pure-power branch and ell >= 0 on the
+    power-times-log branch.  At half-integer lam, ell runs over the
+    half-integers and every term is a pure power."""
     lam = check_weight(lam)
     ell = as_half_integer(ell, "ell")
     if ell < -lam:
         raise ValueError(f"ell must be >= -lam = {-lam}")
+    z_power = 2 * (lam + ell)
     if lam.denominator == 1:
         lam_i = int(lam)
         if ell.denominator != 1:
@@ -177,18 +182,17 @@ def taylor_term_coefficient(ell, lam) -> TaylorTerm:
             l = int(lam + ell)  # 0 .. lam-1
             coeff = (Fraction((-1) ** l) * Fraction(2) ** (lam_i - 2 * l - 1)
                      * math.factorial(lam_i - l - 1) / math.factorial(l))
-            return TaylorTerm(2 * ell, two_pi_power(-(lam + 1))
-                              * SymbolicCoeff.monomial(coeff, m_exp=2 * l), SymbolicCoeff.zero())
+            return EdgeTerm(z_power, two_pi_power(-(lam + 1)) * SymbolicCoeff.monomial(coeff),
+                            SymbolicCoeff.zero())
         l = int(ell)
         b = two_pi_power(-(lam + 1)) * SymbolicCoeff.monomial(
             Fraction((-1) ** (lam_i + 1), 2 ** (lam_i + 2 * l))
-            / Fraction(math.factorial(l) * math.factorial(lam_i + l)), m_exp=2 * (lam + ell))
-        return TaylorTerm(2 * ell, b * _log_constant(l, lam), b)
+            / Fraction(math.factorial(l) * math.factorial(lam_i + l)))
+        return EdgeTerm(z_power, b * _log_constant(l, lam), b)
     # half-integer lam: terminating Macdonald form, exponential expanded; the
     # sum over j <= lam - 1/2 of (lam,j) 2^-j (-1)^k / k!, k = 2 ell + lam + 1/2 + j,
     # runs by the term ratio, with (lam,j+1)/(lam,j) = (lam+j+1/2)(lam-j-1/2)/(j+1)
-    p = 2 * ell
-    k0 = int(p + lam + Fraction(1, 2))  # k at j = 0; ell >= -lam makes -k0 <= jmax
+    k0 = int(2 * ell + lam + Fraction(1, 2))  # k at j = 0; ell >= -lam makes -k0 <= jmax
     j0, jmax = max(0, -k0), int(lam - Fraction(1, 2))
     a_j = asym_coeff(lam, j0) * Fraction((-1) ** (k0 + j0), 2 ** j0 * math.factorial(k0 + j0))
     total = a_j
@@ -196,27 +200,21 @@ def taylor_term_coefficient(ell, lam) -> TaylorTerm:
         a_j *= Fraction(-int(lam + j + Fraction(1, 2)) * int(lam - j - Fraction(1, 2)),
                         2 * (j + 1) * (k0 + j + 1))
         total += a_j
-    return TaylorTerm(p, two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2
-                      * SymbolicCoeff.monomial(total, m_exp=2 * lam + p), SymbolicCoeff.zero())
+    return EdgeTerm(z_power, two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2
+                    * SymbolicCoeff.monomial(total), SymbolicCoeff.zero())
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
-    """One term of the large-distance expansion: coeff * r^e * exp(-m r)."""
-    r_exponent: Fraction
-    coeff: SymbolicCoeff
-
-
-def asymptotic_term_coefficient(ell: int, lam) -> AsymptoticTerm:
-    """Coefficient sqrt(pi/2) (2 pi)^-(lam+1) (lam,ell) 2^-ell m^(lam-ell-1/2)
-    paired with the radial exponent -(ell + lam + 1/2)."""
+def asymptotic_term_coefficient(ell: int, lam) -> EdgeTerm:
+    """The term sqrt(pi/2) (2 pi)^-(lam+1) (lam,ell) 2^-ell
+    m^(lam-ell-1/2) r^-(lam+ell+1/2) e^-z, that is a r^(-2 lam) z^k e^-z
+    with k = lam - ell - 1/2."""
     lam = check_weight(lam)
     if ell < 0 or int(ell) != ell:
         raise ValueError(f"ell must be an integer >= 0, got {ell}")
     ell = int(ell)
-    coeff = (two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2 * SymbolicCoeff.monomial(
-        asym_coeff(lam, ell) / 2 ** ell, m_exp=lam - ell - Fraction(1, 2)))
-    return AsymptoticTerm(-(ell + lam + Fraction(1, 2)), coeff)
+    a = two_pi_power(-(lam + 1)) * _SQRT_PI_OVER_2 * SymbolicCoeff.monomial(
+        asym_coeff(lam, ell) / 2 ** ell)
+    return EdgeTerm(lam - ell - Fraction(1, 2), a, SymbolicCoeff.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +228,18 @@ Tensor = Mapping[tuple[int, int], Fraction]
 class GegenExpansion:
     """Truncated double series of one edge term in the weight-lam basis:
 
-        prefactor * rho^rho_exponent *
-          sum_{n,d} [ (k0 + log(rho)) log_rho[n,d] + series[n,d] ] u^n C_d^(lam)(cos)
+        prefactor * rho^(-2 lam) zeta^k *
+          sum_{n,d} [ (kappa + log(zeta)) log_rho[n,d] + series[n,d] ] u^n C_d^(lam)(cos)
 
-    The rational tensors expand the *bare* radial/log factor; the term
-    coefficient is kept in ``prefactor`` (this is what makes the worked
-    massless values come out with unit entries) and the constant of the log
-    bracket in ``k0`` (zero on the power branch).  The tensors are read-only."""
+    at zeta = m rho, with k = rho_exponent + 2 lam.  The rational tensors
+    expand the *bare* radial/log factor; the mass-free term coefficient is
+    kept in ``prefactor`` (this is what makes the worked massless values come
+    out with unit entries) and the constant of the log bracket in ``kappa``
+    (zero on the power branch).  The tensors are read-only."""
     lam: Fraction
     rho_exponent: Fraction
     prefactor: SymbolicCoeff
-    k0: SymbolicCoeff
+    kappa: SymbolicCoeff
     log_rho: Tensor = field(default_factory=dict)
     series: Tensor = field(default_factory=dict)
     radial_order: int = 0
@@ -251,10 +250,12 @@ class GegenExpansion:
 
     @property
     def plain(self) -> Mapping[tuple[int, int], SymbolicCoeff]:
-        """The symbolic tensor k0 * log_rho + series, built on each access."""
+        """The symbolic tensor (kappa + log m) log_rho + series, the bracket of
+        prefactor m^k rho^rho_exponent, built on each access."""
+        k0 = self.kappa + SymbolicCoeff.monomial(logm=1)
         plain = {key: SymbolicCoeff.from_rational(c) for key, c in self.series.items()}
         for key, q in self.log_rho.items():
-            plain[key] = self.k0 * q + plain[key] if key in plain else self.k0 * q
+            plain[key] = k0 * q + plain[key] if key in plain else k0 * q
         return MappingProxyType(plain)
 
     def to_json(self) -> dict:
@@ -262,11 +263,12 @@ class GegenExpansion:
             return [{"radial": n, "degree": d, "coeff": t[(n, d)].to_json()}
                     for (n, d) in sorted(t)]
         log_rho = {key: SymbolicCoeff.from_rational(q) for key, q in self.log_rho.items()}
+        m_k = SymbolicCoeff.monomial(m_exp=self.rho_exponent + 2 * self.lam)
         return {
             "lambda": str(self.lam),
             "rho_exponent": str(self.rho_exponent),
             "radial_order": self.radial_order,
-            "prefactor": self.prefactor.to_json(),
+            "prefactor": (m_k * self.prefactor).to_json(),
             "plain": tensor_json(self.plain),
             "log_rho": tensor_json(log_rho),
         }
@@ -280,24 +282,25 @@ def edge_gegenbauer_expansion(ell, lam, orders: "TruncationOrders | None" = None
     term comes from the one generating function (1 - 2ux + u^2)^(p/2), p the
     radial exponent, truncated at u^radial and converted to the C^(lam) basis
     once: on the power branch it is the whole factor; on the log branch
-    (p = 2l) it multiplies log(rho) + k0, and its derivative in p/2 at l,
-    halved, is the series (1 - 2ux + u^2)^l (1/2) log(1 - 2ux + u^2)."""
+    (p = 2l) it multiplies log(zeta) + kappa, kappa = a / b, and its
+    derivative in p/2 at l, halved, is the series
+    (1 - 2ux + u^2)^l (1/2) log(1 - 2ux + u^2)."""
     lam = check_weight(lam)
     orders = orders or TruncationOrders()
     radial = orders.radial
-    coeff = taylor_term_coefficient(ell, lam)
-    p = int(coeff.r_exponent)
-    if coeff.coeff_log.is_zero():
+    term = taylor_term_coefficient(ell, lam)
+    p = int(term.z_power - 2 * lam)
+    if term.b.is_zero():
         log_rho, series = [], generating_series(Fraction(-p, 2), radial)
-        prefactor, k0 = coeff.coeff_const, SymbolicCoeff.zero()
+        prefactor, kappa = term.a, SymbolicCoeff.zero()
     else:
         l = p // 2
         log_rho, series = generating_series(-l, radial), log_generating_series(l, radial)
-        prefactor, k0 = coeff.coeff_log, _log_constant(l, lam)
+        prefactor, kappa = term.b, term.a / term.b
     cap = orders.gegen if orders.gegen is not None else radial
     tensors = ({k: c for k, c in gegenbauer_tensor(s, lam).items() if k[1] <= cap}
                for s in (log_rho, series))
-    return GegenExpansion(lam, coeff.r_exponent, prefactor, k0, *tensors, radial)
+    return GegenExpansion(lam, Fraction(p), prefactor, kappa, *tensors, radial)
 
 
 # ---------------------------------------------------------------------------
@@ -332,30 +335,6 @@ def _taylor_indices(lam: Fraction, ell_max: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # Float kernels
 # ---------------------------------------------------------------------------
-
-
-def _unit_mass(coeff: SymbolicCoeff, k: int | Fraction, log_part: SymbolicCoeff | None = None
-               ) -> float:
-    """a = coeff at m = 1, after checking exactly that coeff = m^k (a + b log m)
-    with b m^k = log_part (b = 0 when it is None): what puts a term into
-    m^(2 lam) g(m s)."""
-    twice = 2 * k
-    if any(m2 != twice or logm > 1 for m2, logm, *_ in coeff.terms):
-        raise ValueError(f"{coeff!r} is not m^{k} (a + b log m)")
-    # (gamma, log2, sqrt2, pi_half) -> rational of the log m terms
-    logs = {key[2:]: q for key, q in coeff.terms.items() if key[1]}
-    if logs != {key[2:]: q for key, q in (log_part.terms.items() if log_part is not None else ())}:
-        raise ValueError(f"the log m part of {coeff!r} is not {log_part!r}")
-    return coeff.bind(1.0)
-
-
-def _z_power(r_exponent: Fraction, lam: Fraction) -> int:
-    """k = r_exponent + 2 lam: the term r^r_exponent m^k is r^(-2 lam) z^k,
-    z = m r, which needs an integer k >= 0."""
-    k = r_exponent + 2 * lam
-    if k.denominator != 1 or k < 0:
-        raise ValueError(f"r^{r_exponent} at lam = {lam} is no power z^k with k >= 0")
-    return int(k)
 
 
 def _powers(plain: dict[int, object], log: dict[int, object], empty
@@ -401,19 +380,11 @@ def _bracket(lam2: float, step: int, plain: Sequence[float], log: Sequence[float
 
 
 def _taylor_kernel(lam: Fraction, ell_max: int) -> tuple[float, int, tuple, tuple]:
-    """The :func:`_bracket` arguments of the edge factor up to ell_max.  With
-    k = p + 2 lam, the term coeff_const r^p + coeff_log r^p log r is
-    r^(-2 lam) z^k (a + b log z) when coeff_log = b m^k and coeff_const =
-    m^k (a + b log m), which is checked."""
-    plain: dict[int, float] = {}
-    log: dict[int, float] = {}
-    for ell in _taylor_indices(lam, ell_max):
-        term = taylor_term_coefficient(ell, lam)
-        k = _z_power(term.r_exponent, lam)
-        b = _unit_mass(term.coeff_log, k)
-        plain[k] = plain.get(k, 0.0) + _unit_mass(term.coeff_const, k, term.coeff_log)
-        if b:
-            log[k] = log.get(k, 0.0) + b
+    """The :func:`_bracket` arguments of the edge factor up to ell_max: the
+    terms r^(-2 lam) z^k (a + b log z) put a into P and b into Q at z^k."""
+    terms = [taylor_term_coefficient(ell, lam) for ell in _taylor_indices(lam, ell_max)]
+    plain = {int(t.z_power): float(t.a) for t in terms}
+    log = {int(t.z_power): float(t.b) for t in terms if not t.b.is_zero()}
     return (float(2 * lam), *_powers(plain, log, 0.0))
 
 
@@ -425,12 +396,9 @@ def edge_taylor_value(lam, r: float, m: float, orders: TruncationOrders) -> floa
 def _asymptotic_kernel(lam: Fraction, terms: int) -> tuple[float, float, tuple[float, ...]]:
     """2 lam, lam + 1/2 and the coefficients of P in the edge factor
     m^(2 lam) z^-(lam+1/2) e^-z P(1/z), z = m r: the term of index ell is
-    c m^(lam-ell-1/2) r^-(lam+ell+1/2) e^-z = c m^(2 lam) z^-(lam+ell+1/2) e^-z."""
-    coeffs = []
-    for ell in range(terms):
-        term = asymptotic_term_coefficient(ell, lam)
-        coeffs.append(_unit_mass(term.coeff, term.r_exponent + 2 * lam))
-    return float(2 * lam), float(lam + Fraction(1, 2)), tuple(coeffs)
+    a r^(-2 lam) z^(lam-ell-1/2) e^-z = a m^(2 lam) z^-(lam+ell+1/2) e^-z."""
+    coeffs = tuple(float(asymptotic_term_coefficient(ell, lam).a) for ell in range(terms))
+    return float(2 * lam), float(lam + Fraction(1, 2)), coeffs
 
 
 def _asymptotic(lam2: float, power: float, coeffs: Sequence[float], r: float, m: float
@@ -458,11 +426,10 @@ def edge_asymptotic_value(lam, r: float, m: float, orders: TruncationOrders) -> 
 class _GegenKernel:
     """A sum of Gegenbauer expansions of one weight as a float kernel.
 
-    The expansion of index l_e contributes m^k rho^(2 l_e) c [(k0 + log rho)
-    log_rho + series] with k = 2 l_e + 2 lam and k0 = log m + kappa, that is
-    rho^(-2 lam) z^k c [(kappa + log z) log_rho + series] at z = m rho.  So
-    the sum is rho^(-2 lam) [P(z) + log(z) Q(z)], where the coefficient of
-    z^k in P is the row c (kappa log_rho + series) and in Q the row
+    The expansion of index l_e contributes rho^(-2 lam) z^k c [(kappa +
+    log z) log_rho + series] at z = m rho, with k = 2 l_e + 2 lam and c its
+    prefactor.  So the sum is rho^(-2 lam) [P(z) + log(z) Q(z)], where the
+    coefficient of z^k in P is the row c (kappa log_rho + series) and in Q the row
     c log_rho, each dotted with the basis u^n C_d^(lam)(cos) over the union
     of the tensors' keys.  The keys are sorted by n, so a row stops at its
     last non-zero entry."""
@@ -473,13 +440,13 @@ class _GegenKernel:
         plain: dict[int, list[float]] = {}
         log: dict[int, list[float]] = {}
         for e in expansions:
-            k = _z_power(e.rho_exponent, lam)
-            c = _unit_mass(e.prefactor, k)
+            k = int(e.rho_exponent + 2 * lam)
+            c = float(e.prefactor)
             row = plain.setdefault(k, [0.0] * len(keys))
             for key, q in e.series.items():
                 row[index[key]] += c * float(q)
             if e.log_rho:
-                kappa = _unit_mass(e.k0, 0, SymbolicCoeff.one())
+                kappa = float(e.kappa)
                 log_row = log.setdefault(k, [0.0] * len(keys))
                 for key, q in e.log_rho.items():
                     row[index[key]] += c * kappa * float(q)

@@ -68,8 +68,6 @@ EXPAND_MAX_ELL = 16     # |ell|; gegenbauer method at radial 64: 0.3 s (0.4 s at
 EXPAND_MAX_GEGEN_CAP = EXPAND_MAX_RADIAL  # filters the tensor, costs nothing itself
 EXPAND_MAX_D = 800      # gegenbauer at radial 64: 0.35 s at 800 (ell 16) and at 799
                         # (ell 15/2); taylor at 799 (ell 16) 0.17 s
-RENORM_MAX_VERTICES = 32  # the toy log-form budget is compared, never built: renorm
-                          # on a 12-edge necklace takes 0.25-0.35 s at 12, 32 or 10^9
 BETA_MAX_DEGREE = 12  # beta and frame check on a 12-edge necklace: 0.06 s in process
                       # (0.2 s at 14)
 GRAPH_MAX_VERTICES = 16  # legs included; graph-antipode 3.9 s on the generalized Petersen
@@ -245,23 +243,28 @@ def _cmd_prop_eval(args) -> dict:
 
 def _cmd_prop_expand(args) -> dict:
     from . import amplitude, specfun
+    from .exact import SymbolicCoeff
 
     if args.case == "complex":
         lam = amplitude.complex_case_weight(args.D)
     else:
         lam = specfun.as_half_integer(Fraction(args.D - 2, 2), "lambda")
+    # a term r^(-2 lam) z^k (a + b log z), z = m r, is written as
+    # r^(k - 2 lam) [m^k (a + b log m) + m^k b log r]
     if args.method == "taylor":
         term = amplitude.taylor_term_coefficient(args.ell, lam)
+        m_k = SymbolicCoeff.monomial(m_exp=term.z_power)
         return {"method": "taylor", "ell": str(args.ell),
-                "branch": "power" if term.coeff_log.is_zero() else "log",
-                "r_exponent": str(term.r_exponent),
-                "coeff_const": term.coeff_const.to_json(),
-                "coeff_log": term.coeff_log.to_json()}
+                "branch": "power" if term.b.is_zero() else "log",
+                "r_exponent": str(term.z_power - 2 * lam),
+                "coeff_const": (m_k * (term.a + term.b * SymbolicCoeff.monomial(logm=1))
+                                ).to_json(),
+                "coeff_log": (m_k * term.b).to_json()}
     if args.method == "asymptotic":
         term = amplitude.asymptotic_term_coefficient(args.ell, lam)
         return {"method": "asymptotic", "ell": str(args.ell),
-                "r_exponent": str(term.r_exponent),
-                "coeff": term.coeff.to_json(),
+                "r_exponent": str(term.z_power - 2 * lam),
+                "coeff": (SymbolicCoeff.monomial(m_exp=term.z_power) * term.a).to_json(),
                 "exponential_factor": "exp(-m*r)"}
     if args.method == "gegenbauer":
         orders = amplitude.TruncationOrders(radial=args.radial, gegen=args.gegen_cap)
@@ -360,8 +363,9 @@ def _make_pair(args, graphs) -> BirkhoffPair:
             raise ValueError("--phi FILE is required for the laurent target")
         phi = _laurent_character(algebra, graphs, args.phi)
     elif args.target == "logform":
-        # the toy labels use no marked component, so k_external is 0
-        phi = birkhoff.toy_feynman_character(algebra, n_vertices=args.n_vertices,
+        # the toy labels use no marked component, so k_external is 0; the
+        # vertex budget is the graph cap, which every graph read has passed
+        phi = birkhoff.toy_feynman_character(algebra, n_vertices=GRAPH_MAX_VERTICES,
                                              k_external=0, rule_seed=args.seed)
     else:
         raise ValueError(f"unknown target {args.target!r}")
@@ -487,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graphs", required=True)
         p.add_argument("--phi", default=None, help="per-graph Laurent values (JSON)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--n-vertices", type=_int_arg(RENORM_MAX_VERTICES), default=6,
-                       help=f"at most {RENORM_MAX_VERTICES}")
         p.set_defaults(func=func)
     sub.choices["beta"].add_argument("--degree", type=_int_arg(BETA_MAX_DEGREE), default=3,
                                      help=f"at most {BETA_MAX_DEGREE}")

@@ -239,12 +239,9 @@ class FeynmanGraph:
         whole = frozenset(self.internal_vertices())
         out = []
 
-        def extend(start: int, used: frozenset[int], groups: list[frozenset[int]],
-                   family: list[frozenset[int]]):
-            for j in range(start, len(blocks)):
-                verts, edges = blocks[j]
-                if verts & used:
-                    continue
+        def extend(later: list, groups: list[frozenset[int]], family: list[frozenset[int]]):
+            # later: the blocks after the last chosen one, disjoint from the family
+            for j, (verts, edges) in enumerate(later):
                 chosen = family + [edges]
                 merged = groups + [verts]
                 selection = SubgraphSelection(frozenset().union(*chosen),
@@ -252,9 +249,9 @@ class FeynmanGraph:
                 if verts != whole:
                     # vertex-disjoint induced 1PI blocks leave a valid quotient
                     out.append((selection, self._quotient_key(merged, selection.edge_indices)))
-                extend(j + 1, used | verts, merged, chosen)
+                extend([b for b in later[j + 1:] if not verts & b[0]], merged, chosen)
 
-        extend(0, frozenset(), [], [])
+        extend(blocks, [], [])
         return sorted(out, key=lambda p: (len(p[0].edge_indices), sorted(p[0].edge_indices)))
 
     def _quotient_key(self, groups: Sequence[frozenset[int]], dropped: frozenset[int]) -> tuple:

@@ -87,7 +87,8 @@ class Kinematics:
 
     @property
     def r(self) -> float:
-        return math.sqrt(sum(c * c for c in self.x))
+        """||x||, without squaring, so no coordinate under- or overflows."""
+        return math.hypot(*self.x)
 
     @classmethod
     def radial(cls, D: int, r: float, m: float = 0.0) -> "Kinematics":
@@ -101,6 +102,8 @@ def _require_off_diagonal(k: Kinematics) -> float:
     r = k.r
     if r == 0.0:
         raise DiagonalError("propagator evaluated at x = 0 (diagonal singularity)")
+    if r == math.inf:
+        raise ValueError(f"||x|| of x = {k.x} is beyond the doubles")
     return r
 
 
@@ -203,13 +206,17 @@ def gm_integral(k: Kinematics, points: int = 1600) -> float:
 
     Independent of the Bessel route; raises :class:`QuadratureError` with the
     achieved estimate if the rule with half the steps differs by more than
-    QUADRATURE_TARGET.
+    QUADRATURE_TARGET.  Raises ValueError where m^2 or r^2 is outside the
+    normal doubles, or the value is.
     """
     if not isinstance(points, int) or points < 2:
         raise ValueError(f"gm_integral needs an integer points >= 2, got {points!r}")
     r = _require_off_diagonal(k)
     if k.m <= 0:
         raise ValueError("gm_integral requires m > 0")
+    if not (_TINY <= k.m * k.m <= _HUGE and _TINY <= r * r <= _HUGE):
+        raise ValueError(f"gm_integral needs m^2 and r^2 inside the normal doubles, "
+                         f"got m = {k.m}, r = {r}")
     # after t = e^u the integrand is exp((1 - D/2) u - m^2 e^u - (r^2/4) e^-u);
     # choose L so both exponential walls are far below double precision
     L = 6.0 + max(abs(math.log(45.0 / k.m ** 2)), abs(math.log(4 * 45.0 / r ** 2)))
@@ -230,7 +237,7 @@ def gm_integral(k: Kinematics, points: int = 1600) -> float:
     estimate = abs(fine - coarse) / max(abs(fine), 1e-300)
     if estimate > QUADRATURE_TARGET:
         raise QuadratureError("heat-kernel quadrature did not converge", estimate)
-    return fine
+    return _normal("gm_integral", k.D, k.m, r, fine)
 
 
 @dataclass(frozen=True)
@@ -297,12 +304,19 @@ def dirac_propagator(k: Kinematics) -> DiracCoeffs:
                        _normal("Dirac b", k.D, k.m, r, k.m * g))
 
 
+BOSON_ROUNDING_LIMIT = 1e-8  # relative rounding bound past which a boson value is refused
+
+
 def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
     """Massive vector-boson propagator component in the Stueckelberg gauge:
 
         g_{mu nu} G_{sqrt(m)} + (1/m^2)(d_mu d_nu G_{sqrt(m/alpha)} - d_mu d_nu G_{sqrt(m)}),
 
     with d_mu d_nu G^(D) = -2 pi g_{mu nu} G^(D+2) + 4 pi^2 x_mu x_nu G^(D+4).
+    At small m the difference cancels: its rounding is bounded by eps times
+    the sum of the magnitudes of its terms, over m^2, and a value is refused
+    (ValueError) where that bound exceeds BOSON_ROUNDING_LIMIT = 1e-8 of it,
+    as where m^2 underflows (alpha = 1 has no difference).
     """
     r = _require_off_diagonal(k)
     if k.m <= 0:
@@ -314,11 +328,22 @@ def boson_propagator(k: Kinematics, alpha: float, mu: int, nu: int) -> float:
     m1 = math.sqrt(k.m)
     if alpha == 1.0:  # the derivative terms cancel identically
         return gm_real(Kinematics(k.D, k.x, m1)) if mu == nu else 0.0
+    m2 = k.m ** 2
+    if m2 < _TINY:
+        raise ValueError(f"boson_propagator divides by m^2, which underflows at m = {k.m}")
     delta = 1.0 if mu == nu else 0.0
     g, g2, g4 = _scalar_ladder(k.D, m1, r, 2)
     h2, h4 = _scalar_ladder(k.D + 2, math.sqrt(k.m / alpha), r, 1)
-    dd = 4 * math.pi ** 2 * k.x[mu] * k.x[nu] * (h4 - g4) - 2 * math.pi * delta * (h2 - g2)
-    value = delta * g + dd / (k.m ** 2)
+    xx = 4 * math.pi ** 2 * k.x[mu] * k.x[nu]
+    dd = xx * (h4 - g4) - 2 * math.pi * delta * (h2 - g2)
+    value = delta * g + dd / m2
     if value == 0.0 and mu != nu and 0.0 in (k.x[mu], k.x[nu]):
         return value  # zero by symmetry, off the diagonal with x_mu = 0 or x_nu = 0
-    return _normal("boson propagator", k.D, k.m, r, value)
+    _normal("boson propagator", k.D, k.m, r, value)
+    bound = sys.float_info.epsilon * (
+        abs(xx) * (abs(h4) + abs(g4)) + 2 * math.pi * delta * (abs(h2) + abs(g2))) / m2
+    if not bound <= BOSON_ROUNDING_LIMIT * abs(value):
+        raise ValueError(f"boson propagator at D = {k.D}, m = {k.m}, r = {r}: the rounding "
+                         f"of (h - g)/m^2 may reach {bound / abs(value):.1e} of its value "
+                         f"{value}, past {BOSON_ROUNDING_LIMIT}")
+    return value

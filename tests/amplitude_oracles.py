@@ -1,9 +1,10 @@
 """Term-by-term oracles for the compiled edge kernels of ``confeyn.amplitude``.
 
 Each edge factor is summed here the long way: every Taylor or asymptotic
-term binds its symbolic coefficient at the mass and multiplies by its own
-power of r, and every Gegenbauer expansion sums its two tensors as
-(n, d, float) rows against the tables u^0..u^R and C_0^(lam)..C_cap^(lam)(cos).
+term r^(-2 lam) z^k (a + b log z) is split into its own powers of m and r,
+with log z = log m + log r, and every Gegenbauer expansion sums its two
+tensors as (n, d, float) rows against the tables u^0..u^R and
+C_0^(lam)..C_cap^(lam)(cos).
 The kernels fold all of this into one polynomial in z = m r (or m rho) per
 edge, so the two routes share only the exact coefficients.
 ``expansion_value`` evaluates one expansion by the library's own kernel, as
@@ -23,9 +24,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from confeyn.amplitude import (AsymptoticTerm, EdgeGeometry, GegenExpansion, TaylorTerm,
-                               TruncationOrders, _GegenKernel,
-                               _taylor_indices, asymptotic_term_coefficient,
+from confeyn.amplitude import (EdgeGeometry, EdgeTerm, GegenExpansion, TruncationOrders,
+                               _GegenKernel, _taylor_indices, asymptotic_term_coefficient,
                                edge_gegenbauer_expansion, taylor_term_coefficient,
                                two_pi_power)
 from confeyn.exact import SymbolicCoeff
@@ -33,15 +33,23 @@ from confeyn.gegenbauer import gegenbauer_table
 from confeyn.specfun import asym_coeff
 
 
-def taylor_term_value(term: TaylorTerm, r: float, m: float) -> float:
-    value = term.coeff_const.bind(m)
-    if not term.coeff_log.is_zero():
-        value += term.coeff_log.bind(m) * math.log(r)
-    return value * r ** float(term.r_exponent)
+def mass_power(k, m: float) -> float:
+    """m^k; at m = 0 only k = 0 gives a non-zero value."""
+    return m ** float(k)
 
 
-def asymptotic_term_value(term: AsymptoticTerm, r: float, m: float) -> float:
-    return term.coeff.bind(m) * r ** float(term.r_exponent) * math.exp(-m * r)
+def taylor_term_value(term: EdgeTerm, lam, r: float, m: float) -> float:
+    """r^(-2 lam) z^k (a + b log z) the long way: m^k (a + b log m) r^p
+    + m^k b r^p log r, with p = k - 2 lam."""
+    value = float(term.a)
+    if not term.b.is_zero():
+        value += float(term.b) * (math.log(m) + math.log(r))
+    return value * mass_power(term.z_power, m) * r ** float(term.z_power - 2 * Fraction(lam))
+
+
+def asymptotic_term_value(term: EdgeTerm, lam, r: float, m: float) -> float:
+    return (float(term.a) * mass_power(term.z_power, m)
+            * r ** float(term.z_power - 2 * Fraction(lam)) * math.exp(-m * r))
 
 
 def separation(geom: EdgeGeometry) -> float:
@@ -77,25 +85,26 @@ def expansion_terms(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> tuple[
                           max((d for _, d in keys), default=0))
     total, scale = _row_sums(exp.series, tables)
     if exp.log_rho:
-        factor = exp.k0.bind(m) + math.log(geom.rho)
+        factor = float(exp.kappa) + math.log(m) + math.log(geom.rho)
         value, size = _row_sums(exp.log_rho, tables)
         total += factor * value
         scale += abs(factor) * size
-    outer = exp.prefactor.bind(m) * geom.rho ** float(exp.rho_exponent)
+    outer = (float(exp.prefactor) * mass_power(exp.rho_exponent + 2 * exp.lam, m)
+             * geom.rho ** float(exp.rho_exponent))
     return total * outer, scale * abs(outer)
 
 
 def edge_taylor_terms(lam, r: float, m: float, orders: TruncationOrders
                       ) -> tuple[float, float]:
     lam = Fraction(lam)
-    values = [taylor_term_value(taylor_term_coefficient(ell, lam), r, m)
+    values = [taylor_term_value(taylor_term_coefficient(ell, lam), lam, r, m)
               for ell in _taylor_indices(lam, orders.ell_max)]
     return sum(values, 0.0), sum(map(abs, values), 0.0)
 
 
 def edge_asymptotic_terms(lam, r: float, m: float, orders: TruncationOrders
                           ) -> tuple[float, float]:
-    values = [asymptotic_term_value(asymptotic_term_coefficient(ell, lam), r, m)
+    values = [asymptotic_term_value(asymptotic_term_coefficient(ell, lam), lam, r, m)
               for ell in range(orders.asym_terms)]
     return sum(values, 0.0), sum(map(abs, values), 0.0)
 

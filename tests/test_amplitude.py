@@ -96,9 +96,14 @@ def as_symbolic(series) -> dict[tuple[int, int], SymbolicCoeff]:
     return {k: SymbolicCoeff.from_rational(v) for k, v in series.items()}
 
 
+def outer_mass(exp: GegenExpansion, m: float) -> float:
+    """The term coefficient prefactor * m^k of ``exp``, k = rho_exponent + 2 lam."""
+    return float(exp.prefactor) * m ** float(exp.rho_exponent + 2 * exp.lam)
+
+
 def bare_value(exp: GegenExpansion, geom: EdgeGeometry, m: float) -> float:
     """The value of ``exp`` without its term coefficient (the prefactor)."""
-    return expansion_value(exp, geom, m) / exp.prefactor.bind(m)
+    return expansion_value(exp, geom, m) / outer_mass(exp, m)
 
 
 def full_entries(exp: GegenExpansion) -> list[SymbolicCoeff]:
@@ -114,32 +119,31 @@ class TestTaylorCoefficients:
     def test_power_branch_leading(self):
         # lam=1, ell=-1 (Laurent index 0): coefficient (2 pi)^-2 of r^-2
         t = taylor_term_coefficient(-1, 1)
-        assert t.r_exponent == -2
-        assert t.coeff_const == two_pi_power(-2)
-        assert t.coeff_log.is_zero()
+        assert t.z_power == 0
+        assert t.a == two_pi_power(-2)
+        assert t.b.is_zero()
 
     def test_log_branch_leading(self):
-        # lam=1, ell=0: the log coefficient is +(2 pi)^-2 m^2/2 (the overall
-        # (-1/(2 pi))^(lam+1) is positive at lam = 1)
+        # lam=1, ell=0: the log coefficient of r^-2 z^2 is +(2 pi)^-2/2 (the
+        # overall (-1/(2 pi))^(lam+1) is positive at lam = 1)
         t = taylor_term_coefficient(0, 1)
-        assert t.r_exponent == 0
-        want_log = two_pi_power(-2) * SymbolicCoeff.monomial(F(1, 2), m_exp=2)
-        assert t.coeff_log == want_log
-        # constant part: B * (log m - log 2 - (psi(1)+psi(2))/2), psi sum = 1 - 2 gamma
-        want_const = want_log * (SymbolicCoeff.monomial(logm=1)
-                                 - SymbolicCoeff.monomial(log2=1)
-                                 - SymbolicCoeff.from_rational(F(1, 2))
-                                 + SymbolicCoeff.monomial(gamma=1))
-        assert t.coeff_const == want_const
+        assert t.z_power == 2
+        want_b = two_pi_power(-2) * SymbolicCoeff.monomial(F(1, 2))
+        assert t.b == want_b
+        # constant part: b * (-log 2 - (psi(1)+psi(2))/2), psi sum = 1 - 2 gamma
+        want_a = want_b * (-SymbolicCoeff.monomial(log2=1)
+                           - SymbolicCoeff.from_rational(F(1, 2))
+                           + SymbolicCoeff.monomial(gamma=1))
+        assert t.a == want_a
 
     def test_massless_reduction(self):
         # at m = 0 only the ell = -lam term survives numerically
         lam, r = 2, 0.7
         lead = taylor_term_coefficient(-2, lam)
-        assert taylor_term_value(lead, r, 0.0) == pytest.approx(
+        assert taylor_term_value(lead, lam, r, 0.0) == pytest.approx(
             float(two_pi_power(-3)) * 2 ** 1 * 1 * r ** -4, rel=1e-14)
         higher = taylor_term_coefficient(-1, lam)
-        assert taylor_term_value(higher, r, 0.0) == 0.0
+        assert taylor_term_value(higher, lam, r, 0.0) == 0.0
 
     def test_taylor_sum_converges_to_kernel(self):
         for lam in (1, 2, 3):
@@ -183,11 +187,27 @@ class TestTaylorCoefficients:
         for ell in sorted(ells):
             term = taylor_term_coefficient(ell, lam)
             want = half_integer_taylor_scalar(lam, ell)
-            assert term.coeff_const == want * SymbolicCoeff.monomial(m_exp=2 * lam + 2 * ell)
-            assert term.r_exponent == 2 * ell and term.coeff_log.is_zero()
+            assert term.a == want
+            assert term.z_power == 2 * lam + 2 * ell and term.b.is_zero()
+
+    def test_terms_are_free_of_the_mass(self):
+        # every stored coefficient has m and log m at exponent 0: the mass
+        # enters only through z = m r
+        def mass_free(c):
+            return all(m2 == 0 and logm == 0 for m2, logm, *_ in c.terms)
+        for lam in (F(1, 2), F(1), F(3, 2), F(4), F(21, 2)):
+            for ell in amplitude._taylor_indices(lam, 4):
+                term = taylor_term_coefficient(ell, lam)
+                exp = edge_gegenbauer_expansion(ell, lam, TruncationOrders(radial=2))
+                assert all(map(mass_free, (term.a, term.b, exp.prefactor, exp.kappa)))
+                assert term.z_power == 2 * (ell + lam)
+            for ell in range(4):
+                term = asymptotic_term_coefficient(ell, lam)
+                assert mass_free(term.a) and term.b.is_zero()
+                assert term.z_power == lam - ell - F(1, 2)
 
     def test_half_integer_has_no_log_branch(self):
-        assert taylor_term_coefficient(F(1), F(1, 2)).coeff_log.is_zero()
+        assert taylor_term_coefficient(F(1), F(1, 2)).b.is_zero()
 
     def test_laurent_branch_needs_integer_order(self):
         with pytest.raises(ValueError):
@@ -196,18 +216,18 @@ class TestTaylorCoefficients:
 
 class TestAsymptoticCoefficients:
     def test_leading_coefficient_uses_unit(self):
+        # m^(1/2) r^(-3/2) = r^-2 z^(1/2)
         t = asymptotic_term_coefficient(0, 1)
-        want = SymbolicCoeff.monomial(F(1, 2), m_exp=F(1, 2), sqrt2=1,
-                                      pi_half=1) * two_pi_power(-2)
-        assert t.coeff == want
-        assert t.r_exponent == -F(3, 2)
+        want = SymbolicCoeff.monomial(F(1, 2), sqrt2=1, pi_half=1) * two_pi_power(-2)
+        assert t.a == want and t.b.is_zero()
+        assert t.z_power == F(1, 2)
 
     def test_second_coefficient_proportional_to_three_quarters(self):
         t0 = asymptotic_term_coefficient(0, 1)
         t1 = asymptotic_term_coefficient(1, 1)
-        # ratio of scalars: (1,1)/2 = 3/8, mass exponent drops by one
-        r = t1.coeff.bind(m=1.0) / t0.coeff.bind(m=1.0)
-        assert r == pytest.approx(3 / 8, rel=1e-14)
+        # ratio of scalars: (1,1)/2 = 3/8, z exponent drops by one
+        assert float(t1.a) / float(t0.a) == pytest.approx(3 / 8, rel=1e-14)
+        assert t1.z_power == t0.z_power - 1
 
     def test_truncated_sum_matches_kernel_far_away(self):
         m, r = 1.0, 20.0
@@ -308,7 +328,7 @@ class TestGegenExpansion:
             errors = []
             for cap in range(4, 31):
                 capped = GegenExpansion(
-                    exp.lam, exp.rho_exponent, exp.prefactor, exp.k0, {},
+                    exp.lam, exp.rho_exponent, exp.prefactor, exp.kappa, {},
                     {k: v for k, v in exp.series.items() if k[0] <= cap}, cap)
                 errors.append(abs(bare_value(capped, geom, 1.0) - exact))
             steps = len(errors) - 1
@@ -353,7 +373,7 @@ def reference_value(exp: GegenExpansion, geom: EdgeGeometry, m: float,
             scale += abs(term)
     outer = geom.rho ** float(exp.rho_exponent)
     if include_prefactor:
-        outer *= exp.prefactor.bind(m)
+        outer *= outer_mass(exp, m)
     return total * outer, scale * abs(outer)
 
 
@@ -391,7 +411,7 @@ class TestFloatEvaluation:
         full = expansion_value(exp, geom, 0.7)
         for cap in (0, 3, 7):
             capped = GegenExpansion(
-                exp.lam, exp.rho_exponent, exp.prefactor, exp.k0,
+                exp.lam, exp.rho_exponent, exp.prefactor, exp.kappa,
                 {k: v for k, v in exp.log_rho.items() if k[0] <= cap},
                 {k: v for k, v in exp.series.items() if k[0] <= cap}, cap)
             assert_matches_reference(expansion_value(capped, geom, 0.7), capped, geom, 0.7)
@@ -465,7 +485,7 @@ class TestEdgeKernels:
         geom = EdgeGeometry(rho=1.2, r=0.5, cos=0.4)
         for lam in (F(1, 2), F(3, 2)):
             lead = taylor_term_coefficient(-lam, lam)
-            massless = lead.coeff_const.bind(0.0) * 0.7 ** float(-2 * lam)
+            massless = float(lead.a) * 0.7 ** float(-2 * lam)
             assert edge_taylor_value(lam, 0.7, 0.0, orders) == pytest.approx(massless, rel=1e-15)
             assert_near(edge_taylor_value(lam, 0.7, 0.0, orders),
                         edge_taylor_terms(lam, 0.7, 0.0, orders))
@@ -519,16 +539,6 @@ class TestEdgeKernels:
         with pytest.raises(ValueError, match="half-integer"):
             amplitude_truncated_eval(graph, positions, 1.0, lam=1.3)
         assert amplitude_truncated_eval(graph, positions, 1.0, lam=1.5) > 0
-
-    def test_compile_checks_the_mass_scaling(self):
-        # a term whose coefficient is not m^(2 lam + rho_exponent) times a
-        # constant has no place in m^(2 lam) g(m rho)
-        exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=4))
-        wrong = GegenExpansion(exp.lam, exp.rho_exponent,
-                               exp.prefactor * SymbolicCoeff.monomial(m_exp=1),
-                               exp.k0, exp.log_rho, exp.series, 4)
-        with pytest.raises(ValueError, match="is not m"):
-            expansion_value(wrong, EdgeGeometry(1.0, 0.5, 0.0), 1.0)
 
     def test_warm_edges_bind_nothing(self, monkeypatch):
         calls = []
@@ -638,8 +648,8 @@ def edge_by_edge(graph, pos, masses, lam, method, orders) -> float:
         diff = tuple(a - b for a, b in zip(xs, xt))
         r = math.sqrt(sum(c * c for c in diff))
         m = masses if isinstance(masses, float) else masses[idx]
-        if method == "direct":
-            total *= gm_real(Kinematics(D, diff, m))
+        if method == "direct":  # the amplitude's separation, not Kinematics' hypot
+            total *= gm_real(Kinematics.radial(D, r, m))
         elif method == "taylor":
             total *= edge_taylor_value(lam, r, m, orders)
         elif method == "asymptotic":

@@ -16,8 +16,7 @@ from confeyn.cli import (BETA_MAX_DEGREE, DIVISORS_MAX_K, DIVISORS_MAX_N, EXPAND
                          EXPAND_MAX_ELL, EXPAND_MAX_GEGEN_CAP, EXPAND_MAX_RADIAL,
                          GEGEN_MAX_D, GEGEN_MAX_ELL, GEGEN_MAX_LAMBDA, GEGEN_MAX_M,
                          GEGEN_MAX_N, GRAPH_MAX_INTERNAL_EDGES, GRAPH_MAX_VERTICES,
-                         PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_INTERNAL_EDGES,
-                         RENORM_MAX_VERTICES, main)
+                         PROP_MAX_D, QUAD_MAX_POINTS, RENORM_MAX_INTERNAL_EDGES, main)
 from confeyn.exact import SymbolicCoeff
 from confeyn.feyngraph import FeynmanGraph
 from test_acceptance import GOLDENS, golden_suite
@@ -178,6 +177,42 @@ class TestPropEval:
         # the short vector raised IndexError (exit 1), the long one was accepted
         code, _ = run_cli(["prop-eval", "--D", "4", *flags], tmp_path)
         assert code == 2
+
+    def test_extreme_distances_are_not_squared(self, tmp_path):
+        # sqrt(sum x^2) underflowed to 0 (a diagonal error) at r = 1e-200 and
+        # overflowed to inf at r = 1e200, where g0 then recursed without end;
+        # a distance beyond the doubles is refused in test_propagators
+        code, doc = run_cli(["prop-eval", "--kind", "g0", "--D", "3", "--r", "1e-200"], tmp_path)
+        assert code == 0 and doc["value"] == 1e200
+        code, doc = run_cli(["prop-eval", "--kind", "g0", "--D", "3", "--r", "1e200"], tmp_path)
+        assert code == 0 and doc["value"] == 1e-200
+        code, doc = run_cli(["prop-eval", "--kind", "g0", "--D", "3",
+                             "--x", "3e-200,4e-200,0"], tmp_path)
+        assert code == 0 and doc["value"] == pytest.approx(2e199, rel=1e-15)
+
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "boson", "--D", "4", "--r", "1", "--m", "1e-170", "--alpha", "2"],
+        ["--kind", "boson", "--D", "4", "--x", "0.6,0.8,0,0", "--m", "1e-20", "--alpha", "2",
+         "--mu", "0", "--nu", "1"],
+        ["--kind", "gm-integral", "--D", "4", "--r", "1", "--m", "1e-170"],
+    ], ids=["boson-m2-underflow", "boson-cancellation", "gm-integral-m2-underflow"])
+    def test_tiny_mass_exits_2_with_a_message(self, flags, tmp_path, capsys):
+        # m^2 = 0 raised ZeroDivisionError; at m = 1e-20 the boson printed
+        # -1.64e23, where mpmath gives +6.08e17
+        code, _ = run_cli(["prop-eval", *flags], tmp_path)
+        assert code == 2 and capsys.readouterr().err.startswith("error: ")
+
+    def test_no_argument_ends_in_a_traceback(self, capsys):
+        # g0 and g0-complex once raised RecursionError, boson and gm-integral
+        # ZeroDivisionError, on parts of this grid
+        extremes = ("1e-300", "1e-20", "1", "1e20", "1e300")
+        kinds = ("gm", "g0", "gm-integral", "gm-complex", "g0-complex", "dirac", "boson")
+        codes = {(kind, D, m, r): main(["prop-eval", "--kind", kind, "--D", str(D),
+                                        "--m", m, "--r", r, "--alpha", "2"])
+                 for kind in kinds for D in (3, 4, 6, 12) for m in extremes for r in extremes}
+        capsys.readouterr()
+        assert {args for args, code in codes.items() if code not in (0, 2)} == set()
+        assert {kind for (kind, *_), code in codes.items() if code == 0} == set(kinds)
 
     def test_diagonal_is_validation_error(self, tmp_path):
         code, _ = run_cli(["prop-eval", "--D", "4", "--m", "1", "--r", "0"], tmp_path)
@@ -373,6 +408,21 @@ class TestRenormAndBeta:
                                "--k-external", "1"], tmp_path)
             assert code == 2, cmd
 
+    def test_n_vertices_flag_is_gone(self, tmp_path, graphs_file):
+        # the toy labels use only a graph's own points, so the vertex budget
+        # changed no output; it only refused graphs above it, such as a
+        # 7-cycle at the default budget of 6
+        for cmd in ("renorm", "beta"):
+            code, _ = run_cli([cmd, "--target", "logform", "--graphs", graphs_file,
+                               "--n-vertices", "6"], tmp_path)
+            assert code == 2, cmd
+        cycle = FeynmanGraph.build(7, [(i, (i + 1) % 7) for i in range(7)], legs=[0, 3])
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps([dict(name="c7", **cycle.to_json())]))
+        code, doc = run_cli(["renorm", "--target", "logform", "--graphs", str(path),
+                             "--seed", "3"], tmp_path)
+        assert code == 0 and [g["name"] for g in doc["graphs"]] == ["c7"]
+
     def test_missing_phi_is_error(self, tmp_path, graphs_file):
         code, _ = run_cli(["renorm", "--target", "laurent", "--graphs",
                            graphs_file], tmp_path)
@@ -451,8 +501,6 @@ class TestArgumentCaps:
         "expand-D": (["prop-expand", "--method", "taylor", "--ell", "1", "--D"],
                      EXPAND_MAX_D),
         "prop-D": (["prop-eval", "--kind", "g0", "--r", "1", "--D"], PROP_MAX_D),
-        "n-vertices": (["renorm", "--target", "logform", "--graphs", "{graphs}",
-                        "--n-vertices"], RENORM_MAX_VERTICES),
         "degree": (["beta", "--target", "logform", "--graphs", "{graphs}",
                     "--degree"], BETA_MAX_DEGREE),
     }
@@ -515,10 +563,7 @@ class TestArgumentCaps:
             for graph, code in ((at_cap, 0), (above, 2)):
                 path = tmp_path / "graphs.json"
                 path.write_text(json.dumps([dict(name="big", **graph.to_json())]))
-                args = command + ["--graphs", str(path)]
-                if command[0] in ("renorm", "beta"):
-                    args += ["--n-vertices", str(RENORM_MAX_VERTICES)]
-                assert run_cli(args, tmp_path)[0] == code
+                assert run_cli(command + ["--graphs", str(path)], tmp_path)[0] == code
                 if code:
                     assert f"error: graph 'big': {message}" in capsys.readouterr().err
 

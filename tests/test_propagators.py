@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from confeyn.propagators import (ComplexPhase, DiagonalError,
+from confeyn.propagators import (BOSON_ROUNDING_LIMIT, ComplexPhase, DiagonalError,
                                  Kinematics, QuadratureError,
                                  boson_propagator, diag_continuation,
                                  dirac_propagator, g0_complex, g0_real,
@@ -87,6 +87,15 @@ class TestMassive:
         with pytest.raises(QuadratureError) as err:
             gm_integral(k, points=8)
         assert err.value.estimate > 0
+
+    def test_squares_and_value_outside_the_doubles_refused(self):
+        # m^2 = 0 raised ZeroDivisionError, a subnormal m^2 printed nan,
+        # r^2 = inf a math domain error, and m r = 1e40 printed 0
+        for r, m in ((1.0, 1e-170), (1.0, 1e-160), (1e300, 1.0), (1e-300, 1.0)):
+            with pytest.raises(ValueError, match="inside the normal doubles"):
+                gm_integral(Kinematics.radial(4, r, m))
+        with pytest.raises(ValueError, match="outside the normal doubles"):
+            gm_integral(Kinematics.radial(4, 1e20, 1e20))
 
     @pytest.mark.parametrize("points", [1, -4, 2.5])
     def test_quadrature_needs_two_integer_points(self, points):
@@ -418,6 +427,34 @@ class TestBoson:
             scale = max(abs(fd), abs(scal(x, m1)))
             assert abs(got - fd) / scale < 1e-5
 
+    def test_small_mass_prints_near_mpmath_or_refuses(self):
+        # (h - g)/m^2 cancels as m -> 0: at m = 1e-20 the (0, 1) component
+        # printed -1.64e23 where mpmath gives +6.08e17.  The refusal bound is
+        # eps times the terms' magnitudes, and each kernel value carries a few
+        # ulps, so a printed value is held to 10 times the limit
+        import mpmath
+        printed = refused = 0
+        with mpmath.workdps(40):
+            for D in (4, 6, 12):
+                for m in (1e-1, 1e-3, 1e-5, 10 ** -5.5, 1e-6, 1e-20):
+                    for call, want, _ in _vector_checks("boson", D, 1.0, m):
+                        try:
+                            got = call()
+                        except ValueError as exc:
+                            assert "rounding" in str(exc), exc
+                            refused += 1
+                            continue
+                        assert abs(got - want) <= 10 * BOSON_ROUNDING_LIMIT * abs(want), (D, m)
+                        printed += 1
+        assert printed and refused
+
+    def test_underflowing_mass_square_refused(self):
+        k = Kinematics(4, (0.6, 0.8, 0.0, 0.0), 1e-170)
+        with pytest.raises(ValueError, match="m\\^2, which underflows"):
+            boson_propagator(k, 2.0, 0, 1)
+        # alpha = 1 divides by nothing
+        assert boson_propagator(k, 1.0, 0, 0) == gm_real(Kinematics(4, k.x, math.sqrt(1e-170)))
+
     def test_validation(self):
         k = Kinematics(4, (1.0, 0.0, 0.0, 0.0), 1.0)
         with pytest.raises(ValueError):
@@ -440,6 +477,19 @@ class TestKinematics:
                      ((1.0, 0.0, 0.0), math.nan), ((1.0, 0.0, 0.0), math.inf)):
             with pytest.raises(ValueError):
                 Kinematics(3, x, m)
+
+    def test_distance_without_squaring(self):
+        # sqrt(sum x^2) underflowed to 0 below about 1e-154 and overflowed to
+        # inf above about 1e154; a radial distance is returned as given
+        for r in (1e-300, 1e-200, 0.7, 1e200, 1e300):
+            assert Kinematics.radial(5, r).r == r
+        assert Kinematics(3, (3e-200, -4e-200, 0.0)).r == pytest.approx(5e-200, rel=1e-15)
+        assert Kinematics(3, (3e200, 4e200, 0.0)).r == pytest.approx(5e200, rel=1e-15)
+        huge = Kinematics(3, (1.5e308, 1.5e308, 0.0))
+        assert huge.r == math.inf
+        for kernel in (g0_real, g0_complex):
+            with pytest.raises(ValueError, match="beyond the doubles"):
+                kernel(huge)
 
     def test_lambda(self):
         assert Kinematics.radial(4, 1.0).lam == Fraction(1)
