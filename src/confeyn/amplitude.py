@@ -117,8 +117,8 @@ class EdgeGeometry:
     @classmethod
     def from_points(cls, xs: Sequence[float], xt: Sequence[float],
                     ns: float | None = None, nt: float | None = None) -> "EdgeGeometry":
-        ns = _norm(xs) if ns is None else ns
-        nt = _norm(xt) if nt is None else nt
+        ns = math.hypot(*xs) if ns is None else ns
+        nt = math.hypot(*xt) if nt is None else nt
         rho, r = max(ns, nt), min(ns, nt)
         if r == 0.0:
             return cls(rho, 0.0, 0.0)
@@ -128,10 +128,6 @@ class EdgeGeometry:
     @property
     def u(self) -> float:
         return self.r / self.rho
-
-
-def _norm(x: Sequence[float]) -> float:
-    return math.sqrt(sum(map(mul, x, x)))
 
 
 @dataclass(frozen=True)
@@ -531,11 +527,11 @@ def amplitude_truncated_eval(graph: FeynmanGraph,
             raise ValueError(f"vertex {v} has no position") from None
         if len(x) != D or not all(map(math.isfinite, x)):
             raise ValueError(f"vertex {v} needs D = {D} finite coordinates, got {x}")
-    norms = {v: _norm(x) for v, x in points.items()} if angular else {}
+    norms = {v: math.hypot(*x) for v, x in points.items()} if angular else {}
     total = 1.0
     for idx, e in enumerate(graph.edges):
         xs, xt = points[e.src], points[e.tgt]
-        r = _norm(tuple(map(sub, xs, xt)))
+        r = math.hypot(*map(sub, xs, xt))
         if not 0 < r < math.inf:
             raise ValueError(f"edge {idx} has {'coincident endpoints' if r == 0 else 'r = inf'}")
         try:

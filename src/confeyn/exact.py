@@ -110,11 +110,12 @@ class SymbolicCoeff(Linear):
     def inverse(self) -> "SymbolicCoeff":
         """Inverse of a single term free of log(m), gamma and log(2); general
         inverses are not needed."""
-        if len(self.terms) != 1 or any(next(iter(self.terms))[1:4]):
+        if len(self.nums) != 1 or any(next(iter(self.nums))[1:4]):
             raise ValueError(f"{self!r} is not a single term in m, sqrt(2) and pi")
-        ((m2, _, _, _, s, p), q), = self.terms.items()
-        # 1/(q sqrt(2)) = sqrt(2)/(2 q)
-        return self._wrap({(-m2, 0, 0, 0, s, -p): 1 / Fraction(q * 2 ** s)})
+        ((m2, _, _, _, s, p), n), = self.nums.items()
+        # 1/(q sqrt(2)) = sqrt(2)/(2 q), with q = n / den
+        q = Fraction(self.den, n * 2 ** s)
+        return self._from_nums({(-m2, 0, 0, 0, s, -p): q.numerator}, q.denominator)
 
     def bind(self, m: float | None = None) -> float:
         """Numeric value with gamma, log(2), sqrt(2), pi and, where a term
@@ -166,7 +167,7 @@ class SymbolicCoeff(Linear):
     def scalar_json(self) -> list[dict]:
         """The terms ``[{"rational", "pi_half_exp", "sqrt2"?}]`` of an element
         free of m, log(m), gamma and log(2)."""
-        if any(any(key[:4]) for key in self.terms):
+        if any(any(key[:4]) for key in self.nums):
             raise ValueError(f"{self!r} is not free of m, log(m), gamma and log(2)")
         return _scalar_json(sorted(self.terms.items()))
 

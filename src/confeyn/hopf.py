@@ -14,8 +14,9 @@ function phi_- o D; the Birkhoff module computes it by its recursion, and
 
 Elements of H and of its tensor powers are sparse combinations of the
 ``linear`` core, keyed by monomials and by tuples of monomials.  Every
-coefficient the algebra produces is a Python int; scaling by a Fraction
-gives exact rationals.  A ``HopfAlgebra`` memoises Delta and S per monomial,
+coefficient the algebra produces is a Python int, so its elements have
+denominator 1 and ``terms`` is their stored dict; scaling by a Fraction gives
+exact rationals.  A ``HopfAlgebra`` memoises Delta and S per monomial,
 keyed by the monomial itself (a graph hashes and compares by its canonical
 form, so relabelled copies share an entry); the reduced and iterated
 coproducts, the antipode, the Dynkin operator and convolution read those
@@ -60,7 +61,7 @@ class HopfElement(Linear):
 
     @classmethod
     def generator(cls, graph: FeynmanGraph) -> "HopfElement":
-        return cls._wrap({monomial(graph): 1})
+        return cls._from_nums({monomial(graph): 1})
 
     @classmethod
     def from_monomial(cls, mono: Monomial, coeff: int | Fraction = 1) -> "HopfElement":
@@ -136,7 +137,7 @@ class HopfAlgebra:
             parts = monomial(*(self._intern(graph._component_key(c)) for c in sel.components))
             key = (parts, monomial(self._intern(quotient)))
             terms[key] = terms.get(key, 0) + 1
-        out = self._coproduct_gen[g_mono] = TensorElement._wrap(terms)
+        out = self._coproduct_gen[g_mono] = TensorElement._from_nums(terms)
         return out
 
     def _coproduct_monomial(self, mono: Monomial) -> TensorElement:
@@ -161,8 +162,8 @@ class HopfAlgebra:
 
     def reduced_coproduct(self, mono: Monomial) -> TensorElement:
         """Delta(x) - x (x) 1 - 1 (x) x on a monomial."""
-        return TensorElement._wrap(accumulate(dict(self._coproduct_monomial(mono).terms),
-                                              [((mono, ()), -1), (((), mono), -1)]))
+        return self._coproduct_monomial(mono) - TensorElement._from_nums(
+            accumulate({(mono, ()): 1}, [(((), mono), 1)]))
 
     def iterated_coproduct(self, x: HopfElement | Monomial, k: int) -> TensorElement:
         """Delta^(k-1): H -> H^(x)k (k >= 1), applied on the last slot."""
@@ -170,7 +171,7 @@ class HopfAlgebra:
             raise ValueError(f"the iterated coproduct needs k >= 1, got {k}")
         x = as_element(x)
         if k == 1:
-            return TensorElement._wrap({(m,): c for m, c in x.terms.items()})
+            return TensorElement({(m,): c for m, c in x.terms.items()})
         out: dict[tuple[Monomial, ...], int | Fraction] = {}
         for key, c in self.iterated_coproduct(x, k - 1).terms.items():
             for (a, b), c2 in self._coproduct_monomial(key[-1]).terms.items():
@@ -200,7 +201,7 @@ class HopfAlgebra:
         for (left, right), c in self.reduced_coproduct(mono).terms.items():
             accumulate(out, ((_merge(m, right), -c * c2)
                              for m, c2 in self._antipode_monomial(left).terms.items()))
-        cached = self._antipode[mono] = HopfElement._wrap(out)
+        cached = self._antipode[mono] = HopfElement(out)
         return cached
 
     def dynkin(self, x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
@@ -212,7 +213,7 @@ class HopfAlgebra:
             if c:
                 accumulate(out, ((_merge(m, right), c * c2)
                                  for m, c2 in self._antipode_monomial(left).terms.items()))
-        return HopfElement._wrap(out)
+        return HopfElement(out)
 
     # -- convolution ------------------------------------------------------------
 

@@ -201,8 +201,9 @@ QUADRATURE_TARGET = 1e-10  # relative change of gm_integral when its step halves
 
 def gm_integral(k: Kinematics, points: int = 1600) -> float:
     """Heat-kernel integral representation of the massive propagator: the
-    trapezoid rule with ``points`` (an int >= 2) steps on u in [-L, L] after
-    t = e^u, L chosen from m and r.
+    trapezoid rule on u in [-L, L] after t = e^u, L chosen from m and r, with
+    at least ``points`` (an int >= 2) steps, none wider than
+    max(160 / points, 0.1).
 
     Independent of the Bessel route; raises :class:`QuadratureError` with the
     achieved estimate if the rule with half the steps differs by more than
@@ -220,6 +221,11 @@ def gm_integral(k: Kinematics, points: int = 1600) -> float:
     # after t = e^u the integrand is exp((1 - D/2) u - m^2 e^u - (r^2/4) e^-u);
     # choose L so both exponential walls are far below double precision
     L = 6.0 + max(abs(math.log(45.0 / k.m ** 2)), abs(math.log(4 * 45.0 / r ** 2)))
+    # the integrand's peak is about one unit of u wide wherever the walls put
+    # it, so the step follows that width, not the span: it is at most 160 /
+    # points (the default's step at L = 80), or 0.1 where that is finer, so a
+    # wide span adds at most 20 L < 14,400 steps
+    points = max(points, math.ceil(min(points / 80.0, 20.0) * L))
 
     def scan(points: int) -> float:
         h = 2 * L / points

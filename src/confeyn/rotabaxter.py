@@ -5,12 +5,13 @@ linear operator T satisfying
 
     T(x) T(y) = T(x T(y)) + T(T(x) y) - T(x y).
 
-Both models are sparse combinations of the ``linear`` core, with rational
-coefficients kept as the int or Fraction they were given; any other
-coefficient type raises TypeError.  A target of the Birkhoff layer
-(``LaurentAlgebra``, ``MultiLogAlgebra``) names only its element type, its
-product ``mul`` and T; sums, differences, scaling, zero and one are the
-elements' own arithmetic.
+Both models are sparse combinations of the ``linear`` core: int numerators
+over one denominator per element, so products, sums and T run on ints, and
+coefficients read back as an int where integral and a Fraction otherwise; a
+coefficient that is not an int or a Fraction raises TypeError.  A target of
+the Birkhoff layer (``LaurentAlgebra``, ``MultiLogAlgebra``) names only its
+element type, its product ``mul`` and T; sums, differences, scaling, zero and
+one are the elements' own arithmetic.
 
 Model 1: Laurent series over Q with T the projection onto the polar part
 (strictly negative exponents).
@@ -74,24 +75,21 @@ class LaurentSeries(Linear):
         return self.terms
 
     def polar_part(self) -> "LaurentSeries":
-        return LaurentSeries._wrap({e: c for e, c in self.terms.items() if e < 0})
+        return self._keep(lambda e: e < 0)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
         bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items()):
             if e == 0:
                 bits.append(f"{c}")
             elif e == 1:
                 bits.append(f"{c}*z" if c != 1 else "z")
             else:
                 bits.append(f"{c}*z^{e}" if c != 1 else f"z^{e}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
     def to_json(self) -> dict:
-        return {str(e): str(self.terms[e]) for e in sorted(self.terms)}
+        return {str(e): str(c) for e, c in sorted(self.terms.items())}
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "LaurentSeries":
@@ -249,11 +247,11 @@ class MultiLogForm(Linear):
         super().__init__(out)
 
     def __repr__(self) -> str:
-        return f"MultiLogForm({len(self.terms)} monomials)"
+        return f"MultiLogForm({len(self.nums)} monomials)"
 
     def to_json(self) -> list:
         out = []
-        for key in sorted(self.terms):
+        for key, c in sorted(self.terms.items()):
             comps = []
             for space, (kind, data) in key:
                 if kind == "polar":
@@ -263,16 +261,14 @@ class MultiLogForm(Linear):
                                   "monomial": [[label_str(l), e] for l, e in data]})
             # the value keeps the layout of an exact scalar with no power of pi
             out.append({"components": comps,
-                        "value": [{"pi_half_exp": 0, "rational": str(self.terms[key])}]})
+                        "value": [{"pi_half_exp": 0, "rational": str(c)}]})
         return out
 
 
 def multi_T(a: MultiLogForm) -> MultiLogForm:
     """T = id - prod_i (id - T_i): keeps every monomial with at least one
     polar component."""
-    kept = {key: c for key, c in a.terms.items()
-            if any(kind == "polar" for _, (kind, _) in key)}
-    return MultiLogForm._wrap(kept)
+    return a._keep(lambda key: any(kind == "polar" for _, (kind, _) in key))
 
 
 # ---------------------------------------------------------------------------

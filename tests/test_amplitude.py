@@ -613,6 +613,15 @@ class TestAmplitudeEval:
             with pytest.raises(ValueError, match="coincident"):
                 amplitude_truncated_eval(g, pos, 0.1, 1, method)
 
+    @pytest.mark.parametrize("method", ["direct", "taylor"])
+    def test_separation_with_subnormal_square(self, method):
+        """An edge of length 1e-160, whose square is subnormal, keeps full
+        precision: the norm does not square the coordinates."""
+        g = FeynmanGraph.build(2, [(0, 1)])
+        pos = {0: (0.0, 0.0, 0.0), 1: (1e-160, 0.0, 0.0)}
+        got = amplitude_truncated_eval(g, pos, 1.0, Fraction(1, 2), method)
+        assert got == pytest.approx(gm_real(Kinematics.radial(3, 1e-160, 1.0)), rel=1e-14)
+
 
 # name -> (internal vertices, internal edges)
 LOOP_GRAPHS = {
@@ -646,9 +655,9 @@ def edge_by_edge(graph, pos, masses, lam, method, orders) -> float:
     for idx, e in enumerate(graph.edges):
         xs, xt = tuple(map(float, pos[e.src])), tuple(map(float, pos[e.tgt]))
         diff = tuple(a - b for a, b in zip(xs, xt))
-        r = math.sqrt(sum(c * c for c in diff))
+        r = math.hypot(*diff)
         m = masses if isinstance(masses, float) else masses[idx]
-        if method == "direct":  # the amplitude's separation, not Kinematics' hypot
+        if method == "direct":
             total *= gm_real(Kinematics.radial(D, r, m))
         elif method == "taylor":
             total *= edge_taylor_value(lam, r, m, orders)
@@ -769,9 +778,16 @@ class TestAmplitudeLoop:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_infinite_separation_refused(self, method):
-        # vertices at 1e200 once gave nan (taylor, gegenbauer) and 0.0 (asymptotic)
-        pos = {0: (1e200, 0.0, 0.0, 0.0), 1: (0.0, 1e200, 0.0, 0.0)}
+        pos = {0: (1e308, 0.0, 0.0, 0.0), 1: (-1e308, 0.0, 0.0, 0.0)}
         with pytest.raises(ValueError, match="edge 0 has r = inf"):
+            amplitude_truncated_eval(ONE_EDGE, pos, 1.0, 1, method)
+
+    @pytest.mark.parametrize("method", ("direct", "taylor", "asymptotic"))
+    def test_far_separation_refused(self, method):
+        # vertices at 1e200 once gave nan (taylor) and 0.0 (asymptotic); their
+        # separation is a finite double, and the edge factor is not
+        pos = {0: (1e200, 0.0, 0.0, 0.0), 1: (0.0, 1e200, 0.0, 0.0)}
+        with pytest.raises(ValueError, match="doubles|finite double"):
             amplitude_truncated_eval(ONE_EDGE, pos, 1.0, 1, method)
 
     @pytest.mark.parametrize("method", METHODS)

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 
 from confeyn.propagators import (BOSON_ROUNDING_LIMIT, ComplexPhase, DiagonalError,
-                                 Kinematics, QuadratureError,
+                                 QUADRATURE_TARGET, Kinematics, QuadratureError,
                                  boson_propagator, diag_continuation,
                                  dirac_propagator, g0_complex, g0_real,
                                  gm_complex, gm_integral, gm_real)
@@ -81,6 +81,13 @@ class TestMassive:
             assert v < prev
             assert v * v <= bound_sq
             prev = v
+
+    @pytest.mark.parametrize("m", [1e-100, 1e-150])
+    def test_quadrature_converges_across_a_wide_span(self, m):
+        # the step spanned the whole window: both masses raised QuadratureError
+        # (estimates 1.9e-3 and 3.1e-2) with the default 1600 points
+        k = Kinematics.radial(4, 1.0, m)
+        assert abs(gm_integral(k) - gm_real(k)) / gm_real(k) < QUADRATURE_TARGET
 
     def test_quadrature_failure_reports_estimate(self):
         k = Kinematics.radial(4, 1.0, 1.0)
