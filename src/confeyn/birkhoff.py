@@ -14,7 +14,9 @@ both phi_- and phi_+ algebra morphisms again (tested, not assumed).
 
 Target values are summed, negated and scaled by their own arithmetic and
 multiplied through the target's ``mul``; phi, the prepared values, beta and
-the frame are memoised per monomial, keyed by the monomial itself.
+the frame are memoised per monomial, keyed by the monomial itself, and
+extended to combinations by ``hopf.extend_linearly``, the one linear
+extension.
 
 The renormalization group enters through the Dynkin operator D = S * Y:
 beta = phi_- o D.  Both targets are commutative, so beta = phi_-^(*-1) *
@@ -50,41 +52,45 @@ from fractions import Fraction
 from typing import Callable
 
 from .feyngraph import FeynmanGraph
-from .hopf import HopfAlgebra, HopfElement, Monomial, as_element, monomial_degree
+from .hopf import HopfAlgebra, Monomial, extend_linearly, monomial_degree
 from .rotabaxter import MultiLogAlgebra, MultiLogForm, diagonal_label, separation_label
 
 
-def extend_linearly(x, element, on_monomial):
-    """sum c * on_monomial(mono) over the terms of x, a graph, a monomial or a
-    HopfElement: the linear extension of a map to ``element`` values."""
-    total = element.zero()
-    for mono, c in as_element(x).terms.items():
-        total = total + c * on_monomial(mono)
-    return total
+class _MonomialMap:
+    """A linear map from the Hopf algebra into ``target``, memoised per
+    monomial: a subclass gives ``on_monomial`` and ``__call__`` extends it
+    linearly."""
+
+    def __init__(self, hopf: HopfAlgebra, target):
+        self.hopf = hopf
+        self.target = target
+        self._memo: dict[Monomial, object] = {}
+
+    def __call__(self, x):
+        return extend_linearly(x, self.target.element, self.on_monomial)
 
 
-class Character:
+class Character(_MonomialMap):
     """Multiplicative unital map from the Hopf algebra into a target algebra,
-    defined by its values on generators and memoized per monomial."""
+    defined by its values on generators: ``gen_rule`` runs once per
+    generator, and a product multiplies the memoised generator values."""
 
     def __init__(self, hopf: HopfAlgebra, target,
                  gen_rule: Callable[[FeynmanGraph], object]):
-        self.hopf = hopf
-        self.target = target
+        super().__init__(hopf, target)
         self.gen_rule = gen_rule
-        self._memo: dict[Monomial, object] = {}
 
     def on_monomial(self, mono: Monomial):
         cached = self._memo.get(mono)
         if cached is None:
-            value = self.target.element.one()
-            for g in mono:
-                value = self.target.mul(value, self.gen_rule(g))
-            self._memo[mono] = cached = value
+            if len(mono) == 1:
+                cached = self.gen_rule(mono[0])
+            else:
+                cached = self.target.element.one()
+                for g in mono:
+                    cached = self.target.mul(cached, self.on_monomial((g,)))
+            self._memo[mono] = cached
         return cached
-
-    def __call__(self, x):
-        return extend_linearly(x, self.target.element, self.on_monomial)
 
 
 class BirkhoffPair:
@@ -129,14 +135,11 @@ class BirkhoffPair:
 
     def factorization_lhs(self, x):
         """(phi_- o S) * phi_+ evaluated at x; recovers phi(x)."""
-        return self.hopf.convolve(
-            lambda m: self.phi_minus(self.hopf.antipode(HopfElement.from_monomial(m))),
-            self.plus_on_monomial, x, self.target.element)
+        return self.hopf.convolve(lambda m: self.phi_minus(self.hopf.antipode(m)),
+                                  self.plus_on_monomial, x, self.target.element)
 
 
-def birkhoff_factorize(phi: Character) -> BirkhoffPair:
-    """Construct the factorization (lazy and total on graded elements)."""
-    return BirkhoffPair(phi)
+birkhoff_factorize = BirkhoffPair  # lazy and total on graded elements
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +147,12 @@ def birkhoff_factorize(phi: Character) -> BirkhoffPair:
 # ---------------------------------------------------------------------------
 
 
-def _stable_rational(head: str, *parts, lo: int = -6, hi: int = 6) -> Fraction:
-    """A rational in [lo, hi] / [1, 5] hashed from the JSON list whose first
+def _stable_rational(head: str, *parts) -> Fraction:
+    """A rational in [-6, 6] / [1, 5] hashed from the JSON list whose first
     items ``head`` dumps (a list, dumped once per graph) and then ``parts``."""
     blob = (head[:-1] + ", " + json.dumps(parts)[1:]).encode()
     h = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
-    num = lo + h % (hi - lo + 1)
+    num = -6 + h % 13
     den = 1 + (h >> 16) % 5
     if num == 0:
         num = 1
@@ -201,16 +204,14 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
 # ---------------------------------------------------------------------------
 
 
-class BetaFunction:
+class BetaFunction(_MonomialMap):
     """beta = phi_- o D with D the Dynkin operator S * Y, by its recursion
     beta(G) = deg G phi_-(G) - sum phi_-(G') beta(G'') on a graph, memoised
     per graph, and 0 on 1 and on products (module docstring)."""
 
     def __init__(self, pair: BirkhoffPair):
+        super().__init__(pair.hopf, pair.target)
         self.pair = pair
-        self.hopf = pair.hopf
-        self.target = pair.target
-        self._memo: dict[Monomial, object] = {}
 
     def on_monomial(self, mono: Monomial):
         if len(mono) != 1:
@@ -224,23 +225,18 @@ class BetaFunction:
             self._memo[mono] = cached = value
         return cached
 
-    def __call__(self, x):
-        return extend_linearly(x, self.target.element, self.on_monomial)
+
+beta_function = BetaFunction
 
 
-def beta_function(pair: BirkhoffPair) -> BetaFunction:
-    return BetaFunction(pair)
-
-
-class FrameCharacter:
+class FrameCharacter(_MonomialMap):
     """The universal frame by its defining recursion
-    F(X) = (beta(X) + sum F(X') beta(X'')) / deg X, memoised per monomial."""
+    F(X) = (beta(X) + sum F(X') beta(X'')) / deg X, memoised per monomial:
+    the inverse of the Dynkin bijection, which recovers phi_- from beta."""
 
     def __init__(self, beta: BetaFunction):
+        super().__init__(beta.hopf, beta.target)
         self.beta = beta
-        self.hopf = beta.hopf
-        self.target = beta.target
-        self._memo: dict[Monomial, object] = {}
 
     def on_monomial(self, mono: Monomial):
         degree = monomial_degree(mono)
@@ -256,10 +252,5 @@ class FrameCharacter:
             self._memo[mono] = cached = Fraction(1, degree) * value
         return cached
 
-    def __call__(self, x):
-        return extend_linearly(x, self.target.element, self.on_monomial)
 
-
-def universal_frame(beta: BetaFunction) -> FrameCharacter:
-    """Inverse of the Dynkin bijection: reconstructs phi_- from beta."""
-    return FrameCharacter(beta)
+universal_frame = FrameCharacter

@@ -382,8 +382,6 @@ def _report(value):
 
 
 def _cmd_renorm(args) -> dict:
-    from . import hopf
-
     graphs = _load_graphs(args.graphs)
     pair = _make_pair(args, graphs)
     flag = {"laurent": "polar_free", "logform": "residue_free"}[args.target]
@@ -392,7 +390,7 @@ def _cmd_renorm(args) -> dict:
         plus = pair.phi_plus(graph)
         out.append({
             "name": name,
-            "phi": _report(pair.phi.on_monomial(hopf.monomial(graph))),
+            "phi": _report(pair.phi(graph)),
             "phi_minus": _report(pair.phi_minus(graph)),
             "phi_plus": _report(plus),
             flag: pair.target.T(plus).is_zero(),
@@ -401,7 +399,7 @@ def _cmd_renorm(args) -> dict:
 
 
 def _cmd_beta(args) -> dict:
-    from . import birkhoff, hopf
+    from . import birkhoff
 
     graphs = _load_graphs(args.graphs)
     pair = _make_pair(args, graphs)
@@ -409,12 +407,9 @@ def _cmd_beta(args) -> dict:
     frame = birkhoff.universal_frame(beta)
     out = []
     for name, graph in graphs:
-        entry = {"name": name, "degree": graph.degree(),
-                 "beta": _report(beta(hopf.HopfElement.generator(graph)))}
+        entry = {"name": name, "degree": graph.degree(), "beta": _report(beta(graph))}
         if graph.degree() <= args.degree:
-            recon = frame.on_monomial(hopf.monomial(graph))
-            entry["frame_matches_phi_minus"] = bool(
-                recon == pair.phi_minus(graph))
+            entry["frame_matches_phi_minus"] = frame(graph) == pair.phi_minus(graph)
         out.append(entry)
     return {"target": args.target, "graphs": out}
 

@@ -8,9 +8,10 @@ by the number of internal edges.  The coproduct on a generator is
 summed over admissible subgraphs (disjoint unions of 1PI pieces with 1PI
 quotient), extended multiplicatively; the antipode is the usual inductive
 formula S(X) = -X - sum S(X') X'' on the reduced coproduct.  The grading
-derivation Y and the Dynkin operator D = S * Y (convolution) define the beta
-function phi_- o D; the Birkhoff module computes it by its recursion, and
-``dynkin`` is its test oracle.
+derivation Y(X) = deg(X) X and the Dynkin operator D = S * Y define the beta
+function phi_- o D; ``dynkin`` is that convolution, taken by ``convolve`` like
+any other, and the Birkhoff module's test oracle (it computes beta by its
+recursion).
 
 Elements of H and of its tensor powers are sparse combinations of the
 ``linear`` core, keyed by monomials and by tuples of monomials.  Every
@@ -21,7 +22,9 @@ keyed by the monomial itself (a graph hashes and compares by its canonical
 form, so relabelled copies share an entry); the reduced and iterated
 coproducts, the antipode, the Dynkin operator and convolution read those
 memos.  Elements the algebra returns may be memo entries shared with later
-calls: treat them as read-only.
+calls: treat them as read-only.  ``extend_linearly`` is the one linear
+extension of a map on monomials: of the coproduct, the antipode, and the
+Birkhoff module's phi, phi_-, phi_+, beta and frame.
 """
 
 from __future__ import annotations
@@ -81,10 +84,6 @@ class TensorElement(Linear):
     key_product = staticmethod(lambda key1, key2: tuple(map(_merge, key1, key2)))
     unit_key = ((), ())
 
-    @classmethod
-    def single(cls, key: tuple[Monomial, ...], coeff: int | Fraction = 1) -> "TensorElement":
-        return cls({key: coeff})
-
     def __repr__(self) -> str:
         bits = []
         for key, c in self.terms.items():
@@ -102,6 +101,15 @@ def as_element(x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
     if isinstance(x, tuple):
         return HopfElement.from_monomial(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a Hopf element")
+
+
+def extend_linearly(x, element: type[Linear], on_monomial: Callable) -> Linear:
+    """sum c * on_monomial(mono) over the terms of x, a graph, a monomial or a
+    HopfElement: the linear extension of a map to ``element`` values."""
+    total = element.zero()
+    for mono, c in as_element(x).terms.items():
+        total = total + c * on_monomial(mono)
+    return total
 
 
 class HopfAlgebra:
@@ -155,15 +163,12 @@ class HopfAlgebra:
         x = as_element(x)
         if list(x.terms.values()) == [1]:  # one monomial: its shared memo entry
             return self._coproduct_monomial(next(iter(x.terms)))
-        total = TensorElement.zero()
-        for mono, c in x.terms.items():
-            total = total + c * self._coproduct_monomial(mono)
-        return total
+        return extend_linearly(x, TensorElement, self._coproduct_monomial)
 
     def reduced_coproduct(self, mono: Monomial) -> TensorElement:
-        """Delta(x) - x (x) 1 - 1 (x) x on a monomial."""
-        return self._coproduct_monomial(mono) - TensorElement._from_nums(
-            accumulate({(mono, ()): 1}, [(((), mono), 1)]))
+        """Delta(x) - x (x) 1 - 1 (x) x on a monomial x != 1: the terms of the
+        memoised coproduct whose two sides are both nonempty (0 on 1)."""
+        return self._coproduct_monomial(mono)._keep(all)
 
     def iterated_coproduct(self, x: HopfElement | Monomial, k: int) -> TensorElement:
         """Delta^(k-1): H -> H^(x)k (k >= 1), applied on the last slot."""
@@ -186,10 +191,7 @@ class HopfAlgebra:
         return as_element(x).terms.get((), 0)
 
     def antipode(self, x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
-        total = HopfElement.zero()
-        for mono, c in as_element(x).terms.items():
-            total = total + c * self._antipode_monomial(mono)
-        return total
+        return extend_linearly(x, HopfElement, self._antipode_monomial)
 
     def _antipode_monomial(self, mono: Monomial) -> HopfElement:
         if not mono:
@@ -206,14 +208,10 @@ class HopfAlgebra:
 
     def dynkin(self, x: HopfElement | Monomial | FeynmanGraph) -> HopfElement:
         """D = S * Y (convolution of antipode and grading): the graded-Hopf
-        realization of the Dynkin idempotent."""
-        out: dict[Monomial, int | Fraction] = {}
-        for (left, right), c in self.coproduct(x).terms.items():
-            c *= monomial_degree(right)
-            if c:
-                accumulate(out, ((_merge(m, right), c * c2)
-                                 for m, c2 in self._antipode_monomial(left).terms.items()))
-        return HopfElement(out)
+        realization of the Dynkin idempotent, with Y(m) = deg(m) m."""
+        return self.convolve(self._antipode_monomial,
+                             lambda m: HopfElement.from_monomial(m, monomial_degree(m)),
+                             x, HopfElement)
 
     # -- convolution ------------------------------------------------------------
 

@@ -278,12 +278,20 @@ def gm_complex(k: Kinematics) -> float:
 
 def diag_continuation(D: int, m: float) -> float:
     """Analytic continuation (4 pi)^(-D/2) m^(D-2) Gamma(1 - D/2) on the
-    diagonal; finite for odd D only (even D diverges)."""
+    diagonal; finite for odd D only (even D diverges).  At D = 2n + 1,
+    Gamma(1/2 - n) = (-4)^n n! sqrt(pi) / (2n)! = (-2)^n sqrt(pi) / (2n-1)!!,
+    so the value is (-1)^n (2 pi)^(-n) m^(2n-1) / (2 (2n-1)!!), one
+    :func:`_product` with the double factorial an exact int."""
+    if not isinstance(D, int) or D < 3:
+        raise ValueError(f"D must be an integer >= 3, got {D}")
     if D % 2 == 0:
         raise DiagonalError(f"diagonal value diverges in even dimension D={D}")
-    if m <= 0:
-        raise ValueError("diag_continuation requires m > 0")
-    return (4 * math.pi) ** (-D / 2.0) * m ** (D - 2) * math.gamma(1 - D / 2.0)
+    if not 0 < m < math.inf:
+        raise ValueError(f"diag_continuation requires a finite m > 0, got {m}")
+    n = D // 2
+    value = _product(((2 * math.pi, -n), (m, 2 * n - 1), (2, -1),
+                      (math.prod(range(1, 2 * n, 2)), -1)))
+    return _normal("diag_continuation", D, m, 0.0, -value if n % 2 else value)
 
 
 @dataclass(frozen=True)

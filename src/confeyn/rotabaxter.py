@@ -74,9 +74,6 @@ class LaurentSeries(Linear):
     def coeffs(self) -> dict[int, Rational]:
         return self.terms
 
-    def polar_part(self) -> "LaurentSeries":
-        return self._keep(lambda e: e < 0)
-
     def __repr__(self) -> str:
         bits = []
         for e, c in sorted(self.terms.items()):
@@ -98,7 +95,7 @@ class LaurentSeries(Linear):
 
 def laurent_T(s: LaurentSeries) -> LaurentSeries:
     """Projection onto the polar part (strictly negative exponents)."""
-    return s.polar_part()
+    return s._keep(lambda e: e < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import HopfAlgebra, generate_graph_family, monomial, monomial_degree
 from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries, MultiLogForm
 from confeyn.birkhoff import Character
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def stable_int(*parts, bits: int = 40) -> int:
@@ -69,6 +73,15 @@ def monomials_deg4(family):
     monos += [monomial(a, b) for a, b in
               itertools.combinations_with_replacement(deg2, 2)]
     return [m for m in monos if monomial_degree(m) <= 4]
+
+
+@pytest.fixture(scope="session")
+def renorm_bench_graphs() -> list[FeynmanGraph]:
+    """The graph set of the renorm benchmark at seed 1 (``bench/jobs.py``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))
+        import jobs
+    return [g for _, g in jobs.make_renorm_inputs(jobs.Confeyn(), 1, "full")]
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from confeyn.birkhoff import (Character, beta_function, birkhoff_factorize,
                               toy_feynman_character, universal_frame)
 from confeyn.feyngraph import FeynmanGraph
-from confeyn.hopf import HopfElement, generate_graph_family, monomial, monomial_degree
+from confeyn.hopf import (HopfAlgebra, HopfElement, generate_graph_family, monomial,
+                          monomial_degree)
 from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries, multi_T
 from conftest import banana, doubled_triangle, laurent_rule, necklace
 
@@ -56,6 +58,25 @@ class TestWorkedExamples:
         pair = birkhoff_factorize(phi)
         b = banana(3)
         assert pair.phi_plus(b) == phi(b) - target.T(phi(b))
+
+
+class TestCharacter:
+    def test_rule_runs_once_per_generator(self, renorm_bench_graphs):
+        # a product multiplies the memoised values of its generators
+        budget = max(len(g.internal_vertices()) for g in renorm_bench_graphs)
+        phi = toy_feynman_character(HopfAlgebra(), budget, 1, rule_seed=1)
+        rule, calls = phi.gen_rule, Counter()
+
+        def counted(graph):
+            calls[graph] += 1
+            return rule(graph)
+
+        phi.gen_rule = counted
+        pair = birkhoff_factorize(phi)
+        for g in renorm_bench_graphs:
+            pair.phi_minus(g), pair.phi_plus(g)
+        assert set(calls) == {g for mono in phi._memo for g in mono}
+        assert set(calls.values()) == {1}
 
 
 class TestFactorizationIdentity:

@@ -1,5 +1,6 @@
 """Hopf algebra: coproduct examples, axioms, Dynkin, convolution, and the
 per-monomial memos."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import (HopfAlgebra, HopfElement, TensorElement, monomial,
                           monomial_degree)
-from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries
+from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries, laurent_T
 from confeyn.birkhoff import (Character, beta_function, birkhoff_factorize,
                               universal_frame)
 from conftest import banana, doubled_triangle, laurent_rule, necklace, triangle
@@ -17,7 +18,7 @@ F = Fraction
 
 class TestCoproduct:
     def test_unit(self, hopf):
-        assert hopf.coproduct(HopfElement.one()) == TensorElement.single(((), ()))
+        assert hopf.coproduct(HopfElement.one()) == TensorElement.one()
 
     def test_primitive_banana(self, hopf):
         b = banana(2)
@@ -112,6 +113,30 @@ class TestAntipode:
         assert hopf.antipode(dt) == want
 
 
+class TestReducedCoproduct:
+    def assert_definition(self, hopf, monos):
+        for m in monos:
+            got = hopf.reduced_coproduct(m)
+            want = (hopf.coproduct(m) - TensorElement({(m, ()): 1})
+                    - TensorElement({((), m): 1}))
+            assert got == want, m
+            assert all(left and right for left, right in got.terms), m
+
+    def test_degree_four_monomials(self, hopf, monomials_deg4):
+        self.assert_definition(hopf, [m for m in monomials_deg4 if m])
+
+    def test_products_of_generators(self, hopf, family):
+        small = [g for g in family if g.degree() <= 3][:6]
+        self.assert_definition(hopf, [monomial(*gs) for r in (2, 3)
+                                      for gs in itertools.combinations_with_replacement(small, r)])
+
+    def test_renorm_bench_graphs(self, hopf, renorm_bench_graphs):
+        self.assert_definition(hopf, [monomial(g) for g in renorm_bench_graphs])
+
+    def test_zero_on_unit(self, hopf):
+        assert hopf.reduced_coproduct(()).is_zero()
+
+
 class TestGradingAndDynkin:
     def test_dynkin_on_primitives(self, hopf):
         for g in (banana(2), banana(3), triangle()):
@@ -193,7 +218,7 @@ class TestMemo:
         for g in graphs:
             assert frame.on_monomial(monomial(g)) == pair.phi_minus(g)
             assert pair.factorization_lhs(g) == pair.phi(g)
-            assert not pair.phi_plus(g).polar_part().coeffs
+            assert laurent_T(pair.phi_plus(g)).is_zero()
             beta(g)
         assert len(hopf._coproduct_gen) > len(graphs) and hopf._antipode
         for mono, delta in hopf._coproduct_gen.items():

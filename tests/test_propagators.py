@@ -120,6 +120,26 @@ class TestMassive:
         assert diag_continuation(3, 2.0) == pytest.approx(want, rel=1e-14)
         with pytest.raises(DiagonalError):
             diag_continuation(4, 1.0)
+        for D, m in ((1, 1.0), (3.0, 1.0), (3, 0.0), (3, math.inf)):
+            with pytest.raises(ValueError):
+                diag_continuation(D, m)
+
+    def test_diag_continuation_against_mpmath(self):
+        # every odd D up to 401, m from 1e-3 to 1e3: within 1e-13 wherever the
+        # value is a normal double (2.29e-195 at D 401, m 10), ValueError
+        # elsewhere (4.70e-500 at D 345, m 1)
+        import mpmath
+        masses = [10.0 ** (k / 4) for k in range(-12, 13)]
+        with mpmath.workdps(40):
+            for D in range(3, 402, 2):
+                for m in masses:
+                    want = (4 * mpmath.pi) ** (-mpmath.mpf(D) / 2) * mpmath.mpf(m) ** (D - 2) \
+                        * mpmath.gamma(1 - mpmath.mpf(D) / 2)
+                    if sys.float_info.min <= abs(want) <= sys.float_info.max:
+                        assert diag_continuation(D, m) == pytest.approx(float(want), rel=1e-13, abs=0)
+                    else:
+                        with pytest.raises(ValueError, match="outside the normal doubles"):
+                            diag_continuation(D, m)
 
 
 class TestHelmholtz:
