@@ -32,12 +32,12 @@ Every term is stored free of the mass.  By the exact identity
 G_m(r) = m^(2 lam) g(m r), a term of radial exponent p is r^(-2 lam) z^k
 (a + b log z) with z = m r and k = p + 2 lam, so an :class:`EdgeTerm` holds
 k and the exact a and b (an asymptotic term also carries e^(-z), with b = 0);
-m^k and log m are written only into the JSON output.  The rational tensors
-are read-only; the term coefficient (prefactor) and the constant kappa of the
-log bracket log(m r / 2) - ... = log z + kappa factor out, so a log-branch
-term is prefactor * rho^(-2 lam) zeta^k [(kappa + log zeta) log_rho + series]
-at zeta = m rho.  The symbolic tensor plain = (kappa + log m) log_rho +
-series is a view for the JSON output.
+m^k and log m are written only into columns of the JSON output.  The rational
+tensors are read-only; the term coefficient (prefactor) and the constant kappa
+of the log bracket log(m r / 2) - ... = log z + kappa factor out, so a term is
+prefactor * rho^(-2 lam) zeta^k [(kappa + log zeta) log_rho + series] at
+zeta = m rho.  The symbolic tensor plain = kappa log_rho + series (the bracket
+at m = 1, to which the JSON output adds log(m) log_rho) is a view.
 
 The first evaluation of an edge factor at a weight lam, a method and
 :class:`TruncationOrders` compiles one float kernel from these mass-free
@@ -246,27 +246,28 @@ class GegenExpansion:
 
     @property
     def plain(self) -> Mapping[tuple[int, int], SymbolicCoeff]:
-        """The symbolic tensor (kappa + log m) log_rho + series, the bracket of
-        prefactor m^k rho^rho_exponent, built on each access."""
-        k0 = self.kappa + SymbolicCoeff.monomial(logm=1)
+        """The symbolic tensor kappa log_rho + series, built on each access: the
+        bracket of prefactor m^k rho^rho_exponent at m = 1 (it adds log(m) log_rho)."""
         plain = {key: SymbolicCoeff.from_rational(c) for key, c in self.series.items()}
         for key, q in self.log_rho.items():
-            plain[key] = k0 * q + plain[key] if key in plain else k0 * q
+            plain[key] = self.kappa * q + plain[key] if key in plain else self.kappa * q
         return MappingProxyType(plain)
 
     def to_json(self) -> dict:
-        def tensor_json(t: Mapping[tuple[int, int], SymbolicCoeff]) -> list:
-            return [{"radial": n, "degree": d, "coeff": t[(n, d)].to_json()}
-                    for (n, d) in sorted(t)]
+        """The expansion at a symbolic mass m: the prefactor carries m^k, and
+        each plain entry adds log(m) log_rho to the bracket at m = 1."""
+        def tensor_json(t: Mapping[tuple[int, int], list]) -> list:
+            return [{"radial": n, "degree": d, "coeff": t[(n, d)]} for (n, d) in sorted(t)]
         log_rho = {key: SymbolicCoeff.from_rational(q) for key, q in self.log_rho.items()}
-        m_k = SymbolicCoeff.monomial(m_exp=self.rho_exponent + 2 * self.lam)
+        zero = SymbolicCoeff.zero()
         return {
             "lambda": str(self.lam),
             "rho_exponent": str(self.rho_exponent),
             "radial_order": self.radial_order,
-            "prefactor": (m_k * self.prefactor).to_json(),
-            "plain": tensor_json(self.plain),
-            "log_rho": tensor_json(log_rho),
+            "prefactor": self.prefactor.to_json(self.rho_exponent + 2 * self.lam),
+            "plain": tensor_json({key: c.to_json() + log_rho.get(key, zero).to_json(0, 1)
+                                  for key, c in self.plain.items()}),
+            "log_rho": tensor_json({key: c.to_json() for key, c in log_rho.items()}),
         }
 
 

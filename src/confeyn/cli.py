@@ -5,9 +5,10 @@ renorm, beta, divisors.  Payloads are JSON files (or inline); output is JSON
 with sorted keys, rationals as strings, and floats rendered with 17
 significant digits, so identical inputs give byte-identical output.
 
-Every size argument has a documented maximum (the ``*_MAX_*`` constants
-below), checked by its argparse type as the argument is parsed; the sizes of
-the graphs in a ``--graphs`` file are checked as the file is loaded.
+Every size argument is at least 0 and has a documented maximum (the
+``*_MAX_*`` constants below), checked by its argparse type as the argument is
+parsed; the sizes of the graphs in a ``--graphs`` file are checked as the
+file is loaded.
 
 Exit codes: 0 success, 2 validation error, 3 numeric non-convergence,
 64 unknown subcommand.
@@ -143,13 +144,16 @@ def _check_max(what: str, value: int, maximum: int) -> None:
 
 
 def _int_arg(maximum: int):
-    """The argparse type of an integer at most ``maximum``."""
+    """The argparse type of an integer from 0 to ``maximum``: every size
+    argument is a count or a dimension."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"must be an integer at most {maximum}, got {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum 0")
         if value > maximum:
             raise argparse.ArgumentTypeError(f"{value} exceeds the maximum {maximum}")
         return value
@@ -243,7 +247,6 @@ def _cmd_prop_eval(args) -> dict:
 
 def _cmd_prop_expand(args) -> dict:
     from . import amplitude, specfun
-    from .exact import SymbolicCoeff
 
     if args.case == "complex":
         lam = amplitude.complex_case_weight(args.D)
@@ -253,18 +256,17 @@ def _cmd_prop_expand(args) -> dict:
     # r^(k - 2 lam) [m^k (a + b log m) + m^k b log r]
     if args.method == "taylor":
         term = amplitude.taylor_term_coefficient(args.ell, lam)
-        m_k = SymbolicCoeff.monomial(m_exp=term.z_power)
+        k = term.z_power
         return {"method": "taylor", "ell": str(args.ell),
                 "branch": "power" if term.b.is_zero() else "log",
-                "r_exponent": str(term.z_power - 2 * lam),
-                "coeff_const": (m_k * (term.a + term.b * SymbolicCoeff.monomial(logm=1))
-                                ).to_json(),
-                "coeff_log": (m_k * term.b).to_json()}
+                "r_exponent": str(k - 2 * lam),
+                "coeff_const": term.a.to_json(k) + term.b.to_json(k, 1),
+                "coeff_log": term.b.to_json(k)}
     if args.method == "asymptotic":
         term = amplitude.asymptotic_term_coefficient(args.ell, lam)
         return {"method": "asymptotic", "ell": str(args.ell),
                 "r_exponent": str(term.z_power - 2 * lam),
-                "coeff": (SymbolicCoeff.monomial(m_exp=term.z_power) * term.a).to_json(),
+                "coeff": term.a.to_json(term.z_power),
                 "exponential_factor": "exp(-m*r)"}
     if args.method == "gegenbauer":
         orders = amplitude.TruncationOrders(radial=args.radial, gegen=args.gegen_cap)

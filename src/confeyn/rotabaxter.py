@@ -90,6 +90,13 @@ class LaurentSeries(Linear):
 
     @classmethod
     def from_json(cls, data: Mapping[str, str]) -> "LaurentSeries":
+        """The series of :meth:`to_json`.  The exponent form of a coefficient
+        is refused: Fraction('1e20000000') alone builds a twenty-million-digit
+        integer, and every product with it is as long."""
+        for c in data.values():
+            if "e" in str(c).lower():
+                raise ValueError(
+                    f"coefficient must be a rational such as 3/2, got {str(c)[:64]!r}")
         return cls({int(e): Fraction(c) for e, c in data.items()})
 
 

@@ -54,7 +54,7 @@ def product_by_gamma(n: int, m: int, lam: Fraction) -> dict[int, Fraction]:
         # alpha carries 1/Gamma(lam) twice, from the two monomial forms; the
         # powers of sqrt(pi) cancel there, or the unpacking or the check fails
         ((key, ratio),) = (inner / (gam_lam * gam_lam)).terms.items()
-        assert key == (0,) * 6, key
+        assert key == (0,) * 4, key
         alpha = ratio * ((-1) ** r * _fact(n + m - 2 * r))
         for k in range((n + m - 2 * r) // 2 + 1):
             beta = ((lam + n + m - 2 * (r + k))

@@ -295,7 +295,7 @@ def test_criterion_8_amplitude_expansions():
     exp = edge_gegenbauer_expansion(-1, 1, TruncationOrders(radial=60))
     for rho in (1.0, 2.5):
         geom = EdgeGeometry(rho=rho, r=rho / 2, cos=0.0)
-        val = expansion_value(exp, geom, m=1.0) / exp.prefactor.bind(1.0)
+        val = expansion_value(exp, geom, m=1.0) / exp.prefactor.bind()
         assert abs(val - 0.8 / rho ** 2) <= 1e-10 * (0.8 / rho ** 2)
     # coefficient-field structure on every generated tensor
     generated = [(-1, F(1)), (0, F(1)), (1, F(1)), (-2, F(2)), (2, F(2)),

@@ -191,10 +191,10 @@ class TestTaylorCoefficients:
             assert term.z_power == 2 * lam + 2 * ell and term.b.is_zero()
 
     def test_terms_are_free_of_the_mass(self):
-        # every stored coefficient has m and log m at exponent 0: the mass
-        # enters only through z = m r
+        # every stored coefficient is a constant of the exact ring, whose keys
+        # have no slot for m or log m: the mass enters only through z = m r
         def mass_free(c):
-            return all(m2 == 0 and logm == 0 for m2, logm, *_ in c.terms)
+            return isinstance(c, SymbolicCoeff) and all(len(key) == 4 for key in c.terms)
         for lam in (F(1, 2), F(1), F(3, 2), F(4), F(21, 2)):
             for ell in amplitude._taylor_indices(lam, 4):
                 term = taylor_term_coefficient(ell, lam)
@@ -288,8 +288,9 @@ class TestGegenExpansion:
         poly = binomial_series(F(ell), radial)
         # log(rho) tensor carries the bare polynomial
         assert tensor_to_cos_powers(as_symbolic(exp.log_rho), lam) == as_symbolic(poly)
-        # plain tensor: poly * (log m - log 2 - psi-sum/2) + poly * (1/2) log(1+Y)
-        k0 = (SymbolicCoeff.monomial(logm=1) - SymbolicCoeff.monomial(log2=1)
+        # plain tensor, the bracket at m = 1:
+        # poly * (-log 2 - psi-sum/2) + poly * (1/2) log(1+Y)
+        k0 = (-SymbolicCoeff.monomial(log2=1)
               - F(1, 2) * (digamma_exact(ell + 1) + digamma_exact(lam + ell + 1)))
         want: dict[tuple[int, int], SymbolicCoeff] = {}
         for key, v in poly.items():
@@ -365,9 +366,12 @@ def reference_value(exp: GegenExpansion, geom: EdgeGeometry, m: float,
     from scipy.special import eval_gegenbauer
     u = geom.u if geom.rho else 0.0
     total = scale = 0.0
-    for tensor, factor in ((exp.plain, 1.0), (as_symbolic(exp.log_rho), math.log(geom.rho))):
+    # the plain entries at mass m: plain is the bracket at m = 1
+    at_mass = {key: c.bind() + math.log(m) * float(exp.log_rho.get(key, 0))
+               for key, c in exp.plain.items()}
+    for tensor, factor in ((at_mass, 1.0), (exp.log_rho, math.log(geom.rho))):
         for (n, d), c in tensor.items():
-            term = (c.bind(m) * factor * u ** n
+            term = (float(c) * factor * u ** n
                     * eval_gegenbauer(d, float(exp.lam), geom.cos))
             total += term
             scale += abs(term)
@@ -544,7 +548,7 @@ class TestEdgeKernels:
         calls = []
         bind = SymbolicCoeff.bind
         monkeypatch.setattr(SymbolicCoeff, "bind",
-                            lambda self, m=None: calls.append(m) or bind(self, m))
+                            lambda self: calls.append(self) or bind(self))
         orders = TruncationOrders(radial=6, ell_max=2, asym_terms=4)
         geom = EdgeGeometry(rho=1.0, r=0.3, cos=0.1)
         for lam in (F(5, 2), F(5)):
@@ -717,7 +721,7 @@ class TestAmplitudeLoop:
         monkeypatch.setattr(Kinematics, "__post_init__",
                             lambda self: built.append(self) or init(self))
         monkeypatch.setattr(SymbolicCoeff, "bind",
-                            lambda self, m=None: bound.append(m) or bind(self, m))
+                            lambda self: bound.append(self) or bind(self))
         orders = TruncationOrders(radial=6, ell_max=2, asym_terms=4)
         graph, pos, masses = seeded_case("doubled_triangle", 5, 0)
         for method in METHODS:

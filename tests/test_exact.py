@@ -9,7 +9,7 @@ import pytest
 
 from confeyn.exact import SymbolicCoeff
 
-ONE_KEY = (0, 0, 0, 0, 0, 0)
+ONE_KEY = (0, 0, 0, 0)
 
 
 def scalar_terms(rng) -> dict[tuple[int, int], Fraction]:
@@ -22,21 +22,21 @@ def scalar_terms(rng) -> dict[tuple[int, int], Fraction]:
 
 
 def rand_scalar(rng) -> SymbolicCoeff:
-    """A random element free of m, log(m), gamma and log(2)."""
-    return SymbolicCoeff({(0, 0, 0, 0, s, p): q for (s, p), q in scalar_terms(rng).items()})
+    """A random element free of gamma and log(2)."""
+    return SymbolicCoeff({(0, 0, s, p): q for (s, p), q in scalar_terms(rng).items()})
 
 
 def rand_symbolic(rng) -> SymbolicCoeff:
     poly = {}
     for _ in range(rng.randint(0, 3)):
-        key = (rng.randint(-4, 4), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, 1))
+        key = (rng.randint(0, 2), rng.randint(0, 1))
         poly[key] = scalar_terms(rng)
     return SymbolicCoeff({(*key, s, p): q for key, terms in poly.items()
                           for (s, p), q in terms.items()})
 
 
 def pi_half_exponents(c: SymbolicCoeff) -> set[int]:
-    return {key[5] for key, _ in c.terms.items()}
+    return {key[3] for key, _ in c.terms.items()}
 
 
 @pytest.mark.parametrize("maker", [rand_scalar, rand_symbolic])
@@ -52,7 +52,7 @@ def test_commutative_ring_axioms(maker):
 
 
 def test_no_zero_terms_stored():
-    a = SymbolicCoeff({(0, 0, 0, 0, 0, 1): Fraction(1), (0, 0, 0, 0, 0, 2): Fraction(0)})
+    a = SymbolicCoeff({(0, 0, 0, 1): Fraction(1), (0, 0, 0, 2): Fraction(0)})
     assert pi_half_exponents(a) == {1}
     assert (a - a).is_zero()
     # (sqrt(2) + 1)(sqrt(2) - 1) = 1: the sqrt(2) terms cancel and are dropped
@@ -82,7 +82,7 @@ def test_inverse_of_monomials():
     assert x * x.inverse() == SymbolicCoeff.one()
     y = SymbolicCoeff.monomial(Fraction(3), sqrt2=1, pi_half=-1)
     assert y * y.inverse() == SymbolicCoeff.one()
-    z = SymbolicCoeff.monomial(Fraction(-2, 7), m_exp=Fraction(3, 2), sqrt2=1)
+    z = SymbolicCoeff.monomial(Fraction(-2, 7), sqrt2=1)
     assert z * z.inverse() == SymbolicCoeff.one()
     assert y / z == y * z.inverse()
     with pytest.raises(ValueError):
@@ -112,49 +112,46 @@ def test_adding_a_number_raises_type_error(number):
     assert one + SymbolicCoeff.from_rational(number) == SymbolicCoeff.from_rational(1 + number)
 
 
+def read_json(doc: list[dict]) -> SymbolicCoeff:
+    """The element whose ``to_json`` is ``doc``."""
+    return SymbolicCoeff({(e["gamma_exp"], e["log2_exp"], int(t.get("sqrt2", False)),
+                           t["pi_half_exp"]): Fraction(t["rational"])
+                          for e in doc for t in e["value"]})
+
+
 def test_serialization_round_trip():
     rng = random.Random(7)
     for _ in range(50):
         a = rand_scalar(rng)
-        assert SymbolicCoeff.from_json(a.to_json()) == a
+        assert read_json(a.to_json()) == a
         # the bare scalar layout is the "value" of the one nested entry
         assert a.scalar_json() == (a.to_json()[0]["value"] if a.to_json() else [])
         s = rand_symbolic(rng)
-        assert SymbolicCoeff.from_json(s.to_json()) == s
+        doc = s.to_json(Fraction(3, 2), 1)
+        assert read_json(doc) == s
+        # the caller's power of m and log(m) is written into every entry
+        assert all(e["m_exp"] == "3/2" and e["logm_exp"] == 1 for e in doc)
     with pytest.raises(ValueError):
-        SymbolicCoeff.monomial(m_exp=1).scalar_json()
+        SymbolicCoeff.monomial(gamma=1).scalar_json()
 
 
 def test_symbolic_bind():
-    # m^2 log(m) gamma + log(2)
-    s = (SymbolicCoeff.monomial(m_exp=2) * SymbolicCoeff.monomial(logm=1)
-         * SymbolicCoeff.monomial(gamma=1) + SymbolicCoeff.monomial(log2=1))
-    m = 1.7
-    want = m ** 2 * math.log(m) * 0.5772156649015329 + math.log(2)
-    assert s.bind(m) == pytest.approx(want, rel=1e-14)
-    with pytest.raises(ValueError, match="mass value required"):
-        s.bind()
-
-
-def test_symbolic_half_integer_mass_exponent():
-    s = SymbolicCoeff.monomial(m_exp=Fraction(-3, 2))
-    assert s.bind(4.0) == pytest.approx(4.0 ** -1.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        SymbolicCoeff.monomial(m_exp=Fraction(1, 3))
+    # gamma log(2)^2 + sqrt(2) pi^(-1/2)
+    s = (SymbolicCoeff.monomial(gamma=1, log2=2)
+         + SymbolicCoeff.monomial(sqrt2=1, pi_half=-1))
+    want = 0.5772156649015329 * math.log(2) ** 2 + math.sqrt(2) / math.sqrt(math.pi)
+    assert s.bind() == pytest.approx(want, rel=1e-14)
+    assert s.bind() == float(s)
 
 
 def test_non_integer_exponents_rejected():
-    # a third of a power of m is neither truncated nor rounded
-    entry = {"m_exp": "1/3", "logm_exp": 0, "gamma_exp": 0, "log2_exp": 0,
-             "value": [{"rational": "1", "pi_half_exp": 0}]}
+    # a quarter power of pi is neither truncated nor rounded
     with pytest.raises(ValueError, match="integers"):
-        SymbolicCoeff.from_json([entry])
-    with pytest.raises(ValueError, match="integers"):
-        SymbolicCoeff({(1.5, 0, 0, 0, 0, 0): 1})
+        SymbolicCoeff({(0, 0, 0, 1.5): 1})
 
 
 def test_invalid_negative_symbol_exponents():
     with pytest.raises(ValueError):
-        SymbolicCoeff({(0, -1, 0, 0, 0, 0): 1})
+        SymbolicCoeff({(-1, 0, 0, 0): 1})
     with pytest.raises(ValueError):
-        SymbolicCoeff({(0, 0, 0, 0, 2, 0): 1})
+        SymbolicCoeff({(0, 0, 2, 0): 1})

@@ -154,16 +154,15 @@ def test_rota_baxter_log_forms(x, y):
     assert_rota_baxter(multi_T, x, y)
 
 
-# (2*m_exp, logm, gamma, log2, sqrt2, pi_half): odd first entries are
-# half-integer powers of m, and sqrt(2) * sqrt(2) folds into the factor 2
-EXACT_KEYS = st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 1),
-                       st.integers(0, 1), st.integers(0, 1), st.integers(-3, 3))
+# (gamma, log2, sqrt2, pi_half): sqrt(2) * sqrt(2) folds into the factor 2
+EXACT_KEYS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+                       st.integers(-3, 3))
 EXACT = st.dictionaries(EXACT_KEYS, RATIONALS, max_size=4).map(SymbolicCoeff)
 
 
-def _magnitude(a: SymbolicCoeff, m: float) -> float:
-    """The sum of the absolute values of the terms of a at m."""
-    return sum(abs(SymbolicCoeff({key: q}).bind(m)) for key, q in a.terms.items())
+def _magnitude(a: SymbolicCoeff) -> float:
+    """The sum of the absolute values of the terms of a."""
+    return sum(abs(SymbolicCoeff({key: q}).bind()) for key, q in a.terms.items())
 
 
 @LAWS
@@ -178,10 +177,10 @@ def test_exact_ring_is_a_commutative_ring(a, b, c):
 
 
 @LAWS
-@given(EXACT, EXACT, st.floats(0.1, 5.0))
-def test_bind_is_a_ring_homomorphism(a, b, m):
-    size_a, size_b = _magnitude(a, m), _magnitude(b, m)
-    assert math.isclose((a + b).bind(m), a.bind(m) + b.bind(m),
+@given(EXACT, EXACT)
+def test_bind_is_a_ring_homomorphism(a, b):
+    size_a, size_b = _magnitude(a), _magnitude(b)
+    assert math.isclose((a + b).bind(), a.bind() + b.bind(),
                         rel_tol=0, abs_tol=1e-13 * (size_a + size_b) + 1e-300)
-    assert math.isclose((a * b).bind(m), a.bind(m) * b.bind(m),
+    assert math.isclose((a * b).bind(), a.bind() * b.bind(),
                         rel_tol=0, abs_tol=1e-13 * size_a * size_b + 1e-300)
