@@ -167,30 +167,32 @@ def toy_feynman_character(hopf: HopfAlgebra, n_vertices: int, k_external: int,
     internal-edge count; its polar blocks pair the diagonal label of the
     vertex set of each 1PI subgraph gamma of Gamma with the matching
     separation-at-infinity label (so blocks have even cardinality), with
-    hash-seeded rational residues, plus a seeded regular part.  The labels
-    only use points 1..|V| and the component at infinity, so ``k_external``
-    (the number of marked components, at least 0) does not change the values.
-    Raises if a graph needs more vertices than the configured budget.
+    hash-seeded rational residues, plus a seeded regular part.  The
+    vertices are numbered 1..|V| in canonical order: eta maps the graph's
+    own cached blocks, which its coproduct also combines, through the
+    positions of its canonical form, so isomorphic graphs get one form and
+    no graph is rebuilt.  The labels only use those points and the
+    component at infinity, so ``k_external`` (the number of marked
+    components, at least 0) does not change the values.  Raises if a graph
+    needs more vertices than the configured budget.
     """
     if k_external < 0:
         raise ValueError(f"k_external must be >= 0, got {k_external}")
     target = MultiLogAlgebra()
 
     def eta(graph: FeynmanGraph) -> MultiLogForm:
-        canon = graph.canonical_representative()
-        internal = canon.internal_vertices()
+        internal = graph.internal_vertices()
         if len(internal) > n_vertices:
             raise ValueError(
                 f"divisor set too small: graph has {len(internal)} internal vertices, "
                 f"budget is {n_vertices}")
-        space = canon.degree()
-        renumber = {v: i + 1 for i, v in enumerate(internal)}
+        space = graph.degree()
         head = json.dumps([rule_seed, graph.canonical_key()])
         terms: dict[tuple, Fraction] = {}
-        for subset, _ in canon.one_pi_blocks():
-            I = frozenset(renumber[v] for v in subset)
+        for labels in graph._canonical_blocks():
+            I = frozenset(labels)
             block = (separation_label("inf", I), diagonal_label(I))
-            terms[((space, ("polar", block)),)] = _stable_rational(head, sorted(I), "polar")
+            terms[((space, ("polar", block)),)] = _stable_rational(head, labels, "polar")
         terms[()] = _stable_rational(head, "const")
         linear = ((separation_label("inf", frozenset({1})), 1),)
         terms[((space, ("reg", linear)),)] = _stable_rational(head, "lin")

@@ -190,7 +190,10 @@ def _load_graphs(path: str) -> list[tuple[str, FeynmanGraph]]:
     out = []
     for i, entry in enumerate(entries):
         name = entry.get("name", f"graph{i}")
-        graph = FeynmanGraph.from_json(entry)
+        try:
+            graph = FeynmanGraph.from_json(entry)
+        except ValueError as exc:
+            raise ValueError(f"graph {name!r}: {exc}") from None
         # before validation, whose valence count is quadratic in the size
         _check_max(f"graph {name!r}: vertex count", len(graph.external), GRAPH_MAX_VERTICES)
         _check_max(f"graph {name!r}: internal edge count", graph.degree(),

@@ -1,6 +1,9 @@
 """Feynman graph combinatorics: validation, 1PI tests, subgraph enumeration
 from 1PI vertex sets (never from edge subsets), contraction, canonical forms.
 
+A graph enumerates its 1PI blocks once and caches them as int bitmasks,
+which the admissible families, the Hopf layer and the toy character share.
+
 Graphs are finite multigraphs without looping edges.  External vertices have
 valence 1; an edge is external exactly when it touches an external vertex.
 The grading used by the Hopf algebra is the number of internal edges.
@@ -17,6 +20,9 @@ individualization-refinement search over vertex indices, pruned by the
 automorphisms it knows (McKay & Piperno, arXiv:1301.1493): K5,5 takes 91
 search nodes where the unpruned search visits its 28,800 automorphic leaves.
 The key equals that unpruned search's, so labels derived from it are stable.
+The search also gives each vertex its position in the form, which a graph
+keeps with the key: its blocks map through them into the canonical numbering
+with no graph built.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ class Edge:
 class FeynmanGraph:
     """Multigraph with flagged external vertices and no looping edges.
 
-    A graph caches its canonical form, its hash and its 1PI flag on first
-    use, so it must not be mutated after construction."""
+    A graph caches its canonical form (with each vertex's position in it),
+    its hash, its 1PI flag and its 1PI blocks on first use, so it must not
+    be mutated after construction."""
 
-    __slots__ = ("external", "edges", "_canon", "_hash", "_is_1pi")
+    __slots__ = ("external", "edges", "_canon", "_positions", "_hash", "_is_1pi", "_blocks")
 
     def __init__(self, vertices: dict[int, bool] | Iterable[tuple[int, bool]],
                  edges: Sequence[Edge | tuple]):
@@ -49,8 +56,10 @@ class FeynmanGraph:
         self.edges: tuple[Edge, ...] = tuple(
             e if isinstance(e, Edge) else Edge(*e) for e in edges)
         self._canon: tuple | None = None
+        self._positions: tuple[int, ...] = ()
         self._hash: int | None = None
         self._is_1pi: bool | None = None
+        self._blocks: tuple[tuple[int, int], ...] | None = None
 
     # -- construction / serialization ---------------------------------------
 
@@ -80,9 +89,19 @@ class FeynmanGraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "FeynmanGraph":
-        vertices = {int(v["id"]): bool(v["external"]) for v in data["vertices"]}
-        edges = [Edge(int(e["src"]), int(e["tgt"]), bool(e["internal"]))
-                 for e in data["edges"]]
+        """The graph that ``to_json`` writes.  Raises ValueError on an id
+        that is not an int (a bool included), a flag that is not a bool, or
+        a repeated vertex id: nothing is cast."""
+        vertices: dict[int, bool] = {}
+        for v in data["vertices"]:
+            vid = _json_value(v["id"], int, "vertex id")
+            if vid in vertices:
+                raise ValueError(f"repeated vertex id {vid}")
+            vertices[vid] = _json_value(v["external"], bool, f"vertex {vid} external flag")
+        edges = [Edge(_json_value(e["src"], int, f"edge {i} src"),
+                      _json_value(e["tgt"], int, f"edge {i} tgt"),
+                      _json_value(e["internal"], bool, f"edge {i} internal flag"))
+                 for i, e in enumerate(data["edges"])]
         return cls(vertices, edges)
 
     def to_json(self) -> dict:
@@ -140,50 +159,24 @@ class FeynmanGraph:
 
     # -- connectivity / 1PI ---------------------------------------------------
 
-    def _internal_adjacency(self) -> dict[int, list[tuple[int, int]]]:
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in self.internal_vertices()}
+    def _internal_adjacency(self) -> list[list[tuple[int, int]]]:
+        """For the j-th sorted internal vertex, its (neighbour's index in
+        that order, edge index) pairs over the internal edges."""
+        at = {v: j for j, v in enumerate(self.internal_vertices())}
+        adj: list[list[tuple[int, int]]] = [[] for _ in at]
         for i in self.internal_edge_indices():
-            e = self.edges[i]
-            adj[e.src].append((e.tgt, i))
-            adj[e.tgt].append((e.src, i))
+            a, b = at[self.edges[i].src], at[self.edges[i].tgt]
+            adj[a].append((b, i))
+            adj[b].append((a, i))
         return adj
 
     def is_1pi(self) -> bool:
         """True iff the internal structure is connected, has at least one
         internal edge, and no internal edge is a bridge."""
         if self._is_1pi is None:
-            self._is_1pi = (bool(self.internal_edge_indices())
-                            and self._connected_bridgeless(self._internal_adjacency()))
+            adj = self._internal_adjacency()
+            self._is_1pi = bool(_bridgeless_edges(adj, (1 << len(adj)) - 1))
         return self._is_1pi
-
-    @staticmethod
-    def _connected_bridgeless(adj: dict[int, list[tuple[int, int]]]) -> bool:
-        """True iff the multigraph is nonempty, connected and has no bridge
-        (parallel edges never bridge): one depth-first search with low links."""
-        if not adj:
-            return False
-        root = next(iter(adj))
-        index = {root: 0}
-        low = {root: 0}
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            for w, ei in it:
-                if ei == in_edge:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append((w, ei, iter(adj[w])))
-                    break
-                low[v] = min(low[v], index[w])
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    if low[v] > index[parent]:
-                        return False
-                    low[parent] = min(low[parent], low[v])
-        return len(index) == len(adj)
 
     # -- subgraphs and contraction --------------------------------------------
 
@@ -202,19 +195,31 @@ class FeynmanGraph:
         induced subgraph G[V] is connected and bridgeless, by sorted(V).  As
         edges added to a bridgeless graph make no bridge, these V are the
         vertex sets of the connected 1PI internal edge subsets."""
-        adj = self._internal_adjacency()
-        seen: set[frozenset[int]] = set()
-        frontier = {frozenset((v,)) for v in adj}
-        while frontier:  # grow connected sets one neighbour at a time
-            frontier = {verts | {w} for verts in frontier for v in verts
-                        for w, _ in adj[v] if w not in verts} - seen
-            seen |= frontier
-        blocks = []
-        for verts in sorted(seen, key=sorted):
-            induced = {v: [(w, i) for w, i in adj[v] if w in verts] for v in verts}
-            if self._connected_bridgeless(induced):
-                blocks.append((verts, frozenset(i for v in verts for _, i in induced[v])))
-        return blocks
+        internal = self.internal_vertices()
+        return [(frozenset(internal[j] for j in _bit_indices(verts)), frozenset(_bit_indices(edges)))
+                for verts, edges in self._block_masks()]
+
+    def _block_masks(self) -> tuple[tuple[int, int], ...]:
+        """The blocks of :meth:`one_pi_blocks` as (vertex mask, edge mask)
+        pairs of ints, in its order, enumerated once and cached: bit j of a
+        vertex mask is the j-th sorted internal vertex, bit i of an edge mask
+        is edge i.  Each connected vertex set is grown once and tested for
+        bridges by one depth-first search."""
+        if self._blocks is None:
+            adj = self._internal_adjacency()
+            near = [sum({1 << w for w, _ in ends}) for ends in adj]  # neighbour masks
+            blocks = []
+            for verts in _connected_sets(near):
+                edges = _bridgeless_edges(adj, verts) if verts & (verts - 1) else 0
+                if edges:
+                    blocks.append((verts, edges))
+            blocks.sort(key=lambda block: _bit_indices(block[0]))
+            self._blocks = tuple(blocks)
+        return self._blocks
+
+    def _block_key(self, b: int) -> tuple:
+        """The normalized key of block ``b`` of :meth:`_block_masks`."""
+        return self._component_key(_bit_indices(self._block_masks()[b][1]))
 
     def admissible_subgraphs(self) -> list["SubgraphSelection"]:
         """All proper nonempty disjoint unions of 1PI internal subgraphs whose
@@ -226,7 +231,20 @@ class FeynmanGraph:
         return [selection for selection, _ in self._admissible_pairs()]
 
     def _admissible_pairs(self) -> list[tuple["SubgraphSelection", tuple]]:
-        """Each admissible selection with the normalized key of its quotient.
+        """Each admissible selection with the normalized key of its quotient."""
+        families = self._admissible_families()
+        edge_lists = [_bit_indices(edges) for _, edges in self._block_masks()]
+        out = []
+        for family, edges, key in families:
+            components = tuple(frozenset(edge_lists[b])
+                               for b in sorted(family, key=edge_lists.__getitem__))
+            out.append((SubgraphSelection(frozenset(_bit_indices(edges)), components), key))
+        return out
+
+    def _admissible_families(self) -> list[tuple[tuple[int, ...], int, tuple]]:
+        """Each admissible selection as the indices of its blocks in
+        :meth:`_block_masks`, its edge mask and the normalized key of its
+        quotient, in the order of :meth:`admissible_subgraphs`.
         Contracting connected vertex sets keeps a 1PI graph connected and
         bridgeless, so its quotients are 1PI except by the block of every
         internal vertex, which leaves no internal edge.  It also keeps each
@@ -235,38 +253,39 @@ class FeynmanGraph:
         self.require_valid()
         if not self.is_1pi():
             return []
-        blocks = self.one_pi_blocks()
-        whole = frozenset(self.internal_vertices())
+        blocks = self._block_masks()
+        internal = self.internal_vertices()
+        whole = (1 << len(internal)) - 1
+        merge = []  # per block: each of its vertices -> its least vertex
+        for verts, _ in blocks:
+            members = [internal[j] for j in _bit_indices(verts)]
+            merge.append(dict.fromkeys(members, members[0]))
         out = []
 
-        def extend(later: list, groups: list[frozenset[int]], family: list[frozenset[int]]):
+        def extend(later: list[int], family: tuple[int, ...], rep: dict[int, int], dropped: int):
             # later: the blocks after the last chosen one, disjoint from the family
-            for j, (verts, edges) in enumerate(later):
-                chosen = family + [edges]
-                merged = groups + [verts]
-                selection = SubgraphSelection(frozenset().union(*chosen),
-                                              tuple(sorted(chosen, key=sorted)))
+            for j, b in enumerate(later):
+                verts, edges = blocks[b]
+                chosen, merged, cut = family + (b,), {**rep, **merge[b]}, dropped | edges
                 if verts != whole:
                     # vertex-disjoint induced 1PI blocks leave a valid quotient
-                    out.append((selection, self._quotient_key(merged, selection.edge_indices)))
-                extend([b for b in later[j + 1:] if not verts & b[0]], merged, chosen)
+                    out.append((chosen, cut, self._quotient_key(merged, cut)))
+                extend([c for c in later[j + 1:] if not verts & blocks[c][0]], chosen, merged, cut)
 
-        extend(blocks, [], [])
-        return sorted(out, key=lambda p: (len(p[0].edge_indices), sorted(p[0].edge_indices)))
+        extend(list(range(len(blocks))), (), {}, 0)
+        return sorted(out, key=lambda f: (f[1].bit_count(), _bit_indices(f[1])))
 
-    def _quotient_key(self, groups: Sequence[frozenset[int]], dropped: frozenset[int]) -> tuple:
-        """The normalized key of the graph with the edges ``dropped`` removed
-        and each vertex set of ``groups`` merged into its least vertex."""
-        rep: dict[int, int] = {}
-        for verts in groups:
-            rep.update(dict.fromkeys(verts, min(verts)))
+    def _quotient_key(self, rep: dict[int, int], dropped: int) -> tuple:
+        """The normalized key of the graph with the edges of the mask
+        ``dropped`` removed and each vertex of ``rep`` merged into
+        ``rep[v]``, its group's least vertex."""
         kept = sorted(v for v in self.external if rep.get(v, v) == v)
         at = {v: j for j, v in enumerate(kept)}
         for v, target in rep.items():
             at[v] = at[target]
         return _normalized(tuple(self.external[v] for v in kept), at,
                            ((e.src, e.tgt, e.internal) for i, e in enumerate(self.edges)
-                            if i not in dropped))
+                            if not dropped >> i & 1))
 
     def contract(self, selection: "SubgraphSelection") -> "FeynmanGraph":
         """Collapse each component of the selection to a single internal
@@ -275,26 +294,40 @@ class FeynmanGraph:
         selection's and the quotient is valid."""
         if frozenset().union(*selection.components) != selection.edge_indices:
             raise ValueError("selection components do not cover its edges")
-        groups: list[frozenset[int]] = []
+        rep: dict[int, int] = {}
         for comp in selection.components:
-            verts = frozenset(v for i in comp for v in (self.edges[i].src, self.edges[i].tgt))
-            if any(verts & g for g in groups) or not self.component_graph(comp).is_1pi():
+            verts = {v for i in comp for v in (self.edges[i].src, self.edges[i].tgt)}
+            if not verts.isdisjoint(rep) or not self.component_graph(comp).is_1pi():
                 raise ValueError("selection components are not vertex-disjoint 1PI subgraphs")
-            groups.append(verts)
-        return FeynmanGraph._from_key(
-            self._quotient_key(groups, selection.edge_indices)).require_valid()
+            rep.update(dict.fromkeys(verts, min(verts)))
+        dropped = sum(1 << i for i in selection.edge_indices)
+        return FeynmanGraph._from_key(self._quotient_key(rep, dropped)).require_valid()
 
     # -- canonical form --------------------------------------------------------
 
     def canonical_key(self) -> tuple:
         """Isomorphism-invariant canonical form (orientation is ignored)."""
         if self._canon is None:
-            self._canon = _canonical_form(self)
+            self._canon, self._positions = _canonical_form(self)
         return self._canon
 
     def canonical_representative(self) -> "FeynmanGraph":
         """The graph rebuilt from its canonical form: one for every labelling."""
         return FeynmanGraph._from_key(self.canonical_key())
+
+    def _canonical_blocks(self) -> list[list[int]]:
+        """The vertex sets of the 1PI blocks of :meth:`canonical_representative`,
+        its internal vertices numbered 1..k in order, each set sorted and the
+        sets sorted; read from this graph's blocks through the positions its
+        canonical form gives its vertices, with no graph built.  Any canonical
+        labelling gives the same sets: an automorphism permutes the blocks."""
+        self.canonical_key()
+        position = dict(zip(self.external, self._positions))
+        internal = self.internal_vertices()
+        rank = {v: r for r, v in enumerate(sorted(internal, key=position.__getitem__), 1)}
+        label = [rank[v] for v in internal]
+        return sorted(sorted(label[j] for j in _bit_indices(verts))
+                      for verts, _ in self._block_masks())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeynmanGraph):
@@ -322,6 +355,81 @@ class SubgraphSelection:
     """An internal-edge subset together with its connected components."""
     edge_indices: frozenset[int]
     components: tuple[frozenset[int], ...]
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _json_value(value, kind: type, what: str):
+    """``value`` if it is exactly of type ``kind`` (a bool is no int);
+    ValueError otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {'integer' if kind is int else 'boolean'}, "
+                         f"got {value!r}")
+    return value
+
+
+def _connected_sets(near: list[int]) -> list[int]:
+    """Each vertex set, as a mask, that induces a connected subgraph of the
+    graph on 0..n-1 whose vertex v has the neighbour mask ``near[v]``, once.
+    A set grows from its least vertex v; a vertex above v joins the
+    extension only when it enters the neighbourhood of the set, so no set is
+    reached twice (Wernicke's ESU)."""
+    out = []
+
+    def extend(verts: int, extension: int, closed: int, above: int):
+        # closed: the set and its neighbours
+        out.append(verts)
+        while extension:
+            w = extension & -extension
+            extension ^= w
+            ends = near[w.bit_length() - 1]
+            extend(verts | w, extension | (ends & ~closed & above), closed | ends, above)
+
+    for v, ends in enumerate(near):
+        above = -1 << (v + 1)
+        extend(1 << v, ends & above, ends | 1 << v, above)
+    return out
+
+
+def _bridgeless_edges(adj: list[list[tuple[int, int]]], verts: int) -> int:
+    """The edge mask of the subgraph that the vertex mask ``verts`` induces
+    in the multigraph ``adj``, if it is nonempty, connected and has no bridge
+    (parallel edges never bridge), else 0: one depth-first search with low
+    links."""
+    if not verts:
+        return 0
+    root = (verts & -verts).bit_length() - 1
+    index = {root: 0}
+    low = {root: 0}
+    edges = 0
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        v, in_edge, it = stack[-1]
+        for w, ei in it:
+            if ei == in_edge or not verts >> w & 1:
+                continue
+            edges |= 1 << ei
+            if w not in index:
+                index[w] = low[w] = len(index)
+                stack.append((w, ei, iter(adj[w])))
+                break
+            low[v] = min(low[v], index[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                if low[v] > index[parent]:
+                    return 0
+                low[parent] = min(low[parent], low[v])
+    return edges if len(index) == verts.bit_count() else 0
 
 
 def _normalized(flags: tuple[bool, ...], at: dict[int, int],
@@ -376,17 +484,19 @@ def _join_orbits(root: list[int], automorphisms: list[list[int]], path: list[int
                 root[_find(root, u)] = _find(root, w)
 
 
-def _canonical_form(graph: FeynmanGraph) -> tuple:
+def _canonical_form(graph: FeynmanGraph) -> tuple[tuple, tuple[int, ...]]:
     """The least leaf encoding of the search tree that refines the coloring
     by the external flag and individualizes, in turn, each vertex of the
     first non-singleton cell.  The map between two leaves that encode alike
     is an automorphism.  A node skips a child whose vertex shares an orbit
     with an explored sibling, under the recorded automorphisms that fix the
     node's path: such an automorphism maps the child's subtree onto the
-    sibling's, so the least leaf is the exhaustive search's."""
+    sibling's, so the least leaf is the exhaustive search's.  Returned with
+    the leaf's positions: the i-th vertex of ``graph.external`` is vertex
+    positions[i] of the form."""
     n = len(graph.external)
     if not n:
-        return ((), ())
+        return ((), ()), ()
     index = {v: i for i, v in enumerate(graph.external)}
     flags = list(graph.external.values())
     adj: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
@@ -439,4 +549,4 @@ def _canonical_form(graph: FeynmanGraph) -> tuple:
     cells = len(set(flags))
     search([int(flag) for flag in flags] if cells == 2 else [0] * n, cells, [])
     assert best is not None
-    return best
+    return best, tuple(best_order)

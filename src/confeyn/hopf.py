@@ -141,9 +141,12 @@ class HopfAlgebra:
             return cached
         g_mono = monomial(graph)
         terms = {(g_mono, ()): 1, ((), g_mono): 1}
-        for sel, quotient in graph._admissible_pairs():
-            parts = monomial(*(self._intern(graph._component_key(c)) for c in sel.components))
-            key = (parts, monomial(self._intern(quotient)))
+        parts: dict[int, FeynmanGraph] = {}  # block index -> its interned graph
+        for family, _, quotient in graph._admissible_families():
+            for b in family:
+                if b not in parts:
+                    parts[b] = self._intern(graph._block_key(b))
+            key = (monomial(*map(parts.__getitem__, family)), monomial(self._intern(quotient)))
             terms[key] = terms.get(key, 0) + 1
         out = self._coproduct_gen[g_mono] = TensorElement._from_nums(terms)
         return out

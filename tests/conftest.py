@@ -5,12 +5,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from confeyn.feyngraph import FeynmanGraph
+from confeyn.feyngraph import Edge, FeynmanGraph
 from confeyn.hopf import HopfAlgebra, generate_graph_family, monomial, monomial_degree
 from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries, MultiLogForm
 from confeyn.birkhoff import Character
@@ -113,3 +114,40 @@ DENSE = {
     "K33": (6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
     "wheel5": (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]),
 }
+
+
+def named_graphs() -> list[tuple[str, FeynmanGraph]]:
+    """The graphs of this module by name: the family of degree <= 4 with and
+    without legs, bananas, the two triangles, necklaces of 3-7 beads, and the
+    dense shapes bare and with legs on the ends of their first edge."""
+    out = [(f"family{i}", g) for i, g in enumerate(generate_graph_family(4))]
+    out += [(f"family_nolegs{i}", g)
+            for i, g in enumerate(generate_graph_family(4, with_legs=False))]
+    out += [(f"banana{n}", banana(n)) for n in (2, 3, 4)]
+    out += [("triangle", triangle()), ("doubled_triangle", doubled_triangle())]
+    out += [(f"necklace{k}", necklace(k)) for k in range(3, 8)]
+    for name, (nv, edges) in DENSE.items():
+        out.append((name, FeynmanGraph.build(nv, edges)))
+        out.append((f"{name}_legs", FeynmanGraph.build(nv, edges, legs=list(edges[0]))))
+    return out
+
+
+def relabelled(graph: FeynmanGraph, seed: int) -> FeynmanGraph:
+    """A seeded copy of ``graph`` with new vertex ids (from 100, unsorted),
+    its vertices inserted in a shuffled order, its edges shuffled and each
+    edge's orientation drawn at random."""
+    rng = random.Random(seed)
+    old = list(graph.external)
+    at = dict(zip(old, rng.sample(range(100, 100 + 2 * len(old)), len(old))))
+    rng.shuffle(old)
+    edges = [Edge(at[e.src], at[e.tgt], e.internal) if rng.random() < 0.5
+             else Edge(at[e.tgt], at[e.src], e.internal) for e in graph.edges]
+    rng.shuffle(edges)
+    return FeynmanGraph({at[v]: graph.external[v] for v in old}, edges)
+
+
+def labelled_graphs() -> list[tuple[str, FeynmanGraph]]:
+    """Each of :func:`named_graphs` as built and in three seeded relabellings."""
+    return [(name if seed is None else f"{name}-relabelled{seed}",
+             graph if seed is None else relabelled(graph, seed))
+            for name, graph in named_graphs() for seed in (None, 1, 2, 3)]

@@ -14,7 +14,8 @@ from confeyn.feyngraph import FeynmanGraph
 from confeyn.hopf import (HopfAlgebra, HopfElement, generate_graph_family, monomial,
                           monomial_degree)
 from confeyn.rotabaxter import LaurentAlgebra, LaurentSeries, multi_T
-from conftest import banana, doubled_triangle, laurent_rule, necklace
+from conftest import banana, doubled_triangle, labelled_graphs, laurent_rule, necklace
+from eta_oracle import oracle_eta
 
 F = Fraction
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -168,6 +169,16 @@ class TestLogFormPipeline:
         assert len(blocks) == 81  # 10 arcs of each size 2..9, and the ring
         assert len(polar) == len(blocks)
         assert len(value.terms) == len(blocks) + 2
+
+    @pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in labelled_graphs()])
+    def test_eta_matches_the_rebuilding_oracle(self, graph):
+        # eta reads the graph's own blocks through its canonical positions;
+        # the oracle rebuilds the canonical representative and enumerates its
+        # blocks: the same terms, in the same order, in every labelling
+        for rule_seed in (1, 5):
+            eta = toy_feynman_character(HopfAlgebra(), 8, 1, rule_seed).gen_rule
+            got, want = eta(graph), oracle_eta(graph, 8, rule_seed)
+            assert list(got.terms.items()) == list(want.terms.items())
 
     def test_multiplicative_over_monomials(self, hopf):
         toy = toy_feynman_character(hopf, 6, 1, rule_seed=2)

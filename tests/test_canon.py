@@ -14,11 +14,11 @@ from networkx.algorithms.isomorphism import (categorical_multiedge_match,
 
 from canon_oracle import oracle_canonical_form
 from confeyn import feyngraph
-from confeyn.birkhoff import Character, birkhoff_factorize
+from confeyn.birkhoff import Character, birkhoff_factorize, toy_feynman_character
 from confeyn.feyngraph import Edge, FeynmanGraph
 from confeyn.hopf import HopfAlgebra, generate_graph_family
 from confeyn.rotabaxter import LaurentAlgebra
-from conftest import DENSE, laurent_rule
+from conftest import DENSE, labelled_graphs, laurent_rule
 from test_laws import LAWS
 
 
@@ -85,18 +85,18 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("name", sorted(SHAPES))
     def test_shapes(self, name):
         graph = SHAPES[name]
-        assert feyngraph._canonical_form(graph) == oracle_canonical_form(graph)
+        assert feyngraph._canonical_form(graph)[0] == oracle_canonical_form(graph)
 
     @LAWS
     @given(multigraphs())
     def test_random_multigraphs(self, graph):
-        assert feyngraph._canonical_form(graph) == oracle_canonical_form(graph)
+        assert feyngraph._canonical_form(graph)[0] == oracle_canonical_form(graph)
 
     @pytest.mark.parametrize("graph", [
         FeynmanGraph({}, []), FeynmanGraph({0: True}, []), FeynmanGraph({3: False}, []),
         FeynmanGraph({0: True, 1: True}, [Edge(0, 1, False)])])
     def test_degenerate_graphs(self, graph):
-        assert feyngraph._canonical_form(graph) == oracle_canonical_form(graph)
+        assert feyngraph._canonical_form(graph)[0] == oracle_canonical_form(graph)
 
 
 def fixes_path_and_maps(graph: FeynmanGraph, path: list[int], a: int, b: int) -> bool:
@@ -154,7 +154,7 @@ class TestPruning:
                     assert checked[key], key
 
         monkeypatch.setattr(feyngraph, "_join_orbits", checked_join)
-        assert feyngraph._canonical_form(graph) == oracle_canonical_form(graph)
+        assert feyngraph._canonical_form(graph)[0] == oracle_canonical_form(graph)
         assert moving and any(checked.values())
 
 
@@ -225,6 +225,51 @@ class TestCallCounts:
             key_calls.clear()
             assert hash(g) == first and not key_calls
 
+    def test_log_form_factorization_builds_no_representative(self, monkeypatch):
+        """One log-form factorization reads each generator's blocks through
+        its canonical positions and rebuilds no canonical representative."""
+        rebuilt = []
+        rebuild = FeynmanGraph.canonical_representative
+        monkeypatch.setattr(FeynmanGraph, "canonical_representative",
+                            lambda graph: rebuilt.append(graph) or rebuild(graph))
+        pair = birkhoff_factorize(toy_feynman_character(HopfAlgebra(), 8, 1, rule_seed=1))
+        for g in [necklace(4, legs=True)] + generate_graph_family(3):
+            pair.phi_minus(g)
+            pair.phi_plus(g)
+        assert pair.phi._memo and not rebuilt
+
+    def test_blocks_enumerated_once_per_graph(self, monkeypatch):
+        """One log-form factorization enumerates each graph object's 1PI
+        blocks at most once across the coproduct and eta, and every
+        enumeration of connected vertex sets is some graph's block cache
+        being filled."""
+        grown = []
+        connected_sets = feyngraph._connected_sets
+        monkeypatch.setattr(feyngraph, "_connected_sets",
+                            lambda near: grown.append(near) or connected_sets(near))
+        per_graph: Counter = Counter()
+        objects = []  # kept alive, so that no id is reused
+        block_masks = FeynmanGraph._block_masks
+
+        def counted(graph):
+            before = len(grown)
+            out = block_masks(graph)
+            if len(grown) > before:
+                per_graph[id(graph)] += len(grown) - before
+                objects.append(graph)
+            return out
+
+        monkeypatch.setattr(FeynmanGraph, "_block_masks", counted)
+        hopf = HopfAlgebra()
+        pair = birkhoff_factorize(toy_feynman_character(hopf, 8, 1, rule_seed=1))
+        for g in [necklace(4, legs=True)] + generate_graph_family(3):
+            pair.phi_minus(g)
+            pair.phi_plus(g)
+        assert per_graph and max(per_graph.values()) == 1
+        assert len(grown) == sum(per_graph.values())
+        # the coproduct read the cached blocks of each generator it expanded
+        assert {id(mono[0]) for mono in hopf._coproduct_gen if len(mono) == 1} <= set(per_graph)
+
     def test_relabelled_copies_share_one_form(self, monkeypatch):
         """Parts and quotients that differ only in vertex ids, edge order or
         orientation share one form: the forms of one Laurent factorization of
@@ -241,3 +286,18 @@ class TestCallCounts:
             graphs.append(FeynmanGraph.build(nv, relabelled, legs=[perm[v] for v in edges[0]]))
         seen, _ = count_forms(monkeypatch, graphs)
         assert sum(seen.values()) <= len(graphs) + len(seen), (sum(seen.values()), len(seen))
+
+
+class TestPositions:
+    @pytest.mark.parametrize("graph", [pytest.param(g, id=n) for n, g in labelled_graphs()])
+    def test_positions_map_onto_the_canonical_representative(self, graph):
+        """The positions stored with the canonical form number the vertices
+        0..n-1 and carry the graph's flags and edges exactly onto those of
+        canonical_representative()."""
+        canon = graph.canonical_representative()
+        position = dict(zip(graph.external, graph._positions))
+        assert sorted(position.values()) == list(range(len(graph.external)))
+        assert all(canon.external[position[v]] == flag for v, flag in graph.external.items())
+        mapped = sorted((*sorted((position[e.src], position[e.tgt])), e.internal)
+                        for e in graph.edges)
+        assert mapped == [(e.src, e.tgt, e.internal) for e in canon.edges]

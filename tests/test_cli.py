@@ -395,6 +395,34 @@ class TestGraphCommands:
         code, _ = run_cli(["graph-coproduct", "--graphs", str(path)], tmp_path)
         assert code == 2
 
+    BANANA = {"vertices": [{"id": 0, "external": False}, {"id": 1, "external": False}],
+              "edges": [{"src": 0, "tgt": 1, "internal": True}] * 2}
+
+    @pytest.mark.parametrize("field, value, cause", [
+        ("src", 0.7, "edge 0 src must be a JSON integer, got 0.7"),
+        ("id", True, "vertex id must be a JSON integer, got True"),
+        ("repeat", None, "repeated vertex id 0"),
+        ("external", "false", "vertex 0 external flag must be a JSON boolean, got 'false'"),
+    ])
+    def test_malformed_graph_is_refused(self, field, value, cause, tmp_path, capsys):
+        # nothing is cast: a float or boolean id, a repeated id and a string
+        # flag each exit 2 with the graph and the field named, where they
+        # were read as another graph
+        doc = json.loads(json.dumps(self.BANANA))
+        if field == "src":
+            doc["edges"][0]["src"] = value
+        elif field == "id":
+            doc["vertices"][1]["id"] = value
+        elif field == "repeat":
+            doc["vertices"].append({"id": 0, "external": False})
+        else:
+            doc["vertices"][0]["external"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"graphs": [dict(name="bad", **doc)]}))
+        code, _ = run_cli(["graph-coproduct", "--graphs", str(path)], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: graph 'bad': {cause}\n"
+
 
 class TestRenormAndBeta:
     def test_laurent_report(self, tmp_path, graphs_file, phi_file):

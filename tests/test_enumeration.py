@@ -3,7 +3,9 @@ scans it replaced (kept in ``subset_scan``), on a fixed graph set and on
 hypothesis-generated multigraphs; and the quotients the Hopf layer is handed
 against contractions made again with the admissibility check."""
 
+import hashlib
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -123,6 +125,29 @@ def test_necklace_ten():
     assert [s.edge_indices for s in got] == expected
 
 
+DENSE_DIGESTS = {  # sha256 of the blocks and of the selections, as first enumerated
+    5: (676, "f09f0decdf393de58e4c26813363cd96acfb6a86e698c0e86e921a4746c26c9f",
+        1925, "491d3a9720626d5bbb9c4591d47f538ad05e364b57b2895ff037b96230887c56"),
+    6: (3249, "f87d39df7887615174e11b3f7c0f16755b85727c203ed50355fa20eb36bf75b2",
+        38398, "f6438db4c89a5a6fafd4250e6b22b19262776b2955a93e7a0dc9ec7dbb7e02df"),
+}
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(DENSE_DIGESTS), ids=lambda n: f"K{n},{n}")
+def test_dense_enumeration_is_pinned(n):
+    # K6,6 lies above the CLI's caps; its blocks and their 38,398 families
+    # keep their content and order through changes to the enumeration
+    g = FeynmanGraph.build(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+    blocks, selections = g.one_pi_blocks(), g.admissible_subgraphs()
+    assert (len(blocks), _digest([[sorted(v), sorted(e)] for v, e in blocks]),
+            len(selections), _digest([[sorted(c) for c in s.components] for s in selections])
+            ) == DENSE_DIGESTS[n]
+
+
 def test_invalid_graph_rejected():
     g = FeynmanGraph({0: False, 1: False}, [Edge(0, 1), Edge(0, 1), Edge(1, 1)])
     with pytest.raises(ValueError, match="looping"):
@@ -161,8 +186,8 @@ def assert_one_pi_quotient_rule(graph: FeynmanGraph):
     kept = []
     for groups, sel in _blocks_families(graph):
         quotient = graph.contract(sel)
-        searched = (bool(quotient.internal_edge_indices())
-                    and FeynmanGraph._connected_bridgeless(quotient._internal_adjacency()))
+        assert quotient._is_1pi is None  # so is_1pi runs the bridge search
+        searched = quotient.is_1pi()
         assert searched == (graph.is_1pi() and groups != [whole])
         if searched:
             kept.append(sel)
@@ -219,7 +244,7 @@ def test_interned_graphs_keep_their_class(graph):
             for k, original in [*zip(map(g._component_key, sel.components), parts),
                                 (key, quotient)]:
                 interned = SHARED._intern(k)
-                assert interned.canonical_key() == feyngraph._canonical_form(original)
+                assert interned.canonical_key() == feyngraph._canonical_form(original)[0]
                 if id(interned) not in seen:
                     seen.add(id(interned))
                     todo.append(interned)
